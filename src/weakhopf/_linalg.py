@@ -80,19 +80,37 @@ def affine_solutions(a, b, tol=None):
     return solve(a, b, tol=tol), null_space(a, tol=tol)
 
 
+def _off_span(basis, vecs, tol):
+    """Component of each column of vecs orthogonal to span(basis)."""
+    # orthonormalize unless the columns already are (cheap Gram test)
+    k = basis.shape[1]
+    if k and np.abs(basis.conj().T @ basis - np.eye(k)).max() > 1e-12:
+        basis = orth(basis, tol=tol)
+    return vecs - basis @ (basis.conj().T @ vecs)
+
+
 def contains(basis, vecs, tol=None):
     """Do the columns of vecs lie in the span of the basis columns?"""
     basis = _as_matrix(basis)
     vecs = _as_matrix(vecs)
     if vecs.size == 0:
         return True
-    # orthonormalize unless the columns already are (cheap Gram test)
-    k = basis.shape[1]
-    if k and np.abs(basis.conj().T @ basis - np.eye(k)).max() > 1e-12:
-        basis = orth(basis, tol=tol)
-    resid = vecs - basis @ (basis.conj().T @ vecs)
+    resid = _off_span(basis, vecs, tol)
     scale = max(1.0, float(np.abs(vecs).max()))
     return float(np.abs(resid).max()) <= tolerance(tol) * scale
+
+
+def first_outside(basis, vecs, tol=None):
+    """Index of the first column of vecs that contains() rejects when asked
+    about that column alone, or None when every column lies in the span."""
+    basis = _as_matrix(basis)
+    vecs = _as_matrix(vecs)
+    if vecs.size == 0:
+        return None
+    resid = np.abs(_off_span(basis, vecs, tol)).max(axis=0)
+    scale = np.maximum(1.0, np.abs(vecs).max(axis=0))
+    bad = np.flatnonzero(resid > tolerance(tol) * scale)
+    return int(bad[0]) if bad.size else None
 
 
 def span_equal(b1, b2, tol=None):

@@ -14,6 +14,7 @@ Conventions, fixed once for the whole package:
 import numpy as np
 
 from . import _linalg as la
+from ._contract import pair_products
 from .config import tolerance
 from .errors import (
     AssociativityViolation,
@@ -44,10 +45,14 @@ __all__ = [
 
 class StarAlgebra:
     """A *-algebra given by its multiplication tensor, unit vector and
-    star table.  Immutable after construction; derived data is cached."""
+    star table.  Immutable after construction; derived data is cached.
+
+    mult is stored C-contiguous, so mult.reshape(n, n * n) is a view whose
+    row i is L_{e_i} transposed and flattened: products and regular
+    representations are single matmuls against it."""
 
     def __init__(self, mult, unit, star, labels=None):
-        mult = np.asarray(mult, dtype=complex)
+        mult = np.ascontiguousarray(mult, dtype=complex)
         unit = np.asarray(unit, dtype=complex)
         star = np.asarray(star, dtype=complex)
         n = unit.shape[0]
@@ -86,18 +91,19 @@ class StarAlgebra:
 
     # -- coordinate arithmetic -------------------------------------------
     def product_coords(self, x, y):
-        return np.einsum("i,j,ijk->k", x, y, self.mult)
+        return self.left_mult_matrix(x) @ y
 
     def star_coords(self, x):
         return self.star.T @ np.conj(x)
 
     def left_mult_matrix(self, x):
         """L_x with (xy) = L_x @ y."""
-        return np.einsum("i,ijk->kj", x, self.mult)
+        n = self.dim
+        return (x @ self.mult.reshape(n, n * n)).reshape(n, n).T
 
     def right_mult_matrix(self, x):
         """R_x with (yx) = R_x @ y."""
-        return np.einsum("j,ijk->ki", x, self.mult)
+        return (x @ self.mult).T
 
     def trace_vector(self):
         """Tr(L_{e_k}) for every k."""
@@ -109,7 +115,7 @@ class StarAlgebra:
         """Gram matrix of <a,b> = Tr L_{a* b} in the given basis."""
         if "gram" not in self._cache:
             tr = self.trace_vector()
-            self._cache["gram"] = np.einsum("ip,pjk,k->ij", self.star, self.mult, tr)
+            self._cache["gram"] = self.star @ (self.mult @ tr)
         return self._cache["gram"]
 
     def gram_factor(self):
@@ -233,13 +239,9 @@ class Subspace:
     def certify(self, tol=None):
         """Record whether the span is a unital/star-closed subalgebra."""
         A, B = self.parent, self.basis
-        prods = [A.product_coords(B[:, i], B[:, j])
-                 for i in range(self.dim) for j in range(self.dim)]
-        prods = np.array(prods).T if prods else np.zeros((A.dim, 0))
+        prods = pair_products(A.mult, B, B).reshape(-1, A.dim).T
         self.flags["subalgebra"] = self.contains_coords(prods, tol=tol)
-        stars = np.array([A.star_coords(B[:, i]) for i in range(self.dim)]).T \
-            if self.dim else np.zeros((A.dim, 0))
-        self.flags["star_closed"] = self.contains_coords(stars, tol=tol)
+        self.flags["star_closed"] = self.contains_coords(A.star_coords(B), tol=tol)
         self.flags["unital"] = self.contains_coords(A.unit.reshape(-1, 1), tol=tol)
         return self.flags
 
@@ -263,9 +265,10 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None, check_cstar=True)
     tol = tolerance(tol)
     n = A.dim
 
-    lhs = np.einsum("ijp,pkq->ijkq", A.mult, A.mult)
-    rhs = np.einsum("jkp,ipq->ijkq", A.mult, A.mult)
-    gap = np.abs(lhs - rhs)
+    # (e_i e_j) e_k and e_i (e_j e_k), both laid out [i, j, k, q]
+    lhs = np.tensordot(A.mult, A.mult, 1)
+    lhs -= np.matmul(A.mult.reshape(n * n, n), A.mult).reshape(n, n, n, n)
+    gap = np.abs(lhs)
     if gap.max() > tol:
         i, j, k, _ = np.unravel_index(int(gap.argmax()), gap.shape)
         raise AssociativityViolation(
@@ -274,8 +277,8 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None, check_cstar=True)
             residual=float(gap.max()),
         )
 
-    lu = np.einsum("i,ijk->jk", A.unit, A.mult) - np.eye(n)
-    ru = np.einsum("j,ijk->ik", A.unit, A.mult) - np.eye(n)
+    lu = A.left_mult_matrix(A.unit).T - np.eye(n)
+    ru = A.right_mult_matrix(A.unit).T - np.eye(n)
     gap = max(np.abs(lu).max(), np.abs(ru).max())
     if gap > tol:
         bad = int(np.abs(lu).max(axis=1).argmax() if np.abs(lu).max() >= np.abs(ru).max()
@@ -289,9 +292,10 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None, check_cstar=True)
         raise StarViolation("star is not involutive", where=A.labels[bad],
                             residual=float(np.abs(inv).max()))
     # antimultiplicative: (e_i e_j)* = e_j* e_i*
-    lhs = np.einsum("ijk,kl->ijl", np.conj(A.mult), A.star)
-    rhs = np.einsum("jp,iq,pql->ijl", A.star, A.star, A.mult)
-    gap = np.abs(lhs - rhs)
+    lhs = np.conj(A.mult) @ A.star
+    # e_j^* e_i^* computed as [j, i, l], compared as [i, j, l]
+    rhs = (A.star @ np.matmul(A.star, A.mult).reshape(n, n * n)).reshape(n, n, n)
+    gap = np.abs(lhs - rhs.transpose(1, 0, 2))
     if gap.max() > tol:
         i, j, _ = np.unravel_index(int(gap.argmax()), gap.shape)
         raise StarViolation("star is not antimultiplicative",
@@ -442,22 +446,19 @@ def subalgebra_on_basis(A, basis, tol=None, labels=None):
     B = la.orth(np.asarray(basis, dtype=complex), tol=tol)
     k = B.shape[1]
     pinv = B.conj().T  # orthonormal columns
-    mult = np.empty((k, k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            p = A.product_coords(B[:, i], B[:, j])
-            if not la.contains(B, p.reshape(-1, 1), tol=tol):
-                raise AssociativityViolation("span is not closed under products",
-                                             where=(i, j))
-            mult[i, j] = pinv @ p
+    prods = pair_products(A.mult, B, B).reshape(k * k, A.dim).T
+    bad = la.first_outside(B, prods, tol=tol)
+    if bad is not None:
+        raise AssociativityViolation("span is not closed under products",
+                                     where=divmod(bad, k))
+    mult = (pinv @ prods).T.reshape(k, k, k)
     unit = pinv @ A.unit
     if not la.contains(B, A.unit.reshape(-1, 1), tol=tol):
         raise UnitViolation("span does not contain the unit")
-    star = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        s = A.star_coords(B[:, i])
-        if not la.contains(B, s.reshape(-1, 1), tol=tol):
-            raise StarViolation("span is not star-closed", where=i)
-        star[i] = pinv @ s
+    stars = A.star_coords(B)
+    bad = la.first_outside(B, stars, tol=tol)
+    if bad is not None:
+        raise StarViolation("span is not star-closed", where=bad)
+    star = (pinv @ stars).T
     sub = make_star_algebra(mult, unit, star, labels=labels, tol=tol)
     return sub, B

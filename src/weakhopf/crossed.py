@@ -7,6 +7,7 @@ extension, Temperley-Lieb elements, and relative-commutant reports.
 import numpy as np
 
 from . import _linalg as la
+from ._contract import pair_products
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
 from .config import tolerance
 from .errors import ActionAxiomViolation, AxiomViolation, ParentMismatch
@@ -83,18 +84,9 @@ class CrossedProduct:
 
         self.algebra = make_star_algebra(mult, unit, star_table, tol=tol)
 
-        em = np.zeros((dim, dm), dtype=complex)
-        for p in range(dm):
-            v = np.zeros((dm, da), dtype=complex)
-            v[p] = A.unit
-            em[:, p] = self.proj @ v.reshape(pre)
-        ea = np.zeros((dim, da), dtype=complex)
-        for i in range(da):
-            v = np.zeros((dm, da), dtype=complex)
-            v[:, i] = M.unit
-            ea[:, i] = self.proj @ v.reshape(pre)
-        self.embed_m = em
-        self.embed_a = ea
+        blocks = self.proj.reshape(dim, dm, da)       # [:, p, i]: class of f_p (x) e_i
+        self.embed_m = blocks @ A.unit
+        self.embed_a = M.unit @ blocks
 
         # dual action phi |> (m x a) = m x (phi -> a) on the quotient
         Wd = W.dual()
@@ -144,17 +136,10 @@ class CrossedProduct:
 
         if la.rank(em, tol=tol) != dm:
             raise AxiomViolation("M does not embed faithfully")
-        worst = 0.0
-        for p in range(dm):
-            for q in range(dm):
-                lhs = XA.product_coords(em[:, p], em[:, q])
-                worst = max(worst, _mx(lhs - em @ M.mult[p, q]))
-            worst = max(worst, _mx(XA.star_coords(em[:, p]) - em @ M.star[p]))
-        for i in range(da):
-            for j in range(da):
-                lhs = XA.product_coords(ea[:, i], ea[:, j])
-                worst = max(worst, _mx(lhs - ea @ A.mult[i, j]))
-            worst = max(worst, _mx(XA.star_coords(ea[:, i]) - ea @ A.star[i]))
+        worst = max(_mx(pair_products(XA.mult, em, em) - M.mult @ em.T),
+                    _mx(XA.star_coords(em) - em @ M.star.T),
+                    _mx(pair_products(XA.mult, ea, ea) - A.mult @ ea.T),
+                    _mx(XA.star_coords(ea) - ea @ A.star.T))
         if worst > 1e4 * t:
             raise AxiomViolation("embeddings are not *-homomorphisms",
                                  residual=worst)
@@ -165,21 +150,11 @@ class CrossedProduct:
             raise AxiomViolation(
                 "kernel of the A-embedding is not the annihilating ideal")
 
-        # covariance: (a |> m) x 1 = a(1) (m x 1) S(a(2))
-        worst = 0.0
-        smat = W.antipode
-        easm = ea @ smat
-        for i in range(da):
-            du = W.cop[i]
-            for p in range(dm):
-                lhs = em @ MA.act[i, p]
-                rhs = np.zeros(self.dim, dtype=complex)
-                for u in range(da):
-                    if not np.any(du[u]):
-                        continue
-                    base = XA.product_coords(ea[:, u], em[:, p])
-                    rhs += XA.product_coords(base, easm @ du[u])
-                worst = max(worst, _mx(lhs - rhs))
+        # covariance: (a |> m) x 1 = a(1) (m x 1) S(a(2)), as [p, i, :]
+        base = pair_products(XA.mult, ea, em)                    # (e_u)(f_p)
+        tail = np.tensordot(W.cop, ea @ W.antipode, axes=([2], [1]))
+        rhs = sum(pair_products(XA.mult, base[u].T, tail[:, u].T) for u in range(da))
+        worst = _mx((MA.act @ em.T).transpose(1, 0, 2) - rhs)
         if worst > 1e4 * t:
             raise AxiomViolation("covariance identity fails", residual=worst)
 
@@ -233,12 +208,11 @@ def hat_expectation(X, lam, tol=None):
     mu = MA.image_data(tol=tol).mu
     arrow = np.einsum("ios,s->oi", W.cop, lam_el.coords)   # columns: lam -> e_i
     mulam = mu @ arrow                                     # (lam -> e_i) |> 1
-    dim = X.dim
-    table = np.zeros((dim, dim), dtype=complex)
-    for alpha in range(dim):
-        v = X.lift_coords(np.eye(dim)[alpha])
-        mcoords = np.einsum("pi,ri,prs->s", v, mulam, M.mult, optimize=True)
-        table[:, alpha] = X.embed_m @ mcoords
+    # E(f_p (x) e_i) = f_p ((lam -> e_i) |> 1) for every lifted basis class
+    lifted = np.tensordot(mulam, X.lift.reshape(M.dim, W.dim, X.dim),
+                          axes=([1], [1]))                  # [r, p, alpha]
+    mcoords = np.tensordot(lifted, M.mult, axes=([0, 1], [1, 0]))
+    table = X.embed_m @ mcoords.T
     E = ConditionalExpectation(XA, table, integral=lam_el, source=X)
 
     l_dual = dual_integral(lam_int, tol=tol)               # lives in A
@@ -262,7 +236,7 @@ def hat_expectation(X, lam, tol=None):
     if sys_res > 1e4 * t:
         raise ActionAxiomViolation("canonical quasi-basis fails",
                                    residual=sys_res)
-    ind = np.einsum("AB,ABC->C", tensor, XA.mult)
+    ind = tensor.reshape(-1) @ XA.mult.reshape(-1, XA.dim)
     ind_ref = X.embed_a @ l_dual.n_r.coords
     if _mx(ind - ind_ref) > 1e4 * t:
         raise ActionAxiomViolation("index of the expectation is not 1 x Ind",
@@ -273,10 +247,13 @@ def hat_expectation(X, lam, tol=None):
 
 
 def _quasi_basis_residual(M, table, tensor):
-    a1 = np.einsum("pq,qmr,tr,pts->ms", tensor, M.mult, table, M.mult,
-                   optimize=True)
-    a2 = np.einsum("pq,mpr,tr,tqs->ms", tensor, M.mult, table, M.mult,
-                   optimize=True)
+    n = M.dim
+    # sum T[p, q] e_p E(e_q e_m) and sum T[p, q] E(e_m e_p) e_q, as [m, s]
+    expect = (M.mult.reshape(n * n, n) @ table.T).reshape(n, n, n)   # E(e_x e_y)
+    a1 = np.tensordot((tensor @ expect.reshape(n, n * n)).reshape(n, n, n),
+                      M.mult, axes=([0, 2], [0, 1]))
+    a2 = np.tensordot(expect, tensor, axes=([1], [0])).reshape(n, n * n) \
+        @ M.mult.reshape(n * n, n)
     eye = np.eye(M.dim)
     return max(_mx(a1 - eye), _mx(a2 - eye))
 
@@ -311,8 +288,7 @@ class RegularRep:
         # tau_r[s]|e_k> = |f^s -> e_k>,  tau_l[s]|e_k> = |e_k <- S^{-1} f^s>
         self.tau_r = np.transpose(cop, (2, 1, 0)).copy()
         self.tau_l = np.einsum("kio,is->sok", cop, sinv_hat)
-        self.ell = np.stack([A.left_mult_matrix(np.eye(da)[i])
-                             for i in range(da)])
+        self.ell = np.transpose(A.mult, (0, 2, 1))          # ell[i] = L_{e_i}
 
         self._check_translations(W, Wd, tol=tol)
 
@@ -331,13 +307,22 @@ class RegularRep:
                          self.images)
 
     def block_product(self, x, y):
-        return np.einsum("pab,qbc,pqr->rac", x, y, self.X.base.target.mult,
-                         optimize=True)
+        return np.moveaxis(self._block_products(x[np.newaxis], y[np.newaxis])[0, 0],
+                           -1, 0)
+
+    def _block_products(self, xs, ys):
+        """out[s, t, a, c, r] = (xs[s] * ys[t]) in block coordinates.  The
+        (t, b, c, p, r) middle table has dim M / (batch of xs) times the
+        entries of the result, so it stays within it while dim M <= len(xs)."""
+        mult = self.X.base.target.mult
+        right = np.tensordot(ys, mult, axes=([1], [1]))           # [t, b, c, p, r]
+        return np.moveaxis(np.tensordot(xs, right, axes=([1, 3], [3, 1])), 2, 1)
 
     def block_star(self, x):
+        """Star of one block element, or of a stack of them (leading axis)."""
         M = self.X.base.target
-        adjs = self.gram_a_inv @ np.transpose(np.conj(x), (0, 2, 1)) @ self.gram_a
-        return np.einsum("rq,rab->qab", M.star, adjs)
+        adjs = self.gram_a_inv @ np.conj(x).swapaxes(-1, -2) @ self.gram_a
+        return np.moveaxis(np.tensordot(M.star, adjs, axes=([0], [-3])), 0, -3)
 
     def _check_translations(self, W, Wd, tol=None):
         t = tolerance(tol)
@@ -350,14 +335,14 @@ class RegularRep:
         worst = 0.0
         for s in range(da):
             for s2 in range(da):
-                pr = Wd.alg.product_coords(np.eye(da)[s], np.eye(da)[s2])
+                pr = Wd.alg.mult[s, s2]
                 worst = max(worst, _mx(self.tau_r[s] @ self.tau_r[s2]
                                        - np.einsum("k,kab->ab", pr, self.tau_r)))
                 worst = max(worst, _mx(self.tau_l[s] @ self.tau_l[s2]
                                        - np.einsum("k,kab->ab", pr, self.tau_l)))
                 worst = max(worst, _mx(self.tau_r[s] @ self.tau_l[s2]
                                        - self.tau_l[s2] @ self.tau_r[s]))
-            star_s = Wd.alg.star_coords(np.eye(da)[s])
+            star_s = Wd.alg.star[s]
             worst = max(worst, _mx(dagger(self.tau_r[s])
                                    - np.einsum("k,kab->ab", star_s, self.tau_r)))
             worst = max(worst, _mx(dagger(self.tau_l[s])
@@ -391,18 +376,15 @@ class RegularRep:
         t = tolerance(tol)
         XA = self.X.algebra
         dim = XA.dim
-        worst = 0.0
-        for alpha in range(dim):
-            ia = self.images[alpha]
-            for beta in range(dim):
-                pr = XA.product_coords(np.eye(dim)[alpha], np.eye(dim)[beta])
-                lhs = self.block_product(ia, self.images[beta])
-                rhs = np.einsum("C,Cqab->qab", pr, self.images, optimize=True)
-                worst = max(worst, _mx(lhs - rhs))
-            st = XA.star_coords(np.eye(dim)[alpha])
-            lhs = self.block_star(ia)
-            rhs = np.einsum("C,Cqab->qab", st, self.images, optimize=True)
-            worst = max(worst, _mx(lhs - rhs))
+        images = self.images
+        flat = images.reshape(dim, -1)
+        # pi(e_alpha) pi(e_beta) = pi(e_alpha e_beta), as [alpha, beta, a, c, q]
+        prods = (XA.mult.reshape(dim * dim, dim) @ flat).reshape(
+            (dim, dim) + images.shape[1:])
+        worst = max(
+            _mx(self._block_products(images, images)
+                - np.moveaxis(prods, 2, -1)),
+            _mx(self.block_star(images) - (XA.star @ flat).reshape(images.shape)))
         if worst > 1e4 * t:
             raise AxiomViolation("regular homomorphism fails", residual=worst)
         if la.rank(self.images.reshape(dim, -1).T, tol=tol) != dim:
@@ -422,11 +404,9 @@ class RegularRep:
         worst = 0.0
         shat = Wd.antipode
         for s in range(da):
-            dphi = Wd.delta_coords(np.eye(da)[s])
+            dphi = Wd.cop[s]
             for alpha in range(dim):
-                moved = X.as_module.apply_coords(np.eye(da)[s],
-                                                 np.eye(dim)[alpha])
-                lhs = self.apply(moved)
+                lhs = self.apply(X.as_module.act[s, alpha])
                 img = self.images[alpha]
                 rhs = np.einsum("uv,uab,qbc,wv,wcd->qad", dphi, self.tau_r,
                                 img, shat, self.tau_r, optimize=True)
@@ -460,7 +440,7 @@ class GnsCross:
             blocks = reg.apply(x)
             out = np.zeros((dm * da, dm * da), dtype=complex)
             for r in range(dm):
-                out += np.kron(M.left_mult_matrix(np.eye(dm)[r]), blocks[r])
+                out += np.kron(M.mult[r].T, blocks[r])
             return out
 
         self.pi_cros = pi_cros
@@ -470,11 +450,8 @@ class GnsCross:
 
         hd = W.haar(tol=tol)
         l0 = hd.h * invert(hd.g_l, tol=tol)
-        cols = []
-        for p in range(dm):
-            x = X.project(np.outer(np.eye(dm)[p], l0.coords))
-            cols.append(pi_cros(x) @ self.omega_a)
-        self.v_iso = np.array(cols).T
+        lifted = X.proj.reshape(X.dim, dm, da) @ l0.coords    # classes of f_p (x) l0
+        self.v_iso = np.array([pi_cros(x) @ self.omega_a for x in lifted.T]).T
 
         gb = self.gram_big
 
@@ -503,8 +480,7 @@ class GnsCross:
         v = X.lift_coords(x)
         out = np.zeros((M.dim, M.dim), dtype=complex)
         for p in range(M.dim):
-            lm = M.left_mult_matrix(np.eye(M.dim)[p])
-            out += lm @ np.einsum("i,ipq->qp", v[p], MA.act)
+            out += M.mult[p].T @ MA.act_op(v[p])
         return out
 
     def state_cros(self, x):
@@ -522,9 +498,9 @@ class GnsCross:
         r = {}
 
         Ehat = hat_expectation(X, hd.hhat, tol=tol)
+        basis = np.eye(dim)
         worst = 0.0
-        for alpha in range(dim):
-            x = np.eye(dim)[alpha]
+        for x in basis:
             lhs = self.state_cros(x)
             mpart = np.linalg.lstsq(X.embed_m, Ehat.apply_coords(x),
                                     rcond=None)[0]
@@ -539,15 +515,13 @@ class GnsCross:
         r["norm_match"] = abs(norm_c - np.sqrt(
             self.base_gns.inner(M.unit, M.unit).real))
 
-        orbit = np.array([self.pi_cros(np.eye(dim)[a]) @ self.omega_cros
-                          for a in range(dim)]).T
+        orbit = np.array([self.pi_cros(x) @ self.omega_cros for x in basis]).T
         r["cyclic_rank_gap"] = la.rank(self.p_op, tol=tol) \
             - la.rank(orbit, tol=tol)
         r["separating"] = 0.0 if la.rank(orbit, tol=tol) == dim else 1.0
 
         worst = 0.0
-        for alpha in range(dim):
-            x = np.eye(dim)[alpha]
+        for x in basis:
             worst = max(worst, _mx(self.pi_omega(x) - self.direct_pi_omega(x)))
         r["compressed_representation"] = worst
 
@@ -558,17 +532,14 @@ class GnsCross:
         worst_a = 0.0
         mu = MA.image_data(tol=tol).mu
         A = W.alg
+        blocks = X.proj.reshape(dim, dm, A.dim)
         for p in range(dm):
             for i in range(A.dim):
-                x = X.project(np.outer(np.eye(dm)[p], np.eye(A.dim)[i]))
-                vec = self.pi_cros(x) @ self.omega_a
+                vec = self.pi_cros(blocks[:, p, i]) @ self.omega_a
                 # V^# |m a> = |m mu(a g_L)>
-                target = M.product_coords(
-                    np.eye(dm)[p], mu @ A.product_coords(np.eye(A.dim)[i],
-                                                         hd.g_l.coords))
+                target = (mu @ (hd.g_l.coords @ A.mult[i])) @ M.mult[p]
                 worst_a = max(worst_a, _mx(self.v_dagger @ vec - target))
-                back = X.project(np.outer(
-                    np.eye(dm)[p], A.product_coords(np.eye(A.dim)[i], gl0)))
+                back = blocks[:, p] @ (gl0 @ A.mult[i])
                 worst = max(worst, _mx(self.v_iso @ self.v_dagger @ vec
                                        - self.pi_cros(back) @ self.omega_a))
         r["compression_formula"] = worst_a

@@ -62,7 +62,7 @@ def left_integral_space(W, tol=None):
     """{l : a l = (a(1) S(a(2))) l for all a}; dimension equals dim A_L."""
     A = W.alg
     proj = _left_projector(W)
-    rows = [A.left_mult_matrix(np.eye(A.dim)[i]) - A.left_mult_matrix(proj[:, i])
+    rows = [A.mult[i].T - A.left_mult_matrix(proj[:, i])
             for i in range(A.dim)]
     S = Subspace(A, la.null_space(np.vstack(rows), tol=tol), orthonormalize=False)
     if S.dim != W.boundary("L", tol=tol).dim:
@@ -74,7 +74,7 @@ def left_integral_space(W, tol=None):
 def right_integral_space(W, tol=None):
     A = W.alg
     proj = _right_projector(W)
-    rows = [A.right_mult_matrix(np.eye(A.dim)[i]) - A.right_mult_matrix(proj[:, i])
+    rows = [A.mult[:, i].T - A.right_mult_matrix(proj[:, i])
             for i in range(A.dim)]
     S = Subspace(A, la.null_space(np.vstack(rows), tol=tol), orthonormalize=False)
     if S.dim != W.boundary("R", tol=tol).dim:
@@ -106,8 +106,7 @@ class LeftIntegral:
         proj = _left_projector(W)
         worst = 0.0
         for i in range(A.dim):
-            gap = A.product_coords(np.eye(A.dim)[i], l) \
-                - A.product_coords(proj[:, i], l)
+            gap = l @ A.mult[i] - A.product_coords(proj[:, i], l)
             worst = max(worst, _mx(gap))
         return worst
 
@@ -365,7 +364,7 @@ def _compose_lamL_sinv(W, lam, sinv):
 def lam_r_matrix(W, lam):
     """Matrix of a -> (a -> lambda)."""
     A = W.alg
-    cols = [A.right_mult_matrix(np.eye(A.dim)[j]).T @ lam for j in range(A.dim)]
+    cols = [A.mult[:, j] @ lam for j in range(A.dim)]
     return np.array(cols).T
 
 

@@ -6,6 +6,7 @@ quasi-bases, implementers/outerness, GNS and modular data, Galois tests.
 import numpy as np
 
 from . import _linalg as la
+from ._contract import pair_products, split_product
 from .algebra import Element, Subspace
 from .config import tolerance
 from .errors import (
@@ -57,10 +58,10 @@ class ModuleAlgebra:
 
     def act_op(self, a):
         """Matrix of m -> a |> m on M coordinates."""
-        return np.einsum("i,ipq->qp", np.asarray(a, dtype=complex), self.act)
+        return np.tensordot(np.asarray(a, dtype=complex), self.act, 1).T
 
     def apply_coords(self, a, m):
-        return np.einsum("i,ipq,p->q", a, self.act, m)
+        return m @ np.tensordot(a, self.act, 1)
 
     def apply(self, a, m):
         if a.parent is not self.hopf.alg or m.parent is not self.target:
@@ -70,7 +71,7 @@ class ModuleAlgebra:
     def act_on_unit(self):
         """Rows: e_i |> 1_M."""
         if "act1" not in self._cache:
-            self._cache["act1"] = np.einsum("ipq,p->iq", self.act, self.target.unit)
+            self._cache["act1"] = self.target.unit @ self.act
         return self._cache["act1"]
 
     def coaction(self):
@@ -113,28 +114,27 @@ def make_module_algebra(W, M, act, tol=None):
     multa, multm = W.alg.mult, M.mult
     cop = W.cop
 
-    lhs = np.einsum("ijr,rpq->ijpq", multa, act, optimize=True)
-    rhs = np.einsum("jpr,irq->ijpq", act, act, optimize=True)
+    lhs = np.tensordot(multa, act, 1)                                  # [i, j, p, q]
+    rhs = np.matmul(act.reshape(-1, M.dim), act).reshape(lhs.shape)   # [i, (j, p), q]
     gap = np.abs(lhs - rhs)
     if gap.max() > t:
         raise ActionAxiomViolation("composition law fails",
                                    where=_argmax_idx(gap), residual=gap.max())
 
-    gap = np.abs(np.einsum("i,ipq->pq", W.alg.unit, act) - np.eye(M.dim))
+    gap = np.abs(np.tensordot(W.alg.unit, act, 1) - np.eye(M.dim))
     if gap.max() > t:
         raise ActionAxiomViolation("unit acts nontrivially",
                                    where=_argmax_idx(gap), residual=gap.max())
 
-    lhs = np.einsum("pqr,irk->ipqk", multm, act, optimize=True)
-    rhs = np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, multm, optimize=True)
-    gap = np.abs(lhs - rhs)
+    lhs = np.matmul(multm.reshape(-1, M.dim), act).reshape(-1, M.dim, M.dim, M.dim)
+    gap = np.abs(lhs - split_product(cop, act, multm))
     if gap.max() > t:
         raise ActionAxiomViolation("product law fails",
                                    where=_argmax_idx(gap), residual=gap.max())
 
     lower = W.alg.star.T @ np.conj(W.antipode)  # columns: (e_i)_* = S(e_i)^*
-    lhs = np.einsum("ipq,qr->ipr", np.conj(act), M.star)
-    rhs = np.einsum("ui,ps,usr->ipr", lower, M.star, act, optimize=True)
+    lhs = np.conj(act) @ M.star
+    rhs = np.tensordot(lower, np.matmul(M.star, act), axes=([0], [0]))
     gap = np.abs(lhs - rhs)
     if gap.max() > t:
         raise ActionAxiomViolation("star law fails",
@@ -151,8 +151,7 @@ def make_module_algebra(W, M, act, tol=None):
 
     # splitting of products through the coproduct of the unit
     D1 = W.delta_one()
-    lhs = np.einsum("uv,upa,vqb,abk->pqk", D1, act, act, multm, optimize=True)
-    gap = np.abs(lhs - multm)
+    gap = np.abs(split_product(D1, act, multm) - multm)
     if gap.max() > t:
         raise ActionAxiomViolation("unit-coproduct splitting fails",
                                    where=_argmax_idx(gap), residual=gap.max())
@@ -253,21 +252,22 @@ def to_coaction(MA, tol=None, verify=True):
 # fixed points
 
 
+def _counital_rows(MA, proj):
+    """Blocks act_op(e_i) - act_op(proj e_i), stacked over i."""
+    act = MA.act
+    diff = act - np.tensordot(proj.T, act, 1)
+    return diff.transpose(0, 2, 1).reshape(-1, MA.target.dim)
+
+
 def _fixed_rows_ii(MA):
     W = MA.hopf
-    proj = W.counital("hL") @ W.counital("R")
-    rows = []
-    for i in range(W.dim):
-        a = np.zeros(W.dim)
-        a[i] = 1.0
-        rows.append(MA.act_op(a) - MA.act_op(proj[:, i]))
-    return rows
+    return _counital_rows(MA, W.counital("hL") @ W.counital("R"))
 
 
 def fixed_points(MA, tol=None):
     """Elements on which every a acts like its counital projection; the
     invariant subalgebra of the action."""
-    N = Subspace(MA.target, la.null_space(np.vstack(_fixed_rows_ii(MA)), tol=tol),
+    N = Subspace(MA.target, la.null_space(_fixed_rows_ii(MA), tol=tol),
                  orthonormalize=False)
     N.certify(tol=tol)
     t = tolerance(tol)
@@ -292,12 +292,7 @@ def fixed_point_condition_spaces(MA, tol=None):
     dm = M.dim
 
     rows_ii = _fixed_rows_ii(MA)
-    proj_iv = W.counital("hR") @ W.counital("R")
-    rows_iv = []
-    for i in range(W.dim):
-        a = np.zeros(W.dim)
-        a[i] = 1.0
-        rows_iv.append(MA.act_op(a) - MA.act_op(proj_iv[:, i]))
+    rows_iv = _counital_rows(MA, W.counital("hR") @ W.counital("R"))
 
     # a |> (m n) = (a |> m) n  as linear conditions on n
     t_i = np.einsum("pnr,irq->ipnq", multm, act, optimize=True) \
@@ -311,9 +306,9 @@ def fixed_point_condition_spaces(MA, tol=None):
 
     return {
         "i": la.null_space(rows_i, tol=tol),
-        "ii": la.null_space(np.vstack(rows_ii), tol=tol),
+        "ii": la.null_space(rows_ii, tol=tol),
         "iii": la.null_space(rows_iii, tol=tol),
-        "iv": la.null_space(np.vstack(rows_iv), tol=tol),
+        "iv": la.null_space(rows_iv, tol=tol),
     }
 
 
@@ -405,10 +400,8 @@ def image_data(MA, tol=None):
 
     # two-sided ideal generated by the kernel; equals both one-sided spans
     if kernel.dim:
-        left = np.hstack([A.left_mult_matrix(np.eye(A.dim)[i]) @ kernel.basis
-                          for i in range(A.dim)])
-        right = np.hstack([A.right_mult_matrix(np.eye(A.dim)[i]) @ kernel.basis
-                           for i in range(A.dim)])
+        left = np.hstack([A.mult[i].T @ kernel.basis for i in range(A.dim)])
+        right = np.hstack([A.mult[:, i].T @ kernel.basis for i in range(A.dim)])
         ideal = Subspace(A, left, tol=tol)
         if not la.span_equal(ideal.basis, la.orth(right, tol=tol), tol=tol):
             raise ActionAxiomViolation("kernel ideal is not two-sided symmetric")
@@ -483,8 +476,7 @@ class ConditionalExpectation:
     def is_faithful(self, tol=None):
         """No m with E(m'* m) = 0 for every m'."""
         M = self.algebra
-        rows = [self.table @ M.left_mult_matrix(M.star_coords(np.eye(M.dim)[p]))
-                for p in range(M.dim)]
+        rows = [self.table @ M.left_mult_matrix(M.star[p]) for p in range(M.dim)]
         return la.null_space(np.vstack(rows), tol=tol).shape[1] == 0
 
 
@@ -522,15 +514,22 @@ class QuasiBasis:
         self.nullity = nullity    # solution-space dimension of the system
 
 
-def _quasi_basis_system(M, table):
-    multm = M.mult
-    a1 = np.einsum("qmr,tr,pts->mspq", multm, table, multm, optimize=True)
-    a2 = np.einsum("mpr,tr,tqs->mspq", multm, table, multm, optimize=True)
-    dm = M.dim
+def _quasi_basis_system(M, table, basis):
+    """Both quasi-basis identities as linear equations in the coefficients
+    c[a, b] of T = sum c[a, b] basis_a (x) basis_b: rows (m, s) of
+    sum T[p, q] e_p E(e_q e_m) and of sum T[p, q] E(e_m e_p) e_q.
+
+    basis is contracted into the two multiplication factors first, so no
+    table larger than the (dim^2, k^2) system itself is built."""
+    dm, k = basis.shape
+    left = (basis.T @ M.mult.reshape(dm, dm * dm)).reshape(k, dm, dm)   # b_a e_t
+    right = np.matmul(basis.T, M.mult)                                 # e_t b_a
+    a1 = np.tensordot(left @ table.T, left, axes=([2], [1]))           # [b, m, a, s]
+    a2 = np.tensordot(right @ table.T, right, axes=([2], [0]))         # [m, a, b, s]
+    sys = np.vstack([a1.transpose(1, 3, 2, 0).reshape(dm * dm, k * k),
+                     a2.transpose(0, 3, 1, 2).reshape(dm * dm, k * k)])
     rhs_block = np.eye(dm).reshape(dm * dm)
-    sys = np.vstack([a1.reshape(dm * dm, dm * dm), a2.reshape(dm * dm, dm * dm)])
-    rhs = np.concatenate([rhs_block, rhs_block])
-    return sys, rhs
+    return sys, np.concatenate([rhs_block, rhs_block])
 
 
 def quasi_basis(E, tol=None, subspace=None):
@@ -542,25 +541,23 @@ def quasi_basis(E, tol=None, subspace=None):
     """
     M = E.algebra
     dm = M.dim
-    sys, rhs = _quasi_basis_system(M, E.table)
-    if subspace is not None:
-        embed = np.einsum("pa,qb->pqab", subspace.basis, subspace.basis) \
-            .reshape(dm * dm, -1)
-        sys = sys @ embed
+    basis = subspace.basis if subspace is not None else np.eye(dm, dtype=complex)
+    k = basis.shape[1]
+    sys, rhs = _quasi_basis_system(M, E.table, basis)
     try:
         vec, ns = la.affine_solutions(sys, rhs, tol=tol)
     except NoSolution as exc:
         raise NotIndexFinite("no quasi-basis exists",
                              residual=exc.residual) from exc
-    if subspace is not None:
-        vec = embed @ vec
-        ns = embed @ ns if ns.shape[1] else np.zeros((dm * dm, 0))
-    tensor = vec.reshape(dm, dm)
-    index = np.einsum("pq,pqs->s", tensor, M.mult)
+
+    def tensor_and_index(coeffs):
+        tensor = basis @ coeffs.reshape(k, k) @ basis.T
+        return tensor, tensor.reshape(-1) @ M.mult.reshape(dm * dm, dm)
+
+    tensor, index = tensor_and_index(vec)
     # the index is independent of the choice of solution
     if ns.shape[1]:
-        alt = (vec + ns[:, 0]).reshape(dm, dm)
-        alt_index = np.einsum("pq,pqs->s", alt, M.mult)
+        alt_index = tensor_and_index(vec + ns[:, 0])[1]
         if _mx(alt_index - index) > 1e3 * tolerance(tol):
             raise NotIndexFinite("index depends on the quasi-basis choice",
                                  residual=_mx(alt_index - index))
@@ -612,7 +609,7 @@ def trivial_implementers(MA, tol=None, ambient=None, inclusion=None):
         lam = lam_space.basis[:, j]
         tl = np.zeros((da, dn), dtype=complex)
         for i in range(da):
-            arrow = np.einsum("kis,k,s->i", W.cop, np.eye(da)[i], lam)
+            arrow = W.cop[i] @ lam
             tl[i] = incl @ (MA.act_on_unit().T @ arrow)
         for z in range(zc.dim):
             lz = amb.left_mult_matrix(incl @ zc.basis[:, z])
@@ -719,7 +716,7 @@ def invariant_state(MA, omega0, tol=None):
     sinv1 = act1.T @ MA.hopf.antipode_inv()   # columns: S^{-1}(e_i) |> 1
     s1 = act1.T @ MA.hopf.antipode
     for i in range(W.dim):
-        op = MA.act_op(np.eye(W.dim)[i])
+        op = MA.act[i].T
         lhs = omega @ op
         rhs = omega @ M.left_mult_matrix(sinv1[:, i])
         if _mx(lhs - rhs) > 1e3 * t:
@@ -781,18 +778,16 @@ def galois_test(MA, tol=None):
 
     t = tolerance(tol)
     X = crossed_product(MA, tol=tol)
-    M = MA.target
     h = MA.hopf.haar(tol=tol).h
     E = MA.haar_expectation(tol=tol)
     qb = quasi_basis(E, tol=tol)
     eh = X.embed_a @ h.coords
     XA = X.algebra
 
-    p = np.zeros(XA.dim, dtype=complex)
-    for u in range(M.dim):
-        ueh = XA.product_coords(X.embed_m[:, u], eh)
-        for v in range(M.dim):
-            p += qb.tensor[u, v] * XA.product_coords(ueh, X.embed_m[:, v])
+    # sandwiches m_u eh m_v for every pair, laid out [u, v, :]
+    sandwiches = pair_products(XA.mult, XA.right_mult_matrix(eh) @ X.embed_m,
+                               X.embed_m)
+    p = np.tensordot(qb.tensor, sandwiches, 2)
     p_el = Element(XA, p)
     checks = {
         "idempotent": _mx(XA.product_coords(p, p) - p),
@@ -804,13 +799,7 @@ def galois_test(MA, tol=None):
     if not XA.center(tol=tol).contains_coords(p.reshape(-1, 1), tol=tol):
         raise ActionAxiomViolation("Galois support is not central")
 
-    cols = []
-    for u in range(M.dim):
-        lu = XA.left_mult_matrix(X.embed_m[:, u])
-        base = lu @ eh
-        for v in range(M.dim):
-            cols.append(XA.right_mult_matrix(X.embed_m[:, v]) @ base)
-    gamma = np.array(cols).T
+    gamma = sandwiches.reshape(-1, XA.dim).T
     gamma_rank = la.rank(gamma, tol=tol)
     mhm_dim = la.orth(gamma, tol=tol).shape[1]
 

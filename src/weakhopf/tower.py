@@ -137,13 +137,11 @@ def _verify_jones_relations(T, tol=None):
         e = lv.jones
         incl = lv.include
         etab = below.expectation      # endo of level k-1, range one further down
-        worst = 0.0
-        for p in range(below.algebra.dim):
-            x = incl @ np.eye(below.algebra.dim)[p]
-            exe = XA.product_coords(XA.product_coords(e, x), e)
-            ex = incl @ (etab @ np.eye(below.algebra.dim)[p])
-            worst = max(worst, _mx(exe - XA.product_coords(ex, e)))
-            worst = max(worst, _mx(exe - XA.product_coords(e, ex)))
+        # columns run over the basis of level k-1
+        left_e, right_e = XA.left_mult_matrix(e), XA.right_mult_matrix(e)
+        exe = right_e @ (left_e @ incl)
+        ex = incl @ etab
+        worst = max(_mx(exe - right_e @ ex), _mx(exe - left_e @ ex))
         if worst > 1e4 * t:
             raise AxiomViolation("Jones relation fails", where=("level", k - 1),
                                  residual=worst)
@@ -182,8 +180,8 @@ def basic_construction_check(MA, omega0=None, l=None, tol=None):
         return (x.reshape(dm, dm) @ y.reshape(dm, dm)).reshape(-1)
 
     generated = la.span_closure(np.array(gens).T, op_product, tol=tol)
-    image = la.orth(np.array([pi(np.eye(X.dim)[c]).reshape(-1)
-                              for c in range(X.dim)]).T, tol=tol)
+    image = la.orth(np.array([pi(x).reshape(-1) for x in np.eye(X.dim)]).T,
+                    tol=tol)
     if not la.span_equal(generated, image, tol=tol):
         raise AxiomViolation("GNS image is not generated by M and the "
                              "Jones projection")

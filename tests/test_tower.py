@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from weakhopf import crossed as cr
 from weakhopf import examples as ex
 from weakhopf import modules as mo
 from weakhopf import tower as tw
+from weakhopf.algebra import Subspace, commutant
 from weakhopf.errors import DimensionBudgetExceeded
 
 
@@ -19,6 +22,25 @@ def test_m2_seed_dims(m2_action):
     T = tw.build_tower(m2_action[1], 2)
     assert T.dims() == [2, 4, 8, 16]
     assert tw.depth2_check(T)
+
+
+def test_quasi_basis_on_commutant_stays_below_one_n4_table(m2_action):
+    # the depth-2 system restricted to a dim-4 relative commutant of the
+    # dim-16 top level has 2 * 16^2 * 4^2 entries; building the full
+    # 2 * 16^4 system first would need two dm^4 tables
+    T = tw.build_tower(m2_action[1], 2)
+    lv = T.levels[3]
+    XA = lv.algebra
+    rel = commutant(Subspace(XA, T.include_map(0, 2)), XA)
+    assert (XA.dim, rel.dim) == (16, 4)
+    E = mo.ConditionalExpectation(XA, lv.expectation)
+    tracemalloc.start()
+    try:
+        mo.quasi_basis(E, subspace=rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * XA.dim ** 4
 
 
 def test_depth_zero(m2_action):
