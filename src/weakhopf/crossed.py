@@ -68,14 +68,20 @@ class CrossedProduct:
 
         cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
         reps = lift.reshape(dm, da, dim)
-        prods = np.einsum("piA,qjB,iuv,uqr,prs,vjk->ABsk", reps, reps,
-                          cop, act, multm, multa, optimize=True)
-        mult = np.einsum("ABsk,skC->ABC", prods,
-                         np.conj(lift).reshape(dm, da, dim), optimize=True)
+        # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
+        # quotient basis classes A and B; the [A, s, B, k] products are the
+        # smallest intermediate any pairwise order reaches
+        moved = np.tensordot(act, reps, axes=([1], [0]))               # [u, r, j, B]
+        tails = np.tensordot(cop, multa, 1)                            # [i, u, j, k]
+        right = np.tensordot(moved, tails, axes=([0, 2], [1, 2]))      # [r, B, i, k]
+        left = np.tensordot(reps, multm, axes=([0], [0]))              # [i, A, r, s]
+        prods = np.tensordot(left, right, axes=([0, 2], [2, 0]))       # [A, s, B, k]
+        mult = np.tensordot(prods, np.conj(lift).reshape(dm, da, dim),
+                            axes=([1, 3], [0, 1]))
 
-        dstar = np.einsum("ic,cuv->iuv", A.star, cop)      # Delta(e_i^*)
-        sbig = np.einsum("iuv,ps,usr->pirv", dstar, M.star, act, optimize=True)
-        sbig = sbig.reshape(pre, pre).T                     # columns: (f_p e_i)^*
+        dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
+        sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
+        sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
         sx = self.proj @ sbig @ np.conj(lift)
         star_table = sx.T
 
@@ -230,8 +236,7 @@ def hat_expectation(X, lam, tol=None):
 
     sinv = W.antipode_inv()
     dl = W.delta_coords(l_dual.element.coords)
-    tensor = np.einsum("uv,Av,Bu->AB", dl, X.embed_a, X.embed_a @ sinv,
-                       optimize=True)
+    tensor = X.embed_a @ dl.T @ (X.embed_a @ sinv).T
     sys_res = _quasi_basis_residual(XA, table, tensor)
     if sys_res > 1e4 * t:
         raise ActionAxiomViolation("canonical quasi-basis fails",
@@ -276,7 +281,7 @@ class RegularRep:
         hd = W.haar(tol=tol)
         hhat = hd.hhat.coords
 
-        gram = np.einsum("ip,pjk,k->ij", A.star, A.mult, hhat, optimize=True)
+        gram = A.star @ (A.mult @ hhat)
         if _mx(gram - gram.conj().T) > 1e3 * t \
                 or np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() <= t:
             raise AxiomViolation("dual Haar form is not positive definite")
@@ -295,8 +300,10 @@ class RegularRep:
         rho = MA.coaction()
         dim = X.dim
         reps = X.lift.reshape(dm, da, dim)
-        self.images = np.einsum("piC,pqs,sab,ibc->Cqac", reps, rho,
-                                self.tau_l, self.ell, optimize=True)
+        translated = np.tensordot(rho, self.tau_l, 1)                  # [p, q, a, b]
+        multiplied = np.tensordot(reps, self.ell, axes=([1], [0]))     # [p, C, b, c]
+        self.images = np.tensordot(translated, multiplied,
+                                   axes=([0, 3], [0, 2])).transpose(2, 0, 1, 3)
         self.X = X
         self.p_block = np.einsum("C,Cqab->qab", X.algebra.unit, self.images)
 
@@ -366,8 +373,9 @@ class RegularRep:
         # ell(a) tau_l(phi) = tau_l(phi(1)) <phi(2)|a(1)> ell(a(2))
         cop, multa = W.cop, A.mult
         lhs = np.einsum("iab,sbc->isac", self.ell, self.tau_l, optimize=True)
-        rhs = np.einsum("ujs,ijk,uab,kbc->isac", multa, cop, self.tau_l,
-                        self.ell, optimize=True)
+        pairing = np.tensordot(multa, cop, axes=([1], [1]))            # [u, s, i, k]
+        blocks = np.tensordot(self.tau_l, self.ell, axes=([2], [1]))   # [u, a, k, c]
+        rhs = np.tensordot(pairing, blocks, axes=([0, 3], [0, 2])).transpose(1, 0, 2, 3)
         if _mx(lhs - rhs) > 1e4 * t:
             raise AxiomViolation("translation exchange identity fails",
                                  residual=_mx(lhs - rhs))
@@ -402,14 +410,14 @@ class RegularRep:
         Wd = W.dual()
         da, dim = W.dim, X.dim
         worst = 0.0
-        shat = Wd.antipode
+        # tau_r(phi(1)) pi(x) tau_r(S^(phi(2))), summed over the split of phi
+        right = np.tensordot(Wd.antipode, self.tau_r, axes=([0], [0]))   # [v, c, d]
         for s in range(da):
-            dphi = Wd.cop[s]
+            left = np.tensordot(Wd.cop[s], self.tau_r, axes=([0], [0]))  # [v, a, b]
             for alpha in range(dim):
                 lhs = self.apply(X.as_module.act[s, alpha])
-                img = self.images[alpha]
-                rhs = np.einsum("uv,uab,qbc,wv,wcd->qad", dphi, self.tau_r,
-                                img, shat, self.tau_r, optimize=True)
+                mid = np.tensordot(left, self.images[alpha], axes=([2], [1]))
+                rhs = np.tensordot(mid, right, axes=([0, 3], [0, 1])).transpose(1, 0, 2)
                 worst = max(worst, _mx(lhs - rhs))
         return worst
 

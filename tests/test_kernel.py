@@ -30,13 +30,18 @@ from weakhopf.errors import (
     StarViolation,
     UnitViolation,
 )
+from weakhopf.integrals import LeftIntegral, dual_integral
 from weakhopf.modules import (
     ModuleAlgebra,
     _counital_rows,
     _quasi_basis_system,
     galois_test,
+    hopf_adjoint_table,
+    implementer_space,
+    invariant_state,
     make_module_algebra,
     quasi_basis,
+    to_coaction,
 )
 
 
@@ -229,6 +234,68 @@ def test_unit_splitting_residual(rng):
     _assert_reports(info.value, ref)
 
 
+def test_coaction_law_residuals(rng, pauli_parts):
+    W, M, act = pauli_parts
+    Wd = W.dual()
+    rho = np.transpose(act, (1, 2, 0))
+
+    # the dual's Delta(1) is not symmetric here, so both weak unit laws
+    # see a transposed factor
+    to_coaction(ModuleAlgebra(W, M, act))
+
+    def rejected(match, mult=M.mult, unit=M.unit, star=M.star):
+        skewed = ModuleAlgebra(W, StarAlgebra(mult, unit, star), act)
+        with pytest.raises(ActionAxiomViolation, match=match) as info:
+            to_coaction(skewed)
+        return info.value.residual
+
+    mult = M.mult + 1e-3 * _rand(rng, 4, 4, 4)
+    ref = np.einsum("pqr,rsi->pqsi", mult, rho) \
+        - np.einsum("pai,qbj,abs,ijk->pqsk", rho, rho, mult, Wd.alg.mult)
+    assert rejected("multiplicative", mult=mult) == pytest.approx(np.abs(ref).max(), rel=1e-12)
+
+    star = M.star + 1e-3 * _rand(rng, 4, 4)
+    ref = np.einsum("pr,rsi->psi", star, rho) \
+        - np.einsum("pqi,qs,ij->psj", np.conj(rho), star, Wd.alg.star)
+    assert rejected("star-preserving", star=star) == pytest.approx(np.abs(ref).max(), rel=1e-12)
+
+    unit = M.unit + 1e-3 * _rand(rng, 4)
+    rho1 = np.einsum("p,pqi->qi", unit, rho)
+    ref = np.einsum("ak,qu,auj->qjk", Wd.delta_one(), rho1, Wd.alg.mult) \
+        - np.einsum("qi,ijk->qjk", rho1, Wd.cop)
+    assert rejected("weak unit law fails", unit=unit) == pytest.approx(np.abs(ref).max(), rel=1e-12)
+
+
+def test_hopf_adjoint_table():
+    W = ex.m2_pauli_action()[0]
+    ref = np.einsum("iuv,upr,qv,rqs->ips", W.cop, W.alg.mult, W.antipode, W.alg.mult,
+                    optimize=True)
+    _close(hopf_adjoint_table(W), ref)
+
+
+def test_implementer_space(pauli_parts):
+    W, M, act = pauli_parts
+    MA = ModuleAlgebra(W, M, act)
+    da, dm = W.dim, M.dim
+    ct = np.zeros((da, dm, dm, da, dm), dtype=complex)
+    idx = np.arange(da)
+    ct[idx, :, :, idx, :] = np.einsum("pjs->jsp", M.mult)[np.newaxis]
+    x = np.einsum("iuv,uqm,jm->iqvj", W.cop, act, np.eye(dm))
+    ct -= np.einsum("iqvj,jps->iqsvp", x, M.mult)
+    ref = la.null_space(ct.reshape(da * dm * dm, da * dm))
+    got = implementer_space(MA)
+    assert got.shape == ref.shape and ref.shape[1] > 0
+    assert la.span_equal(got, ref)
+
+
+def test_gns_gram():
+    _, MA = ex.m2_inner_z2_action()
+    M = MA.target
+    tr = M.trace_vector()
+    gns = invariant_state(MA, tr / (tr @ M.unit))
+    _close(gns.gram, np.einsum("ps,sqt,t->pq", M.star, M.mult, gns.omega))
+
+
 def test_quasi_basis_system(rng):
     n, k = 5, 3
     M = StarAlgebra(_rand(rng, n, n, n), _rand(rng, n), _rand(rng, n, n))
@@ -281,6 +348,20 @@ def pauli_crossed():
     return MA, cr.crossed_product(MA)
 
 
+def test_crossed_structure_constants(pauli_crossed):
+    MA, X = pauli_crossed
+    W, M = MA.hopf, MA.target
+    dm, da = M.dim, W.dim
+    reps = X.lift.reshape(dm, da, X.dim)
+    prods = np.einsum("piA,qjB,iuv,uqr,prs,vjk->ABsk", reps, reps, W.cop, MA.act,
+                      M.mult, W.alg.mult, optimize=True)
+    _close(X.algebra.mult, np.einsum("ABsk,skC->ABC", prods, np.conj(reps)))
+    dstar = np.einsum("ic,cuv->iuv", W.alg.star, W.cop)
+    sbig = np.einsum("iuv,ps,usr->pirv", dstar, M.star, MA.act)
+    sbig = sbig.reshape(dm * da, dm * da).T
+    _close(X.algebra.star, (X.proj @ sbig @ np.conj(X.lift)).T)
+
+
 def test_embeddings(pauli_crossed):
     MA, X = pauli_crossed
     W, M = MA.hopf, MA.target
@@ -315,6 +396,10 @@ def test_hat_expectation_table(pauli_crossed):
     ref = X.embed_m @ np.einsum("piA,ri,prs->sA", lifted, mulam, M.mult)
     _close(E.table, ref)
     _close(E.index.coords, np.einsum("AB,ABC->C", E.canonical_tensor, X.algebra.mult))
+    l_dual = dual_integral(LeftIntegral(W.dual(), lam))
+    dl = W.delta_coords(l_dual.element.coords)
+    _close(E.canonical_tensor, np.einsum("uv,Av,Bu->AB", dl, X.embed_a,
+                                         X.embed_a @ W.antipode_inv()))
 
 
 def test_quasi_basis_residual(rng):
@@ -338,9 +423,38 @@ def test_regular_rep_blocks(rng, pauli_crossed):
            np.einsum("pab,qbc,pqr->rac", xs[0], ys[0], M.mult))
     _close(reg._block_products(xs, ys),
            np.einsum("spab,tqbc,pqr->stacr", xs, ys, M.mult))
+    hhat = MA.hopf.haar().hhat.coords
+    _close(reg.gram_a, np.einsum("ip,pjk,k->ij", A.star, A.mult, hhat))
+    reps = X.lift.reshape(dm, da, X.dim)
+    _close(reg.images, np.einsum("piC,pqs,sab,ibc->Cqac", reps, MA.coaction(),
+                                 reg.tau_l, reg.ell, optimize=True))
     adjs = reg.gram_a_inv @ np.conj(xs).swapaxes(-1, -2) @ reg.gram_a
     _close(reg.block_star(xs), np.einsum("rq,srab->sqab", M.star, adjs))
     _close(reg.block_star(xs[1]), np.einsum("rq,rab->qab", M.star, adjs[1]))
+
+
+def test_regular_rep_residuals(rng, pauli_crossed):
+    MA, X = pauli_crossed
+    W = MA.hopf
+    Wd, A = W.dual(), W.alg
+    reg = cr.regular_homomorphism(X)
+
+    tau_r = reg.tau_r
+    reg.tau_r = tau_r + 1e-3 * _rand(rng, *tau_r.shape)
+    lhs = np.einsum("sAC,Cqac->sAqac", X.as_module.act, reg.images)
+    rhs = np.einsum("suv,uab,Aqbc,wv,wcd->sAqad", Wd.cop, reg.tau_r, reg.images,
+                    Wd.antipode, reg.tau_r, optimize=True)
+    worst = np.abs(lhs - rhs).max()
+    assert reg.intertwining_residual() == pytest.approx(worst, rel=1e-10)
+
+    reg.tau_r = tau_r
+    reg.ell = reg.ell + 1e-3 * _rand(rng, *reg.ell.shape)
+    ref = np.einsum("iab,sbc->isac", reg.ell, reg.tau_l) \
+        - np.einsum("ujs,ijk,uab,kbc->isac", A.mult, W.cop, reg.tau_l, reg.ell,
+                    optimize=True)
+    with pytest.raises(AxiomViolation, match="exchange") as info:
+        reg._check_translations(W, Wd)
+    assert info.value.residual == pytest.approx(np.abs(ref).max(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
