@@ -48,6 +48,8 @@ def pairs_to_array(data, shape=None):
     arr = np.asarray(data, dtype=float)
     if arr.shape[-1] != 2:
         raise FormatError("complex entries must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise FormatError("complex entries must be finite")
     out = arr[..., 0] + 1j * arr[..., 1]
     if shape is not None and out.shape != shape:
         raise FormatError(f"expected shape {shape}, got {out.shape}")

@@ -1,10 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from weakhopf import examples as ex
 from weakhopf import serialize as ser
 from weakhopf.cli import main
+from weakhopf.errors import FormatError
 
 
 def run(args, capsys):
@@ -82,6 +84,21 @@ def test_verify_broken_counit_names_axiom(tmp_path, capsys, cz2):
     assert rc == 1
     rep = json.loads(out)
     assert "IIa" in rep["failures"]
+
+
+@pytest.mark.parametrize("field", ["counit", "mult"])
+def test_non_finite_entry_exits_2(tmp_path, capsys, cz2, field):
+    rec = ser.weak_hopf_record(cz2)
+    entry = rec[field]
+    while isinstance(entry[0], list):
+        entry = entry[0]
+    entry[0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(rec))
+    rc, _ = run(["verify", str(path)], capsys)
+    assert rc == 2
+    with pytest.raises(FormatError, match="finite"):
+        ser.pairs_to_array([[0.0, float("inf")]])
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,38 @@ def test_broken_counit_fails_iia(cz2):
     assert rep.residuals["IIa"] >= 1.0
     with pytest.raises(AxiomViolation):
         hopf.make_weak_hopf(cz2.alg, cz2.cop, np.zeros(2), cz2.antipode)
+
+
+def test_non_finite_residuals_fail(cz2):
+    counit = cz2.counit.copy()
+    counit[0] = np.nan
+    rep = hopf.verify_weak_hopf(
+        hopf.WeakHopfAlgebra(cz2.alg, cz2.cop, counit, cz2.antipode))
+    nan = [k for k, v in rep.residuals.items() if np.isnan(v)]
+    assert nan and rep.failures() == nan
+    assert not rep.passed()
+    assert np.isnan(rep.max_residual())
+    names = hopf.AXIOM_NAMES + hopf.DERIVED_NAMES
+    for key, check in [("coproduct_one_commutator", "relaxed_passed"),
+                       ("IIIc", "strong_implied")]:
+        rep = hopf.AxiomReport(dict.fromkeys(names, 0.0), True)
+        assert getattr(rep, check)()
+        rep.residuals[key] = np.nan
+        assert not getattr(rep, check)()
+        assert rep.failures() == [key]
+
+
+def test_verify_memory(wz3s3):
+    # the suite's n^4 temporaries are freed as it goes: the peak stays
+    # within five complex n^4 tables
+    n = wz3s3.dim
+    tracemalloc.start()
+    try:
+        hopf.verify_weak_hopf(wz3s3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * n ** 4
 
 
 def test_double_dual_is_bit_exact(wz2z2, pauli):

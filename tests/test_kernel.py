@@ -14,6 +14,7 @@ import pytest
 
 from weakhopf import _linalg as la
 from weakhopf import crossed as cr
+from weakhopf import hopf
 from weakhopf import examples as ex
 from weakhopf import tower as tw
 from weakhopf._contract import pair_products, split_product
@@ -23,6 +24,7 @@ from weakhopf.algebra import (
     make_star_algebra,
     subalgebra_on_basis,
 )
+from weakhopf.config import tolerance
 from weakhopf.errors import (
     ActionAxiomViolation,
     AssociativityViolation,
@@ -30,6 +32,7 @@ from weakhopf.errors import (
     StarViolation,
     UnitViolation,
 )
+from weakhopf.hopf import AxiomReport, WeakHopfAlgebra, verify_weak_hopf
 from weakhopf.integrals import LeftIntegral, dual_integral
 from weakhopf.modules import (
     ModuleAlgebra,
@@ -455,6 +458,288 @@ def test_regular_rep_residuals(rng, pauli_crossed):
     with pytest.raises(AxiomViolation, match="exchange") as info:
         reg._check_translations(W, Wd)
     assert info.value.residual == pytest.approx(np.abs(ref).max(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the weak Hopf axiom suite
+
+
+def _mx(t):
+    return float(np.abs(t).max()) if t.size else 0.0
+
+
+def _reference_suite(W, tol=None):
+    """verify_weak_hopf written with one np.einsum per term: residuals and
+    antipode invertibility."""
+    A, cop, eps, smat = W.alg, W.cop, W.counit, W.antipode
+    mult, unit, n = A.mult, A.unit, A.dim
+    r = {}
+
+    sv = np.linalg.svd(smat, compute_uv=False)
+    s_invertible = bool(sv.size and sv[-1] > tolerance(tol) * max(1.0, sv[0]))
+    sinv = np.linalg.inv(smat) if s_invertible else None
+
+    # multiplicativity / star / coassociativity
+    lhs = np.einsum("ijr,ruv->ijuv", mult, cop)
+    rhs = np.einsum("iab,jcd,acu,bdv->ijuv", cop, cop, mult, mult, optimize=True)
+    r["Ia"] = _mx(lhs - rhs)
+
+    lhs = np.einsum("ip,puv->iuv", A.star, cop)
+    rhs = np.einsum("iab,au,bv->iuv", np.conj(cop), A.star, A.star, optimize=True)
+    r["Ib"] = _mx(lhs - rhs)
+
+    t1 = np.einsum("iaz,axy->ixyz", cop, cop)
+    t2 = np.einsum("ixb,byz->ixyz", cop, cop)
+    r["Ic"] = _mx(t1 - t2)
+
+    D1 = np.einsum("i,ijk->jk", unit, cop)
+    D3 = np.einsum("az,axy->xyz", D1, cop)
+    idp = np.einsum("xb,cz,bcy->xyz", D1, D1, mult, optimize=True)
+    idq = np.einsum("uz,xb,uby->xyz", D1, D1, mult, optimize=True)
+    r["Id"] = _mx(idp - D3)
+    r["Id_prime"] = _mx(idq - D3)
+    r["coproduct_one_commutator"] = _mx(idp - idq)
+
+    eye = np.eye(n)
+    r["IIa"] = max(_mx(np.einsum("ijk,j->ik", cop, eps) - eye),
+                   _mx(np.einsum("ijk,k->ij", cop, eps) - eye))
+
+    E2 = np.einsum("ijr,r->ij", mult, eps)
+    E3 = np.einsum("ijr,rks,s->ijk", mult, mult, eps, optimize=True)
+    r["IIb"] = _mx(E3 - np.einsum("juv,iu,vk->ijk", cop, E2, E2, optimize=True))
+    r["IIb_prime"] = _mx(E3 - np.einsum("juv,iv,uk->ijk", cop, E2, E2, optimize=True))
+
+    # antipode axioms; the counital maps provide the right-hand sides
+    sxy = np.einsum("iuv,pu,pvq->qi", cop, smat, mult, optimize=True)   # S(x1)x2
+    xys = np.einsum("iuv,pv,upq->qi", cop, smat, mult, optimize=True)   # x1 S(x2)
+    r["IIIa"] = _mx(sxy - np.einsum("qv,iv->qi", D1, E2))
+    r["IIIb"] = _mx(xys - np.einsum("uq,ui->qi", D1, E2))
+    sand = np.einsum("ixyz,px,pyq,rz,qrs->si", t1, smat, mult, smat, mult,
+                     optimize=True)
+    r["IIIc"] = _mx(sand - smat)
+
+    rec = np.einsum("ixyz,py,xpq,qzs->si", t1, smat, mult, mult, optimize=True)
+    r["coproduct_antipode_recovery"] = _mx(rec - eye)
+
+    lhs = np.einsum("ijr,sr->sij", mult, smat)
+    rhs = np.einsum("pj,qi,pqs->sij", smat, smat, mult, optimize=True)
+    r["antipode_antimultiplicative"] = _mx(lhs - rhs)
+
+    lhs = np.einsum("ri,ruv->iuv", smat, cop)
+    rhs = np.einsum("iab,ub,va->iuv", cop, smat, smat, optimize=True)
+    r["antipode_coproduct_flip"] = _mx(lhs - rhs)
+
+    if s_invertible:
+        lhs = A.star.T @ np.conj(smat) @ np.conj(A.star).T
+        r["antipode_star_inverse"] = _mx(lhs - sinv)
+
+        lhs = np.einsum("ixyz,px,pyq->iqz", t1, smat, mult, optimize=True)
+        rhs = np.einsum("qv,ivz->iqz", D1, mult)
+        r["projection_identity_L"] = _mx(lhs - rhs)
+
+        lhs = np.einsum("ixyz,pz,ypq->ixq", t1, smat, mult, optimize=True)
+        rhs = np.einsum("uv,uiq->iqv", D1, mult)
+        r["projection_identity_R"] = _mx(lhs - rhs)
+
+        lhs = np.einsum("ixyz,pz,pyq->iqx", t1, sinv, mult, optimize=True)
+        rhs = np.einsum("uv,iuz->ivz", D1, mult)
+        r["projection_identity_L_inv"] = _mx(lhs - rhs)
+
+        lhs = np.einsum("ixyz,px,ypq->izq", t1, sinv, mult, optimize=True)
+        rhs = np.einsum("uv,viq->iqu", D1, mult)
+        r["projection_identity_R_inv"] = _mx(lhs - rhs)
+
+        # the four counital factorizations and their sandwich laws
+        EL = np.einsum("jik,k->ij", mult, eps)
+        ER = np.einsum("ijk,k->ij", mult, eps)
+        hEL = np.einsum("kis,k->si", cop, unit)
+        hER = np.einsum("kis,k->is", cop, unit)
+        r["counital_SL"] = _mx(sxy - hER @ EL)
+        r["counital_LS"] = _mx(xys - hEL @ ER)
+        siyx = np.einsum("iuv,pv,puq->qi", cop, sinv, mult, optimize=True)
+        xsiy = np.einsum("iuv,pu,vpq->qi", cop, sinv, mult, optimize=True)
+        r["counital_Linv"] = _mx(siyx - hEL @ EL)
+        r["counital_Rinv"] = _mx(xsiy - hER @ ER)
+        sandwich = 0.0
+        for a in (EL, ER):
+            for b in (hEL, hER):
+                sandwich = max(sandwich, _mx(a @ b @ a - a))
+        sandwich_hat = 0.0
+        for a in (hEL, hER):
+            for b in (EL, ER):
+                sandwich_hat = max(sandwich_hat, _mx(a @ b @ a - a))
+        r["counital_sandwich"] = sandwich
+        r["counital_sandwich_hat"] = sandwich_hat
+    else:
+        for k in ["antipode_star_inverse", "projection_identity_L",
+                  "projection_identity_R", "projection_identity_L_inv",
+                  "projection_identity_R_inv", "counital_SL", "counital_LS",
+                  "counital_Linv", "counital_Rinv", "counital_sandwich",
+                  "counital_sandwich_hat"]:
+            r[k] = float("inf")
+
+    # positivity of the counit as a state
+    geps = np.einsum("ip,pjk,k->ij", A.star, mult, eps, optimize=True)
+    herm = _mx(geps - geps.conj().T)
+    lam = np.linalg.eigvalsh((geps + geps.conj().T) / 2).min()
+    r["counit_positive"] = max(herm, float(max(0.0, -lam)))
+
+    return r, s_invertible
+
+
+def _random_weak_hopf(rng, n, singular):
+    """Random complex tables; not a weak Hopf algebra, so every residual
+    is of order one.  A singular antipode repeats a column."""
+    alg = StarAlgebra(_rand(rng, n, n, n), _rand(rng, n), _rand(rng, n, n))
+    smat = _rand(rng, n, n)
+    if singular:
+        smat[:, -1] = smat[:, 0]
+    return WeakHopfAlgebra(alg, _rand(rng, n, n, n), _rand(rng, n), smat)
+
+
+def _assert_suite_matches(W, **approx):
+    ref, invertible = _reference_suite(W)
+    rep = verify_weak_hopf(W)
+    assert rep.antipode_invertible == invertible
+    assert list(rep.residuals) == list(ref)
+    for key, value in ref.items():
+        assert rep.residuals[key] == pytest.approx(value, **approx), key
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_axiom_suite_random_tables(rng, singular):
+    W = _random_weak_hopf(rng, 5, singular)
+    _assert_suite_matches(W, rel=1e-12)
+    if singular:
+        assert verify_weak_hopf(W).residuals["projection_identity_L"] == np.inf
+
+
+def test_axiom_suite_builtin_instances(all_instances):
+    for W in all_instances.values():
+        for V in (W, W.dual()):
+            _assert_suite_matches(V, rel=1e-12, abs=1e-14)
+
+
+def test_axiom_suite_broken_counit(rng, wz3s3):
+    W = wz3s3
+    shift = 1e-3 * _rand(rng, W.dim)
+    broken = WeakHopfAlgebra(W.alg, W.cop, W.counit + shift, W.antipode)
+    _assert_suite_matches(broken, rel=1e-12, abs=1e-14)
+    failures = verify_weak_hopf(broken).failures()
+    assert failures and failures == AxiomReport(*_reference_suite(broken)).failures()
+
+
+def test_structure_maps(rng):
+    W = _random_weak_hopf(rng, 5, False)
+    x = _rand(rng, 5)
+    _close(W.delta_coords(x), np.einsum("i,ijk->jk", x, W.cop))
+    mult, cop, eps, unit = W.alg.mult, W.cop, W.counit, W.alg.unit
+    _close(W.counital("L"), np.einsum("jik,k->ij", mult, eps))
+    _close(W.counital("R"), np.einsum("ijk,k->ij", mult, eps))
+    _close(W.counital("hL"), np.einsum("kis,k->si", cop, unit))
+    _close(W.counital("hR"), np.einsum("kis,k->is", cop, unit))
+
+
+def _first_failure(fn):
+    """(where, residual) of the AxiomViolation fn raises, or None."""
+    try:
+        fn()
+    except AxiomViolation as exc:
+        return exc.where, exc.residual
+    return None
+
+
+def _reference_boundary(W, side, t=1e-9):
+    """The checks of boundary_subalgebra as loops over basis vectors."""
+    A, D1 = W.alg, W.delta_one()
+    S = W.boundary(side)
+    for j, a in enumerate(S.basis.T):
+        da = np.einsum("i,ijk->jk", a, W.cop)
+        if side == "L":
+            t1 = np.einsum("pq,up->uq", D1, A.left_mult_matrix(a))
+            t2 = np.einsum("pq,up->uq", D1, A.right_mult_matrix(a))
+        else:
+            t1 = np.einsum("pq,vq->pv", D1, A.left_mult_matrix(a))
+            t2 = np.einsum("pq,vq->pv", D1, A.right_mult_matrix(a))
+        gap = max(_mx(da - t1), _mx(da - t2))
+        if gap > t:
+            return (side, j), gap
+    other = W.boundary("R" if side == "L" else "L")
+    for i, x in enumerate(S.basis.T):
+        for j, y in enumerate(other.basis.T):
+            gap = _mx(A.product_coords(x, y) - A.product_coords(y, x))
+            if gap > t:
+                return (i, j), gap
+    return None
+
+
+def _reference_mu_iso(W, side, t=1e-9):
+    """The *-homomorphism checks of mu_iso as loops over basis pairs."""
+    Wd = W.dual()
+    dom = W.boundary("R" if side == "L" else "L")
+    fwd = W.counital(side)
+    for i, x in enumerate(dom.basis.T):
+        for j, y in enumerate(dom.basis.T):
+            gap = _mx(fwd @ W.alg.product_coords(x, y)
+                      - Wd.alg.product_coords(fwd @ x, fwd @ y))
+            if gap > 100 * t:
+                return (side, i, j), gap
+        gap = _mx(fwd @ W.alg.star_coords(x) - Wd.alg.star_coords(fwd @ x))
+        if gap > 100 * t:
+            return (side, i), gap
+    return None
+
+
+def _orthogonal_to_leading(cols, k):
+    """A unit vector u with sum_a cols[a, i] u[a] = 0 for i < k but not
+    for i = k, so that a perturbation along u spares the first k columns."""
+    N = la.null_space(cols[:, :k].T)
+    u = N @ (N.conj().T @ cols[:, k].conj())
+    assert abs(cols[:, k] @ u) > 1e-3
+    return u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("broken", ["coproduct", "commutant"])
+def test_boundary_subalgebra_residual(rng, side, broken):
+    W = ex.group_weak_hopf(ex.symmetric_group_3(), [0, 1, 2])
+    S, other = W.boundary(side), W.boundary("R" if side == "L" else "L")
+    W.delta_one()
+    if broken == "coproduct":
+        # only the last basis vector of the boundary sees the change
+        u = S.basis[:, -1].conj()
+        W.cop = W.cop + 1e-3 * np.einsum("i,jk->ijk", u, _rand(rng, W.dim, W.dim))
+    else:
+        other.basis = la.orth(other.basis + 1e-3 * _rand(rng, *other.basis.shape))
+    ref = _reference_boundary(W, side)
+    assert ref is not None
+    if broken == "coproduct":
+        assert ref[0] == (side, S.dim - 1)
+    where, residual = _first_failure(lambda: hopf.boundary_subalgebra(W, side))
+    assert where == ref[0]
+    assert residual == pytest.approx(ref[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+@pytest.mark.parametrize("broken", ["mult", "star", "both"])
+def test_mu_iso_residual(rng, side, broken):
+    W = ex.group_weak_hopf(ex.symmetric_group_3(), [0, 1, 2])
+    Wd = W.dual()
+    dom = W.boundary("R" if side == "L" else "L")
+    Wd.boundary("L"), Wd.boundary("R")
+    img = W.counital(side) @ dom.basis
+    k = dom.dim - 1
+    u = _orthogonal_to_leading(img, k)
+    if broken in ("mult", "both"):
+        Wd.alg.mult = Wd.alg.mult + 1e-3 * np.einsum(
+            "a,b,c->abc", u, _rand(rng, W.dim), _rand(rng, W.dim))
+    if broken in ("star", "both"):
+        Wd.alg.star = Wd.alg.star + 1e-3 * np.outer(u.conj(), _rand(rng, W.dim))
+    ref = _reference_mu_iso(W, side)
+    assert ref is not None and ref[0][1] == k
+    where, residual = _first_failure(lambda: hopf.mu_iso(W, side))
+    assert where == ref[0]
+    assert residual == pytest.approx(ref[1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
