@@ -1,0 +1,51 @@
+"""The failure rule shared by every residual check of the package.
+
+A residual is the largest absolute entry of a difference table.  A check
+passes only when every entry is at most its bound, a tolerance times one of
+the slack levels of weakhopf.config, sometimes scaled by an operand norm.
+NaN is never at most anything, so a non-finite residual always fails.
+"""
+
+import numpy as np
+
+
+def residual(*tables):
+    """Largest absolute entry over all the tables; 0 when every table is
+    empty, NaN whenever any entry is NaN."""
+    worst = 0.0
+    for t in tables:
+        t = np.asarray(t)
+        if t.size:
+            m = float(np.abs(t).max())
+            if not m <= worst:
+                if m != m:
+                    return m
+                worst = m
+    return worst
+
+
+def outside(values, bound):
+    """Elementwise: is the value not within the bound?  NaN is outside."""
+    return ~(np.asarray(values) <= bound)
+
+
+def require(gap, bound, exc, message, where=None):
+    """Raise exc(message, where=..., residual=...) unless every entry of
+    |gap| is at most bound.
+
+    gap is a difference table, a scalar residual or a dict of named
+    residuals; the reported residual is its largest entry.  A callable
+    where is applied to the location of the worst entry, or of the first
+    NaN: its index tuple for a table (where=tuple reports that tuple), its
+    key for a dict.  Any other where is reported as given.
+    """
+    keys = list(gap) if isinstance(gap, dict) else None
+    mags = np.abs(np.asarray(list(gap.values()) if keys is not None else gap))
+    worst = float(mags.max()) if mags.size else 0.0
+    if worst <= bound:
+        return
+    if callable(where):
+        flat = int(mags.argmax())
+        where = where(keys[flat] if keys is not None else
+                      tuple(int(i) for i in np.unravel_index(flat, mags.shape)))
+    raise exc(message, where=where, residual=worst)

@@ -7,6 +7,7 @@ singular value, matching the subspace conventions used package-wide.
 
 import numpy as np
 
+from ._checks import outside, require, residual
 from .config import tolerance
 from .errors import NoSolution
 
@@ -62,17 +63,8 @@ def solve(a, b, tol=None):
     a = _as_matrix(a)
     b = np.asarray(b, dtype=complex)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = np.abs(a @ x - b).max() if b.size else 0.0
-    if resid > tolerance(tol):
-        raise NoSolution("linear system has no solution", residual=float(resid))
+    require(a @ x - b, tolerance(tol), NoSolution, "linear system has no solution")
     return x
-
-
-def try_solve(a, b, tol=None):
-    try:
-        return solve(a, b, tol=tol)
-    except NoSolution:
-        return None
 
 
 def affine_solutions(a, b, tol=None):
@@ -95,9 +87,8 @@ def contains(basis, vecs, tol=None):
     vecs = _as_matrix(vecs)
     if vecs.size == 0:
         return True
-    resid = _off_span(basis, vecs, tol)
-    scale = max(1.0, float(np.abs(vecs).max()))
-    return float(np.abs(resid).max()) <= tolerance(tol) * scale
+    scale = max(1.0, residual(vecs))
+    return residual(_off_span(basis, vecs, tol)) <= tolerance(tol) * scale
 
 
 def first_outside(basis, vecs, tol=None):
@@ -109,7 +100,7 @@ def first_outside(basis, vecs, tol=None):
         return None
     resid = np.abs(_off_span(basis, vecs, tol)).max(axis=0)
     scale = np.maximum(1.0, np.abs(vecs).max(axis=0))
-    bad = np.flatnonzero(resid > tolerance(tol) * scale)
+    bad = np.flatnonzero(outside(resid, tolerance(tol) * scale))
     return int(bad[0]) if bad.size else None
 
 
@@ -126,15 +117,6 @@ def intersect(b1, b2, tol=None):
     return orth(b1 @ ns[: b1.shape[1]], tol=tol)
 
 
-def span_sum(b1, b2, tol=None):
-    return orth(np.hstack([_as_matrix(b1), _as_matrix(b2)]), tol=tol)
-
-
-def project_onto(basis, vec):
-    basis = _as_matrix(basis)
-    return basis @ (basis.conj().T @ np.asarray(vec, dtype=complex))
-
-
 def gram_sqrt(gram, tol=None):
     """Factor a Hermitian positive-definite Gram matrix as C^* C.
 
@@ -142,9 +124,8 @@ def gram_sqrt(gram, tol=None):
     forms are handled gracefully; raises if the form is not positive.
     """
     gram = np.asarray(gram, dtype=complex)
-    herm = np.abs(gram - gram.conj().T).max()
-    if herm > tolerance(tol) * max(1.0, np.abs(gram).max()):
-        raise NoSolution("form is not hermitian", residual=float(herm))
+    require(gram - gram.conj().T, tolerance(tol) * max(1.0, residual(gram)),
+            NoSolution, "form is not hermitian")
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     if w.min() <= 0:
         raise NoSolution("form is not positive definite", residual=float(w.min()))

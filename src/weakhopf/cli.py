@@ -13,7 +13,8 @@ import numpy as np
 
 from . import examples as ex
 from . import serialize as ser
-from .config import DEFAULT_DIM_BUDGET, tolerance
+from ._checks import outside
+from .config import DEFAULT_DIM_BUDGET, SLACK_COMPOSITE, tolerance
 from .errors import FormatError, WeakHopfError
 from .hopf import AXIOM_NAMES, is_pure, verify_weak_hopf
 from .integrals import LeftIntegral, classify, haar, left_integral_space, \
@@ -142,7 +143,7 @@ def cmd_integrals(args):
         l = LeftIntegral(W, coords, tol=tol)
         report["classification"] = classify(l, tol=tol)
     _emit(report, args)
-    return 0 if max(report["modular_residuals"].values()) <= tol else 1
+    return 1 if outside(list(report["modular_residuals"].values()), tol).any() else 0
 
 
 def cmd_crossed(args):
@@ -171,8 +172,8 @@ def cmd_crossed(args):
     _, _, tlj = tlj_elements(X, l, tol=tol)
     report["tlj_residuals"] = {k: float(v) for k, v in tlj.items()}
     _emit(report, args)
-    ok = max(report["tlj_residuals"].values()) <= 1e4 * tol
-    return 0 if ok else 1
+    bad = outside(list(report["tlj_residuals"].values()), SLACK_COMPOSITE * tol)
+    return 1 if bad.any() else 0
 
 
 def cmd_tower(args):
@@ -228,8 +229,8 @@ def cmd_report(args):
             k: float(v) for k, v in hd.modular_report(tol=tol).items()}
         dual_rep = verify_weak_hopf(W.dual(), tol=tol)
         report["dual_passed"] = dual_rep.passed(tol=tol)
-        report["passed"] = (report["passed"] and report["dual_passed"]
-                            and max(report["modular_residuals"].values()) <= tol)
+        modular_ok = not outside(list(report["modular_residuals"].values()), tol).any()
+        report["passed"] = report["passed"] and report["dual_passed"] and modular_ok
     _emit(report, args)
     return 0 if report["passed"] else 1
 

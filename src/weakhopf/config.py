@@ -4,6 +4,14 @@ import os
 
 DEFAULT_TOL = 1e-9
 
+# Slack levels: a check whose residual accumulates rounding through more
+# than one table contraction compares it with a multiple of the tolerance.
+# The names describe the typical site; each check keeps the level it has
+# always used.
+SLACK_DERIVED = 1e2     # maps derived in one step: boundary maps, square roots
+SLACK_SOLVED = 1e3      # quantities obtained through solves or spectra
+SLACK_COMPOSITE = 1e4   # objects assembled from several solved pieces
+
 
 def tolerance(tol=None):
     """Resolve a tolerance: explicit argument > WHA_TOL env var > default."""

@@ -7,9 +7,10 @@ extension, Temperley-Lieb elements, and relative-commutant reports.
 import numpy as np
 
 from . import _linalg as la
+from ._checks import outside, require, residual
 from ._contract import pair_products
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
-from .config import tolerance
+from .config import SLACK_COMPOSITE, SLACK_SOLVED, tolerance
 from .errors import ActionAxiomViolation, AxiomViolation, ParentMismatch
 from .modules import ConditionalExpectation, make_module_algebra
 
@@ -25,11 +26,6 @@ __all__ = [
     "tlj_elements",
     "commutant_suite",
 ]
-
-
-def _mx(t):
-    t = np.asarray(t)
-    return float(np.abs(t).max()) if t.size else 0.0
 
 
 class CrossedProduct:
@@ -116,21 +112,6 @@ class CrossedProduct:
         dm = self.base.target.dim
         return (self.lift @ np.asarray(x, dtype=complex)).reshape(dm, -1)
 
-    def embed_m_el(self, m):
-        if m.parent is not self.base.target:
-            raise ParentMismatch("element does not live in M")
-        return Element(self.algebra, self.embed_m @ m.coords)
-
-    def embed_a_el(self, a):
-        if a.parent is not self.base.hopf.alg:
-            raise ParentMismatch("element does not live in A")
-        return Element(self.algebra, self.embed_a @ a.coords)
-
-    def pair_el(self, m, a):
-        """The class of m (x) a."""
-        v = np.outer(m.coords, a.coords).reshape(-1)
-        return Element(self.algebra, self.project(v))
-
     def _verify(self, arrows, tol=None):
         t = tolerance(tol)
         MA = self.base
@@ -142,13 +123,12 @@ class CrossedProduct:
 
         if la.rank(em, tol=tol) != dm:
             raise AxiomViolation("M does not embed faithfully")
-        worst = max(_mx(pair_products(XA.mult, em, em) - M.mult @ em.T),
-                    _mx(XA.star_coords(em) - em @ M.star.T),
-                    _mx(pair_products(XA.mult, ea, ea) - A.mult @ ea.T),
-                    _mx(XA.star_coords(ea) - ea @ A.star.T))
-        if worst > 1e4 * t:
-            raise AxiomViolation("embeddings are not *-homomorphisms",
-                                 residual=worst)
+        worst = residual(pair_products(XA.mult, em, em) - M.mult @ em.T,
+                         XA.star_coords(em) - em @ M.star.T,
+                         pair_products(XA.mult, ea, ea) - A.mult @ ea.T,
+                         XA.star_coords(ea) - ea @ A.star.T)
+        require(worst, SLACK_COMPOSITE * t, AxiomViolation,
+                "embeddings are not *-homomorphisms")
 
         ideal = MA.image_data(tol=tol).ideal
         ker = la.null_space(ea, tol=tol)
@@ -160,9 +140,8 @@ class CrossedProduct:
         base = pair_products(XA.mult, ea, em)                    # (e_u)(f_p)
         tail = np.tensordot(W.cop, ea @ W.antipode, axes=([2], [1]))
         rhs = sum(pair_products(XA.mult, base[u].T, tail[:, u].T) for u in range(da))
-        worst = _mx((MA.act @ em.T).transpose(1, 0, 2) - rhs)
-        if worst > 1e4 * t:
-            raise AxiomViolation("covariance identity fails", residual=worst)
+        require((MA.act @ em.T).transpose(1, 0, 2) - rhs, SLACK_COMPOSITE * t,
+                AxiomViolation, "covariance identity fails")
 
         # the dual action preserves the relation span
         rel_basis = la.null_space(self.lift.conj().T, tol=tol)
@@ -170,10 +149,8 @@ class CrossedProduct:
             for s in range(da):
                 moved = np.einsum("ok,pkR->poR", arrows[s],
                                   rel_basis.reshape(dm, da, -1))
-                img = self.proj @ moved.reshape(dm * da, -1)
-                if _mx(img) > 1e4 * t:
-                    raise AxiomViolation("dual action does not descend",
-                                         residual=_mx(img))
+                require(self.proj @ moved.reshape(dm * da, -1), SLACK_COMPOSITE * t,
+                        AxiomViolation, "dual action does not descend")
 
 
 def crossed_product(MA, tol=None, verify=True):
@@ -222,30 +199,23 @@ def hat_expectation(X, lam, tol=None):
     E = ConditionalExpectation(XA, table, integral=lam_el, source=X)
 
     l_dual = dual_integral(lam_int, tol=tol)               # lives in A
-    r = _mx(table @ (X.embed_a @ l_dual.element.coords) - XA.unit)
-    if r > 1e4 * t:
-        raise ActionAxiomViolation("expectation misses the dual integral",
-                                   residual=r)
+    require(table @ (X.embed_a @ l_dual.element.coords) - XA.unit, SLACK_COMPOSITE * t,
+            ActionAxiomViolation, "expectation misses the dual integral")
 
     ind_l = lam_int.n_r                                    # Ind of lam's dual
     tau = MA.image_data(tol=tol).tau
-    gap = _mx(table @ XA.unit - X.embed_m @ (tau @ ind_l.coords))
-    if gap > 1e4 * t:
-        raise ActionAxiomViolation(
-            "expectation of the unit misses the transferred index", residual=gap)
+    require(table @ XA.unit - X.embed_m @ (tau @ ind_l.coords), SLACK_COMPOSITE * t,
+            ActionAxiomViolation, "expectation of the unit misses the transferred index")
 
     sinv = W.antipode_inv()
     dl = W.delta_coords(l_dual.element.coords)
     tensor = X.embed_a @ dl.T @ (X.embed_a @ sinv).T
-    sys_res = _quasi_basis_residual(XA, table, tensor)
-    if sys_res > 1e4 * t:
-        raise ActionAxiomViolation("canonical quasi-basis fails",
-                                   residual=sys_res)
+    require(_quasi_basis_residual(XA, table, tensor), SLACK_COMPOSITE * t,
+            ActionAxiomViolation, "canonical quasi-basis fails")
     ind = tensor.reshape(-1) @ XA.mult.reshape(-1, XA.dim)
     ind_ref = X.embed_a @ l_dual.n_r.coords
-    if _mx(ind - ind_ref) > 1e4 * t:
-        raise ActionAxiomViolation("index of the expectation is not 1 x Ind",
-                                   residual=_mx(ind - ind_ref))
+    require(ind - ind_ref, SLACK_COMPOSITE * t, ActionAxiomViolation,
+            "index of the expectation is not 1 x Ind")
     E.canonical_tensor = tensor
     E.index = Element(XA, ind)
     return E
@@ -260,7 +230,7 @@ def _quasi_basis_residual(M, table, tensor):
     a2 = np.tensordot(expect, tensor, axes=([1], [0])).reshape(n, n * n) \
         @ M.mult.reshape(n * n, n)
     eye = np.eye(M.dim)
-    return max(_mx(a1 - eye), _mx(a2 - eye))
+    return residual(a1 - eye, a2 - eye)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +252,7 @@ class RegularRep:
         hhat = hd.hhat.coords
 
         gram = A.star @ (A.mult @ hhat)
-        if _mx(gram - gram.conj().T) > 1e3 * t \
+        if outside(residual(gram - gram.conj().T), SLACK_SOLVED * t) \
                 or np.linalg.eigvalsh((gram + gram.conj().T) / 2).min() <= t:
             raise AxiomViolation("dual Haar form is not positive definite")
         self.gram_a = gram
@@ -343,32 +313,29 @@ class RegularRep:
         for s in range(da):
             for s2 in range(da):
                 pr = Wd.alg.mult[s, s2]
-                worst = max(worst, _mx(self.tau_r[s] @ self.tau_r[s2]
-                                       - np.einsum("k,kab->ab", pr, self.tau_r)))
-                worst = max(worst, _mx(self.tau_l[s] @ self.tau_l[s2]
-                                       - np.einsum("k,kab->ab", pr, self.tau_l)))
-                worst = max(worst, _mx(self.tau_r[s] @ self.tau_l[s2]
-                                       - self.tau_l[s2] @ self.tau_r[s]))
+                worst = residual(worst,
+                                 self.tau_r[s] @ self.tau_r[s2]
+                                 - np.einsum("k,kab->ab", pr, self.tau_r),
+                                 self.tau_l[s] @ self.tau_l[s2]
+                                 - np.einsum("k,kab->ab", pr, self.tau_l),
+                                 self.tau_r[s] @ self.tau_l[s2]
+                                 - self.tau_l[s2] @ self.tau_r[s])
             star_s = Wd.alg.star[s]
-            worst = max(worst, _mx(dagger(self.tau_r[s])
-                                   - np.einsum("k,kab->ab", star_s, self.tau_r)))
-            worst = max(worst, _mx(dagger(self.tau_l[s])
-                                   - np.einsum("k,kab->ab", star_s, self.tau_l)))
-        if worst > 1e4 * t:
-            raise AxiomViolation("translation representations fail",
-                                 residual=worst)
+            worst = residual(worst,
+                             dagger(self.tau_r[s])
+                             - np.einsum("k,kab->ab", star_s, self.tau_r),
+                             dagger(self.tau_l[s])
+                             - np.einsum("k,kab->ab", star_s, self.tau_l))
+        require(worst, SLACK_COMPOSITE * t, AxiomViolation,
+                "translation representations fail")
 
         AL = W.boundary("L", tol=tol)
         er = W.counital("R")
         A = W.alg
-        worst = 0.0
-        for j in range(AL.dim):
-            a = AL.basis[:, j]
-            lhs = np.einsum("s,sab->ab", er @ a, self.tau_l)
-            worst = max(worst, _mx(lhs - A.left_mult_matrix(a)))
-        if worst > 1e4 * t:
-            raise AxiomViolation("boundary translation identity fails",
-                                 residual=worst)
+        gaps = [np.einsum("s,sab->ab", er @ a, self.tau_l) - A.left_mult_matrix(a)
+                for a in AL.basis.T]
+        require(residual(*gaps), SLACK_COMPOSITE * t, AxiomViolation,
+                "boundary translation identity fails")
 
         # ell(a) tau_l(phi) = tau_l(phi(1)) <phi(2)|a(1)> ell(a(2))
         cop, multa = W.cop, A.mult
@@ -376,9 +343,8 @@ class RegularRep:
         pairing = np.tensordot(multa, cop, axes=([1], [1]))            # [u, s, i, k]
         blocks = np.tensordot(self.tau_l, self.ell, axes=([2], [1]))   # [u, a, k, c]
         rhs = np.tensordot(pairing, blocks, axes=([0, 3], [0, 2])).transpose(1, 0, 2, 3)
-        if _mx(lhs - rhs) > 1e4 * t:
-            raise AxiomViolation("translation exchange identity fails",
-                                 residual=_mx(lhs - rhs))
+        require(lhs - rhs, SLACK_COMPOSITE * t, AxiomViolation,
+                "translation exchange identity fails")
 
     def _check_homomorphism(self, tol=None):
         t = tolerance(tol)
@@ -389,19 +355,17 @@ class RegularRep:
         # pi(e_alpha) pi(e_beta) = pi(e_alpha e_beta), as [alpha, beta, a, c, q]
         prods = (XA.mult.reshape(dim * dim, dim) @ flat).reshape(
             (dim, dim) + images.shape[1:])
-        worst = max(
-            _mx(self._block_products(images, images)
-                - np.moveaxis(prods, 2, -1)),
-            _mx(self.block_star(images) - (XA.star @ flat).reshape(images.shape)))
-        if worst > 1e4 * t:
-            raise AxiomViolation("regular homomorphism fails", residual=worst)
+        worst = residual(
+            self._block_products(images, images) - np.moveaxis(prods, 2, -1),
+            self.block_star(images) - (XA.star @ flat).reshape(images.shape))
+        require(worst, SLACK_COMPOSITE * t, AxiomViolation, "regular homomorphism fails")
         if la.rank(self.images.reshape(dim, -1).T, tol=tol) != dim:
             raise AxiomViolation("regular homomorphism is not injective")
         # its unit image is a self-adjoint idempotent
         p2 = self.block_product(self.p_block, self.p_block)
         ps = self.block_star(self.p_block)
-        if max(_mx(p2 - self.p_block), _mx(ps - self.p_block)) > 1e4 * t:
-            raise AxiomViolation("unit image is not a projection")
+        require(residual(p2 - self.p_block, ps - self.p_block), SLACK_COMPOSITE * t,
+                AxiomViolation, "unit image is not a projection")
 
     def intertwining_residual(self, tol=None):
         """Dual-action covariance through the right translations."""
@@ -418,7 +382,7 @@ class RegularRep:
                 lhs = self.apply(X.as_module.act[s, alpha])
                 mid = np.tensordot(left, self.images[alpha], axes=([2], [1]))
                 rhs = np.tensordot(mid, right, axes=([0, 3], [0, 1])).transpose(1, 0, 2)
-                worst = max(worst, _mx(lhs - rhs))
+                worst = residual(worst, lhs - rhs)
         return worst
 
 
@@ -470,10 +434,8 @@ class GnsCross:
         # V is an isometry intertwining the representations
         vdag = np.linalg.solve(gns.gram, self.v_iso.conj().T @ gb)
         self.v_dagger = vdag
-        r_iso = _mx(vdag @ self.v_iso - np.eye(dm))
-        if r_iso > 1e4 * t:
-            raise AxiomViolation("compression is not an isometry",
-                                 residual=r_iso)
+        require(vdag @ self.v_iso - np.eye(dm), SLACK_COMPOSITE * t, AxiomViolation,
+                "compression is not an isometry")
 
     def pi_omega(self, x):
         """Extended GNS representation on the base space: compression of
@@ -507,14 +469,12 @@ class GnsCross:
 
         Ehat = hat_expectation(X, hd.hhat, tol=tol)
         basis = np.eye(dim)
-        worst = 0.0
+        gaps = []
         for x in basis:
-            lhs = self.state_cros(x)
             mpart = np.linalg.lstsq(X.embed_m, Ehat.apply_coords(x),
                                     rcond=None)[0]
-            rhs = complex(self.base_gns.omega @ mpart)
-            worst = max(worst, abs(lhs - rhs))
-        r["state_through_expectation"] = worst
+            gaps.append(self.state_cros(x) - self.base_gns.omega @ mpart)
+        r["state_through_expectation"] = residual(gaps)
 
         norm_a = np.sqrt(self.inner_big(self.omega_a, self.omega_a).real)
         norm_c = np.sqrt(self.inner_big(self.omega_cros, self.omega_cros).real)
@@ -528,16 +488,13 @@ class GnsCross:
             - la.rank(orbit, tol=tol)
         r["separating"] = 0.0 if la.rank(orbit, tol=tol) == dim else 1.0
 
-        worst = 0.0
-        for x in basis:
-            worst = max(worst, _mx(self.pi_omega(x) - self.direct_pi_omega(x)))
-        r["compressed_representation"] = worst
+        r["compressed_representation"] = residual(*(
+            self.pi_omega(x) - self.direct_pi_omega(x) for x in basis))
 
         # V V^# as the range projection onto |m a g_L l_0>
         l0 = hd.h * invert(hd.g_l, tol=tol)
         gl0 = (hd.g_l * l0).coords
-        worst = 0.0
-        worst_a = 0.0
+        worst = worst_a = 0.0
         mu = MA.image_data(tol=tol).mu
         A = W.alg
         blocks = X.proj.reshape(dim, dm, A.dim)
@@ -546,10 +503,10 @@ class GnsCross:
                 vec = self.pi_cros(blocks[:, p, i]) @ self.omega_a
                 # V^# |m a> = |m mu(a g_L)>
                 target = (mu @ (hd.g_l.coords @ A.mult[i])) @ M.mult[p]
-                worst_a = max(worst_a, _mx(self.v_dagger @ vec - target))
+                worst_a = residual(worst_a, self.v_dagger @ vec - target)
                 back = blocks[:, p] @ (gl0 @ A.mult[i])
-                worst = max(worst, _mx(self.v_iso @ self.v_dagger @ vec
-                                       - self.pi_cros(back) @ self.omega_a))
+                worst = residual(worst, self.v_iso @ self.v_dagger @ vec
+                                 - self.pi_cros(back) @ self.omega_a)
         r["compression_formula"] = worst_a
         r["range_projection_formula"] = worst
         return r
@@ -589,14 +546,12 @@ def tlj_elements(X, l, tol=None):
         return out
 
     report = {
-        "e_squared": _mx(prod(e, e) - prod(e, ind_lam)),
-        "ehat_squared": _mx(prod(ehat, ehat) - prod(ehat, ind_l)),
-        "ehat_e_ehat": _mx(prod(ehat, e, ehat) - ehat),
-        "e_ehat_e": _mx(prod(e, ehat, e) - e),
+        "e_squared": residual(prod(e, e) - prod(e, ind_lam)),
+        "ehat_squared": residual(prod(ehat, ehat) - prod(ehat, ind_l)),
+        "ehat_e_ehat": residual(prod(ehat, e, ehat) - ehat),
+        "e_ehat_e": residual(prod(e, ehat, e) - e),
     }
-    if max(report.values()) > 1e4 * t:
-        raise AxiomViolation("Temperley-Lieb relations fail",
-                             residual=max(report.values()))
+    require(report, SLACK_COMPOSITE * t, AxiomViolation, "Temperley-Lieb relations fail")
     return Element(XA2, e), Element(XA2, ehat), report
 
 

@@ -1,5 +1,9 @@
 """Exception hierarchy.  Every mathematical failure carries the offending
-basis data and the residual norm so reports can name the culprit."""
+basis data and the residual norm so reports can name the culprit.
+
+Residual checks raise through weakhopf._checks.require, which fills in the
+residual (the largest absolute entry of the failing table) and, where the
+check asks for it, the location of the worst entry."""
 
 
 class WeakHopfError(Exception):

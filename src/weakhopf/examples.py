@@ -6,8 +6,9 @@ and their integrals.
 
 import numpy as np
 
+from ._checks import outside, require, residual
 from .algebra import Element, make_star_algebra
-from .config import tolerance
+from .config import SLACK_SOLVED, tolerance
 from .errors import (
     CocycleViolation,
     ImplementerMismatch,
@@ -205,30 +206,26 @@ class Cocycle:
         G, H = self.G, self.H
         hpos = {h: i for i, h in enumerate(H)}
         z, c = self.z, self.c
-        if np.abs(np.abs(z) - 1).max() > t or np.abs(np.abs(c) - 1).max() > t:
-            raise CocycleViolation("cocycle entries must have unit modulus")
+        require(residual(np.abs(z) - 1, np.abs(c) - 1), t, CocycleViolation,
+                "cocycle entries must have unit modulus")
         e = hpos[G.identity]
         for i, h in enumerate(H):
             j = hpos[G.inv(h)]
-            if abs(z[i, j] - 1) > t or abs(z[e, i] - 1) > t or abs(z[i, e] - 1) > t:
-                raise CocycleViolation("normalization of z fails", where=H[i])
+            require(np.array([z[i, j], z[e, i], z[i, e]]) - 1, t, CocycleViolation,
+                    "normalization of z fails", where=H[i])
         # c(g,1) = 1 = c(1,h)
         for g in range(G.order):
-            if abs(c[g, e] - 1) > t:
-                raise CocycleViolation("c(g,1) != 1", where=g)
+            require(c[g, e] - 1, t, CocycleViolation, "c(g,1) != 1", where=g)
         for i in range(len(H)):
-            if abs(c[G.identity, i] - 1) > t:
-                raise CocycleViolation("c(1,h) != 1", where=H[i])
+            require(c[G.identity, i] - 1, t, CocycleViolation, "c(1,h) != 1", where=H[i])
         # c(g1 g2, h) = c(g1, g2 h g2^{-1}) c(g2, h)
         for g1 in range(G.order):
             for g2 in range(G.order):
                 for i, h in enumerate(H):
                     lhs = c[G.mul(g1, g2), i]
                     rhs = c[g1, hpos[G.conj(g2, h)]] * c[g2, i]
-                    if abs(lhs - rhs) > t:
-                        raise CocycleViolation("composition law for c fails",
-                                               where=(g1, g2, H[i]),
-                                               residual=abs(lhs - rhs))
+                    require(lhs - rhs, t, CocycleViolation, "composition law for c fails",
+                            where=(g1, g2, H[i]))
         # z(h1,h2) c(g, h1 h2) = c(g,h1) c(g,h2) z(g h1 g^-1, g h2 g^-1)
         for g in range(G.order):
             for i, h1 in enumerate(H):
@@ -237,30 +234,24 @@ class Cocycle:
                     lhs = z[i, j] * c[g, k]
                     rhs = (c[g, i] * c[g, j]
                            * z[hpos[G.conj(g, h1)], hpos[G.conj(g, h2)]])
-                    if abs(lhs - rhs) > t:
-                        raise CocycleViolation("twisted equivariance fails",
-                                               where=(g, h1, h2),
-                                               residual=abs(lhs - rhs))
+                    require(lhs - rhs, t, CocycleViolation, "twisted equivariance fails",
+                            where=(g, h1, h2))
         # on H itself, c is the commutator phase of z:
         # u(h1)u(h2)u(h1)^{-1} = z(h1,h2) z(h1h2,h1^{-1}) u(h1 h2 h1^{-1})
         for i, h1 in enumerate(H):
             for j, h2 in enumerate(H):
                 k = hpos[G.mul(h1, h2)]
                 ref = z[i, j] * z[k, hpos[G.inv(h1)]]
-                if abs(c[h1, j] - ref) > t:
-                    raise CocycleViolation("c is not the commutator phase of z",
-                                           where=(h1, h2),
-                                           residual=abs(c[h1, j] - ref))
+                require(c[h1, j] - ref, t, CocycleViolation,
+                        "c is not the commutator phase of z", where=(h1, h2))
         # z is a 2-cocycle on H
         for i, h1 in enumerate(H):
             for j, h2 in enumerate(H):
                 for k, h3 in enumerate(H):
                     lhs = z[i, j] * z[hpos[G.mul(h1, h2)], k]
                     rhs = z[j, k] * z[i, hpos[G.mul(h2, h3)]]
-                    if abs(lhs - rhs) > t:
-                        raise CocycleViolation("z fails the cocycle law",
-                                               where=(h1, h2, h3),
-                                               residual=abs(lhs - rhs))
+                    require(lhs - rhs, t, CocycleViolation, "z fails the cocycle law",
+                            where=(h1, h2, h3))
         return True
 
 
@@ -375,7 +366,8 @@ def derive_twist_data(G, H, M, alpha, u, tol=None):
             return None
         j = int(np.abs(y).argmax())
         s = x[j] / y[j]
-        if np.abs(x - s * y).max() > 1e3 * t * max(1.0, ny) or abs(abs(s) - 1) > 1e3 * t:
+        if outside(residual(x - s * y), SLACK_SOLVED * t * max(1.0, ny)) \
+                or outside(abs(abs(s) - 1), SLACK_SOLVED * t):
             return None
         return s
 
@@ -386,17 +378,15 @@ def derive_twist_data(G, H, M, alpha, u, tol=None):
             lhs = alpha[h] @ M.basis_element(p).coords
             rhs = M.product_coords(M.product_coords(uh, M.basis_element(p).coords),
                                    M.star_coords(uh))
-            if np.abs(lhs - rhs).max() > 1e3 * t:
-                raise ImplementerMismatch(
+            require(lhs - rhs, SLACK_SOLVED * t, ImplementerMismatch,
                     "action of a subgroup element is not implemented by u",
-                    where=(G.names[h], M.labels[p]),
-                    residual=float(np.abs(lhs - rhs).max()))
+                    where=(G.names[h], M.labels[p]))
         # unitarity and u(h)^* = u(h^{-1})
         uu = M.product_coords(M.star_coords(uh), uh)
-        if np.abs(uu - M.unit).max() > 1e3 * t:
-            raise ImplementerMismatch("implementer is not unitary", where=G.names[h])
-        if np.abs(M.star_coords(uh) - u[hpos[G.inv(h)]]).max() > 1e3 * t:
-            raise ImplementerMismatch("u(h)^* != u(h^{-1})", where=G.names[h])
+        require(uu - M.unit, SLACK_SOLVED * t, ImplementerMismatch,
+                "implementer is not unitary", where=G.names[h])
+        require(M.star_coords(uh) - u[hpos[G.inv(h)]], SLACK_SOLVED * t,
+                ImplementerMismatch, "u(h)^* != u(h^{-1})", where=G.names[h])
     for i, h1 in enumerate(H):
         for j, h2 in enumerate(H):
             prod = M.product_coords(u[i], u[j])
@@ -437,21 +427,18 @@ def partly_inner_action(W, M, alpha, u, tol=None):
     # alpha must be a *-action of G
     for g in range(G.order):
         for g2 in range(G.order):
-            gap = np.abs(alpha[g] @ alpha[g2] - alpha[G.mul(g, g2)]).max()
-            if gap > 1e3 * t:
-                raise ImplementerMismatch("alpha is not a group action",
-                                          where=(G.names[g], G.names[g2]),
-                                          residual=float(gap))
+            require(alpha[g] @ alpha[g2] - alpha[G.mul(g, g2)], SLACK_SOLVED * t,
+                    ImplementerMismatch, "alpha is not a group action",
+                    where=(G.names[g], G.names[g2]))
     derived = derive_twist_data(G, H, M, alpha, u, tol=tol)
     given = data.get("cocycle")
     if given is None:
-        if np.abs(derived.z - 1).max() > 1e3 * t or np.abs(derived.c - 1).max() > 1e3 * t:
-            raise ImplementerMismatch(
+        require(residual(derived.z - 1, derived.c - 1), SLACK_SOLVED * t,
+                ImplementerMismatch,
                 "implementers carry a nontrivial twist; use the twisted family")
     else:
-        if np.abs(derived.z - given.z).max() > 1e3 * t \
-                or np.abs(derived.c - given.c).max() > 1e3 * t:
-            raise ImplementerMismatch("implementer twist differs from the algebra's")
+        require(residual(derived.z - given.z, derived.c - given.c), SLACK_SOLVED * t,
+                ImplementerMismatch, "implementer twist differs from the algebra's")
     derived.validate(tol=tol)
 
     act = np.zeros((W.dim, M.dim, M.dim), dtype=complex)

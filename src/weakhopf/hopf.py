@@ -19,9 +19,10 @@ same arrow methods serve A acting on A^ and A^ acting on A.
 import numpy as np
 
 from . import _linalg as la
+from ._checks import outside, require, residual
 from ._contract import pair_products
 from .algebra import Element, StarAlgebra, Subspace
-from .config import tolerance
+from .config import SLACK_DERIVED, tolerance
 from .errors import AxiomViolation, ParentMismatch
 
 __all__ = [
@@ -147,14 +148,6 @@ class WeakHopfAlgebra:
     def functional(self, covector):
         return Element(self.dual_alg, covector)
 
-    def pair(self, phi, a):
-        """Canonical pairing <phi|a>; arguments may come in either order."""
-        if phi.parent is self.alg and a.parent is self.dual_alg:
-            phi, a = a, phi
-        if phi.parent is not self.dual_alg or a.parent is not self.alg:
-            raise ParentMismatch("pairing requires an element and a functional")
-        return complex(phi.coords @ a.coords)
-
     # -- arrow actions ------------------------------------------------------
     def arrow_left_coords(self, a, phi):
         """(a -> phi)(b) = phi(b a): left action of A on its dual."""
@@ -249,22 +242,13 @@ class AxiomReport:
         return not self._outside(keys, tol)
 
     def _outside(self, keys, tol):
-        """The keys whose residual is not within the tolerance; NaN
-        compares false, so a non-finite residual is always outside."""
-        t = tolerance(tol)
-        return [k for k in keys if not self.residuals[k] <= t]
+        """The keys whose residual is not within the tolerance; a
+        non-finite residual is always outside."""
+        bad = outside([self.residuals[k] for k in keys], tolerance(tol))
+        return [k for k, b in zip(keys, bad) if b]
 
     def max_residual(self):
         return float(np.max(list(self.residuals.values())))
-
-    def as_dict(self):
-        out = dict(self.residuals)
-        out["antipode_invertible"] = self.antipode_invertible
-        return out
-
-
-def _mx(t):
-    return float(np.abs(t).max()) if t.size else 0.0
 
 
 def verify_weak_hopf(W, tol=None):
@@ -301,17 +285,17 @@ def verify_weak_hopf(W, tol=None):
         .reshape(n, n, n, n)
     del left, right
     gap -= (m2 @ c2).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    r["Ia"] = _mx(gap)
+    r["Ia"] = residual(gap)
     del gap
 
-    r["Ib"] = _mx((A.star @ c2).reshape(n, n, n)
-                  - A.star.T @ np.conj(cop) @ A.star)
+    r["Ib"] = residual((A.star @ c2).reshape(n, n, n)
+                       - A.star.T @ np.conj(cop) @ A.star)
 
     t1 = np.matmul(c2.T, cop).reshape(n, n, n, n)               # [i, x, y, z]
     t1_yz = t1.reshape(n * n, n * n)                            # [(i, x), (y, z)]
     gap = cop.reshape(n * n, n) @ c2
     gap -= t1_yz
-    r["Ic"] = _mx(gap)
+    r["Ic"] = residual(gap)
     del gap
 
     def over_xy(table):
@@ -328,74 +312,68 @@ def verify_weak_hopf(W, tol=None):
                     .transpose(0, 2, 1), D1)
     idq = (D1.T @ np.matmul(D1, mult).reshape(n, n * n)) \
         .reshape(n, n, n).transpose(1, 2, 0)
-    r["Id"] = _mx(idp - D3)
-    r["Id_prime"] = _mx(idq - D3)
-    r["coproduct_one_commutator"] = _mx(idp - idq)
+    r["Id"] = residual(idp - D3)
+    r["Id_prime"] = residual(idq - D3)
+    r["coproduct_one_commutator"] = residual(idp - idq)
 
     eye = np.eye(n)
-    r["IIa"] = max(_mx(eps @ cop - eye), _mx(cop @ eps - eye))
+    r["IIa"] = residual(eps @ cop - eye, cop @ eps - eye)
 
     E2 = mult @ eps
     E3 = (m2 @ E2).reshape(n, n, n)
-    r["IIb"] = _mx(E3 - (E2 @ cop @ E2).transpose(1, 0, 2))
-    r["IIb_prime"] = _mx(E3 - (E2 @ cop.transpose(0, 2, 1) @ E2)
-                         .transpose(1, 0, 2))
+    r["IIb"] = residual(E3 - (E2 @ cop @ E2).transpose(1, 0, 2))
+    r["IIb_prime"] = residual(E3 - (E2 @ cop.transpose(0, 2, 1) @ E2)
+                              .transpose(1, 0, 2))
 
     # antipode axioms; the counital maps provide the right-hand sides
     s_xy = np.tensordot(smat, mult, axes=([0], [0])).reshape(n * n, n)
     x_sy = np.matmul(smat.T, mult).reshape(n * n, n)
     sxy = (c2 @ s_xy).T                                          # S(x1)x2
     xys = (c2 @ x_sy).T                                          # x1 S(x2)
-    r["IIIa"] = _mx(sxy - D1 @ E2.T)
-    r["IIIb"] = _mx(xys - D1.T @ E2)
+    r["IIIa"] = residual(sxy - D1 @ E2.T)
+    r["IIIb"] = residual(xys - D1.T @ E2)
     proj_l = over_xy(s_xy)                                       # S(x1)x2 (x) x3
-    r["IIIc"] = _mx((proj_l.reshape(n, n * n) @ x_sy).T - smat)
+    r["IIIc"] = residual((proj_l.reshape(n, n * n) @ x_sy).T - smat)
 
     rec = over_xy(x_sy).reshape(n, n * n) @ m2                   # x1 S(x2) x3
-    r["coproduct_antipode_recovery"] = _mx(rec.T - eye)
+    r["coproduct_antipode_recovery"] = residual(rec.T - eye)
 
-    r["antipode_antimultiplicative"] = _mx(
+    r["antipode_antimultiplicative"] = residual(
         (m2 @ smat.T).reshape(n, n, n)
         - np.matmul(smat.T, s_xy.reshape(n, n, n)).transpose(1, 0, 2))
 
-    r["antipode_coproduct_flip"] = _mx(
+    r["antipode_coproduct_flip"] = residual(
         (smat.T @ c2).reshape(n, n, n) - smat @ cop.transpose(0, 2, 1) @ smat.T)
 
     if s_invertible:
         lhs = A.star.T @ np.conj(smat) @ np.conj(A.star).T
-        r["antipode_star_inverse"] = _mx(lhs - sinv)
+        r["antipode_star_inverse"] = residual(lhs - sinv)
 
         siy_x = np.matmul(sinv.T, mult.transpose(1, 0, 2)).reshape(n * n, n)
         y_six = np.tensordot(sinv, mult, axes=([0], [1])).reshape(n * n, n)
 
         # each left side is compared position by position with its
         # right side, in the index order the identity is written in
-        r["projection_identity_L"] = _mx(proj_l - np.matmul(D1, mult))
+        r["projection_identity_L"] = residual(proj_l - np.matmul(D1, mult))
         rhs = (D1.T @ mult.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
-        r["projection_identity_R"] = _mx(over_yz(x_sy) - rhs)
-        r["projection_identity_L_inv"] = _mx(
+        r["projection_identity_R"] = residual(over_yz(x_sy) - rhs)
+        r["projection_identity_L_inv"] = residual(
             over_yz(siy_x).transpose(0, 2, 1) - np.matmul(D1.T, mult))
         rhs = (D1 @ mult.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
-        r["projection_identity_R_inv"] = _mx(
+        r["projection_identity_R_inv"] = residual(
             over_xy(y_six).transpose(0, 2, 1) - rhs)
 
         # the four counital factorizations and their sandwich laws
         EL, ER = W.counital("L"), W.counital("R")
         hEL, hER = W.counital("hL"), W.counital("hR")
-        r["counital_SL"] = _mx(sxy - hER @ EL)
-        r["counital_LS"] = _mx(xys - hEL @ ER)
-        r["counital_Linv"] = _mx((c2 @ siy_x).T - hEL @ EL)      # S^-1(x2)x1
-        r["counital_Rinv"] = _mx((c2 @ y_six).T - hER @ ER)      # x2 S^-1(x1)
-        sandwich = 0.0
-        for a in (EL, ER):
-            for b in (hEL, hER):
-                sandwich = max(sandwich, _mx(a @ b @ a - a))
-        sandwich_hat = 0.0
-        for a in (hEL, hER):
-            for b in (EL, ER):
-                sandwich_hat = max(sandwich_hat, _mx(a @ b @ a - a))
-        r["counital_sandwich"] = sandwich
-        r["counital_sandwich_hat"] = sandwich_hat
+        r["counital_SL"] = residual(sxy - hER @ EL)
+        r["counital_LS"] = residual(xys - hEL @ ER)
+        r["counital_Linv"] = residual((c2 @ siy_x).T - hEL @ EL)      # S^-1(x2)x1
+        r["counital_Rinv"] = residual((c2 @ y_six).T - hER @ ER)      # x2 S^-1(x1)
+        r["counital_sandwich"] = residual(*(a @ b @ a - a for a in (EL, ER)
+                                            for b in (hEL, hER)))
+        r["counital_sandwich_hat"] = residual(*(a @ b @ a - a for a in (hEL, hER)
+                                                for b in (EL, ER)))
     else:
         for k in ["antipode_star_inverse", "projection_identity_L",
                   "projection_identity_R", "projection_identity_L_inv",
@@ -406,9 +384,8 @@ def verify_weak_hopf(W, tol=None):
 
     # positivity of the counit as a state
     geps = A.star @ E2
-    herm = _mx(geps - geps.conj().T)
     lam = np.linalg.eigvalsh((geps + geps.conj().T) / 2).min()
-    r["counit_positive"] = max(herm, float(max(0.0, -lam)))
+    r["counit_positive"] = residual(geps - geps.conj().T, np.minimum(lam, 0.0))
 
     return AxiomReport(r, s_invertible)
 
@@ -473,7 +450,7 @@ def boundary_subalgebra(W, side, tol=None):
         t2 = pair_products(A.mult, D1.T, B).transpose(1, 0, 2)
     gaps = np.maximum(np.abs(da - t1).max(axis=(1, 2)),
                       np.abs(da - t2).max(axis=(1, 2)))
-    bad = np.flatnonzero(gaps > t)
+    bad = np.flatnonzero(outside(gaps, t))
     if bad.size:
         j = int(bad[0])
         raise AxiomViolation("boundary characterization fails",
@@ -482,7 +459,7 @@ def boundary_subalgebra(W, side, tol=None):
     other = W.boundary("R" if side == "L" else "L", tol=tol).basis
     gaps = np.abs(pair_products(A.mult, B, other)
                   - pair_products(A.mult, other, B).transpose(1, 0, 2)).max(axis=2)
-    bad = np.argwhere(gaps > t)
+    bad = np.argwhere(outside(gaps, t))
     if bad.size:
         i, j = (int(x) for x in bad[0])
         raise AxiomViolation("boundary subalgebras do not commute",
@@ -516,19 +493,17 @@ def mu_iso(W, side, tol=None):
     if not cod.contains_coords(img, tol=tol) or la.rank(img, tol=tol) != dom.dim \
             or cod.dim != dom.dim:
         raise AxiomViolation("boundary map is not bijective", where=side)
-    if _mx(bwd @ img - dom.basis) > 100 * t:
-        raise AxiomViolation("boundary map inverse fails", where=side,
-                             residual=_mx(bwd @ img - dom.basis))
-    if _mx(salt @ dom.basis - img) > 100 * t:
-        raise AxiomViolation("boundary map antipode form fails", where=side,
-                             residual=_mx(salt @ dom.basis - img))
+    require(bwd @ img - dom.basis, SLACK_DERIVED * t, AxiomViolation,
+            "boundary map inverse fails", where=side)
+    require(salt @ dom.basis - img, SLACK_DERIVED * t, AxiomViolation,
+            "boundary map antipode form fails", where=side)
     # *-homomorphism on the subalgebra basis; the first failing basis
     # vector is reported, its products before its star
     prods = pair_products(W.alg.mult, dom.basis, dom.basis) @ fwd.T
     mgaps = np.abs(prods - pair_products(Wd.alg.mult, img, img)).max(axis=2)
     sgaps = np.abs(fwd @ W.alg.star_coords(dom.basis)
                    - Wd.alg.star_coords(img)).max(axis=0)
-    mbad, sbad = mgaps > 100 * t, sgaps > 100 * t
+    mbad, sbad = outside(mgaps, SLACK_DERIVED * t), outside(sgaps, SLACK_DERIVED * t)
     bad = np.flatnonzero(mbad.any(axis=1) | sbad)
     if bad.size:
         i = int(bad[0])

@@ -6,6 +6,7 @@ p-duality of integrals, Jones projections, and integral indices.
 import numpy as np
 
 from . import _linalg as la
+from ._checks import outside, require, residual
 from .algebra import (
     Element,
     Subspace,
@@ -15,7 +16,7 @@ from .algebra import (
     positive_power,
     sqrt_positive,
 )
-from .config import tolerance
+from .config import SLACK_COMPOSITE, SLACK_SOLVED, tolerance
 from .errors import (
     Degenerate,
     NoHaar,
@@ -42,10 +43,6 @@ __all__ = [
     "random_left_integral",
     "random_positive_integral",
 ]
-
-
-def _mx(t):
-    return float(np.abs(np.asarray(t)).max())
 
 
 def _left_projector(W):
@@ -97,18 +94,15 @@ class LeftIntegral:
         self.element = Element(W.alg, coords)
         self._cache = {}
         if check:
-            res = self.condition_residual()
-            if res > tolerance(tol) * max(1.0, self.element.norm()):
-                raise Degenerate("element is not a left integral", residual=res)
+            require(self.condition_residual(),
+                    tolerance(tol) * max(1.0, self.element.norm()), Degenerate,
+                    "element is not a left integral")
 
     def condition_residual(self):
         W, A, l = self.hopf, self.hopf.alg, self.element.coords
         proj = _left_projector(W)
-        worst = 0.0
-        for i in range(A.dim):
-            gap = l @ A.mult[i] - A.product_coords(proj[:, i], l)
-            worst = max(worst, _mx(gap))
-        return worst
+        return residual(*(l @ A.mult[i] - A.product_coords(proj[:, i], l)
+                          for i in range(A.dim)))
 
     def _derived(self, kind):
         if kind not in self._cache:
@@ -148,9 +142,8 @@ def rn_derivative(l, side, tol=None):
     d = l.d_l if side == "L" else l.d_r
     W = l.hopf
     h = W.haar(tol=tol).h
-    gap = (h * d - l.element).norm()
-    if gap > 1e3 * t * max(1.0, l.element.norm()):
-        raise NoHaar("derivative does not reproduce the integral", residual=gap)
+    require((h * d - l.element).coords, SLACK_SOLVED * t * max(1.0, l.element.norm()),
+            NoHaar, "derivative does not reproduce the integral")
     B = W.boundary(side, tol=tol)
     if not B.contains_element(d, tol=tol):
         raise NoHaar("derivative leaves the boundary subalgebra")
@@ -163,9 +156,9 @@ def normalization(l, side, tol=None):
     n = l.n_l if side == "L" else l.n_r
     W = l.hopf
     A = W.alg
-    gap = (l.element * l.element - n * l.element).norm()
-    if gap > 1e3 * t * max(1.0, l.element.norm()) ** 2:
-        raise NoHaar("normalization does not reproduce the square", residual=gap)
+    require((l.element * l.element - n * l.element).coords,
+            SLACK_SOLVED * t * max(1.0, l.element.norm()) ** 2, NoHaar,
+            "normalization does not reproduce the square")
     B = W.boundary(side, tol=tol).intersect(A.center(tol=tol), tol=tol)
     if not B.contains_element(n, tol=tol):
         raise NoHaar("normalization is not central in the boundary")
@@ -195,12 +188,10 @@ def _haar_element(W, tol=None):
         "idempotent": (h * h - h).norm(),
         "self_adjoint": (h.star() - h).norm(),
         "antipode_fixed": (W.s_apply(h) - h).norm(),
-        "right_normalized": _mx(_left_projector(W) @ h.coords - W.alg.unit),
+        "right_normalized": residual(_left_projector(W) @ h.coords - W.alg.unit),
     }
-    worst = max(checks.values())
-    if worst > 1e4 * t:
-        raise NoHaar("Haar invariants fail", where=max(checks, key=checks.get),
-                     residual=worst)
+    require(checks, SLACK_COMPOSITE * t, NoHaar, "Haar invariants fail",
+            where=lambda name: name)
     return h
 
 
@@ -235,9 +226,8 @@ class HaarData:
                          where=tuple(k for k, v in flags.items() if not v))
         self.lambda_h = dual_integral(h_int, tol=tol).element
         closed = self.hhat * invert(self.ghat_r * self.ghat_r, tol=tol)
-        if (closed - self.lambda_h).norm() > 1e4 * t:
-            raise NoHaar("dual integral of the Haar misses its closed form",
-                         residual=(closed - self.lambda_h).norm())
+        require((closed - self.lambda_h).coords, SLACK_COMPOSITE * t, NoHaar,
+                "dual integral of the Haar misses its closed form")
 
     def modular_report(self, tol=None):
         """Residuals of the modular identity suite."""
@@ -248,27 +238,25 @@ class HaarData:
                                  ("ghat_r", self.ghat_r, "R")):
             for src in (self.g_l, self.g_r):
                 key = f"{name}_from_{'gl' if src is self.g_l else 'gr'}"
-                r[key] = _mx(W.counital(side) @ src.coords - ghat.coords)
-        r["antipode_of_gl"] = max(
-            (W.s_apply(self.g_l) - self.g_r).norm(),
-            (W.s_inv_apply(self.g_l) - self.g_r).norm())
+                r[key] = residual(W.counital(side) @ src.coords - ghat.coords)
+        r["antipode_of_gl"] = residual((W.s_apply(self.g_l) - self.g_r).coords,
+                                       (W.s_inv_apply(self.g_l) - self.g_r).coords)
         # S^2 = conjugation by g
         ginv = invert(self.g)
         lhs = W.antipode @ W.antipode
         rhs = A.left_mult_matrix(self.g.coords) @ A.right_mult_matrix(ginv.coords)
-        r["antipode_squared"] = _mx(lhs - rhs)
+        r["antipode_squared"] = residual(lhs - rhs)
         # Delta(g) = (g (x) g) Delta(1), both orders
         dg = W.delta_coords(self.g.coords)
         D1 = W.delta_one()
         lg = A.left_mult_matrix(self.g.coords)
         rg = A.right_mult_matrix(self.g.coords)
-        r["coproduct_of_g"] = max(_mx(dg - lg @ D1 @ lg.T),
-                                  _mx(dg - rg @ D1 @ rg.T))
+        r["coproduct_of_g"] = residual(dg - lg @ D1 @ lg.T, dg - rg @ D1 @ rg.T)
         # flipped coproduct of h = (1 (x) g) Delta(h) (1 (x) g)
         dh = W.delta_coords(self.h.coords)
         mid = np.einsum("pq,uq->pu", dh, lg)
         mid = np.einsum("pu,vu->pv", mid, rg)
-        r["flipped_coproduct_of_h"] = _mx(dh.T - mid)
+        r["flipped_coproduct_of_h"] = residual(dh.T - mid)
         # dual integral closed form
         lam = Element(Wd.alg, self.lambda_h.coords)
         alt = self.hhat * invert(self.ghat_l * self.ghat_l)
@@ -295,19 +283,18 @@ def classify(l, tol=None):
     except NotSelfAdjoint:
         pos = False
     n_r = l.n_r
-    normalized = (n_r - A.one).norm() <= 1e3 * t
+    normalized = (n_r - A.one).norm() <= SLACK_SOLVED * t
 
     # Gram oracle: the form B = S(l(1)) (x) l(2) on the dual
     dl = W.delta_coords(l.element.coords)
     B = W.antipode @ dl
     gram = np.einsum("mp,mq->pq", np.conj(A.star), B)
-    herm = _mx(gram - gram.conj().T)
-    scale = max(1.0, _mx(gram))
-    if herm <= 1e3 * t * scale:
-        evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-        gram_pos = bool(evals.min() >= -1e3 * t * scale)
-    else:
+    bound = SLACK_SOLVED * t * max(1.0, residual(gram))
+    if outside(residual(gram - gram.conj().T), bound):
         gram_pos = False
+    else:
+        evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+        gram_pos = bool(evals.min() >= -bound)
     if gram_pos != pos:
         raise Degenerate("positivity oracles disagree",
                          where=("derivative", pos, "gram", gram_pos))
@@ -339,18 +326,16 @@ def dual_integral(l, tol=None):
 
     # l -> lambda = dual unit
     back = W.alg.right_mult_matrix(l.element.coords).T @ lam
-    if _mx(back - Wd.alg.unit) > 1e4 * t:
-        raise Degenerate("dual pairing does not invert", residual=_mx(back - Wd.alg.unit))
+    require(back - Wd.alg.unit, SLACK_COMPOSITE * t, Degenerate,
+            "dual pairing does not invert")
     # inversion formulas on both sides
     sinv = W.antipode_inv()
-    r237 = _mx(l_r @ _compose_lamL_sinv(W, lam, sinv) - np.eye(A.dim))
-    if r237 > 1e4 * t:
-        raise Degenerate("left inversion formula fails", residual=r237)
+    require(l_r @ _compose_lamL_sinv(W, lam, sinv) - np.eye(A.dim), SLACK_COMPOSITE * t,
+            Degenerate, "left inversion formula fails")
     l_l, _ = fourier_maps(l, tol=tol)
     shat_inv = np.linalg.inv(Wd.antipode)
-    r238 = _mx(lam_r_matrix(W, lam) @ (l_l @ shat_inv) - np.eye(A.dim))
-    if r238 > 1e4 * t:
-        raise Degenerate("right inversion formula fails", residual=r238)
+    require(lam_r_matrix(W, lam) @ (l_l @ shat_inv) - np.eye(A.dim), SLACK_COMPOSITE * t,
+            Degenerate, "right inversion formula fails")
     return out
 
 
@@ -385,12 +370,11 @@ def jones_projection(l, tol=None):
     e = root * h * root
     if not is_positive(e, tol=tol):
         raise NotPositive("projection candidate is not positive")
-    nsq = (e * e - l.n_r * e).norm()
-    if nsq > 1e4 * t * max(1.0, e.norm()) ** 2:
-        raise NotPositive("square law fails", residual=nsq)
-    if flags["normalized"] and (e * e - e).norm() > 1e4 * t:
-        raise NotPositive("normalized integral gave a non-projection",
-                          residual=(e * e - e).norm())
+    require((e * e - l.n_r * e).coords, SLACK_COMPOSITE * t * max(1.0, e.norm()) ** 2,
+            NotPositive, "square law fails")
+    if flags["normalized"]:
+        require((e * e - e).coords, SLACK_COMPOSITE * t, NotPositive,
+                "normalized integral gave a non-projection")
     return e
 
 
@@ -425,9 +409,8 @@ def p_dual(l, tol=None):
     b = W.s_apply(root) * hd.g_l
     rhs = Element(Wd.alg, W.counital("R") @ b.coords)
     lhs = positive_power(out.d_r, -0.5, tol=tol)
-    if (lhs - rhs).norm() > 1e4 * t:
-        raise Degenerate("closed form for the p-dual derivative fails",
-                         residual=(lhs - rhs).norm())
+    require((lhs - rhs).coords, SLACK_COMPOSITE * t, Degenerate,
+            "closed form for the p-dual derivative fails")
     return out
 
 
@@ -463,13 +446,10 @@ def index_hypercentral_transfer(l, tol=None):
     dot = invert(ind, tol=tol)
     lam_dot = LeftIntegral(Wd, dot * lam.element, tol=tol)
     ind_dot = integral_index(lam_dot, tol=tol)     # element of A
-    res = (Element(W.alg, W.counital("hL") @ ind.coords) - ind_dot).norm()
-    res = max(res, (Element(W.alg, W.counital("hR") @ ind.coords) - ind_dot).norm())
-    for side in ("L", "R"):
-        back = Element(Wd.alg, W.counital(side) @ ind_dot.coords)
-        res = max(res, (back - ind).norm())
-    if res > 1e4 * t:
-        raise Degenerate("hypercentral index transfer fails", residual=res)
+    gaps = [W.counital(side) @ ind.coords - ind_dot.coords for side in ("hL", "hR")]
+    gaps += [W.counital(side) @ ind_dot.coords - ind.coords for side in ("L", "R")]
+    require(residual(*gaps), SLACK_COMPOSITE * t, Degenerate,
+            "hypercentral index transfer fails")
     return ind_dot
 
 

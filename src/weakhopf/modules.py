@@ -6,9 +6,10 @@ quasi-bases, implementers/outerness, GNS and modular data, Galois tests.
 import numpy as np
 
 from . import _linalg as la
+from ._checks import outside, require, residual
 from ._contract import pair_products, split_product
 from .algebra import Element, Subspace
-from .config import tolerance
+from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, tolerance
 from .errors import (
     ActionAxiomViolation,
     NoSolution,
@@ -98,14 +99,6 @@ class ModuleAlgebra:
         return self._cache["e_haar"]
 
 
-def _mx(t):
-    return float(np.abs(t).max()) if t.size else 0.0
-
-
-def _argmax_idx(gap):
-    return tuple(int(x) for x in np.unravel_index(int(gap.argmax()), gap.shape))
-
-
 def make_module_algebra(W, M, act, tol=None):
     """Verify the module-algebra laws for the table act and wrap it."""
     MA = ModuleAlgebra(W, M, act)
@@ -116,45 +109,31 @@ def make_module_algebra(W, M, act, tol=None):
 
     lhs = np.tensordot(multa, act, 1)                                  # [i, j, p, q]
     rhs = np.matmul(act.reshape(-1, M.dim), act).reshape(lhs.shape)   # [i, (j, p), q]
-    gap = np.abs(lhs - rhs)
-    if gap.max() > t:
-        raise ActionAxiomViolation("composition law fails",
-                                   where=_argmax_idx(gap), residual=gap.max())
+    require(lhs - rhs, t, ActionAxiomViolation, "composition law fails", where=tuple)
 
-    gap = np.abs(np.tensordot(W.alg.unit, act, 1) - np.eye(M.dim))
-    if gap.max() > t:
-        raise ActionAxiomViolation("unit acts nontrivially",
-                                   where=_argmax_idx(gap), residual=gap.max())
+    require(np.tensordot(W.alg.unit, act, 1) - np.eye(M.dim), t, ActionAxiomViolation,
+            "unit acts nontrivially", where=tuple)
 
     lhs = np.matmul(multm.reshape(-1, M.dim), act).reshape(-1, M.dim, M.dim, M.dim)
-    gap = np.abs(lhs - split_product(cop, act, multm))
-    if gap.max() > t:
-        raise ActionAxiomViolation("product law fails",
-                                   where=_argmax_idx(gap), residual=gap.max())
+    require(lhs - split_product(cop, act, multm), t, ActionAxiomViolation,
+            "product law fails", where=tuple)
 
     lower = W.alg.star.T @ np.conj(W.antipode)  # columns: (e_i)_* = S(e_i)^*
     lhs = np.conj(act) @ M.star
     rhs = np.tensordot(lower, np.matmul(M.star, act), axes=([0], [0]))
-    gap = np.abs(lhs - rhs)
-    if gap.max() > t:
-        raise ActionAxiomViolation("star law fails",
-                                   where=_argmax_idx(gap), residual=gap.max())
+    require(lhs - rhs, t, ActionAxiomViolation, "star law fails", where=tuple)
 
     act1 = MA.act_on_unit()
     p_ls = W.counital("hL") @ W.counital("R")    # a(1) S(a(2))
     p_rinv = W.counital("hR") @ W.counital("R")  # a(2) S^{-1}(a(1))
     for name, proj in (("unit law", p_ls), ("unit law, inverse form", p_rinv)):
-        gap = np.abs(act1.T - act1.T @ proj)
-        if gap.max() > t:
-            raise ActionAxiomViolation(f"{name} fails",
-                                       where=_argmax_idx(gap), residual=gap.max())
+        require(act1.T - act1.T @ proj, t, ActionAxiomViolation, f"{name} fails",
+                where=tuple)
 
     # splitting of products through the coproduct of the unit
     D1 = W.delta_one()
-    gap = np.abs(split_product(D1, act, multm) - multm)
-    if gap.max() > t:
-        raise ActionAxiomViolation("unit-coproduct splitting fails",
-                                   where=_argmax_idx(gap), residual=gap.max())
+    require(split_product(D1, act, multm) - multm, t, ActionAxiomViolation,
+            "unit-coproduct splitting fails", where=tuple)
     return MA
 
 
@@ -184,9 +163,8 @@ def adjoint_restriction(W, tol=None):
     if not target.contains_coords(la.orth(e1, tol=tol), tol=tol):
         raise ActionAxiomViolation("adjoint unit map leaves the commutant "
                                    "of the right boundary")
-    if _mx(e1 @ e1 - e1) > 1e4 * t:
-        raise ActionAxiomViolation("adjoint unit map is not idempotent",
-                                   residual=_mx(e1 @ e1 - e1))
+    require(e1 @ e1 - e1, SLACK_COMPOSITE * t, ActionAxiomViolation,
+            "adjoint unit map is not idempotent")
     sub, incl = subalgebra_on_basis(A, target.basis, tol=tol)
     pinv = incl.conj().T
     act = np.empty((W.dim, sub.dim, sub.dim), dtype=complex)
@@ -213,26 +191,20 @@ def to_coaction(MA, tol=None, verify=True):
 
     lhs = np.einsum("pqi,qrj->prji", rho, rho, optimize=True)
     rhs = np.einsum("prk,kji->prji", rho, Wd.cop, optimize=True)
-    if _mx(lhs - rhs) > t:
-        raise ActionAxiomViolation("coaction coassociativity fails",
-                                   residual=_mx(lhs - rhs))
+    require(lhs - rhs, t, ActionAxiomViolation, "coaction coassociativity fails")
 
-    if _mx(np.einsum("pqi,i->pq", rho, Wd.counit) - np.eye(dm)) > t:
-        raise ActionAxiomViolation("coaction counit law fails")
+    require(np.einsum("pqi,i->pq", rho, Wd.counit) - np.eye(dm), t,
+            ActionAxiomViolation, "coaction counit law fails")
 
     lhs = np.tensordot(M.mult, rho, 1)                                 # [p, q, s, k]
     first = np.tensordot(rho, M.mult, axes=([1], [0]))                 # [p, i, b, s]
     second = np.tensordot(rho, multh, axes=([2], [1]))                 # [q, b, i, k]
     rhs = np.tensordot(first, second, axes=([1, 2], [2, 1])).transpose(0, 2, 1, 3)
-    if _mx(lhs - rhs) > t:
-        raise ActionAxiomViolation("coaction is not multiplicative",
-                                   residual=_mx(lhs - rhs))
+    require(lhs - rhs, t, ActionAxiomViolation, "coaction is not multiplicative")
 
     lhs = np.tensordot(M.star, rho, 1)
     rhs = np.matmul(M.star.T, np.conj(rho) @ Wd.alg.star)
-    if _mx(lhs - rhs) > t:
-        raise ActionAxiomViolation("coaction is not star-preserving",
-                                   residual=_mx(lhs - rhs))
+    require(lhs - rhs, t, ActionAxiomViolation, "coaction is not star-preserving")
 
     # weak unit laws: both products of rho(1) with the split dual unit
     # reproduce (id (x) Delta^)(rho(1))
@@ -240,13 +212,10 @@ def to_coaction(MA, tol=None, verify=True):
     D1h = Wd.delta_one()
     target = np.einsum("qi,ijk->qjk", rho1, Wd.cop, optimize=True)
     lhs1 = np.tensordot(np.matmul(rho1, multh), D1h, axes=([0], [0]))
-    if _mx(lhs1 - target) > t:
-        raise ActionAxiomViolation("coaction weak unit law fails",
-                                   residual=_mx(lhs1 - target))
+    require(lhs1 - target, t, ActionAxiomViolation, "coaction weak unit law fails")
     lhs2 = np.tensordot(np.tensordot(rho1, multh, 1), D1h, axes=([1], [0]))
-    if _mx(lhs2 - target) > t:
-        raise ActionAxiomViolation("coaction weak unit law, flipped, fails",
-                                   residual=_mx(lhs2 - target))
+    require(lhs2 - target, t, ActionAxiomViolation,
+            "coaction weak unit law, flipped, fails")
     return rho
 
 
@@ -343,16 +312,12 @@ def image_data(MA, tol=None):
     for i in range(AL.dim):
         for j in range(AL.dim):
             x, y = AL.basis[:, i], AL.basis[:, j]
-            gap = _mx(mu @ A.product_coords(x, y)
-                      - M.product_coords(mu @ x, mu @ y))
-            if gap > 100 * t:
-                raise ActionAxiomViolation("boundary epimorphism not multiplicative",
-                                           where=(i, j), residual=gap)
-        gap = _mx(mu @ A.star_coords(AL.basis[:, i])
-                  - M.star_coords(mu @ AL.basis[:, i]))
-        if gap > 100 * t:
-            raise ActionAxiomViolation("boundary epimorphism not star-preserving",
-                                       where=i, residual=gap)
+            require(mu @ A.product_coords(x, y) - M.product_coords(mu @ x, mu @ y),
+                    SLACK_DERIVED * t, ActionAxiomViolation,
+                    "boundary epimorphism not multiplicative", where=(i, j))
+        require(mu @ A.star_coords(AL.basis[:, i]) - M.star_coords(mu @ AL.basis[:, i]),
+                SLACK_DERIVED * t, ActionAxiomViolation,
+                "boundary epimorphism not star-preserving", where=i)
 
     ker_in_al = la.null_space(img, tol=tol)        # coefficients against AL basis
     if ker_in_al.shape[1]:
@@ -373,20 +338,17 @@ def image_data(MA, tol=None):
             np.vstack(rows) @ kernel.basis,
             np.concatenate(rhs), tol=tol)
         z = kernel.basis @ z
-        checks = [
-            _mx(A.product_coords(z, z) - z),
-            _mx(A.star_coords(z) - z),
-        ]
+        gaps = [A.product_coords(z, z) - z, A.star_coords(z) - z]
         for j in range(kernel.dim):
             k = kernel.basis[:, j]
-            checks.append(_mx(A.product_coords(z, k) - k))
-            checks.append(_mx(A.product_coords(k, z) - k))
-        ZA = A.center(tol=tol)
-        if max(checks) > 1e3 * t or not ZA.contains_coords(z.reshape(-1, 1), tol=tol) \
-                or not AL.contains_coords(z.reshape(-1, 1), tol=tol):
+            gaps += [A.product_coords(z, k) - k, A.product_coords(k, z) - k]
+        worst = residual(*gaps)
+        ZA, zcol = A.center(tol=tol), z.reshape(-1, 1)
+        if outside(worst, SLACK_SOLVED * t) or not ZA.contains_coords(zcol, tol=tol) \
+                or not AL.contains_coords(zcol, tol=tol):
             raise ActionAxiomViolation("kernel support projection is not a "
                                        "central projection in the left boundary",
-                                       residual=max(checks))
+                                       residual=worst)
         z_proj = Element(A, z)
         # the kernel is exactly z A_L
         zal = np.array([A.product_coords(z, AL.basis[:, j])
@@ -471,10 +433,6 @@ class ConditionalExpectation:
     def apply_coords(self, m):
         return self.table @ m
 
-    def range_subspace(self, tol=None):
-        return Subspace(self.algebra, la.orth(self.table, tol=tol),
-                        orthonormalize=False)
-
     def is_faithful(self, tol=None):
         """No m with E(m'* m) = 0 for every m'."""
         M = self.algebra
@@ -502,10 +460,9 @@ def cond_expectation(MA, l, tol=None):
     for j in range(N.dim):
         n = N.basis[:, j]
         ln, rn = M.left_mult_matrix(n), M.right_mult_matrix(n)
-        gap = max(_mx(table @ ln - ln @ table), _mx(table @ rn - rn @ table))
-        if gap > 100 * t:
-            raise ActionAxiomViolation("expectation is not a bimodule map",
-                                       where=j, residual=gap)
+        require(residual(table @ ln - ln @ table, table @ rn - rn @ table),
+                SLACK_DERIVED * t, ActionAxiomViolation,
+                "expectation is not a bimodule map", where=j)
     return E
 
 
@@ -560,9 +517,8 @@ def quasi_basis(E, tol=None, subspace=None):
     # the index is independent of the choice of solution
     if ns.shape[1]:
         alt_index = tensor_and_index(vec + ns[:, 0])[1]
-        if _mx(alt_index - index) > 1e3 * tolerance(tol):
-            raise NotIndexFinite("index depends on the quasi-basis choice",
-                                 residual=_mx(alt_index - index))
+        require(alt_index - index, SLACK_SOLVED * tolerance(tol), NotIndexFinite,
+                "index depends on the quasi-basis choice")
     if not M.center(tol=tol).contains_coords(index.reshape(-1, 1), tol=tol):
         raise NotIndexFinite("index is not central")
     return QuasiBasis(tensor, Element(M, index), ns.shape[1])
@@ -669,9 +625,8 @@ class GnsData:
         self.module = MA
         self.omega = np.asarray(omega, dtype=complex)
         gram = M.star @ (M.mult @ self.omega)
-        herm = _mx(gram - gram.conj().T)
-        if herm > 1e3 * t:
-            raise NotFaithful("state form is not hermitian", residual=herm)
+        require(gram - gram.conj().T, SLACK_SOLVED * t, NotFaithful,
+                "state form is not hermitian")
         w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         if w.min() <= t:
             raise NotFaithful("state is not faithful", residual=float(w.min()))
@@ -721,13 +676,11 @@ def invariant_state(MA, omega0, tol=None):
         op = MA.act[i].T
         lhs = omega @ op
         rhs = omega @ M.left_mult_matrix(sinv1[:, i])
-        if _mx(lhs - rhs) > 1e3 * t:
-            raise NotFaithful("averaged state is not invariant", where=i,
-                              residual=_mx(lhs - rhs))
+        require(lhs - rhs, SLACK_SOLVED * t, NotFaithful,
+                "averaged state is not invariant", where=i)
         rhs2 = omega @ M.right_mult_matrix(s1[:, i])
-        if _mx(lhs - rhs2) > 1e3 * t:
-            raise NotFaithful("averaged state fails the mirrored invariance",
-                              where=i, residual=_mx(lhs - rhs2))
+        require(lhs - rhs2, SLACK_SOLVED * t, NotFaithful,
+                "averaged state fails the mirrored invariance", where=i)
     return GnsData(MA, omega, tol=tol)
 
 
@@ -748,7 +701,7 @@ def modular_check(MA, gns, times=(1.0, 0.5), tol=None):
 
     report = {}
     for tval in times:
-        worst_flow = 0.0
+        gaps = []
         dpow = gns.delta_power(1j * tval)
         dpow_inv = gns.delta_power(-1j * tval)
         gpow = positive_power(hd.g, 1j * tval, tol=tol)
@@ -759,15 +712,11 @@ def modular_check(MA, gns, times=(1.0, 0.5), tol=None):
             moved = W.alg.product_coords(
                 W.alg.product_coords(gpow.coords, a), gpow_inv.coords)
             rhs = MA.act_op(moved)
-            worst_flow = max(worst_flow, _mx(lhs - rhs))
-        report[f"flow_t={tval}"] = worst_flow
-    worst_j = 0.0
-    for j in range(basis.shape[1]):
-        a = basis[:, j]
-        lhs = gns.conjugation_sandwich(MA.act_op(a))
-        rhs = MA.act_op(bar(Element(W.alg, a)).coords)
-        worst_j = max(worst_j, _mx(lhs - rhs))
-    report["conjugation"] = worst_j
+            gaps.append(lhs - rhs)
+        report[f"flow_t={tval}"] = residual(*gaps)
+    report["conjugation"] = residual(*(
+        gns.conjugation_sandwich(MA.act_op(a))
+        - MA.act_op(bar(Element(W.alg, a)).coords) for a in basis.T))
     return report
 
 
@@ -791,13 +740,8 @@ def galois_test(MA, tol=None):
                                X.embed_m)
     p = np.tensordot(qb.tensor, sandwiches, 2)
     p_el = Element(XA, p)
-    checks = {
-        "idempotent": _mx(XA.product_coords(p, p) - p),
-        "self_adjoint": _mx(XA.star_coords(p) - p),
-    }
-    if max(checks.values()) > 1e4 * t:
-        raise ActionAxiomViolation("Galois support is not a projection",
-                                   residual=max(checks.values()))
+    require(residual(XA.product_coords(p, p) - p, XA.star_coords(p) - p),
+            SLACK_COMPOSITE * t, ActionAxiomViolation, "Galois support is not a projection")
     if not XA.center(tol=tol).contains_coords(p.reshape(-1, 1), tol=tol):
         raise ActionAxiomViolation("Galois support is not central")
 
@@ -805,7 +749,7 @@ def galois_test(MA, tol=None):
     gamma_rank = la.rank(gamma, tol=tol)
     mhm_dim = la.orth(gamma, tol=tol).shape[1]
 
-    is_gal = _mx(p - XA.unit) <= 1e4 * t
+    is_gal = residual(p - XA.unit) <= SLACK_COMPOSITE * t
     if is_gal != (gamma_rank == XA.dim) or mhm_dim != gamma_rank:
         raise ActionAxiomViolation("Galois criteria disagree")
     return p_el, is_gal, gamma_rank

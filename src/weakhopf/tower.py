@@ -6,6 +6,7 @@ the basic-construction identification, and depth-2 verification.
 import numpy as np
 
 from . import _linalg as la
+from ._checks import require, residual
 from .algebra import (
     Element,
     Subspace,
@@ -13,7 +14,7 @@ from .algebra import (
     is_positive,
     subalgebra_on_basis,
 )
-from .config import DEFAULT_DIM_BUDGET, tolerance
+from .config import DEFAULT_DIM_BUDGET, SLACK_COMPOSITE, tolerance
 from .errors import AxiomViolation, DimensionBudgetExceeded
 from .modules import galois_test, invariant_state, is_regular, quasi_basis
 from .crossed import crossed_product, gns_cross, hat_expectation
@@ -25,11 +26,6 @@ __all__ = [
     "commutant_table",
     "depth2_check",
 ]
-
-
-def _mx(t):
-    t = np.asarray(t)
-    return float(np.abs(t).max()) if t.size else 0.0
 
 
 class TowerLevel:
@@ -141,10 +137,8 @@ def _verify_jones_relations(T, tol=None):
         left_e, right_e = XA.left_mult_matrix(e), XA.right_mult_matrix(e)
         exe = right_e @ (left_e @ incl)
         ex = incl @ etab
-        worst = max(_mx(exe - right_e @ ex), _mx(exe - left_e @ ex))
-        if worst > 1e4 * t:
-            raise AxiomViolation("Jones relation fails", where=("level", k - 1),
-                                 residual=worst)
+        require(residual(exe - right_e @ ex, exe - left_e @ ex), SLACK_COMPOSITE * t,
+                AxiomViolation, "Jones relation fails", where=("level", k - 1))
 
 
 def basic_construction_check(MA, omega0=None, l=None, tol=None):
@@ -194,17 +188,15 @@ def basic_construction_check(MA, omega0=None, l=None, tol=None):
 
     # dual expectation sends the Jones projection to the unit
     pe = XA.product_coords(p.coords, e_x)
-    dual_norm = _mx(Ehat.apply_coords(pe) - XA.unit)
-    if dual_norm > 1e4 * t:
-        raise AxiomViolation("dual expectation misses the Jones projection",
-                             residual=dual_norm)
+    require(Ehat.apply_coords(pe) - XA.unit, SLACK_COMPOSITE * t, AxiomViolation,
+            "dual expectation misses the Jones projection")
 
     ind_e = em_pinv @ Ehat.apply_coords(p.coords)          # Ind E_l in M
     bound = em_pinv @ Ehat.apply_coords(XA.unit)           # transferred index
     gap = Element(M, bound - ind_e)
     if not is_positive(gap + 1e-12 * M.one, tol=tol):
         raise AxiomViolation("index bound fails")
-    tight = gap.norm() <= 1e4 * t
+    tight = gap.norm() <= SLACK_COMPOSITE * t
     if tight != galois:
         raise AxiomViolation("index saturation disagrees with Galois support")
     return {
