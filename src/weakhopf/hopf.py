@@ -382,7 +382,8 @@ def verify_weak_hopf(W, tol=None):
                   "counital_sandwich_hat"]:
             r[k] = float("inf")
 
-    # positivity of the counit as a state
+    # positivity of the counit as a state: the skew part of its Gram
+    # matrix and the negative part of the lowest eigenvalue
     geps = A.star @ E2
     lam = np.linalg.eigvalsh((geps + geps.conj().T) / 2).min()
     r["counit_positive"] = residual(geps - geps.conj().T, np.minimum(lam, 0.0))

@@ -15,6 +15,8 @@ from weakhopf.errors import (
     ActionAxiomViolation,
     AssociativityViolation,
     NoHaar,
+    StarViolation,
+    UnitViolation,
 )
 from weakhopf.modules import make_module_algebra
 
@@ -112,6 +114,44 @@ def test_star_algebra_rejects_a_nan_product_entry():
     mult[1, 2, 0] = np.nan
     with pytest.raises(AssociativityViolation):
         make_star_algebra(mult, A.unit, A.star, check_cstar=False)
+
+
+# ---------------------------------------------------------------------------
+# sites that name a basis row keep their rule
+
+
+def test_unit_law_names_the_worst_row():
+    # the row of the largest entry of the left table, unless the right
+    # table's largest entry is strictly larger
+    # M_2 in a skew basis, where left and right multiplications differ
+    A = ex.matrix_algebra(2)[0]
+    rng = np.random.default_rng(3)
+    P = np.eye(4) + 0.5 * rng.standard_normal((4, 4))
+    mult = np.einsum("ai,bj,abc,kc->ijk", P, P, A.mult, np.linalg.inv(P))
+    labels = [f"b{i}" for i in range(4)]
+    sides = set()
+    for _ in range(12):
+        unit = np.linalg.solve(P, A.unit) + 1e-3 * rng.standard_normal(4)
+        lu = np.abs(np.einsum("i,ijk->jk", unit, mult) - np.eye(4))
+        ru = np.abs(np.einsum("j,ijk->ik", unit, mult) - np.eye(4))
+        gap = lu if lu.max() >= ru.max() else ru
+        sides.add(gap is lu)
+        with pytest.raises(UnitViolation) as info:
+            make_star_algebra(mult, unit, np.eye(4), labels=labels)
+        assert info.value.where == labels[int(gap.max(axis=1).argmax())]
+    assert sides == {True, False}
+
+
+def test_involution_names_the_worst_row():
+    A = ex.matrix_algebra(2)[0]
+    star = A.star.copy()
+    star[0, 1] = 1e-3                        # E11* := E11 + 1e-3 E12
+    gap = np.abs(np.conj(star) @ star - np.eye(4))
+    assert gap.argmax() == 1                 # row E11, column E12
+    with pytest.raises(StarViolation, match="involutive") as info:
+        make_star_algebra(A.mult, A.unit, star, labels=A.labels)
+    assert info.value.where == A.labels[int(gap.max(axis=1).argmax())]
+    assert info.value.residual == pytest.approx(gap.max(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
