@@ -49,3 +49,26 @@ def require(gap, bound, exc, message, where=None):
         where = where(keys[flat] if keys is not None else
                       tuple(int(i) for i in np.unravel_index(flat, mags.shape)))
     raise exc(message, where=where, residual=worst)
+
+
+def require_first(checks, bound, exc):
+    """Raise at the first basis index that fails any of several checks.
+
+    checks is a sequence of (gaps, message, where): gaps is a table of
+    residuals whose leading axis runs over a shared basis index, where maps
+    an index tuple into gaps to the reported location.  The first index i
+    with an entry outside the bound is reported, with the first check in the
+    sequence that fails there and its first failing entry in row-major
+    order; the residual is that entry.
+    """
+    flags = [outside(g, bound) for g, _, _ in checks]
+    rows = [np.flatnonzero(f.any(axis=tuple(range(1, f.ndim)))) for f in flags]
+    failing = [int(r[0]) for r in rows if r.size]
+    if not failing:
+        return
+    i = min(failing)
+    for (gaps, message, where), f in zip(checks, flags):
+        if f[i].any():
+            ix = (i,) + tuple(int(x) for x in np.unravel_index(np.argmax(f[i]),
+                                                               f.shape[1:]))
+            raise exc(message, where=where(ix), residual=float(np.asarray(gaps)[ix]))

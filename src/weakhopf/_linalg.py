@@ -1,8 +1,10 @@
 """Dense complex linear algebra helpers: rank-revealing null spaces,
 orthonormal spans, subspace arithmetic, constrained solves.
 
-Everything funnels through numpy SVD; rank cutoff is tol * largest
-singular value, matching the subspace conventions used package-wide.
+Everything funnels through numpy SVD, and this module holds the one rank
+and invertibility rule of the package: a singular value counts when it
+exceeds tol * max(largest singular value, 1).  Non-finite input is refused
+with NoSolution before it reaches LAPACK.
 """
 
 import numpy as np
@@ -25,11 +27,17 @@ def _cutoff(s, tol):
     return tolerance(tol) * max(float(s[0]), 1.0)
 
 
+def _svd(a, **kwargs):
+    if not np.isfinite(a).all():
+        raise NoSolution("matrix has non-finite entries")
+    return np.linalg.svd(a, **kwargs)
+
+
 def rank(a, tol=None):
     a = _as_matrix(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > _cutoff(s, tol)))
@@ -43,9 +51,17 @@ def null_space(a, tol=None):
         return np.eye(n, dtype=complex)
     # full right singular basis is needed; skip the big U on tall systems
     full = a.shape[0] < n
-    u, s, vh = np.linalg.svd(a, full_matrices=full)
+    u, s, vh = _svd(a, full_matrices=full)
     r = int(np.sum(s > _cutoff(s, tol))) if s.size else 0
     return vh[r:].conj().T.copy()
+
+
+def invertible(a, tol=None):
+    """(is the square matrix a invertible, its smallest singular value):
+    invertible when that value exceeds the rank cutoff, i.e. a has full rank."""
+    s = _svd(_as_matrix(a), compute_uv=False)
+    smallest = float(s[-1]) if s.size else 0.0
+    return bool(s.size and smallest > _cutoff(s, tol)), smallest
 
 
 def orth(a, tol=None):
@@ -53,9 +69,22 @@ def orth(a, tol=None):
     a = _as_matrix(a)
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, s, vh = _svd(a, full_matrices=False)
     r = int(np.sum(s > _cutoff(s, tol)))
     return u[:, :r].copy()
+
+
+def orth_split(a, tol=None):
+    """(orthonormal basis of the column space of a, orthonormal basis of its
+    orthogonal complement), both from one SVD of a."""
+    a = _as_matrix(a)
+    m = a.shape[0]
+    if a.size == 0 or not np.any(a):
+        return np.zeros((m, 0), dtype=complex), np.eye(m, dtype=complex)
+    # the full left singular basis is needed; skip the big V on wide systems
+    u, s, vh = _svd(a, full_matrices=a.shape[1] < m)
+    r = int(np.sum(s > _cutoff(s, tol)))
+    return u[:, :r].copy(), u[:, r:].copy()
 
 
 def solve(a, b, tol=None):
@@ -134,14 +163,13 @@ def gram_sqrt(gram, tol=None):
     return c, c_inv
 
 
-def span_closure(basis, product, tol=None, max_rounds=None):
+def span_closure(basis, product, tol=None):
     """Close a spanning set under a bilinear product until the rank stops
     growing.  `product` maps (vec, vec) -> vec; rounds are capped by the
     ambient dimension."""
     basis = orth(_as_matrix(basis), tol=tol)
     dim = basis.shape[0]
-    rounds = max_rounds if max_rounds is not None else dim + 1
-    for _ in range(rounds):
+    for _ in range(dim + 1):
         cols = [basis]
         k = basis.shape[1]
         prods = np.empty((dim, k * k), dtype=complex)

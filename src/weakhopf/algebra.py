@@ -50,7 +50,8 @@ class StarAlgebra:
 
     mult is stored C-contiguous, so mult.reshape(n, n * n) is a view whose
     row i is L_{e_i} transposed and flattened: products and regular
-    representations are single matmuls against it."""
+    representations are single matmuls against it, for one coordinate
+    vector or for a whole stack of them."""
 
     def __init__(self, mult, unit, star, labels=None):
         mult = np.ascontiguousarray(mult, dtype=complex)
@@ -98,13 +99,17 @@ class StarAlgebra:
         return self.star.T @ np.conj(x)
 
     def left_mult_matrix(self, x):
-        """L_x with (xy) = L_x @ y."""
-        n = self.dim
-        return (x @ self.mult.reshape(n, n * n)).reshape(n, n).T
+        """L_x with (xy) = L_x @ y.  For a stack of coordinate vectors
+        (leading axes of x) the stack of matrices L_x."""
+        n, x = self.dim, np.asarray(x)
+        return (x @ self.mult.reshape(n, n * n)).reshape(x.shape[:-1] + (n, n)) \
+            .swapaxes(-1, -2)
 
     def right_mult_matrix(self, x):
-        """R_x with (yx) = R_x @ y."""
-        return (x @ self.mult).T
+        """R_x with (yx) = R_x @ y, stacked like left_mult_matrix."""
+        n, x = self.dim, np.asarray(x)
+        prods = np.matmul(x.reshape(-1, n), self.mult)         # [i, stack, k]
+        return prods.transpose(1, 2, 0).reshape(x.shape[:-1] + (n, n))
 
     def trace_vector(self):
         """Tr(L_{e_k}) for every k."""
@@ -129,9 +134,10 @@ class StarAlgebra:
         return Subspace(self, np.eye(self.dim, dtype=complex), tol=tol)
 
     def center(self, tol=None):
-        if "center" not in self._cache:
-            self._cache["center"] = commutant(self.full_subspace(tol), self, tol=tol)
-        return self._cache["center"]
+        key = ("center", tolerance(tol))
+        if key not in self._cache:
+            self._cache[key] = commutant(self.full_subspace(tol), self, tol=tol)
+        return self._cache[key]
 
 
 class Element:
@@ -357,10 +363,9 @@ def invert(a, tol=None):
     tol = tolerance(tol)
     A = a.parent
     L = A.left_mult_matrix(a.coords)
-    s = np.linalg.svd(L, compute_uv=False)
-    if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
-        raise Singular("element is not invertible",
-                       residual=float(s[-1] if s.size else 0.0))
+    ok, smallest = la.invertible(L, tol=tol)
+    if not ok:
+        raise Singular("element is not invertible", residual=smallest)
     x = Element(A, np.linalg.solve(L, A.unit))
     require((x * a - A.one).coords, SLACK_COMPOSITE * tol, Singular,
             "inverse verification failed")
@@ -368,9 +373,7 @@ def invert(a, tol=None):
 
 
 def is_invertible(a, tol=None):
-    L = a.parent.left_mult_matrix(a.coords)
-    s = np.linalg.svd(L, compute_uv=False)
-    return bool(s.size and s[-1] > tolerance(tol) * max(1.0, s[0]))
+    return la.invertible(a.parent.left_mult_matrix(a.coords), tol=tol)[0]
 
 
 def commutant(S, A, tol=None):
@@ -382,12 +385,9 @@ def commutant(S, A, tol=None):
     basis = S.basis if isinstance(S, Subspace) else np.asarray(S, dtype=complex)
     if basis.ndim == 1:
         basis = basis.reshape(-1, 1)
-    rows = []
-    for j in range(basis.shape[1]):
-        s = basis[:, j]
-        rows.append(A.left_mult_matrix(s) - A.right_mult_matrix(s))
-    stacked = np.vstack(rows) if rows else np.zeros((0, A.dim))
-    out = Subspace(A, la.null_space(stacked, tol=tol), orthonormalize=False)
+    rows = A.left_mult_matrix(basis.T) - A.right_mult_matrix(basis.T)
+    out = Subspace(A, la.null_space(rows.reshape(-1, A.dim), tol=tol),
+                   orthonormalize=False)
     out.certify(tol=tol)
     return out
 
@@ -437,3 +437,14 @@ def subalgebra_on_basis(A, basis, tol=None, labels=None):
     star = (pinv @ stars).T
     sub = make_star_algebra(mult, unit, star, labels=labels, tol=tol)
     return sub, B
+
+
+def _homomorphism_gaps(A, B, f, basis):
+    """How far y -> f @ y is from a *-homomorphism A -> B on the columns of
+    basis: the largest entry of f(x_i x_j) - f(x_i) f(x_j) at [i, j], and of
+    f(x_i^*) - f(x_i)^* at [i]."""
+    img = f @ basis
+    prods = pair_products(A.mult, basis, basis) @ f.T
+    mgaps = np.abs(prods - pair_products(B.mult, img, img)).max(axis=2)
+    sgaps = np.abs(f @ A.star_coords(basis) - B.star_coords(img)).max(axis=0)
+    return mgaps, sgaps

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from . import _linalg as la
 from . import examples as ex
 from . import serialize as ser
 from ._checks import outside
@@ -160,8 +161,7 @@ def cmd_crossed(args):
         "pre_dim": MA.target.dim * MA.hopf.dim,
         "dim": X.dim,
         "relation_rank": X.relation_rank,
-        "m_embedding_kernel_dim": int(MA.target.dim
-                                      - np.linalg.matrix_rank(X.embed_m)),
+        "m_embedding_kernel_dim": MA.target.dim - la.rank(X.embed_m, tol=tol),
         "a_embedding_kernel_dim": MA.image_data(tol=tol).ideal.dim,
     }
     suite = commutant_suite(X, tol=tol)

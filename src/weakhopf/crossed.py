@@ -32,7 +32,7 @@ class CrossedProduct:
     """The quotient of M (x) A by m (x) b a ~ m (b |> 1) (x) a for b in the
     left boundary, carrying the crossed-product *-algebra."""
 
-    def __init__(self, base, tol=None, verify=True):
+    def __init__(self, base, tol=None):
         MA = base
         W, M = MA.hopf, MA.target
         A = W.alg
@@ -40,22 +40,11 @@ class CrossedProduct:
         self.base = MA
         pre = dm * da
 
-        AL = W.boundary("L", tol=tol)
-        mu = MA.image_data(tol=tol).mu
-        rels = []
-        for j in range(AL.dim):
-            b = AL.basis[:, j]
-            lb = A.left_mult_matrix(b)          # columns: b e_i
-            rb = M.right_mult_matrix(mu @ b)    # columns: f_p (b |> 1)
-            for p in range(dm):
-                for i in range(da):
-                    v = np.zeros((dm, da), dtype=complex)
-                    v[p, :] = lb[:, i]
-                    v[:, i] -= rb[:, p]
-                    rels.append(v.reshape(pre))
-        rels = np.array(rels).T if rels else np.zeros((pre, 0))
+        rels = _relations(MA, tol=tol)
+        # two independent rank decisions: the rank of the relations, and the
+        # split of M (x) A into their span and its complement, the lift
         self.relation_rank = la.rank(rels, tol=tol)
-        lift = la.null_space(rels.conj().T, tol=tol)
+        self._rel_basis, lift = la.orth_split(rels, tol=tol)
         self.lift = lift                  # columns: orthonormal quotient basis
         self.proj = lift.conj().T
         dim = lift.shape[1]
@@ -91,15 +80,11 @@ class CrossedProduct:
         self.embed_a = M.unit @ blocks
 
         # dual action phi |> (m x a) = m x (phi -> a) on the quotient
-        Wd = W.dual()
         arrows = np.transpose(cop, (2, 1, 0))   # arrows[s][o,k] = cop[k,o,s]
-        dact = np.zeros((da, dim, dim), dtype=complex)
-        for s in range(da):
-            moved = np.einsum("ok,pkA->poA", arrows[s], reps)
-            dact[s] = (self.proj @ moved.reshape(pre, dim)).T
-        if verify:
-            self._verify(arrows, tol=tol)
-        self.as_module = make_module_algebra(Wd, self.algebra, dact, tol=tol)
+        dact = np.ascontiguousarray(
+            (self.proj @ _dual_moves(arrows, lift, dm)).transpose(0, 2, 1))
+        self._verify(arrows, tol=tol)
+        self.as_module = make_module_algebra(W.dual(), self.algebra, dact, tol=tol)
 
     @property
     def dim(self):
@@ -143,18 +128,36 @@ class CrossedProduct:
         require((MA.act @ em.T).transpose(1, 0, 2) - rhs, SLACK_COMPOSITE * t,
                 AxiomViolation, "covariance identity fails")
 
-        # the dual action preserves the relation span
-        rel_basis = la.null_space(self.lift.conj().T, tol=tol)
-        if rel_basis.shape[1]:
-            for s in range(da):
-                moved = np.einsum("ok,pkR->poR", arrows[s],
-                                  rel_basis.reshape(dm, da, -1))
-                require(self.proj @ moved.reshape(dm * da, -1), SLACK_COMPOSITE * t,
-                        AxiomViolation, "dual action does not descend")
+        # the dual action preserves the relation span, functional by functional
+        for gap in self.proj @ _dual_moves(arrows, self._rel_basis, dm):
+            require(gap, SLACK_COMPOSITE * t, AxiomViolation,
+                    "dual action does not descend")
 
 
-def crossed_product(MA, tol=None, verify=True):
-    return CrossedProduct(MA, tol=tol, verify=verify)
+def _relations(MA, tol=None):
+    """Columns m (x) b a - m (b |> 1) (x) a spanning the relations of the
+    crossed product, for f_p (x) e_i and b running over the left boundary
+    basis: the block of b is kron(I_M, L_b) - kron(R_(b |> 1), I_A), and the
+    columns are ordered (b, p, i)."""
+    W, M = MA.hopf, MA.target
+    basis = W.boundary("L", tol=tol).basis.T
+    lb = W.alg.left_mult_matrix(basis)                               # columns: b e_i
+    rb = M.right_mult_matrix(basis @ MA.image_data(tol=tol).mu.T)    # f_p (b |> 1)
+    blocks = np.kron(np.eye(M.dim)[None], lb) - np.kron(rb, np.eye(W.dim)[None])
+    return blocks.transpose(1, 0, 2).reshape(M.dim * W.dim, -1)
+
+
+def _dual_moves(arrows, vecs, dm):
+    """f^s |> v for every dual basis functional f^s and every column v of
+    vecs, coordinates on M (x) A: f^s |> (m (x) a) = m (x) (f^s -> a), laid
+    out [s, (p, o), column]; arrows[s, o, k] = cop[k, o, s]."""
+    da = arrows.shape[1]
+    moved = np.matmul(arrows[:, None], vecs.reshape(dm, da, -1))     # [s, p, o, c]
+    return moved.reshape(da, dm * da, -1)
+
+
+def crossed_product(MA, tol=None):
+    return CrossedProduct(MA, tol=tol)
 
 
 def dual_action(X, tol=None):
@@ -263,7 +266,7 @@ class RegularRep:
         # tau_r[s]|e_k> = |f^s -> e_k>,  tau_l[s]|e_k> = |e_k <- S^{-1} f^s>
         self.tau_r = np.transpose(cop, (2, 1, 0)).copy()
         self.tau_l = np.einsum("kio,is->sok", cop, sinv_hat)
-        self.ell = np.transpose(A.mult, (0, 2, 1))          # ell[i] = L_{e_i}
+        self.ell = A.left_mult_matrix(np.eye(da))           # ell[i] = L_{e_i}
 
         self._check_translations(W, Wd, tol=tol)
 
@@ -303,38 +306,28 @@ class RegularRep:
 
     def _check_translations(self, W, Wd, tol=None):
         t = tolerance(tol)
-        da = W.dim
         gram, gram_inv = self.gram_a, self.gram_a_inv
 
-        def dagger(mat):
-            return gram_inv @ mat.conj().T @ gram
+        def dagger(mats):
+            return gram_inv @ mats.conj().swapaxes(-1, -2) @ gram
 
-        worst = 0.0
-        for s in range(da):
-            for s2 in range(da):
-                pr = Wd.alg.mult[s, s2]
-                worst = residual(worst,
-                                 self.tau_r[s] @ self.tau_r[s2]
-                                 - np.einsum("k,kab->ab", pr, self.tau_r),
-                                 self.tau_l[s] @ self.tau_l[s2]
-                                 - np.einsum("k,kab->ab", pr, self.tau_l),
-                                 self.tau_r[s] @ self.tau_l[s2]
-                                 - self.tau_l[s2] @ self.tau_r[s])
-            star_s = Wd.alg.star[s]
-            worst = residual(worst,
-                             dagger(self.tau_r[s])
-                             - np.einsum("k,kab->ab", star_s, self.tau_r),
-                             dagger(self.tau_l[s])
-                             - np.einsum("k,kab->ab", star_s, self.tau_l))
-        require(worst, SLACK_COMPOSITE * t, AxiomViolation,
+        # [s, s2]: tau(f^s) tau(f^s2) = tau(f^s f^s2) for both translations,
+        # which commute; tau(f^s)^dagger = tau(f^s*)
+        gaps = []
+        for tau in (self.tau_r, self.tau_l):
+            gaps += [np.matmul(tau[:, None], tau[None])
+                     - np.tensordot(Wd.alg.mult, tau, 1),
+                     dagger(tau) - np.tensordot(Wd.alg.star, tau, 1)]
+        gaps.append(np.matmul(self.tau_r[:, None], self.tau_l[None])
+                    - np.matmul(self.tau_l[None], self.tau_r[:, None]))
+        require(residual(*gaps), SLACK_COMPOSITE * t, AxiomViolation,
                 "translation representations fail")
 
         AL = W.boundary("L", tol=tol)
-        er = W.counital("R")
         A = W.alg
-        gaps = [np.einsum("s,sab->ab", er @ a, self.tau_l) - A.left_mult_matrix(a)
-                for a in AL.basis.T]
-        require(residual(*gaps), SLACK_COMPOSITE * t, AxiomViolation,
+        gaps = np.tensordot((W.counital("R") @ AL.basis).T, self.tau_l, 1) \
+            - A.left_mult_matrix(AL.basis.T)
+        require(gaps, SLACK_COMPOSITE * t, AxiomViolation,
                 "boundary translation identity fails")
 
         # ell(a) tau_l(phi) = tau_l(phi(1)) <phi(2)|a(1)> ell(a(2))
@@ -577,17 +570,12 @@ def commutant_suite(X, tol=None):
     center_x = XA.center(tol=tol)
     n_comm_m = commutant(Subspace(M, N.basis, tol=tol), M, tol=tol)
 
-    def span_products(left_cols, right_cols):
-        cols = [XA.product_coords(left_cols[:, i], right_cols[:, j])
-                for i in range(left_cols.shape[1])
-                for j in range(right_cols.shape[1])]
-        return la.orth(np.array(cols).T, tol=tol)
-
     zc = M.center(tol=tol)
     AR = W.boundary("R", tol=tol)
     za = A.center(tol=tol)
-    pred_m_comm = span_products(em @ zc.basis, ea @ AR.basis)
-    pred_n_comm = span_products(em @ n_comm_m.basis, ea)
+    pred_m_comm, pred_n_comm = (
+        la.orth(pair_products(XA.mult, xs, ys).reshape(-1, XA.dim).T, tol=tol)
+        for xs, ys in ((em @ zc.basis, ea @ AR.basis), (em @ n_comm_m.basis, ea)))
     arza = AR.intersect(za, tol=tol)
 
     report = {

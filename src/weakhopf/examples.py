@@ -255,7 +255,7 @@ class Cocycle:
         return True
 
 
-def twisted_group_weak_hopf(G, H, cocycle, tol=None, verify=True):
+def twisted_group_weak_hopf(G, H, cocycle, tol=None):
     """The z-twisted group algebra of H crossed with G via the c-twisted
     adjoint action; reduces to group_weak_hopf for trivial cocycles."""
     H = list(H)
@@ -297,10 +297,7 @@ def twisted_group_weak_hopf(G, H, cocycle, tol=None, verify=True):
     unit[idx[(hpos[G.identity], G.identity)]] = 1.0
 
     alg = make_star_algebra(mult, unit, star, labels=labels, tol=tol)
-    if verify:
-        W = make_weak_hopf(alg, cop, counit, smat, tol=tol)
-    else:
-        W = WeakHopfAlgebra(alg, cop, counit, smat)
+    W = make_weak_hopf(alg, cop, counit, smat, tol=tol)
     W.group_data = {"G": G, "H": H, "index": idx, "cocycle": cocycle}
     return W
 
@@ -583,15 +580,7 @@ def pauli_cocycle_data():
     # names from direct_product: (c_a; c_b).  Choose u(a,b) = sx^a sz^b up
     # to phase, realized as {1, sz, sx, sy}.
     u = [to_coords(mats[g]) for g in range(4)]
-    alpha = {}
-    for g in range(4):
-        ug = mats[g]
-        ad = np.zeros((4, 4), dtype=complex)
-        for p in range(4):
-            base = np.zeros(4, dtype=complex)
-            base[p] = 1.0
-            ad[:, p] = to_coords(ug @ base.reshape(2, 2) @ ug.conj().T)
-        alpha[g] = ad
+    alpha = adjoint_action_table(M, to_coords, mats)
     H = [0, 1, 2, 3]
     cocycle = derive_twist_data(G, H, M, alpha, u)
     return G, H, M, alpha, u, cocycle

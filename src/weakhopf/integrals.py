@@ -45,39 +45,33 @@ __all__ = [
 ]
 
 
-def _left_projector(W):
-    """a -> a(1) S(a(2)), the left counital projection."""
-    return W.counital("hL") @ W.counital("R")
+def _integral_rows(W, side):
+    """The integral condition as rows acting on l, stacked over the basis
+    vectors a: L_(a - a(1) S(a(2))) for left integrals (a l = a(1) S(a(2)) l)
+    and R_(a - S(a(1)) a(2)) for right ones."""
+    A = W.alg
+    diff = (np.eye(A.dim) - W.counital("LS" if side == "L" else "SL")).T
+    mats = A.left_mult_matrix(diff) if side == "L" else A.right_mult_matrix(diff)
+    return mats.reshape(-1, A.dim)
 
 
-def _right_projector(W):
-    """a -> S(a(1)) a(2), the right counital projection."""
-    return W.counital("hR") @ W.counital("L")
+def _integral_space(W, side, tol):
+    S = Subspace(W.alg, la.null_space(_integral_rows(W, side), tol=tol),
+                 orthonormalize=False)
+    if S.dim != W.boundary(side, tol=tol).dim:
+        raise NoHaar(f"{'left' if side == 'L' else 'right'} integral space has "
+                     "unexpected dimension", where=("dim", S.dim))
+    return S
 
 
 def left_integral_space(W, tol=None):
     """{l : a l = (a(1) S(a(2))) l for all a}; dimension equals dim A_L."""
-    A = W.alg
-    proj = _left_projector(W)
-    rows = [A.mult[i].T - A.left_mult_matrix(proj[:, i])
-            for i in range(A.dim)]
-    S = Subspace(A, la.null_space(np.vstack(rows), tol=tol), orthonormalize=False)
-    if S.dim != W.boundary("L", tol=tol).dim:
-        raise NoHaar("left integral space has unexpected dimension",
-                     where=("dim", S.dim))
-    return S
+    return _integral_space(W, "L", tol)
 
 
 def right_integral_space(W, tol=None):
-    A = W.alg
-    proj = _right_projector(W)
-    rows = [A.mult[:, i].T - A.right_mult_matrix(proj[:, i])
-            for i in range(A.dim)]
-    S = Subspace(A, la.null_space(np.vstack(rows), tol=tol), orthonormalize=False)
-    if S.dim != W.boundary("R", tol=tol).dim:
-        raise NoHaar("right integral space has unexpected dimension",
-                     where=("dim", S.dim))
-    return S
+    """{l : l a = l (S(a(1)) a(2)) for all a}; dimension equals dim A_R."""
+    return _integral_space(W, "R", tol)
 
 
 class LeftIntegral:
@@ -99,10 +93,7 @@ class LeftIntegral:
                     "element is not a left integral")
 
     def condition_residual(self):
-        W, A, l = self.hopf, self.hopf.alg, self.element.coords
-        proj = _left_projector(W)
-        return residual(*(l @ A.mult[i] - A.product_coords(proj[:, i], l)
-                          for i in range(A.dim)))
+        return residual(_integral_rows(self.hopf, "L") @ self.element.coords)
 
     def _derived(self, kind):
         if kind not in self._cache:
@@ -173,8 +164,7 @@ def _haar_element(W, tol=None):
     T = L.intersect(R, tol=tol)
     if T.dim == 0:
         raise NoHaar("no two-sided integrals")
-    proj = _right_projector(W)
-    sys = proj @ T.basis
+    sys = W.counital("SL") @ T.basis
     try:
         coeff, ns = la.affine_solutions(sys, W.alg.unit, tol=tol)
     except NoSolution as exc:
@@ -188,7 +178,7 @@ def _haar_element(W, tol=None):
         "idempotent": (h * h - h).norm(),
         "self_adjoint": (h.star() - h).norm(),
         "antipode_fixed": (W.s_apply(h) - h).norm(),
-        "right_normalized": residual(_left_projector(W) @ h.coords - W.alg.unit),
+        "right_normalized": residual(W.counital("LS") @ h.coords - W.alg.unit),
     }
     require(checks, SLACK_COMPOSITE * t, NoHaar, "Haar invariants fail",
             where=lambda name: name)
@@ -265,9 +255,10 @@ class HaarData:
 
 
 def haar(W, tol=None):
-    if "haar" not in W._cache:
-        W._cache["haar"] = HaarData(W, tol=tol)
-    return W._cache["haar"]
+    key = ("haar", tolerance(tol))
+    if key not in W._cache:
+        W._cache[key] = HaarData(W, tol=tol)
+    return W._cache[key]
 
 
 def classify(l, tol=None):
@@ -319,7 +310,7 @@ def dual_integral(l, tol=None):
     Wd = W.dual()
     A = W.alg
     _, l_r = fourier_maps(l, tol=tol)
-    if not is_invertible_matrix(l_r, tol=tol):
+    if not la.invertible(l_r, tol=tol)[0]:
         raise Degenerate("integral is degenerate; no dual exists")
     lam = np.linalg.solve(l_r, A.unit)
     out = LeftIntegral(Wd, lam, tol=tol)
@@ -341,21 +332,12 @@ def dual_integral(l, tol=None):
 
 def _compose_lamL_sinv(W, lam, sinv):
     """Matrix of a -> lambda <- S^{-1}(a)."""
-    A = W.alg
-    cols = [A.left_mult_matrix(sinv[:, j]).T @ lam for j in range(A.dim)]
-    return np.array(cols).T
+    return (lam @ W.alg.left_mult_matrix(sinv.T)).T
 
 
 def lam_r_matrix(W, lam):
     """Matrix of a -> (a -> lambda)."""
-    A = W.alg
-    cols = [A.mult[:, j] @ lam for j in range(A.dim)]
-    return np.array(cols).T
-
-
-def is_invertible_matrix(m, tol=None):
-    s = np.linalg.svd(m, compute_uv=False)
-    return bool(s.size and s[-1] > tolerance(tol) * max(1.0, s[0]))
+    return (lam @ W.alg.right_mult_matrix(np.eye(W.dim))).T
 
 
 def jones_projection(l, tol=None):

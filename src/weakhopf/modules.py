@@ -6,9 +6,9 @@ quasi-bases, implementers/outerness, GNS and modular data, Galois tests.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import outside, require, residual
+from ._checks import outside, require, require_first, residual
 from ._contract import pair_products, split_product
-from .algebra import Element, Subspace
+from .algebra import Element, Subspace, _homomorphism_gaps
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, tolerance
 from .errors import (
     ActionAxiomViolation,
@@ -82,21 +82,21 @@ class ModuleAlgebra:
                 np.transpose(self.act, (1, 2, 0)))
         return self._cache["rho"]
 
+    def _cached(self, name, build, tol):
+        key = (name, tolerance(tol))
+        if key not in self._cache:
+            self._cache[key] = build(self, tol=tol)
+        return self._cache[key]
+
     def fixed_points(self, tol=None):
-        if "fixed" not in self._cache:
-            self._cache["fixed"] = fixed_points(self, tol=tol)
-        return self._cache["fixed"]
+        return self._cached("fixed", fixed_points, tol)
 
     def image_data(self, tol=None):
-        if "image" not in self._cache:
-            self._cache["image"] = image_data(self, tol=tol)
-        return self._cache["image"]
+        return self._cached("image", image_data, tol)
 
     def haar_expectation(self, tol=None):
-        if "e_haar" not in self._cache:
-            h = self.hopf.haar(tol=tol).h
-            self._cache["e_haar"] = cond_expectation(self, h, tol=tol)
-        return self._cache["e_haar"]
+        return self._cached("e_haar", lambda MA, tol: cond_expectation(
+            MA, MA.hopf.haar(tol=tol).h, tol=tol), tol)
 
 
 def make_module_algebra(W, M, act, tol=None):
@@ -124,11 +124,9 @@ def make_module_algebra(W, M, act, tol=None):
     require(lhs - rhs, t, ActionAxiomViolation, "star law fails", where=tuple)
 
     act1 = MA.act_on_unit()
-    p_ls = W.counital("hL") @ W.counital("R")    # a(1) S(a(2))
-    p_rinv = W.counital("hR") @ W.counital("R")  # a(2) S^{-1}(a(1))
-    for name, proj in (("unit law", p_ls), ("unit law, inverse form", p_rinv)):
-        require(act1.T - act1.T @ proj, t, ActionAxiomViolation, f"{name} fails",
-                where=tuple)
+    for name, key in (("unit law", "LS"), ("unit law, inverse form", "Rinv")):
+        require(act1.T - act1.T @ W.counital(key), t, ActionAxiomViolation,
+                f"{name} fails", where=tuple)
 
     # splitting of products through the coproduct of the unit
     D1 = W.delta_one()
@@ -177,13 +175,11 @@ def adjoint_restriction(W, tol=None):
     return e1, make_module_algebra(W, sub, act, tol=tol)
 
 
-def to_coaction(MA, tol=None, verify=True):
+def to_coaction(MA, tol=None):
     """The right coaction of the dual corresponding to the action; checked
     against the comodule-algebra laws."""
     W, M = MA.hopf, MA.target
     rho = MA.coaction()
-    if not verify:
-        return rho
     t = tolerance(tol)
     Wd = W.dual()
     dm = M.dim
@@ -230,15 +226,11 @@ def _counital_rows(MA, proj):
     return diff.transpose(0, 2, 1).reshape(-1, MA.target.dim)
 
 
-def _fixed_rows_ii(MA):
-    W = MA.hopf
-    return _counital_rows(MA, W.counital("hL") @ W.counital("R"))
-
-
 def fixed_points(MA, tol=None):
     """Elements on which every a acts like its counital projection; the
     invariant subalgebra of the action."""
-    N = Subspace(MA.target, la.null_space(_fixed_rows_ii(MA), tol=tol),
+    N = Subspace(MA.target,
+                 la.null_space(_counital_rows(MA, MA.hopf.counital("LS")), tol=tol),
                  orthonormalize=False)
     N.certify(tol=tol)
     t = tolerance(tol)
@@ -262,8 +254,8 @@ def fixed_point_condition_spaces(MA, tol=None):
     act, multm = MA.act, M.mult
     dm = M.dim
 
-    rows_ii = _fixed_rows_ii(MA)
-    rows_iv = _counital_rows(MA, W.counital("hR") @ W.counital("R"))
+    rows_ii = _counital_rows(MA, W.counital("LS"))
+    rows_iv = _counital_rows(MA, W.counital("Rinv"))
 
     # a |> (m n) = (a |> m) n  as linear conditions on n
     t_i = np.einsum("pnr,irq->ipnq", multm, act, optimize=True) \
@@ -305,19 +297,15 @@ def image_data(MA, tol=None):
     AL = W.boundary("L", tol=tol)
     AR = W.boundary("R", tol=tol)
 
-    # mu restricted to the left boundary is a *-epimorphism onto M_R
+    # mu restricted to the left boundary is a *-epimorphism onto M_R; the
+    # first failing basis vector is reported, its products before its star
     img = mu @ AL.basis
     if not la.span_equal(la.orth(img, tol=tol), m_r.basis, tol=tol):
         raise ActionAxiomViolation("A_L |> 1 does not span M_R")
-    for i in range(AL.dim):
-        for j in range(AL.dim):
-            x, y = AL.basis[:, i], AL.basis[:, j]
-            require(mu @ A.product_coords(x, y) - M.product_coords(mu @ x, mu @ y),
-                    SLACK_DERIVED * t, ActionAxiomViolation,
-                    "boundary epimorphism not multiplicative", where=(i, j))
-        require(mu @ A.star_coords(AL.basis[:, i]) - M.star_coords(mu @ AL.basis[:, i]),
-                SLACK_DERIVED * t, ActionAxiomViolation,
-                "boundary epimorphism not star-preserving", where=i)
+    mgaps, sgaps = _homomorphism_gaps(A, M, mu, AL.basis)
+    require_first([(mgaps, "boundary epimorphism not multiplicative", tuple),
+                   (sgaps, "boundary epimorphism not star-preserving",
+                    lambda ix: ix[0])], SLACK_DERIVED * t, ActionAxiomViolation)
 
     ker_in_al = la.null_space(img, tol=tol)        # coefficients against AL basis
     if ker_in_al.shape[1]:
@@ -328,21 +316,13 @@ def image_data(MA, tol=None):
 
     # unit projection of the kernel ideal; central in A
     if kernel.dim:
-        rows = []
-        rhs = []
-        for j in range(kernel.dim):
-            k = kernel.basis[:, j]
-            rows.append(A.right_mult_matrix(k))
-            rhs.append(k)
-        z, _ = la.affine_solutions(
-            np.vstack(rows) @ kernel.basis,
-            np.concatenate(rhs), tol=tol)
-        z = kernel.basis @ z
-        gaps = [A.product_coords(z, z) - z, A.star_coords(z) - z]
-        for j in range(kernel.dim):
-            k = kernel.basis[:, j]
-            gaps += [A.product_coords(z, k) - k, A.product_coords(k, z) - k]
-        worst = residual(*gaps)
+        K = kernel.basis
+        rows = A.right_mult_matrix(K.T) @ K                # [j]: R_(k_j) on K
+        z, _ = la.affine_solutions(rows.reshape(-1, kernel.dim),
+                                   K.T.reshape(-1), tol=tol)
+        z = K @ z
+        lz, rz = A.left_mult_matrix(z), A.right_mult_matrix(z)
+        worst = residual(lz @ z - z, A.star_coords(z) - z, lz @ K - K, rz @ K - K)
         ZA, zcol = A.center(tol=tol), z.reshape(-1, 1)
         if outside(worst, SLACK_SOLVED * t) or not ZA.contains_coords(zcol, tol=tol) \
                 or not AL.contains_coords(zcol, tol=tol):
@@ -351,9 +331,7 @@ def image_data(MA, tol=None):
                                        residual=worst)
         z_proj = Element(A, z)
         # the kernel is exactly z A_L
-        zal = np.array([A.product_coords(z, AL.basis[:, j])
-                        for j in range(AL.dim)]).T
-        if not la.span_equal(la.orth(zal, tol=tol), kernel.basis, tol=tol):
+        if not la.span_equal(la.orth(lz @ AL.basis, tol=tol), K, tol=tol):
             raise ActionAxiomViolation("kernel is not generated by its projection")
     else:
         z_proj = Element(A, np.zeros(A.dim))
@@ -364,16 +342,16 @@ def image_data(MA, tol=None):
 
     # two-sided ideal generated by the kernel; equals both one-sided spans
     if kernel.dim:
-        left = np.hstack([A.mult[i].T @ kernel.basis for i in range(A.dim)])
-        right = np.hstack([A.mult[:, i].T @ kernel.basis for i in range(A.dim)])
+        # columns e_i k_j and k_j e_i, ordered by (i, j)
+        eye = np.eye(A.dim)
+        left = (A.left_mult_matrix(eye) @ K).transpose(1, 0, 2).reshape(A.dim, -1)
+        right = (A.right_mult_matrix(eye) @ K).transpose(1, 0, 2).reshape(A.dim, -1)
         ideal = Subspace(A, left, tol=tol)
         if not la.span_equal(ideal.basis, la.orth(right, tol=tol), tol=tol):
             raise ActionAxiomViolation("kernel ideal is not two-sided symmetric")
         if not annihilator.contains_subspace(ideal, tol=tol):
             raise ActionAxiomViolation("kernel ideal does not annihilate the module")
-        stars = np.array([A.star_coords(ideal.basis[:, j])
-                          for j in range(ideal.dim)]).T
-        if not ideal.contains_coords(stars, tol=tol):
+        if not ideal.contains_coords(A.star_coords(ideal.basis), tol=tol):
             raise ActionAxiomViolation("kernel ideal is not star-closed")
     else:
         ideal = Subspace(A, np.zeros((A.dim, 0)), orthonormalize=False)
@@ -403,11 +381,8 @@ def image_data(MA, tol=None):
 
 def commutant_within(M, S, T, tol=None):
     """Elements of span T commuting with span S (both Subspaces of M)."""
-    rows = []
-    for j in range(S.dim):
-        s = S.basis[:, j]
-        rows.append((M.left_mult_matrix(s) - M.right_mult_matrix(s)) @ T.basis)
-    coeff = la.null_space(np.vstack(rows), tol=tol) if rows else np.eye(T.dim)
+    rows = (M.left_mult_matrix(S.basis.T) - M.right_mult_matrix(S.basis.T)) @ T.basis
+    coeff = la.null_space(rows.reshape(-1, T.dim), tol=tol)
     return Subspace(M, T.basis @ coeff, tol=tol)
 
 
@@ -436,8 +411,8 @@ class ConditionalExpectation:
     def is_faithful(self, tol=None):
         """No m with E(m'* m) = 0 for every m'."""
         M = self.algebra
-        rows = [self.table @ M.left_mult_matrix(M.star[p]) for p in range(M.dim)]
-        return la.null_space(np.vstack(rows), tol=tol).shape[1] == 0
+        rows = self.table @ M.left_mult_matrix(M.star)      # [p]: E(e_p^* m)
+        return la.null_space(rows.reshape(-1, M.dim), tol=tol).shape[1] == 0
 
 
 def cond_expectation(MA, l, tol=None):
@@ -457,12 +432,11 @@ def cond_expectation(MA, l, tol=None):
     if not N.contains_coords(la.orth(table, tol=tol), tol=tol):
         raise ActionAxiomViolation("expectation range leaves the fixed points")
     M = MA.target
-    for j in range(N.dim):
-        n = N.basis[:, j]
-        ln, rn = M.left_mult_matrix(n), M.right_mult_matrix(n)
-        require(residual(table @ ln - ln @ table, table @ rn - rn @ table),
-                SLACK_DERIVED * t, ActionAxiomViolation,
-                "expectation is not a bimodule map", where=j)
+    ln, rn = M.left_mult_matrix(N.basis.T), M.right_mult_matrix(N.basis.T)
+    gaps = np.maximum(np.abs(table @ ln - ln @ table).max(axis=(1, 2)),
+                      np.abs(table @ rn - rn @ table).max(axis=(1, 2)))
+    require_first([(gaps, "expectation is not a bimodule map", lambda ix: ix[0])],
+                  SLACK_DERIVED * t, ActionAxiomViolation)
     return E
 
 
@@ -561,19 +535,13 @@ def trivial_implementers(MA, tol=None, ambient=None, inclusion=None):
         else np.eye(M.dim, dtype=complex)
     da, dn = W.dim, amb.dim
     lam_space = left_integral_space(W.dual(), tol=tol)
-    cols = []
     zc = M.center(tol=tol)
-    for j in range(lam_space.dim):
-        lam = lam_space.basis[:, j]
-        tl = np.zeros((da, dn), dtype=complex)
-        for i in range(da):
-            arrow = W.cop[i] @ lam
-            tl[i] = incl @ (MA.act_on_unit().T @ arrow)
-        for z in range(zc.dim):
-            lz = amb.left_mult_matrix(incl @ zc.basis[:, z])
-            cols.append((tl @ lz.T).reshape(-1))
-    out = np.array(cols).T if cols else np.zeros((da * dn, 0))
-    return la.orth(out, tol=tol)
+    # [j, i, :]: incl((lam_j -> e_i) |> 1), then times each central z
+    arrows = np.tensordot(W.cop, lam_space.basis, axes=([2], [0]))     # [i, o, j]
+    tl = arrows.transpose(2, 0, 1) @ MA.act_on_unit() @ incl.T
+    lz = amb.left_mult_matrix((incl @ zc.basis).T)
+    cols = np.matmul(tl[:, None], lz.swapaxes(-1, -2)[None])          # [j, z, i, :]
+    return la.orth(cols.reshape(-1, da * dn).T, tol=tol)
 
 
 def is_outer(MA, tol=None):
@@ -592,9 +560,8 @@ def is_minimal(MA, tol=None):
     rel = commutant(N, M, tol=tol)
     zc = M.center(tol=tol)
     mr = MA.image_data(tol=tol).m_r
-    prods = [M.product_coords(zc.basis[:, i], mr.basis[:, j])
-             for i in range(zc.dim) for j in range(mr.dim)]
-    cmr = la.orth(np.array(prods).T, tol=tol)
+    prods = pair_products(M.mult, zc.basis, mr.basis).reshape(-1, M.dim)
+    cmr = la.orth(prods.T, tol=tol)
     return la.span_equal(rel.basis, cmr, tol=tol)
 
 
@@ -670,17 +637,17 @@ def invariant_state(MA, omega0, tol=None):
     # invariance identities
     W, M = MA.hopf, MA.target
     act1 = MA.act_on_unit()
-    sinv1 = act1.T @ MA.hopf.antipode_inv()   # columns: S^{-1}(e_i) |> 1
-    s1 = act1.T @ MA.hopf.antipode
-    for i in range(W.dim):
-        op = MA.act[i].T
-        lhs = omega @ op
-        rhs = omega @ M.left_mult_matrix(sinv1[:, i])
-        require(lhs - rhs, SLACK_SOLVED * t, NotFaithful,
-                "averaged state is not invariant", where=i)
-        rhs2 = omega @ M.right_mult_matrix(s1[:, i])
-        require(lhs - rhs2, SLACK_SOLVED * t, NotFaithful,
-                "averaged state fails the mirrored invariance", where=i)
+    sinv1 = act1.T @ W.antipode_inv()         # columns: S^{-1}(e_i) |> 1
+    s1 = act1.T @ W.antipode
+    # rows i: omega(e_i |> m), omega(S^{-1}(e_i) |> 1 m), omega(m S(e_i) |> 1)
+    lhs = MA.act @ omega
+    rhs = omega @ M.left_mult_matrix(sinv1.T)
+    rhs2 = omega @ M.right_mult_matrix(s1.T)
+    require_first([(np.abs(lhs - rhs).max(axis=1), "averaged state is not invariant",
+                    lambda ix: ix[0]),
+                   (np.abs(lhs - rhs2).max(axis=1),
+                    "averaged state fails the mirrored invariance", lambda ix: ix[0])],
+                  SLACK_SOLVED * t, NotFaithful)
     return GnsData(MA, omega, tol=tol)
 
 
@@ -695,9 +662,8 @@ def modular_check(MA, gns, times=(1.0, 0.5), tol=None):
     hd = W.haar(tol=tol)
     lower, bar = star_conjugations(W, tol=tol)
     AL, AR = W.boundary("L", tol=tol), W.boundary("R", tol=tol)
-    prods = [W.alg.product_coords(AL.basis[:, i], AR.basis[:, j])
-             for i in range(AL.dim) for j in range(AR.dim)]
-    basis = la.orth(np.array(prods).T, tol=tol)
+    prods = pair_products(W.alg.mult, AL.basis, AR.basis).reshape(-1, W.dim)
+    basis = la.orth(prods.T, tol=tol)
 
     report = {}
     for tval in times:

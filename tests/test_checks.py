@@ -1,6 +1,8 @@
-"""The shared failure rule: residual(), outside() and require() in
-weakhopf._checks, the NaN cases it closes, and a source guard that keeps
-the rule in that one module."""
+"""The shared failure rule: residual(), outside(), require() and
+require_first() in weakhopf._checks, the NaN cases it closes, and source
+guards that keep the rule in that one module and the rank rule in
+weakhopf._linalg.  Also: caches of tolerance-dependent data are kept per
+tolerance."""
 
 import ast
 import pathlib
@@ -8,16 +10,20 @@ import pathlib
 import numpy as np
 import pytest
 
+from weakhopf import _linalg as la
 from weakhopf import examples as ex
-from weakhopf._checks import outside, require, residual
+from weakhopf._checks import outside, require, require_first, residual
 from weakhopf.algebra import make_star_algebra
 from weakhopf.errors import (
     ActionAxiomViolation,
     AssociativityViolation,
+    AxiomViolation,
     NoHaar,
+    NoSolution,
     StarViolation,
     UnitViolation,
 )
+from weakhopf.hopf import WeakHopfAlgebra, make_weak_hopf, verify_weak_hopf
 from weakhopf.modules import make_module_algebra
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weakhopf"
@@ -251,3 +257,130 @@ def test_failure_rule_lives_in_one_module():
               if name != OWNER}
     assert {name: c for name, c in copies.items() if c} == {}
     assert "def residual(" in sources[OWNER]
+
+
+# ---------------------------------------------------------------------------
+# the first failing basis index
+
+
+def _first(checks, bound=1.0):
+    try:
+        require_first(checks, bound, NoHaar)
+    except NoHaar as exc:
+        return str(exc).split(",")[0], exc.where, exc.residual
+    return None
+
+
+def test_require_first_orders_by_index_then_check():
+    prods = np.zeros((3, 3))
+    stars = np.zeros(3)
+    checks = [(prods, "products", tuple), (stars, "star", lambda ix: ix[0])]
+    assert _first(checks) is None
+    prods[2, 0], prods[1, 2], prods[1, 1] = 9.0, 2.0, np.nan
+    stars[2], stars[0] = 5.0, 1.0
+    # row 1 fails first; within it the first entry in row-major order
+    assert _first(checks)[:2] == ("products", (1, 1))
+    stars[1] = 3.0
+    assert _first(checks)[:2] == ("products", (1, 1))      # products first
+    stars[0] = 4.0                                         # an earlier index
+    assert _first(checks) == ("star", 0, 4.0)
+    message, where, worst = _first([(prods, "products", tuple)])
+    assert (message, where) == ("products", (1, 1)) and np.isnan(worst)
+    assert _first([(np.zeros((0, 2)), "empty", tuple)]) is None
+
+
+def test_require_first_reports_the_entry_not_the_worst():
+    gaps = np.array([0.5, 2.0, 7.0])
+    assert _first([(gaps, "g", lambda ix: ("at",) + ix)]) == ("g", ("at", 1), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite structure tables
+
+
+@pytest.mark.parametrize("table", ["counit", "antipode", "cop"])
+def test_weak_hopf_rejects_a_nan_table_entry(table):
+    W = ex.group_weak_hopf(ex.cyclic_group(2), [0, 1])
+    tables = {"cop": W.cop.copy(), "counit": W.counit.copy(),
+              "antipode": W.antipode.copy()}
+    tables[table].flat[1] = np.nan
+    args = (tables["cop"], tables["counit"], tables["antipode"])
+    failures = verify_weak_hopf(WeakHopfAlgebra(W.alg, *args)).failures()
+    named = {"counit": ["IIa", "counit_positive"],
+             "antipode": ["IIIa", "antipode_invertible"],
+             "cop": ["Ia", "Ic"]}[table]
+    assert set(named) <= set(failures)
+    with pytest.raises(AxiomViolation, match=f"axiom {failures[0]} fails"):
+        make_weak_hopf(W.alg, *args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_svd_helpers_refuse_non_finite_input(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    for helper in (la.rank, la.null_space, la.orth, la.orth_split, la.invertible):
+        with pytest.raises(NoSolution, match="non-finite"):
+            helper(a)
+
+
+def test_invertibility_rule():
+    ok, smallest = la.invertible(np.diag([2.0, 1e-3]))
+    assert ok and smallest == pytest.approx(1e-3)
+    assert la.invertible(np.diag([1.0, 1e-10]))[0] is False
+    assert la.invertible(np.diag([1e12, 1.0]), tol=1e-9)[0] is False
+
+
+# ---------------------------------------------------------------------------
+# caches are kept per tolerance
+
+
+def test_center_is_cached_per_tolerance():
+    A = ex.matrix_algebra(2)[0]
+    assert A.center(tol=10.0).dim == 4
+    assert A.center().dim == 1
+    assert A.center() is A.center(tol=1e-9)
+
+
+def test_boundary_and_haar_are_cached_per_tolerance():
+    W = ex.group_weak_hopf(ex.symmetric_group_3(), [0, 1, 2])
+    assert W.boundary("L", tol=10.0).dim == 0
+    assert W.boundary("L").dim == 3
+    assert W.haar() is W.haar(tol=1e-9)
+    assert W.haar(tol=1e-8) is not W.haar()
+
+
+# ---------------------------------------------------------------------------
+# source guard: the rank rule lives in _linalg
+
+
+RANK_OWNER = "_linalg.py"
+
+
+def _rank_calls(source):
+    """(line, name) for every call of an SVD or of matrix_rank."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in ("svd", "matrix_rank"):
+                found.append((node.lineno, name))
+    return found
+
+
+def test_rank_guard_recognizes_the_calls_it_forbids():
+    source = """
+s = np.linalg.svd(a, compute_uv=False)
+r = np.linalg.matrix_rank(b)
+u = svd(c)
+n = la.rank(a)
+"""
+    assert _rank_calls(source) == [(2, "svd"), (3, "matrix_rank"), (4, "svd")]
+
+
+def test_rank_rule_lives_in_linalg():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    calls = {name: _rank_calls(src) for name, src in sources.items()
+             if name != RANK_OWNER}
+    assert {name: c for name, c in calls.items() if c} == {}
+    assert _rank_calls(sources[RANK_OWNER])
