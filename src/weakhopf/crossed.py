@@ -143,7 +143,8 @@ def _relations(MA, tol=None):
     basis = W.boundary("L", tol=tol).basis.T
     lb = W.alg.left_mult_matrix(basis)                               # columns: b e_i
     rb = M.right_mult_matrix(basis @ MA.image_data(tol=tol).mu.T)    # f_p (b |> 1)
-    blocks = np.kron(np.eye(M.dim)[None], lb) - np.kron(rb, np.eye(W.dim)[None])
+    blocks = np.kron(np.eye(M.dim)[None], lb)
+    blocks -= np.kron(rb, np.eye(W.dim)[None])
     return blocks.transpose(1, 0, 2).reshape(M.dim * W.dim, -1)
 
 
@@ -312,15 +313,15 @@ class RegularRep:
             return gram_inv @ mats.conj().swapaxes(-1, -2) @ gram
 
         # [s, s2]: tau(f^s) tau(f^s2) = tau(f^s f^s2) for both translations,
-        # which commute; tau(f^s)^dagger = tau(f^s*)
-        gaps = []
+        # which commute; tau(f^s)^dagger = tau(f^s*).  Each (dim A)^4 table
+        # is reduced before the next is formed.
+        worst = residual(np.matmul(self.tau_r[:, None], self.tau_l[None])
+                         - np.matmul(self.tau_l[None], self.tau_r[:, None]))
         for tau in (self.tau_r, self.tau_l):
-            gaps += [np.matmul(tau[:, None], tau[None])
-                     - np.tensordot(Wd.alg.mult, tau, 1),
-                     dagger(tau) - np.tensordot(Wd.alg.star, tau, 1)]
-        gaps.append(np.matmul(self.tau_r[:, None], self.tau_l[None])
-                    - np.matmul(self.tau_l[None], self.tau_r[:, None]))
-        require(residual(*gaps), SLACK_COMPOSITE * t, AxiomViolation,
+            worst = residual(worst, np.matmul(tau[:, None], tau[None])
+                             - np.tensordot(Wd.alg.mult, tau, 1))
+            worst = residual(worst, dagger(tau) - np.tensordot(Wd.alg.star, tau, 1))
+        require(worst, SLACK_COMPOSITE * t, AxiomViolation,
                 "translation representations fail")
 
         AL = W.boundary("L", tol=tol)
