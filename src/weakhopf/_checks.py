@@ -4,14 +4,36 @@ A residual is the largest absolute entry of a difference table.  A check
 passes only when every entry is at most its bound, a tolerance times one of
 the slack levels of weakhopf.config, sometimes scaled by an operand norm.
 NaN is never at most anything, so a non-finite residual always fails.
+
+A table too large to hold at once is checked slice by slice along its
+leading index (row_slices, require_sliced, residual_over); the maximum over
+the slices is the maximum over the table, bit for bit, so the verdict, the
+residual and the reported location do not depend on the slicing.
 """
 
 import numpy as np
+
+# The one byte target of a sliced check: each slice of a table holds at
+# most this many bytes of complex entries, but never less than one row.
+SLICE_BYTES = 1 << 24
+
+
+def row_slices(rows, row_entries):
+    """Consecutive slices covering range(rows), each of as many rows of
+    row_entries complex entries as fit in SLICE_BYTES (at least one)."""
+    step = max(1, SLICE_BYTES // (16 * max(1, row_entries)))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def residual(*tables):
     """Largest absolute entry over all the tables; 0 when every table is
     empty, NaN whenever any entry is NaN."""
+    return residual_over(tables)
+
+
+def residual_over(tables):
+    """residual() of the tables of an iterable, taken one at a time, so a
+    generator of slices holds one slice at a time.  Stops at the first NaN."""
     worst = 0.0
     for t in tables:
         t = np.asarray(t)
@@ -29,6 +51,36 @@ def outside(values, bound):
     return ~(np.asarray(values) <= bound)
 
 
+def _worst(slices):
+    """(largest |entry|, its index tuple) over the (offset, table) slices of
+    one table, taken in order along its leading index: the first NaN, else
+    the first entry of the maximum in row-major order, as argmax finds it
+    on the whole table.  (0.0, None) when every slice is empty."""
+    worst, loc = None, None
+    for offset, gap in slices:
+        mags = np.abs(gap)
+        if not mags.size:
+            continue
+        m = float(mags.max())
+        if worst is not None and m <= worst:
+            continue                     # ties keep the earlier entry
+        ix = [int(i) for i in np.unravel_index(int(mags.argmax()), mags.shape)]
+        if ix:
+            ix[0] += offset
+        worst, loc = m, tuple(ix)
+        if m != m:
+            break                        # nothing later moves the first NaN
+    return (0.0 if worst is None else worst), loc
+
+
+def _settle(worst, loc, bound, exc, message, where):
+    if worst <= bound:
+        return
+    if callable(where):
+        where = where(loc)
+    raise exc(message, where=where, residual=worst)
+
+
 def require(gap, bound, exc, message, where=None):
     """Raise exc(message, where=..., residual=...) unless every entry of
     |gap| is at most bound.
@@ -39,16 +91,22 @@ def require(gap, bound, exc, message, where=None):
     NaN: its index tuple for a table (where=tuple reports that tuple), its
     key for a dict.  Any other where is reported as given.
     """
-    keys = list(gap) if isinstance(gap, dict) else None
-    mags = np.abs(np.asarray(list(gap.values()) if keys is not None else gap))
-    worst = float(mags.max()) if mags.size else 0.0
-    if worst <= bound:
-        return
-    if callable(where):
-        flat = int(mags.argmax())
-        where = where(keys[flat] if keys is not None else
-                      tuple(int(i) for i in np.unravel_index(flat, mags.shape)))
-    raise exc(message, where=where, residual=worst)
+    if isinstance(gap, dict):
+        keys = list(gap)
+        worst, loc = _worst([(0, np.asarray(list(gap.values())))])
+        loc = keys[loc[0]] if loc else None
+    else:
+        worst, loc = _worst([(0, gap)])
+    _settle(worst, loc, bound, exc, message, where)
+
+
+def require_sliced(slices, bound, exc, message, where=None):
+    """require() on a table given as an iterable of (offset, slice) pairs:
+    consecutive slices along its leading index, in order, each with the
+    index of its first row.  Raises with the same exception, message,
+    residual and location as require() on the whole table; only one slice
+    is held at a time when slices is a generator."""
+    _settle(*_worst(slices), bound, exc, message, where)
 
 
 def require_first(checks, bound, exc):

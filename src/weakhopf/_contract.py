@@ -16,6 +16,24 @@ Loops over pairs of basis vectors are replaced by one batched product
 against the multiplication table; every residual is still taken over the
 full index set.
 
+Slicing rule: a check whose difference table has four indices (n^4
+entries) forms it one slice of its leading index at a time, with the slice
+sizes of weakhopf._checks.row_slices (one fixed byte target), and reduces
+each slice at once through require_sliced or residual_over, which report
+the verdict, residual and location of the whole table.  Operands that
+every slice needs are formed once, before the slices.  So associativity,
+the module composition and product laws, axioms Ia and Ic, the
+contractions of t1 = (Delta (x) id) Delta behind IIIc, the antipode
+recovery and the projection identities, the coaction laws, and the
+translation and homomorphism checks of the regular representation hold
+one slice of their table at a time.  These checks still hold a four-index
+operand whole: axiom Ia its right half [(b, c), (j, v)] (n^4 entries); the
+module product law and the unit-coproduct splitting the act-mult table of
+split_product (dim A * dim M^3); coaction multiplicativity its [q, b, i, k]
+factor (dim M^2 * dim A^2); the translation exchange identity the products
+tau_l(f^u) ell(e_k) ((dim A)^4); and the regular homomorphism check its
+(t, b, c, p, r) factor.
+
 One identity of the package has a dense floor of n^6 flops with n^4
 intermediates: axiom Ia of the weak Hopf suite, Delta(xy) = Delta(x) Delta(y).
 Its right side cop[i,a,b] cop[j,c,d] mult[a,c,u] mult[b,d,v] is a ring in
@@ -40,15 +58,29 @@ def pair_products(mult, xs, ys):
     return np.matmul(ys.T, left)
 
 
-def split_product(coef, act, mult):
+def act_mult_table(act, mult):
+    """table[(v, a), (q, k)] = sum_b act[v, q, b] mult[a, b, k]: the
+    products f_a (e_v |> f_q), formed directly in the layout in which
+    split_product contracts them, so several calls can share one copy.
+    It has dim A * dim M^3 entries."""
+    nv, nq, _ = act.shape
+    na, _, nk = mult.shape
+    return np.matmul(act[:, None], mult[None]).reshape(nv * na, nq * nk)
+
+
+def split_product(coef, act, mult, table=None):
     """out[..., p, q, k] = sum coef[..., u, v] act[u, p, a] act[v, q, b]
     mult[a, b, k]: products (e_u |> f_p)(e_v |> f_q) weighted by a
     coproduct-shaped coefficient table.
 
-    Contracted as (coef . act) against (act . mult).  The second factor has
-    dim A * dim M^3 entries; with a two-index coef that exceeds the
-    dim M^3 result, and every other pairwise order builds a dim M^4 table.
+    Contracted as (coef . act) against the act_mult_table of act and mult,
+    which may be passed in as table.  That table has dim A * dim M^3
+    entries; with a two-index coef it exceeds the dim M^3 result, and every
+    other pairwise order builds a dim M^4 table.
     """
-    left = np.tensordot(coef, act, axes=([-2], [0]))          # [..., v, p, a]
-    right = np.tensordot(act, mult, axes=([2], [1]))          # [v, q, a, k]
-    return np.tensordot(left, right, axes=([-3, -1], [0, 2]))
+    if table is None:
+        table = act_mult_table(act, mult)
+    nv, npq, na = act.shape
+    left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -2, -3)  # [..., p, v, a]
+    out = left.reshape(-1, nv * na) @ table
+    return out.reshape(coef.shape[:-2] + (npq, npq, mult.shape[2]))

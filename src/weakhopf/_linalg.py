@@ -87,18 +87,49 @@ def orth_split(a, tol=None):
     return u[:, :r].copy(), u[:, r:].copy()
 
 
-def solve(a, b, tol=None):
-    """Least-squares solve accepted only when the residual is below tol."""
+def pseudo_inverse(a, tol=None):
+    """Moore-Penrose pseudo-inverse of a under the rank rule: singular
+    values at or below the cutoff are dropped, not inverted."""
+    a = _as_matrix(a)
+    if a.size == 0 or not np.any(a):
+        return np.zeros(a.shape[::-1], dtype=complex)
+    u, s, vh = _svd(a, full_matrices=False)
+    r = int(np.sum(s > _cutoff(s, tol)))
+    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
+
+
+def _solve(a, b, tol, full_matrices=False):
+    """(minimum-norm least-squares solution of a x = b under the rank rule,
+    right singular vectors vh of a, rank of a), all from one SVD of a, the
+    solution accepted only when its residual is below tol.  With
+    full_matrices, vh is the full right singular basis."""
     a = _as_matrix(a)
     b = np.asarray(b, dtype=complex)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    n = a.shape[1]
+    if a.size == 0 or not np.any(a):
+        x, vh, r = np.zeros((n,) + b.shape[1:], dtype=complex), np.eye(n, dtype=complex), 0
+    else:
+        u, s, vh = _svd(a, full_matrices=full_matrices)
+        r = int(np.sum(s > _cutoff(s, tol)))
+        coef = u[:, :r].conj().T @ b
+        coef /= s[:r].reshape((r,) + (1,) * (b.ndim - 1))
+        x = vh[:r].conj().T @ coef
     require(a @ x - b, tolerance(tol), NoSolution, "linear system has no solution")
-    return x
+    return x, vh, r
+
+
+def solve(a, b, tol=None):
+    """Least-squares solve accepted only when the residual is below tol."""
+    return _solve(a, b, tol)[0]
 
 
 def affine_solutions(a, b, tol=None):
-    """Particular solution plus orthonormal null-space basis of a x = b."""
-    return solve(a, b, tol=tol), null_space(a, tol=tol)
+    """Particular solution plus orthonormal null-space basis of a x = b,
+    both from one SVD of a; raises NoSolution like solve()."""
+    a = _as_matrix(a)
+    # the full right singular basis is needed; skip the big U on tall systems
+    x, vh, r = _solve(a, b, tol, full_matrices=a.shape[0] < a.shape[1])
+    return x, vh[r:].conj().T.copy()
 
 
 def _off_span(basis, vecs, tol):

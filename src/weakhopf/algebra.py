@@ -14,7 +14,7 @@ Conventions, fixed once for the whole package:
 import numpy as np
 
 from . import _linalg as la
-from ._checks import require, residual
+from ._checks import require, require_sliced, residual, row_slices
 from ._contract import pair_products
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, tolerance
 from .errors import (
@@ -124,11 +124,12 @@ class StarAlgebra:
             self._cache["gram"] = self.star @ (self.mult @ tr)
         return self._cache["gram"]
 
-    def gram_factor(self):
+    def gram_factor(self, tol=None):
         """(C, C_inv) with trace_gram = C^* C; orthonormalizes the basis."""
-        if "gramfac" not in self._cache:
-            self._cache["gramfac"] = la.gram_sqrt(self.trace_gram())
-        return self._cache["gramfac"]
+        key = ("gramfac", tolerance(tol))
+        if key not in self._cache:
+            self._cache[key] = la.gram_sqrt(self.trace_gram(), tol=tol)
+        return self._cache[key]
 
     def full_subspace(self, tol=None):
         return Subspace(self, np.eye(self.dim, dtype=complex), tol=tol)
@@ -265,11 +266,17 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None, check_cstar=True)
     tol = tolerance(tol)
     n = A.dim
 
-    # (e_i e_j) e_k and e_i (e_j e_k), both laid out [i, j, k, q]
-    lhs = np.tensordot(A.mult, A.mult, 1)
-    lhs -= np.matmul(A.mult.reshape(n * n, n), A.mult).reshape(n, n, n, n)
-    require(lhs, tol, AssociativityViolation, "associativity fails",
-            where=lambda ix: tuple(A.labels[i] for i in ix[:3]))
+    # (e_i e_j) e_k and e_i (e_j e_k), both laid out [i, j, k, q], one
+    # slice of i at a time
+    def associators(rows):
+        gap = (A.mult[rows].reshape(-1, n) @ A.mult.reshape(n, n * n)) \
+            .reshape(-1, n, n, n)
+        gap -= np.matmul(A.mult.reshape(n * n, n), A.mult[rows]).reshape(gap.shape)
+        return rows.start, gap
+
+    require_sliced(map(associators, row_slices(n, n ** 3)), tol,
+                   AssociativityViolation, "associativity fails",
+                   where=lambda ix: tuple(A.labels[i] for i in ix[:3]))
 
     # left and right unit laws stacked as [side, i, :]; the failing row names e_i
     units = np.stack([A.left_mult_matrix(A.unit).T, A.right_mult_matrix(A.unit).T])
@@ -310,7 +317,7 @@ def left_regular_rep(A):
 
 def _hermitian_part(A, x, tol=None):
     """L_x conjugated into the orthonormal basis of the trace form."""
-    c, c_inv = A.gram_factor()
+    c, c_inv = A.gram_factor(tol)
     h = c @ A.left_mult_matrix(x) @ c_inv
     return (h + h.conj().T) / 2.0, residual(h - h.conj().T)
 
@@ -321,7 +328,7 @@ def is_positive(a, tol=None):
     A = a.parent
     require(a.star().coords - a.coords, tol * max(1.0, a.norm()), NotSelfAdjoint,
             "element is not self-adjoint")
-    h, skew = _hermitian_part(A, a.coords)
+    h, skew = _hermitian_part(A, a.coords, tol)
     return bool(np.linalg.eigvalsh(h).min() > -tol * max(1.0, a.norm()))
 
 
@@ -332,8 +339,8 @@ def sqrt_positive(a, tol=None):
     if not is_positive(a, tol=tol):
         raise NotPositive("element is not positive")
     A = a.parent
-    c, c_inv = A.gram_factor()
-    h, _ = _hermitian_part(A, a.coords)
+    c, c_inv = A.gram_factor(tol)
+    h, _ = _hermitian_part(A, a.coords, tol)
     w, v = np.linalg.eigh(h)
     w = np.where(w < 0.0, 0.0, w)
     op = c_inv @ (v * np.sqrt(w)) @ v.conj().T @ c
@@ -349,8 +356,8 @@ def positive_power(a, exponent, tol=None):
     if not is_positive(a, tol=tol):
         raise NotPositive("element is not positive")
     A = a.parent
-    c, c_inv = A.gram_factor()
-    h, _ = _hermitian_part(A, a.coords)
+    c, c_inv = A.gram_factor(tol)
+    h, _ = _hermitian_part(A, a.coords, tol)
     w, v = np.linalg.eigh(h)
     if w.min() <= tol:
         raise Singular("element is not invertible, cannot take complex powers")

@@ -7,7 +7,7 @@ extension, Temperley-Lieb elements, and relative-commutant reports.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import outside, require, residual
+from ._checks import outside, require, require_sliced, residual, residual_over, row_slices
 from ._contract import pair_products
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
 from .config import SLACK_COMPOSITE, SLACK_SOLVED, tolerance
@@ -291,12 +291,14 @@ class RegularRep:
         return np.moveaxis(self._block_products(x[np.newaxis], y[np.newaxis])[0, 0],
                            -1, 0)
 
-    def _block_products(self, xs, ys):
+    def _block_products(self, xs, ys, right=None):
         """out[s, t, a, c, r] = (xs[s] * ys[t]) in block coordinates.  The
-        (t, b, c, p, r) middle table has dim M / (batch of xs) times the
+        (t, b, c, p, r) middle table of ys, which may be passed in as right
+        when several calls share it, has dim M / (batch of xs) times the
         entries of the result, so it stays within it while dim M <= len(xs)."""
-        mult = self.X.base.target.mult
-        right = np.tensordot(ys, mult, axes=([1], [1]))           # [t, b, c, p, r]
+        if right is None:
+            mult = self.X.base.target.mult
+            right = np.tensordot(ys, mult, axes=([1], [1]))       # [t, b, c, p, r]
         return np.moveaxis(np.tensordot(xs, right, axes=([1, 3], [3, 1])), 2, 1)
 
     def block_star(self, x):
@@ -313,14 +315,21 @@ class RegularRep:
             return gram_inv @ mats.conj().swapaxes(-1, -2) @ gram
 
         # [s, s2]: tau(f^s) tau(f^s2) = tau(f^s f^s2) for both translations,
-        # which commute; tau(f^s)^dagger = tau(f^s*).  Each (dim A)^4 table
-        # is reduced before the next is formed.
-        worst = residual(np.matmul(self.tau_r[:, None], self.tau_l[None])
-                         - np.matmul(self.tau_l[None], self.tau_r[:, None]))
-        for tau in (self.tau_r, self.tau_l):
-            worst = residual(worst, np.matmul(tau[:, None], tau[None])
-                             - np.tensordot(Wd.alg.mult, tau, 1))
-            worst = residual(worst, dagger(tau) - np.tensordot(Wd.alg.star, tau, 1))
+        # which commute; tau(f^s)^dagger = tau(f^s*).  The (dim A)^4 tables
+        # are formed one slice of s at a time.
+        tau_r, tau_l = self.tau_r, self.tau_l
+        da = tau_r.shape[0]
+
+        def gaps(rows):
+            yield np.matmul(tau_r[rows, None], tau_l[None]) \
+                - np.matmul(tau_l[None], tau_r[rows, None])
+            for tau in (tau_r, tau_l):
+                yield np.matmul(tau[rows, None], tau[None]) \
+                    - np.tensordot(Wd.alg.mult[rows], tau, 1)
+
+        worst = residual_over(g for rows in row_slices(da, da ** 3) for g in gaps(rows))
+        worst = residual(worst, *(dagger(tau) - np.tensordot(Wd.alg.star, tau, 1)
+                                  for tau in (tau_r, tau_l)))
         require(worst, SLACK_COMPOSITE * t, AxiomViolation,
                 "translation representations fail")
 
@@ -331,14 +340,20 @@ class RegularRep:
         require(gaps, SLACK_COMPOSITE * t, AxiomViolation,
                 "boundary translation identity fails")
 
-        # ell(a) tau_l(phi) = tau_l(phi(1)) <phi(2)|a(1)> ell(a(2))
+        # ell(a) tau_l(phi) = tau_l(phi(1)) <phi(2)|a(1)> ell(a(2)), as
+        # [i, s, a, c], one slice of i at a time against the (dim A)^4 table
+        # of products tau_l(f^u) ell(e_k)
         cop, multa = W.cop, A.mult
-        lhs = np.einsum("iab,sbc->isac", self.ell, self.tau_l, optimize=True)
-        pairing = np.tensordot(multa, cop, axes=([1], [1]))            # [u, s, i, k]
-        blocks = np.tensordot(self.tau_l, self.ell, axes=([2], [1]))   # [u, a, k, c]
-        rhs = np.tensordot(pairing, blocks, axes=([0, 3], [0, 2])).transpose(1, 0, 2, 3)
-        require(lhs - rhs, SLACK_COMPOSITE * t, AxiomViolation,
-                "translation exchange identity fails")
+        blocks = np.tensordot(tau_l, self.ell, axes=([2], [1]))        # [u, a, k, c]
+
+        def exchange(rows):
+            lhs = np.matmul(self.ell[rows, None], tau_l[None])         # [i, s, a, c]
+            pairing = np.tensordot(multa, cop[rows], axes=([1], [1]))  # [u, s, i, k]
+            rhs = np.tensordot(pairing, blocks, axes=([0, 3], [0, 2]))  # [s, i, a, c]
+            return rows.start, lhs - rhs.transpose(1, 0, 2, 3)
+
+        require_sliced(map(exchange, row_slices(da, da ** 3)), SLACK_COMPOSITE * t,
+                       AxiomViolation, "translation exchange identity fails")
 
     def _check_homomorphism(self, tol=None):
         t = tolerance(tol)
@@ -346,11 +361,18 @@ class RegularRep:
         dim = XA.dim
         images = self.images
         flat = images.reshape(dim, -1)
-        # pi(e_alpha) pi(e_beta) = pi(e_alpha e_beta), as [alpha, beta, a, c, q]
-        prods = (XA.mult.reshape(dim * dim, dim) @ flat).reshape(
-            (dim, dim) + images.shape[1:])
+        # pi(e_alpha) pi(e_beta) = pi(e_alpha e_beta), as [alpha, beta, a, c, q],
+        # one slice of alpha at a time
+        right = np.tensordot(images, self.X.base.target.mult, axes=([1], [1]))
+
+        def products(rows):
+            prods = (XA.mult[rows].reshape(-1, dim) @ flat).reshape(
+                (-1, dim) + images.shape[1:])
+            return self._block_products(images[rows], images, right) \
+                - np.moveaxis(prods, 2, -1)
+
         worst = residual(
-            self._block_products(images, images) - np.moveaxis(prods, 2, -1),
+            residual_over(map(products, row_slices(dim, dim * flat.shape[1]))),
             self.block_star(images) - (XA.star @ flat).reshape(images.shape))
         require(worst, SLACK_COMPOSITE * t, AxiomViolation, "regular homomorphism fails")
         if la.rank(self.images.reshape(dim, -1).T, tol=tol) != dim:
@@ -402,22 +424,15 @@ class GnsCross:
 
         self.gram_big = np.kron(gns.gram, reg.gram_a)
 
-        def pi_cros(x):
-            blocks = reg.apply(x)
-            out = np.zeros((dm * da, dm * da), dtype=complex)
-            for r in range(dm):
-                out += np.kron(M.mult[r].T, blocks[r])
-            return out
-
-        self.pi_cros = pi_cros
-        self.p_op = pi_cros(X.algebra.unit)
+        self._ell_m = M.left_mult_matrix(np.eye(dm))             # [r]: L_(f_r)
+        self.p_op = self.pi_cros(X.algebra.unit)
         self.omega_a = np.kron(M.unit, A.unit)
         self.omega_cros = self.p_op @ self.omega_a
 
         hd = W.haar(tol=tol)
         l0 = hd.h * invert(hd.g_l, tol=tol)
         lifted = X.proj.reshape(X.dim, dm, da) @ l0.coords    # classes of f_p (x) l0
-        self.v_iso = np.array([pi_cros(x) @ self.omega_a for x in lifted.T]).T
+        self.v_iso = (self.pi_cros(lifted.T) @ self.omega_a).T
 
         gb = self.gram_big
 
@@ -431,21 +446,31 @@ class GnsCross:
         require(vdag @ self.v_iso - np.eye(dm), SLACK_COMPOSITE * t, AxiomViolation,
                 "compression is not an isometry")
 
+    def pi_cros(self, x):
+        """The regular representation sum_r L_(f_r) (x) pi(x)_r on
+        M (x) A, for one coordinate vector or a stack of them (leading axes
+        of x)."""
+        x = np.asarray(x, dtype=complex)
+        n = self._ell_m.shape[1] * self.reg.images.shape[2]
+        blocks = np.tensordot(x, self.reg.images, 1)                     # [..., r, a, b]
+        out = np.tensordot(blocks, self._ell_m, axes=([-3], [0]))        # [..., a, b, s, t]
+        return np.moveaxis(out, [-2, -1], [-4, -2]).reshape(x.shape[:-1] + (n, n))
+
     def pi_omega(self, x):
         """Extended GNS representation on the base space: compression of
-        the regular representation by the isometry."""
+        the regular representation by the isometry; stacked like pi_cros."""
         return self.v_dagger @ self.pi_cros(x) @ self.v_iso
 
     def direct_pi_omega(self, x):
-        """|m'> -> |m (a |> m')> computed straight from the action."""
+        """|m'> -> |m (a |> m')> computed straight from the action, for
+        x = sum m (x) a; stacked like pi_cros."""
         X = self.X
         MA = X.base
-        M = MA.target
-        v = X.lift_coords(x)
-        out = np.zeros((M.dim, M.dim), dtype=complex)
-        for p in range(M.dim):
-            out += M.mult[p].T @ MA.act_op(v[p])
-        return out
+        x = np.asarray(x, dtype=complex)
+        v = (x @ X.lift.T).reshape(x.shape[:-1] + (MA.target.dim, -1))   # [..., p, i]
+        moved = np.tensordot(v, MA.act, 1)                                # [..., p, m', t]
+        out = np.tensordot(moved, self._ell_m, axes=([-3, -1], [0, 2]))  # [..., m', s]
+        return out.swapaxes(-1, -2)
 
     def state_cros(self, x):
         return self.inner_big(self.omega_cros, self.pi_cros(x) @ self.omega_cros)
@@ -463,12 +488,12 @@ class GnsCross:
 
         Ehat = hat_expectation(X, hd.hhat, tol=tol)
         basis = np.eye(dim)
-        gaps = []
-        for x in basis:
-            mpart = np.linalg.lstsq(X.embed_m, Ehat.apply_coords(x),
-                                    rcond=None)[0]
-            gaps.append(self.state_cros(x) - self.base_gns.omega @ mpart)
-        r["state_through_expectation"] = residual(gaps)
+        ops = self.pi_cros(basis)                                  # [k]: pi(e_k)
+        orbit = (ops @ self.omega_cros).T
+        # the state of e_k against the M part of E(e_k), column k
+        states = np.conj(self.omega_cros) @ self.gram_big @ orbit
+        mparts = la.pseudo_inverse(X.embed_m, tol=tol) @ Ehat.table
+        r["state_through_expectation"] = residual(states - self.base_gns.omega @ mparts)
 
         norm_a = np.sqrt(self.inner_big(self.omega_a, self.omega_a).real)
         norm_c = np.sqrt(self.inner_big(self.omega_cros, self.omega_cros).real)
@@ -477,30 +502,27 @@ class GnsCross:
         r["norm_match"] = abs(norm_c - np.sqrt(
             self.base_gns.inner(M.unit, M.unit).real))
 
-        orbit = np.array([self.pi_cros(x) @ self.omega_cros for x in basis]).T
         r["cyclic_rank_gap"] = la.rank(self.p_op, tol=tol) \
             - la.rank(orbit, tol=tol)
         r["separating"] = 0.0 if la.rank(orbit, tol=tol) == dim else 1.0
 
-        r["compressed_representation"] = residual(*(
-            self.pi_omega(x) - self.direct_pi_omega(x) for x in basis))
+        r["compressed_representation"] = residual(
+            self.v_dagger @ ops @ self.v_iso - self.direct_pi_omega(basis))
 
-        # V V^# as the range projection onto |m a g_L l_0>
+        # V V^# as the range projection onto |m a g_L l_0>, for every
+        # class of f_p (x) e_i, as [p, i, :]
         l0 = hd.h * invert(hd.g_l, tol=tol)
         gl0 = (hd.g_l * l0).coords
-        worst = worst_a = 0.0
         mu = MA.image_data(tol=tol).mu
         A = W.alg
         blocks = X.proj.reshape(dim, dm, A.dim)
-        for p in range(dm):
-            for i in range(A.dim):
-                vec = self.pi_cros(blocks[:, p, i]) @ self.omega_a
-                # V^# |m a> = |m mu(a g_L)>
-                target = (mu @ (hd.g_l.coords @ A.mult[i])) @ M.mult[p]
-                worst_a = residual(worst_a, self.v_dagger @ vec - target)
-                back = blocks[:, p] @ (gl0 @ A.mult[i])
-                worst = residual(worst, self.v_iso @ self.v_dagger @ vec
-                                 - self.pi_cros(back) @ self.omega_a)
+        vecs = self.pi_cros(blocks.transpose(1, 2, 0)) @ self.omega_a
+        # V^# |m a> = |m mu(a g_L)>
+        targets = (A.right_mult_matrix(hd.g_l.coords).T @ mu.T) @ M.mult  # [p, i, :]
+        worst_a = residual(vecs @ self.v_dagger.T - targets)
+        back = blocks.transpose(1, 0, 2) @ A.right_mult_matrix(gl0)         # [p, :, i]
+        worst = residual(vecs @ (self.v_iso @ self.v_dagger).T
+                         - self.pi_cros(back.transpose(0, 2, 1)) @ self.omega_a)
         r["compression_formula"] = worst_a
         r["range_projection_formula"] = worst
         return r

@@ -19,7 +19,7 @@ same arrow methods serve A acting on A^ and A^ acting on A.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import outside, require, require_first, residual
+from ._checks import outside, require, require_first, residual, residual_over, row_slices
 from ._contract import pair_products
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, tolerance
@@ -258,15 +258,20 @@ def verify_weak_hopf(W, tol=None):
 
     Every identity is a chain of pairwise products (see weakhopf._contract).
     The antipode enters through four (n^2, n) tables [(x, y), q] that are
-    formed once: S(x) y, x S(y), S^-1(y) x and y S^-1(x).  The n^4 table
-    t1 = (Delta (x) id) Delta is formed once, in the layout [i, x, y, z]:
-    contracting its legs (x, y) is a batched product and (y, z) one GEMM.
-    Every other n^4 temporary is freed once its residual is taken.
+    formed once: S(x) y, x S(y), S^-1(y) x and y S^-1(x).  The n^4 tables
+    are formed one slice of their leading index i at a time (see
+    weakhopf._checks): the two sides of Ia by row blocks, and
+    t1 = (Delta (x) id) Delta in the layout [i, x, y, z], whose slices feed
+    Ic and the n^3 contractions over its legs (x, y) (a batched product)
+    and (y, z) (one GEMM) behind IIIc, the antipode recovery and the four
+    projection identities.  The right half of Ia is the one n^4 operand
+    held whole.
     """
     A, cop, eps, smat = W.alg, W.cop, W.counit, W.antipode
     mult, unit, n = A.mult, A.unit, A.dim
     m2 = mult.reshape(n * n, n)            # [(i, j), k]
     c2 = cop.reshape(n, n * n)             # [i, (j, k)]
+    blocks = row_slices(n, n ** 3)
     r = {}
 
     # a non-finite antipode is reported as not invertible, not factored
@@ -276,36 +281,53 @@ def verify_weak_hopf(W, tol=None):
     # Ia, both sides in the layout [(i, u), (j, v)].  The right side
     # cop[i,a,b] cop[j,c,d] mult[a,c,u] mult[b,d,v] is a ring of four
     # tables: its two halves [(i, u), (b, c)] and [(b, c), (j, v)] are
-    # batched products, and their product is the one n^6 GEMM of the suite.
+    # batched products, and their product is the one n^6 GEMM of the suite,
+    # taken one block of rows i at a time against the whole second half.
     cop_ib = np.ascontiguousarray(cop.transpose(0, 2, 1))       # [i, b, a]
     cop_cj = np.ascontiguousarray(cop.transpose(1, 0, 2))       # [c, j, d]
     mult_u = np.ascontiguousarray(mult.transpose(2, 0, 1))      # [u, a, c]
-    left = np.matmul(cop_ib[:, None], mult_u[None])             # [i, u, b, c]
-    right = np.matmul(cop_cj[None], mult[:, None])              # [b, c, j, v]
-    gap = (left.reshape(n * n, n * n) @ right.reshape(n * n, n * n)) \
-        .reshape(n, n, n, n)
-    del left, right
-    gap -= (m2 @ c2).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    r["Ia"] = residual(gap)
-    del gap
+    right = np.matmul(cop_cj[None], mult[:, None]).reshape(n * n, n * n)
+
+    def ia(rows):
+        left = np.matmul(cop_ib[rows, None], mult_u[None])      # [i, u, b, c]
+        gap = (left.reshape(-1, n * n) @ right).reshape(-1, n, n, n)
+        del left
+        gap -= (mult[rows].reshape(-1, n) @ c2).reshape(gap.shape).transpose(0, 2, 1, 3)
+        return gap
+
+    r["Ia"] = residual_over(map(ia, blocks))
+    del right
 
     r["Ib"] = residual((A.star @ c2).reshape(n, n, n)
                        - A.star.T @ np.conj(cop) @ A.star)
 
-    t1 = np.matmul(c2.T, cop).reshape(n, n, n, n)               # [i, x, y, z]
-    t1_yz = t1.reshape(n * n, n * n)                            # [(i, x), (y, z)]
-    gap = cop.reshape(n * n, n) @ c2
-    gap -= t1_yz
-    r["Ic"] = residual(gap)
-    del gap
+    # the antipode tables [(x, y), q]
+    s_xy = np.tensordot(smat, mult, axes=([0], [0])).reshape(n * n, n)
+    x_sy = np.matmul(smat.T, mult).reshape(n * n, n)
+    if s_invertible:
+        siy_x = np.matmul(sinv.T, mult.transpose(1, 0, 2)).reshape(n * n, n)
+        y_six = np.tensordot(sinv, mult, axes=([0], [1])).reshape(n * n, n)
 
-    def over_xy(table):
-        """sum_{x,y} t1[i,x,y,z] table[(x, y), q] at [i, q, z]."""
-        return np.matmul(table.T, t1.reshape(n, n * n, n))
-
-    def over_yz(table):
-        """sum_{y,z} t1[i,x,y,z] table[(y, z), q] at [i, x, q]."""
-        return (t1_yz @ table).reshape(n, n, n)
+    # Ic on each slice of t1, and the contractions of t1 against antipode
+    # tables: over (x, y) at [i, q, z], over (y, z) at [i, x, q]
+    over_xy = {"S(x)y": s_xy, "xS(y)": x_sy}
+    over_yz = {"xS(y)": x_sy}
+    if s_invertible:
+        over_xy["yS^-1(x)"] = y_six
+        over_yz["S^-1(y)x"] = siy_x
+    xy = {k: np.empty((n, n, n), dtype=complex) for k in over_xy}
+    yz = {k: np.empty((n, n, n), dtype=complex) for k in over_yz}
+    r["Ic"] = 0.0
+    for rows in blocks:
+        t1 = np.matmul(c2.T, cop[rows])                          # [i, (x, y), z]
+        for k, table in over_xy.items():
+            xy[k][rows] = np.matmul(table.T, t1)
+        t1 = t1.reshape(-1, n * n)                               # [(i, x), (y, z)]
+        for k, table in over_yz.items():
+            yz[k][rows] = (t1 @ table).reshape(-1, n, n)
+        t1 -= cop[rows].reshape(-1, n) @ c2
+        r["Ic"] = residual(r["Ic"], t1)
+        del t1
 
     D1 = (unit @ c2).reshape(n, n)
     D3 = (c2.T @ D1).reshape(n, n, n)
@@ -327,16 +349,14 @@ def verify_weak_hopf(W, tol=None):
                               .transpose(1, 0, 2))
 
     # antipode axioms; the counital maps provide the right-hand sides
-    s_xy = np.tensordot(smat, mult, axes=([0], [0])).reshape(n * n, n)
-    x_sy = np.matmul(smat.T, mult).reshape(n * n, n)
     sxy = (c2 @ s_xy).T                                          # S(x1)x2
     xys = (c2 @ x_sy).T                                          # x1 S(x2)
     r["IIIa"] = residual(sxy - D1 @ E2.T)
     r["IIIb"] = residual(xys - D1.T @ E2)
-    proj_l = over_xy(s_xy)                                       # S(x1)x2 (x) x3
+    proj_l = xy["S(x)y"]                                         # S(x1)x2 (x) x3
     r["IIIc"] = residual((proj_l.reshape(n, n * n) @ x_sy).T - smat)
 
-    rec = over_xy(x_sy).reshape(n, n * n) @ m2                   # x1 S(x2) x3
+    rec = xy["xS(y)"].reshape(n, n * n) @ m2                     # x1 S(x2) x3
     r["coproduct_antipode_recovery"] = residual(rec.T - eye)
 
     r["antipode_antimultiplicative"] = residual(
@@ -350,19 +370,16 @@ def verify_weak_hopf(W, tol=None):
         lhs = A.star.T @ np.conj(smat) @ np.conj(A.star).T
         r["antipode_star_inverse"] = residual(lhs - sinv)
 
-        siy_x = np.matmul(sinv.T, mult.transpose(1, 0, 2)).reshape(n * n, n)
-        y_six = np.tensordot(sinv, mult, axes=([0], [1])).reshape(n * n, n)
-
         # each left side is compared position by position with its
         # right side, in the index order the identity is written in
         r["projection_identity_L"] = residual(proj_l - np.matmul(D1, mult))
         rhs = (D1.T @ mult.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
-        r["projection_identity_R"] = residual(over_yz(x_sy) - rhs)
+        r["projection_identity_R"] = residual(yz["xS(y)"] - rhs)
         r["projection_identity_L_inv"] = residual(
-            over_yz(siy_x).transpose(0, 2, 1) - np.matmul(D1.T, mult))
+            yz["S^-1(y)x"].transpose(0, 2, 1) - np.matmul(D1.T, mult))
         rhs = (D1 @ mult.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
         r["projection_identity_R_inv"] = residual(
-            over_xy(y_six).transpose(0, 2, 1) - rhs)
+            xy["yS^-1(x)"].transpose(0, 2, 1) - rhs)
 
         # the four counital factorizations and their sandwich laws
         EL, ER = W.counital("L"), W.counital("R")

@@ -6,8 +6,15 @@ quasi-bases, implementers/outerness, GNS and modular data, Galois tests.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import outside, require, require_first, residual
-from ._contract import pair_products, split_product
+from ._checks import (
+    outside,
+    require,
+    require_first,
+    require_sliced,
+    residual,
+    row_slices,
+)
+from ._contract import act_mult_table, pair_products, split_product
 from .algebra import Element, Subspace, _homomorphism_gaps
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, tolerance
 from .errors import (
@@ -106,17 +113,31 @@ def make_module_algebra(W, M, act, tol=None):
     act = MA.act
     multa, multm = W.alg.mult, M.mult
     cop = W.cop
+    da, dm = W.dim, M.dim
 
-    lhs = np.tensordot(multa, act, 1)                                  # [i, j, p, q]
-    rhs = np.matmul(act.reshape(-1, M.dim), act).reshape(lhs.shape)   # [i, (j, p), q]
-    require(lhs - rhs, t, ActionAxiomViolation, "composition law fails", where=tuple)
+    # the two n^4 laws are checked one slice of the acting index i at a time
+    def composition(rows):
+        gap = np.tensordot(multa[rows], act, 1)                        # [i, j, p, q]
+        gap -= np.matmul(act.reshape(-1, dm), act[rows]).reshape(gap.shape)
+        return rows.start, gap
 
-    require(np.tensordot(W.alg.unit, act, 1) - np.eye(M.dim), t, ActionAxiomViolation,
+    require_sliced(map(composition, row_slices(da, da * dm * dm)), t,
+                   ActionAxiomViolation, "composition law fails", where=tuple)
+
+    require(np.tensordot(W.alg.unit, act, 1) - np.eye(dm), t, ActionAxiomViolation,
             "unit acts nontrivially", where=tuple)
 
-    lhs = np.matmul(multm.reshape(-1, M.dim), act).reshape(-1, M.dim, M.dim, M.dim)
-    require(lhs - split_product(cop, act, multm), t, ActionAxiomViolation,
-            "product law fails", where=tuple)
+    # e_i |> (f_p f_q) against (e_i(1) |> f_p)(e_i(2) |> f_q), as [i, p, q, k];
+    # the act-mult table is shared with the unit-coproduct splitting below
+    table = act_mult_table(act, multm)
+
+    def product_law(rows):
+        gap = np.matmul(multm.reshape(-1, dm), act[rows]).reshape(-1, dm, dm, dm)
+        gap -= split_product(cop[rows], act, multm, table)
+        return rows.start, gap
+
+    require_sliced(map(product_law, row_slices(da, max(da, dm) * dm * dm)), t,
+                   ActionAxiomViolation, "product law fails", where=tuple)
 
     lower = W.alg.star.T @ np.conj(W.antipode)  # columns: (e_i)_* = S(e_i)^*
     lhs = np.conj(act) @ M.star
@@ -130,7 +151,7 @@ def make_module_algebra(W, M, act, tol=None):
 
     # splitting of products through the coproduct of the unit
     D1 = W.delta_one()
-    require(split_product(D1, act, multm) - multm, t, ActionAxiomViolation,
+    require(split_product(D1, act, multm, table) - multm, t, ActionAxiomViolation,
             "unit-coproduct splitting fails", where=tuple)
     return MA
 
@@ -182,21 +203,32 @@ def to_coaction(MA, tol=None):
     rho = MA.coaction()
     t = tolerance(tol)
     Wd = W.dual()
-    dm = M.dim
+    dm, da = M.dim, W.dim
     multh = Wd.alg.mult
 
-    lhs = np.einsum("pqi,qrj->prji", rho, rho, optimize=True)
-    rhs = np.einsum("prk,kji->prji", rho, Wd.cop, optimize=True)
-    require(lhs - rhs, t, ActionAxiomViolation, "coaction coassociativity fails")
+    # the two n^4 laws are checked one slice of the coacted index p at a time
+    def coassociativity(rows):
+        lhs = np.tensordot(rho[rows], rho, axes=([1], [0]))              # [p, i, r, j]
+        rhs = (rho[rows].reshape(-1, da) @ Wd.cop.reshape(da, da * da)) \
+            .reshape(-1, dm, da, da)                                     # [p, r, j, i]
+        return rows.start, lhs - rhs.transpose(0, 3, 1, 2)
 
-    require(np.einsum("pqi,i->pq", rho, Wd.counit) - np.eye(dm), t,
-            ActionAxiomViolation, "coaction counit law fails")
+    require_sliced(map(coassociativity, row_slices(dm, dm * da * da)), t,
+                   ActionAxiomViolation, "coaction coassociativity fails")
 
-    lhs = np.tensordot(M.mult, rho, 1)                                 # [p, q, s, k]
-    first = np.tensordot(rho, M.mult, axes=([1], [0]))                 # [p, i, b, s]
-    second = np.tensordot(rho, multh, axes=([2], [1]))                 # [q, b, i, k]
-    rhs = np.tensordot(first, second, axes=([1, 2], [2, 1])).transpose(0, 2, 1, 3)
-    require(lhs - rhs, t, ActionAxiomViolation, "coaction is not multiplicative")
+    require(rho @ Wd.counit - np.eye(dm), t, ActionAxiomViolation,
+            "coaction counit law fails")
+
+    second = np.tensordot(rho, multh, axes=([2], [1]))                   # [q, b, i, k]
+
+    def multiplicativity(rows):
+        lhs = np.tensordot(M.mult[rows], rho, 1)                         # [p, q, s, k]
+        first = np.tensordot(rho[rows], M.mult, axes=([1], [0]))         # [p, i, b, s]
+        rhs = np.tensordot(first, second, axes=([1, 2], [2, 1]))         # [p, s, q, k]
+        return rows.start, lhs - rhs.transpose(0, 2, 1, 3)
+
+    require_sliced(map(multiplicativity, row_slices(dm, dm * dm * da)), t,
+                   ActionAxiomViolation, "coaction is not multiplicative")
 
     lhs = np.tensordot(M.star, rho, 1)
     rhs = np.matmul(M.star.T, np.conj(rho) @ Wd.alg.star)
@@ -204,9 +236,9 @@ def to_coaction(MA, tol=None):
 
     # weak unit laws: both products of rho(1) with the split dual unit
     # reproduce (id (x) Delta^)(rho(1))
-    rho1 = np.einsum("p,pqi->qi", M.unit, rho)
+    rho1 = np.tensordot(M.unit, rho, 1)
     D1h = Wd.delta_one()
-    target = np.einsum("qi,ijk->qjk", rho1, Wd.cop, optimize=True)
+    target = np.tensordot(rho1, Wd.cop, 1)
     lhs1 = np.tensordot(np.matmul(rho1, multh), D1h, axes=([0], [0]))
     require(lhs1 - target, t, ActionAxiomViolation, "coaction weak unit law fails")
     lhs2 = np.tensordot(np.tensordot(rho1, multh, 1), D1h, axes=([1], [0]))

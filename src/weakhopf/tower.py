@@ -110,7 +110,7 @@ def build_tower(MA, depth, omega0=None, tol=None, budget=DEFAULT_DIM_BUDGET):
         hd = current.hopf.haar(tol=tol)
         Ehat = hat_expectation(X, hd.hhat, tol=tol)
         prev_omega = levels[-1].state
-        em_pinv = np.linalg.pinv(X.embed_m)
+        em_pinv = la.pseudo_inverse(X.embed_m, tol=tol)
         omega_next = prev_omega @ em_pinv @ Ehat.table
         levels.append(TowerLevel(
             X.algebra, X.embed_m, module=X.as_module, crossed=X,
@@ -161,21 +161,17 @@ def basic_construction_check(MA, omega0=None, l=None, tol=None):
     if l is None:
         l = LeftIntegral(W, hd.h, tol=tol)
 
-    def pi(x):
-        return gc.direct_pi_omega(x)
-
     dm = M.dim
-    gens = [pi(X.embed_m[:, p]).reshape(-1) for p in range(dm)]
     e_l = jones_projection(l, tol=tol)
     e_x = X.embed_a @ e_l.coords
-    gens.append(pi(e_x).reshape(-1))
+    # the images of M's basis and of the Jones projection, flattened
+    gens = gc.direct_pi_omega(np.vstack([X.embed_m.T, e_x])).reshape(dm + 1, -1)
 
     def op_product(x, y):
         return (x.reshape(dm, dm) @ y.reshape(dm, dm)).reshape(-1)
 
-    generated = la.span_closure(np.array(gens).T, op_product, tol=tol)
-    image = la.orth(np.array([pi(x).reshape(-1) for x in np.eye(X.dim)]).T,
-                    tol=tol)
+    generated = la.span_closure(gens.T, op_product, tol=tol)
+    image = la.orth(gc.direct_pi_omega(np.eye(X.dim)).reshape(X.dim, -1).T, tol=tol)
     if not la.span_equal(generated, image, tol=tol):
         raise AxiomViolation("GNS image is not generated by M and the "
                              "Jones projection")
@@ -184,7 +180,7 @@ def basic_construction_check(MA, omega0=None, l=None, tol=None):
     lam = p_dual(l, tol=tol)
     Ehat = hat_expectation(X, lam, tol=tol)
     XA = X.algebra
-    em_pinv = np.linalg.pinv(X.embed_m)
+    em_pinv = la.pseudo_inverse(X.embed_m, tol=tol)
 
     # dual expectation sends the Jones projection to the unit
     pe = XA.product_coords(p.coords, e_x)

@@ -1,19 +1,29 @@
 """The shared failure rule: residual(), outside(), require() and
-require_first() in weakhopf._checks, the NaN cases it closes, and source
-guards that keep the rule in that one module and the rank rule in
-weakhopf._linalg.  Also: caches of tolerance-dependent data are kept per
-tolerance."""
+require_first() in weakhopf._checks, its streamed form require_sliced(),
+the NaN cases it closes, and source guards that keep the rule in that one
+module and the rank rule in weakhopf._linalg.  Also: caches of
+tolerance-dependent data are kept per tolerance."""
 
 import ast
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from weakhopf import _linalg as la
 from weakhopf import examples as ex
-from weakhopf._checks import outside, require, require_first, residual
-from weakhopf.algebra import make_star_algebra
+from weakhopf._checks import (
+    outside,
+    require,
+    require_first,
+    require_sliced,
+    residual,
+    residual_over,
+)
+from weakhopf.algebra import StarAlgebra, is_positive, make_star_algebra
 from weakhopf.errors import (
     ActionAxiomViolation,
     AssociativityViolation,
@@ -100,6 +110,89 @@ def test_require_names_the_worst_key():
     with pytest.raises(NoHaar) as info:
         require(checks, 1e-9, NoHaar, "fails", where=lambda name: name)
     assert info.value.where == "idempotent"
+
+
+# ---------------------------------------------------------------------------
+# the streamed form: gap slices along the leading index
+
+
+def _slices(gap, cuts):
+    bounds = [0] + list(cuts) + [len(gap)]
+    return [(a, gap[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _verdict(fn):
+    """None when fn passes, else (type, message, where, residual) with a NaN
+    residual written as 'nan' so verdicts compare equal."""
+    try:
+        fn()
+    except NoHaar as exc:
+        res = exc.residual
+        return type(exc), str(exc), exc.where, "nan" if res != res else res
+    return None
+
+
+def test_require_sliced_reports_the_whole_table():
+    gap = np.zeros((4, 3), dtype=complex)
+    gap[2, 1], gap[3, 0], gap[0, 2] = 3j, -3.0, 1.0       # a tie across slices
+    whole = _verdict(lambda: require(gap, 1.0, NoHaar, "fails", where=tuple))
+    assert whole == (NoHaar, "fails, at (2, 1), residual 3.000e+00", (2, 1), 3.0)
+    for cuts in ([], [1], [3], [1, 2, 3]):
+        assert _verdict(lambda: require_sliced(iter(_slices(gap, cuts)), 1.0, NoHaar,
+                                               "fails", where=tuple)) == whole
+    require_sliced([], 0.0, NoHaar, "unused")
+    require_sliced(_slices(gap, [2]), 3.0, NoHaar, "unused")
+
+
+def test_require_sliced_stops_at_the_first_nan():
+    gap = np.ones((5, 2))
+    gap[1, 1] = gap[3, 0] = np.nan
+    seen = []
+
+    def slices():
+        for offset in range(5):
+            seen.append(offset)
+            yield offset, gap[offset:offset + 1]
+
+    with pytest.raises(NoHaar) as info:
+        require_sliced(slices(), 10.0, NoHaar, "fails", where=tuple)
+    assert info.value.where == (1, 1) and np.isnan(info.value.residual)
+    assert seen == [0, 1]
+
+
+def test_residual_over_takes_one_table_at_a_time():
+    tables = (np.full(2, k) for k in (1.0, -3.0, 2.0))
+    assert residual_over(tables) == 3.0
+    assert residual_over([]) == 0.0
+    assert np.isnan(residual_over(iter([np.ones(2), np.array([np.nan])])))
+
+
+ENTRIES = [0.0, 1.0, -1.0, 1j, 2.0, -2j, 1 + 1j, 1e-12, np.nan, complex(1, np.nan),
+           np.inf, complex(0, -np.inf)]
+
+
+@st.composite
+def _sliced_tables(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4))
+    gap = draw(hnp.arrays(complex, shape, elements=st.sampled_from(ENTRIES)))
+    cuts = draw(st.sets(st.integers(1, max(1, shape[0] - 1)), max_size=shape[0]))
+    bound = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, np.inf]))
+    return gap, sorted(c for c in cuts if c < shape[0]), bound
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sliced_tables())
+def test_sliced_rule_agrees_with_the_whole_table(case):
+    """Random tables with NaN, inf and tied maxima, cut into random slices:
+    require_sliced and require give the same pass/fail, exception type,
+    message, residual and where, and residual_over equals residual."""
+    gap, cuts, bound = case
+    whole = _verdict(lambda: require(gap, bound, NoHaar, "fails", where=tuple))
+    sliced = _verdict(lambda: require_sliced(iter(_slices(gap, cuts)), bound, NoHaar,
+                                             "fails", where=tuple))
+    assert sliced == whole
+    got = residual_over(t for _, t in _slices(gap, cuts))
+    assert repr(got) == repr(residual(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +434,20 @@ def test_center_is_cached_per_tolerance():
     assert A.center() is A.center(tol=1e-9)
 
 
+def test_gram_factor_is_cached_per_tolerance():
+    # a trace form that is hermitian only to about 1e-7
+    A = ex.matrix_algebra(2)[0]
+    star = A.star.copy()
+    star[0, 1] += 1e-7
+    B = StarAlgebra(A.mult, A.unit, star)
+    with pytest.raises(NoSolution, match="hermitian"):
+        B.gram_factor()
+    loose = B.gram_factor(tol=1e-5)
+    assert B.gram_factor(tol=1e-5) is loose
+    # the positivity calculus factors the form under the caller's tolerance
+    assert is_positive(B.one, tol=1e-5)
+
+
 def test_boundary_and_haar_are_cached_per_tolerance():
     W = ex.group_weak_hopf(ex.symmetric_group_3(), [0, 1, 2])
     assert W.boundary("L", tol=10.0).dim == 0
@@ -357,13 +464,14 @@ RANK_OWNER = "_linalg.py"
 
 
 def _rank_calls(source):
-    """(line, name) for every call of an SVD or of matrix_rank."""
+    """(line, name) for every call of an SVD, of matrix_rank, or of the
+    SVD-backed pinv and lstsq, which apply numpy's own rank cutoffs."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in ("svd", "matrix_rank"):
+            if name in ("svd", "matrix_rank", "pinv", "lstsq"):
                 found.append((node.lineno, name))
     return found
 
@@ -378,9 +486,55 @@ n = la.rank(a)
     assert _rank_calls(source) == [(2, "svd"), (3, "matrix_rank"), (4, "svd")]
 
 
+def test_rank_guard_recognizes_pinv_and_lstsq():
+    source = """
+p = np.linalg.pinv(a)
+x, *_ = np.linalg.lstsq(a, b, rcond=None)
+q = la.pseudo_inverse(a)
+"""
+    assert _rank_calls(source) == [(2, "pinv"), (3, "lstsq")]
+
+
 def test_rank_rule_lives_in_linalg():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     calls = {name: _rank_calls(src) for name, src in sources.items()
              if name != RANK_OWNER}
     assert {name: c for name, c in calls.items() if c} == {}
     assert _rank_calls(sources[RANK_OWNER])
+
+
+# ---------------------------------------------------------------------------
+# solves and pseudo-inverses under the rank rule
+
+
+def test_affine_solutions_take_one_svd(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 7))      # rank 3
+    b = a @ rng.standard_normal(7)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(m, *args, **kwargs):
+        calls.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    x, ns = la.affine_solutions(a, b)
+    assert calls == [(12, 7)]
+    monkeypatch.undo()
+    ref = np.linalg.lstsq(a, b, rcond=None)[0]            # the minimum-norm solution
+    assert np.abs(x - ref).max() < 1e-12
+    assert ns.shape == (7, 4) and np.abs(a @ ns).max() < 1e-12
+    assert la.span_equal(ns, la.null_space(a))
+    with pytest.raises(NoSolution, match="no solution"):
+        la.affine_solutions(a, b + rng.standard_normal(12))
+
+
+def test_pseudo_inverse_drops_what_the_rank_rule_drops():
+    a = np.diag([2.0, 1e-12, 0.5])
+    assert np.abs(la.pseudo_inverse(a) - np.diag([0.5, 0.0, 2.0])).max() < 1e-15
+    assert np.abs(la.solve(a, np.array([1.0, 0.0, 1.0])) - [0.5, 0.0, 2.0]).max() < 1e-15
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    assert np.abs(la.pseudo_inverse(b) - np.linalg.pinv(b)).max() < 1e-12
+    assert la.pseudo_inverse(np.zeros((3, 2))).shape == (2, 3)

@@ -7,6 +7,8 @@ are compared through the residual and the first failing location that they
 report on perturbed tables; constructions are compared entry by entry.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from weakhopf import crossed as cr
 from weakhopf import examples as ex
 from weakhopf import integrals as itg
 from weakhopf import modules as mo
-from weakhopf.algebra import StarAlgebra
+from weakhopf.algebra import StarAlgebra, invert
 from weakhopf.errors import ActionAxiomViolation, AxiomViolation, NoHaar, NotFaithful
 from weakhopf.hopf import WeakHopfAlgebra
 
@@ -398,3 +400,86 @@ def test_condition_residual_matches_the_loop(rng):
                   for i in range(A.dim))
         got = itg.LeftIntegral(W, l, check=False).condition_residual()
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the GNS extension of the crossed product
+
+
+def _reference_pi_cros(gc, x):
+    M = gc.X.base.target
+    blocks = gc.reg.apply(x)
+    return sum(np.kron(M.mult[r].T, blocks[r]) for r in range(M.dim))
+
+
+def _reference_direct_pi_omega(gc, x):
+    MA = gc.X.base
+    M = MA.target
+    v = gc.X.lift_coords(x)
+    return sum(M.mult[p].T @ MA.act_op(v[p]) for p in range(M.dim))
+
+
+def _reference_report(gc):
+    """The four loop-built entries of GnsCross.report."""
+    X = gc.X
+    MA = X.base
+    W, M, A = MA.hopf, MA.target, MA.hopf.alg
+    hd = W.haar()
+    Ehat = cr.hat_expectation(X, hd.hhat)
+    basis = np.eye(X.dim)
+    r = {}
+    gaps = []
+    for x in basis:
+        mpart = np.linalg.lstsq(X.embed_m, Ehat.apply_coords(x), rcond=None)[0]
+        gaps.append(gc.state_cros(x) - gc.base_gns.omega @ mpart)
+    r["state_through_expectation"] = _mx(np.array(gaps))
+    r["compressed_representation"] = max(
+        _mx(gc.v_dagger @ _reference_pi_cros(gc, x) @ gc.v_iso
+            - _reference_direct_pi_omega(gc, x)) for x in basis)
+    gl0 = (hd.g_l * (hd.h * invert(hd.g_l))).coords
+    mu = MA.image_data().mu
+    blocks = X.proj.reshape(X.dim, M.dim, A.dim)
+    worst = worst_a = 0.0
+    for p in range(M.dim):
+        for i in range(A.dim):
+            vec = _reference_pi_cros(gc, blocks[:, p, i]) @ gc.omega_a
+            target = (mu @ (hd.g_l.coords @ A.mult[i])) @ M.mult[p]
+            worst_a = max(worst_a, _mx(gc.v_dagger @ vec - target))
+            back = blocks[:, p] @ (gl0 @ A.mult[i])
+            worst = max(worst, _mx(gc.v_iso @ gc.v_dagger @ vec
+                                   - _reference_pi_cros(gc, back) @ gc.omega_a))
+    r["compression_formula"] = worst_a
+    r["range_projection_formula"] = worst
+    return r
+
+
+@pytest.fixture(scope="module")
+def pauli_gns_cross():
+    _, MA = ex.m2_pauli_action()
+    M = MA.target
+    tr = M.trace_vector()
+    gns = mo.invariant_state(MA, tr / (tr @ M.unit))
+    return cr.gns_cross(cr.crossed_product(MA), gns)
+
+
+def test_gns_cross_representations_match_the_loops(rng, pauli_gns_cross):
+    gc = pauli_gns_cross
+    xs = _rand(rng, 3, gc.X.dim)
+    pis, directs = gc.pi_cros(xs), gc.direct_pi_omega(xs)
+    for x, pi, direct in zip(xs, pis, directs):
+        _close(pi, _reference_pi_cros(gc, x))
+        _close(gc.pi_cros(x), pi)
+        _close(direct, _reference_direct_pi_omega(gc, x))
+        _close(gc.direct_pi_omega(x), direct)
+        _close(gc.pi_omega(x), gc.v_dagger @ pi @ gc.v_iso)
+
+
+def test_gns_cross_report_matches_the_loops(rng, pauli_gns_cross):
+    # perturbed compression and state vectors make every entry of order 1e-3
+    gc = copy.copy(pauli_gns_cross)
+    gc.v_dagger = gc.v_dagger + 1e-3 * _rand(rng, *gc.v_dagger.shape)
+    gc.omega_cros = gc.omega_cros + 1e-3 * _rand(rng, *gc.omega_cros.shape)
+    got = gc.report()
+    for key, value in _reference_report(gc).items():
+        assert value > 1e-5
+        assert got[key] == pytest.approx(value, rel=1e-10), key
