@@ -21,8 +21,9 @@ from weakhopf.errors import ActionAxiomViolation, AssociativityViolation, AxiomV
 from weakhopf.hopf import WeakHopfAlgebra, verify_weak_hopf
 from weakhopf.modules import ModuleAlgebra, make_module_algebra, to_coaction
 
-# one row per slice, a few rows per slice, and the default target
-TARGETS = [1, 3 * 16 * 4 ** 3, _checks.SLICE_BYTES]
+# one row per slice, a few rows per slice, and the default target, under
+# which the tables of these small instances are one slice
+TARGETS = [1, 10_000, 100_000, _checks.SLICE_BYTES]
 
 
 @pytest.fixture
