@@ -34,12 +34,23 @@ factor (dim M^2 * dim A^2); the translation exchange identity the products
 tau_l(f^u) ell(e_k) ((dim A)^4); and the regular homomorphism check its
 (t, b, c, p, r) factor.
 
-One identity of the package has a dense floor of n^6 flops with n^4
-intermediates: axiom Ia of the weak Hopf suite, Delta(xy) = Delta(x) Delta(y).
+Support rule: one identity of the package, axiom Ia of the weak Hopf suite,
+Delta(xy) = Delta(x) Delta(y), costs n^6 flops when its tables are dense.
 Its right side cop[i,a,b] cop[j,c,d] mult[a,c,u] mult[b,d,v] is a ring in
 which every summed index joins two of the four tables, so every pairwise
 order builds an n^4 table and ends in an (n^2 x n^2)(n^2 x n^2) product.
-Every other identity costs at most n^5 flops.
+That product is taken by support_matmul, which sums each row i of the left
+half only over the inner indices (b, c) at which that row has a nonzero
+entry or the right half a non-finite one.  It is exact: the terms it drops
+are 0 * finite products, which are exact zeros, so every entry that is
+non-finite in the full product is non-finite here, a NaN or inf facing an
+exact-zero column still gives NaN, and the finite sums change only by
+rounding.  Rows that touch every inner index, as on every dense table,
+share one plain GEMM, the full product.  Rows with the same support share
+one gather of the right half's rows in it, freed before the next support
+is gathered.  On the group-type tables each row of C[S3] x_Ad S3 touches
+216 of its 1,296 inner indices.  Every other identity costs at most n^5
+flops.
 """
 
 import numpy as np
@@ -84,3 +95,38 @@ def split_product(coef, act, mult, table=None):
     left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -2, -3)  # [..., p, v, a]
     out = left.reshape(-1, nv * na) @ table
     return out.reshape(coef.shape[:-2] + (npq, npq, mult.shape[2]))
+
+
+def support_matmul(left, right, nonfinite_rows=None):
+    """out[r] = left[r] @ right for a stack left (R, m, K) and a matrix
+    right (K, N), each item summed only over its support: the inner indices
+    k at which left[r][:, k] has a nonzero entry or right[k] a non-finite
+    one (nonfinite_rows, a (K,) mask that may be passed in when right is
+    reused).  Only exact 0 * finite terms are dropped, so the result equals
+    the full product up to rounding and is non-finite where it is: a NaN or
+    inf facing an exact-zero column of an item still gives NaN.
+
+    Items with the same support share one gather of the rows of right in
+    that support, and each is one GEMM against it, written in place.  When
+    every item touches every inner index, the whole stack is one plain GEMM
+    against right, with no gather or copy.
+    """
+    nr, m, k = left.shape
+    nn = right.shape[1]
+    if nonfinite_rows is None:
+        nonfinite_rows = ~np.isfinite(right).all(axis=1)
+    support = (left != 0).any(axis=1) | nonfinite_rows          # [r, k]
+    if support.all():
+        return (left.reshape(nr * m, k) @ right).reshape(nr, m, nn)
+    out = np.empty((nr, m, nn), dtype=np.result_type(left, right))
+    groups = {}
+    for r, item in enumerate(support):
+        groups.setdefault(item.tobytes(), []).append(r)
+    for items in groups.values():
+        cols = support[items[0]]
+        cols = slice(None) if cols.all() else np.flatnonzero(cols)
+        rows = right[cols]
+        for r in items:
+            np.matmul(left[r][:, cols], rows, out=out[r])
+        del rows                    # before the next support is gathered
+    return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, require_first, residual, residual_over, row_slices
-from ._contract import pair_products
+from ._contract import pair_products, support_matmul
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, tolerance
 from .errors import AxiomViolation, ParentMismatch
@@ -265,7 +265,11 @@ def verify_weak_hopf(W, tol=None):
     Ic and the n^3 contractions over its legs (x, y) (a batched product)
     and (y, z) (one GEMM) behind IIIc, the antipode recovery and the four
     projection identities.  The right half of Ia is the one n^4 operand
-    held whole.
+    held whole.  Ia's n^6 product sums each row i only over the inner
+    indices at which that row has a nonzero entry or the right half a
+    non-finite one (weakhopf._contract.support_matmul): on the sparse
+    group-type tables it skips the exact zeros, on dense tables it is the
+    full GEMM.
     """
     A, cop, eps, smat = W.alg, W.cop, W.counit, W.antipode
     mult, unit, n = A.mult, A.unit, A.dim
@@ -280,17 +284,20 @@ def verify_weak_hopf(W, tol=None):
 
     # Ia, both sides in the layout [(i, u), (j, v)].  The right side
     # cop[i,a,b] cop[j,c,d] mult[a,c,u] mult[b,d,v] is a ring of four
-    # tables: its two halves [(i, u), (b, c)] and [(b, c), (j, v)] are
-    # batched products, and their product is the one n^6 GEMM of the suite,
-    # taken one block of rows i at a time against the whole second half.
+    # tables: its two halves [i, u, (b, c)] and [(b, c), (j, v)] are
+    # batched products, and their product is the one n^6 product of the
+    # suite, taken one block of rows i at a time against the whole second
+    # half, each row over its support in (b, c) (see support_matmul).
     cop_ib = np.ascontiguousarray(cop.transpose(0, 2, 1))       # [i, b, a]
     cop_cj = np.ascontiguousarray(cop.transpose(1, 0, 2))       # [c, j, d]
     mult_u = np.ascontiguousarray(mult.transpose(2, 0, 1))      # [u, a, c]
     right = np.matmul(cop_cj[None], mult[:, None]).reshape(n * n, n * n)
+    nonfinite = ~np.isfinite(right).all(axis=1)
 
     def ia(rows):
         left = np.matmul(cop_ib[rows, None], mult_u[None])      # [i, u, b, c]
-        gap = (left.reshape(-1, n * n) @ right).reshape(-1, n, n, n)
+        gap = support_matmul(left.reshape(-1, n, n * n), right, nonfinite)
+        gap = gap.reshape(-1, n, n, n)
         del left
         gap -= (mult[rows].reshape(-1, n) @ c2).reshape(gap.shape).transpose(0, 2, 1, 3)
         return gap

@@ -7,6 +7,7 @@ import weakhopf._linalg as la
 from weakhopf import _checks
 from weakhopf import examples as ex
 from weakhopf import hopf
+from weakhopf._contract import support_matmul
 from weakhopf.algebra import Element
 from weakhopf.errors import AxiomViolation, ParentMismatch
 
@@ -63,7 +64,8 @@ def test_non_finite_residuals_fail(cz2):
 
 def test_verify_memory(wz3s3, monkeypatch):
     # the suite's n^4 tables are formed one row of their leading index at a
-    # time; only the right half of axiom Ia is held whole, so the peak stays
+    # time; only the right half of axiom Ia is held whole, besides the rows
+    # of it in one support that a sparse row gathers, so the peak stays
     # within two complex n^4 tables
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
     n = wz3s3.dim
@@ -74,6 +76,24 @@ def test_verify_memory(wz3s3, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 16 * n ** 4
+
+
+def test_ia_sums_each_row_over_its_support(monkeypatch):
+    # on C[S3] x_Ad S3 each row i of Ia's left half [i, u, (b, c)] touches
+    # 216 of its 1,296 inner indices; the product must reach the kernel
+    # that skips the rest, not a dense GEMM
+    W = ex.group_weak_hopf(ex.symmetric_group_3(), list(range(6)))
+    n, seen = W.dim, []
+
+    def spy(left, right, nonfinite_rows=None):
+        seen.append((left != 0).any(axis=1).sum(axis=1))
+        assert right.shape == (n * n, n * n) and not nonfinite_rows.any()
+        return support_matmul(left, right, nonfinite_rows)
+
+    monkeypatch.setattr(hopf, "support_matmul", spy)
+    assert hopf.verify_weak_hopf(W).passed()
+    counts = np.concatenate(seen)
+    assert n == 36 and counts.size == n and (counts == 216).all()
 
 
 def test_double_dual_is_bit_exact(wz2z2, pauli):

@@ -11,13 +11,17 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from weakhopf import _contract
 from weakhopf import _linalg as la
 from weakhopf import crossed as cr
 from weakhopf import hopf
 from weakhopf import examples as ex
 from weakhopf import tower as tw
-from weakhopf._contract import pair_products, split_product
+from weakhopf._contract import pair_products, split_product, support_matmul
 from weakhopf.algebra import (
     StarAlgebra,
     Subspace,
@@ -94,6 +98,104 @@ def test_split_product(rng):
            np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult))
     _close(split_product(d1, act, mult),
            np.einsum("uv,upa,vqb,abk->pqk", d1, act, act, mult))
+
+
+def _stacked(left, right):
+    """The full product of every item, as one plain 2-D matmul."""
+    nr, m, k = left.shape
+    return np.matmul(left.reshape(nr * m, k), right).reshape(nr, m, right.shape[1])
+
+
+def _inner_sizes(monkeypatch):
+    """Record the inner dimension of every np.matmul call in _contract."""
+    sizes = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, **kw):
+            sizes.append(a.shape[-1])
+            return np.matmul(a, b, **kw)
+
+    monkeypatch.setattr(_contract, "np", Spy())
+    return sizes
+
+
+def test_support_matmul_full_items_are_one_plain_gemm(rng):
+    # every item touches every inner index, some through a single nonzero
+    # entry of its column: the result is the plain GEMM, bit for bit
+    left, right = _rand(rng, 4, 3, 7), _rand(rng, 7, 5)
+    left[:, 1:, 2] = 0
+    left[2, :, 4] = [0, 1e-300, 0]
+    assert np.array_equal(support_matmul(left, right), _stacked(left, right))
+
+
+def test_support_matmul_sums_each_item_over_its_support(rng, monkeypatch):
+    left, right = _rand(rng, 5, 3, 8), _rand(rng, 8, 6)
+    left[:, :, [1, 5]] = 0                        # dropped by every item
+    left[[0, 3], :, 2] = 0                        # items 0 and 3 share a support
+    left[4] = 0                                   # an item with no support
+    sizes = _inner_sizes(monkeypatch)
+    got = support_matmul(left, right)
+    assert sorted(sizes) == [0, 5, 5, 6, 6]
+    _close(got, _stacked(left, right))
+    assert not got[4].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_support_matmul_keeps_non_finite_rows(rng, bad):
+    # 0 * NaN and 0 * inf are NaN: a non-finite row of right facing an
+    # exact-zero column of an item still makes that item's product NaN
+    left, right = _rand(rng, 3, 2, 6), _rand(rng, 6, 4)
+    left[:, :, 3] = 0
+    left[1] = 0
+    right[3, 2] = bad
+    with np.errstate(invalid="ignore"):
+        ref = _stacked(left, right)
+        got = support_matmul(left, right)
+    assert np.isnan(ref[:, :, 2]).all()
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+ENTRIES = [0.0, 1.0, -2.5, 1e-300, 3e7, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _support_operands(draw):
+    nr, m, k, nn = (draw(st.integers(0, 4)) for _ in range(4))
+    real = hnp.arrays(float, (nr, m, k), elements=st.sampled_from(ENTRIES))
+    left = draw(real)
+    if draw(st.booleans()):
+        left = left.astype(complex)
+        left.imag = draw(real)
+    zeros = draw(hnp.arrays(bool, (nr, 1, k)))
+    right = draw(hnp.arrays(float, (k, nn), elements=st.sampled_from(ENTRIES)))
+    return np.where(zeros, 0, left), right
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_support_operands())
+def test_support_matmul_agrees_with_the_full_product(operands):
+    """Random shapes, exact-zero columns and NaN/inf entries on either side:
+    the pruned product is non-finite where the full one is, NaN where it is
+    on real tables, and equal to rounding elsewhere.  Whether a complex
+    non-finite entry reads NaN or inf depends on the BLAS kernel even for
+    the full product, so only its non-finiteness is compared."""
+    left, right = operands
+    with np.errstate(invalid="ignore"):
+        ref = _stacked(left, right)
+        got = support_matmul(left, right)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref))
+    if not np.iscomplexobj(ref):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    finite = np.isfinite(ref)
+    scale = float(np.abs(left[np.isfinite(left)]).max(initial=1.0)
+                  * np.abs(right[np.isfinite(right)]).max(initial=1.0))
+    np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +729,67 @@ def test_axiom_suite_broken_counit(rng, wz3s3):
     _assert_suite_matches(broken, rel=1e-12, abs=1e-14)
     failures = verify_weak_hopf(broken).failures()
     assert failures and failures == AxiomReport(*_reference_suite(broken)).failures()
+
+
+def _sparse_weak_hopf(rng, n, density):
+    """Random tables with exact zeros at random places, so that the rows of
+    Ia's left half touch only part of their inner indices."""
+    W = _random_weak_hopf(rng, n, False)
+    mult, cop = (t * (rng.random(t.shape) < density) for t in (W.alg.mult, W.cop))
+    return WeakHopfAlgebra(StarAlgebra(mult, W.alg.unit, W.alg.star), cop,
+                           W.counit, W.antipode)
+
+
+def _monomial_copy(W, rng):
+    """W on the basis f_a = sum_i P[i, a] e_i for a permutation times
+    phases P, which keeps every exact zero of the tables."""
+    n = W.dim
+    P = np.zeros((n, n), dtype=complex)
+    P[rng.permutation(n), np.arange(n)] = np.exp(2j * np.pi * rng.random(n))
+    Q = P.conj().T
+    A = W.alg
+    mult = np.einsum("ia,jb,ijk,ck->abc", P, P, A.mult, Q, optimize=True)
+    star = np.einsum("ia,ik,ck->ac", P.conj(), A.star, Q, optimize=True)
+    cop = np.einsum("ia,iuv,bu,cv->abc", P, W.cop, Q, Q, optimize=True)
+    return WeakHopfAlgebra(StarAlgebra(mult, Q @ A.unit, star), cop,
+                           P.T @ W.counit, Q @ W.antipode @ P)
+
+
+@pytest.mark.parametrize("density", [0.15, 0.4])
+def test_axiom_suite_sparse_random_tables(rng, density):
+    for _ in range(3):
+        _assert_suite_matches(_sparse_weak_hopf(rng, 6, density), rel=1e-12, abs=1e-14)
+
+
+def test_axiom_suite_monomial_basis(rng, wz3s3):
+    V = _monomial_copy(wz3s3, rng)
+    assert np.count_nonzero(V.cop) == np.count_nonzero(wz3s3.cop)
+    for U in (V, V.dual()):
+        _assert_suite_matches(U, rel=1e-12, abs=1e-14)
+    assert verify_weak_hopf(V).passed()
+
+
+def test_axiom_suite_broken_coproduct_fails_ia(wz3s3):
+    # one exact zero of the coproduct becomes 1e-3: a column of Ia's left
+    # half that was outside its row's support enters it
+    cop = wz3s3.cop.copy()
+    cop[tuple(np.argwhere(cop == 0)[len(cop) // 2])] = 1e-3
+    broken = WeakHopfAlgebra(wz3s3.alg, cop, wz3s3.counit, wz3s3.antipode)
+    _assert_suite_matches(broken, rel=1e-12, abs=1e-14)
+    ref = _reference_suite(broken)[0]["Ia"]
+    assert ref >= 1e-4
+    rep = verify_weak_hopf(broken)
+    assert rep.residuals["Ia"] == pytest.approx(ref, rel=1e-12)
+    assert "Ia" in rep.failures()
+
+
+def test_ia_is_self_dual(rng, all_instances):
+    # Ia of the dual is Ia of W with its four indices permuted
+    tables = dict(all_instances, random=_random_weak_hopf(rng, 5, False),
+                  sparse=_sparse_weak_hopf(rng, 6, 0.3))
+    for name, W in tables.items():
+        ia, ia_dual = (verify_weak_hopf(V).residuals["Ia"] for V in (W, W.dual()))
+        assert ia == pytest.approx(ia_dual, rel=1e-12, abs=1e-15), name
 
 
 def test_structure_maps(rng):
