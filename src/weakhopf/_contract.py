@@ -34,24 +34,43 @@ factor (dim M^2 * dim A^2); the translation exchange identity the products
 tau_l(f^u) ell(e_k) ((dim A)^4); and the regular homomorphism check its
 (t, b, c, p, r) factor.
 
-Support rule: one identity of the package, axiom Ia of the weak Hopf suite,
-Delta(xy) = Delta(x) Delta(y), costs n^6 flops when its tables are dense.
-Its right side cop[i,a,b] cop[j,c,d] mult[a,c,u] mult[b,d,v] is a ring in
-which every summed index joins two of the four tables, so every pairwise
-order builds an n^4 table and ends in an (n^2 x n^2)(n^2 x n^2) product.
-That product is taken by support_matmul, which sums each row i of the left
-half only over the inner indices (b, c) at which that row has a nonzero
-entry or the right half a non-finite one.  It is exact: the terms it drops
-are 0 * finite products, which are exact zeros, so every entry that is
-non-finite in the full product is non-finite here, a NaN or inf facing an
-exact-zero column still gives NaN, and the finite sums change only by
-rounding.  Rows that touch every inner index, as on every dense table,
-share one plain GEMM, the full product.  Rows with the same support share
-one gather of the right half's rows in it, freed before the next support
-is gathered.  On the group-type tables each row of C[S3] x_Ad S3 touches
-216 of its 1,296 inner indices.  Every other identity costs at most n^5
-flops.
+Support rule: two products of the package sum each item only over the part
+of the inner index that it reaches, and both drop only exact 0 * finite
+terms, which are exact zeros.  So every entry that is non-finite in the
+full product is non-finite here, a NaN or inf facing an exact zero still
+gives NaN, and the finite sums change only by rounding.  Items that reach
+the whole inner index, as on every dense table, share one plain GEMM, the
+full product.
+
+- Axiom Ia of the weak Hopf suite, Delta(xy) = Delta(x) Delta(y), costs n^6
+  flops when its tables are dense.  Its right side cop[i,a,b] cop[j,c,d]
+  mult[a,c,u] mult[b,d,v] is a ring in which every summed index joins two
+  of the four tables, so every pairwise order builds an n^4 table and ends
+  in an (n^2 x n^2)(n^2 x n^2) product.  That product is taken by
+  support_matmul, which sums each row i of the left half only over the
+  inner indices (b, c) at which that row has a nonzero entry or the right
+  half a non-finite one.  Rows with the same support share one gather of
+  the right half's rows in it, freed before the next support is gathered.
+  On the group-type tables each row of C[S3] x_Ad S3 touches 216 of its
+  1,296 inner indices: 6 whole blocks of one b, of only 36 rows each, and
+  at that size one GEMM over the gathered rows (4.5 MB) was faster than a
+  loop of block GEMMs (about 0.10 against 0.11-0.15 s per dim-36 product,
+  one BLAS thread).
+- The module product law and the unit-coproduct splitting take
+  split_product, whose inner index (v, a) runs over a coproduct leg v and
+  a target index a.  Each item is summed over whole blocks v: it reaches
+  block v when its left factor (coef . act) has a nonzero or NaN entry
+  there, or when the act-mult table has a non-finite row in block v.  The
+  rows of one block are contiguous in the table, so an item is summed
+  block by block over views of the table and gathers nothing.  On the
+  dim-64 Pauli tower step, each coproduct row of the dim-16 algebra reaches
+  4 of its 16 legs; the table there is 64 MB, and a gather of each item's
+  reached rows would add 16 MB.
+
+Every other identity costs at most n^5 flops.
 """
+
+import math
 
 import numpy as np
 
@@ -79,21 +98,43 @@ def act_mult_table(act, mult):
     return np.matmul(act[:, None], mult[None]).reshape(nv * na, nq * nk)
 
 
-def split_product(coef, act, mult, table=None):
+def split_product(coef, act, mult, table=None, nonfinite_rows=None):
     """out[..., p, q, k] = sum coef[..., u, v] act[u, p, a] act[v, q, b]
     mult[a, b, k]: products (e_u |> f_p)(e_v |> f_q) weighted by a
     coproduct-shaped coefficient table.
 
     Contracted as (coef . act) against the act_mult_table of act and mult,
-    which may be passed in as table.  That table has dim A * dim M^3
-    entries; with a two-index coef it exceeds the dim M^3 result, and every
-    other pairwise order builds a dim M^4 table.
+    which may be passed in as table, with its (dim A * dim M,) mask of
+    non-finite rows as nonfinite_rows when it is reused.  That table has
+    dim A * dim M^3 entries; with a two-index coef it exceeds the dim M^3
+    result, and every other pairwise order builds a dim M^4 table.
+
+    Each item (one index of coef's leading axes) is summed only over the
+    blocks v that it reaches: those at which its left factor
+    (coef . act)[..., v, p, a] has a nonzero or NaN entry, or at which the
+    rows (v, a) of table have a non-finite entry.  Only exact 0 * finite
+    terms are dropped, so the result equals the full product up to rounding
+    and is non-finite where it is.  The rows of one block v are contiguous
+    in table, so an item reads views of them, one GEMM per block, and
+    nothing is gathered.  When every item reaches every block, the whole
+    product is one plain GEMM against table.
     """
     if table is None:
         table = act_mult_table(act, mult)
+    if nonfinite_rows is None:
+        nonfinite_rows = ~np.isfinite(table).all(axis=1)
     nv, npq, na = act.shape
-    left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -2, -3)  # [..., p, v, a]
-    out = left.reshape(-1, nv * na) @ table
+    items = math.prod(coef.shape[:-2])
+    left = np.tensordot(coef, act, axes=([-2], [0])).reshape(items, nv, npq, na)
+    reach = (left != 0).any(axis=(2, 3)) | nonfinite_rows.reshape(nv, na).any(axis=1)
+    if reach.all():
+        out = np.moveaxis(left, 1, 2).reshape(items * npq, nv * na) @ table
+    else:
+        blocks = table.reshape(nv, na, table.shape[1])
+        out = np.zeros((items, npq, blocks.shape[2]), np.result_type(left, table))
+        for r, vs in enumerate(reach):
+            for v in np.flatnonzero(vs):
+                out[r] += np.matmul(left[r, v], blocks[v])
     return out.reshape(coef.shape[:-2] + (npq, npq, mult.shape[2]))
 
 

@@ -128,12 +128,14 @@ def make_module_algebra(W, M, act, tol=None):
             "unit acts nontrivially", where=tuple)
 
     # e_i |> (f_p f_q) against (e_i(1) |> f_p)(e_i(2) |> f_q), as [i, p, q, k];
-    # the act-mult table is shared with the unit-coproduct splitting below
+    # the act-mult table, and its mask of non-finite rows, are shared with
+    # the unit-coproduct splitting below
     table = act_mult_table(act, multm)
+    nonfinite = ~np.isfinite(table).all(axis=1)
 
     def product_law(rows):
         gap = np.matmul(multm.reshape(-1, dm), act[rows]).reshape(-1, dm, dm, dm)
-        gap -= split_product(cop[rows], act, multm, table)
+        gap -= split_product(cop[rows], act, multm, table, nonfinite)
         return rows.start, gap
 
     require_sliced(map(product_law, row_slices(da, max(da, dm) * dm * dm)), t,
@@ -151,8 +153,8 @@ def make_module_algebra(W, M, act, tol=None):
 
     # splitting of products through the coproduct of the unit
     D1 = W.delta_one()
-    require(split_product(D1, act, multm, table) - multm, t, ActionAxiomViolation,
-            "unit-coproduct splitting fails", where=tuple)
+    require(split_product(D1, act, multm, table, nonfinite) - multm, t,
+            ActionAxiomViolation, "unit-coproduct splitting fails", where=tuple)
     return MA
 
 

@@ -21,7 +21,7 @@ from weakhopf import crossed as cr
 from weakhopf import hopf
 from weakhopf import examples as ex
 from weakhopf import tower as tw
-from weakhopf._contract import pair_products, split_product, support_matmul
+from weakhopf._contract import act_mult_table, pair_products, split_product, support_matmul
 from weakhopf.algebra import (
     StarAlgebra,
     Subspace,
@@ -100,15 +100,142 @@ def test_split_product(rng):
            np.einsum("uv,upa,vqb,abk->pqk", d1, act, act, mult))
 
 
+def _plain_split(coef, act, mult, table):
+    """split_product's full product: every item against the whole table in
+    one plain GEMM."""
+    nv, npq, na = act.shape
+    left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -2, -3)
+    out = left.reshape(-1, nv * na) @ table
+    return out.reshape(coef.shape[:-2] + (npq, npq, mult.shape[2]))
+
+
+def test_split_product_sums_each_item_over_the_blocks_it_reaches(rng, monkeypatch):
+    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
+    cop, d1 = _rand(rng, 3, 4, 4), _rand(rng, 4, 4)
+    cop[:, :, 1] = 0                          # no item reaches block 1
+    cop[0, :, 2] = 0                          # item 0 reaches blocks 0 and 3
+    cop[2] = 0                                # item 2 reaches none
+    d1[:, [0, 3]] = 0
+    calls = _matmuls(monkeypatch)
+    got = split_product(cop, act, mult)
+    assert calls.count(((3, 5), (5, 18))) == 2 + 3   # items 0 and 1, one per block
+    _close(got, np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult))
+    assert not got[2].any()
+    del calls[:]
+    _close(split_product(d1, act, mult),
+           np.einsum("uv,upa,vqb,abk->pqk", d1, act, act, mult))
+    assert calls.count(((3, 5), (5, 18))) == 2
+
+
+def test_split_product_full_reach_is_one_plain_gemm(rng, monkeypatch):
+    # every item reaches every block, some through a single nonzero entry of
+    # coef or one tiny entry: the result is the plain GEMM, bit for bit
+    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
+    cop = _rand(rng, 3, 4, 4)
+    cop[:, 1:, 2] = 0
+    cop[1, :, 3] = [0, 1e-300, 0, 0]
+    table = act_mult_table(act, mult)
+    calls = _matmuls(monkeypatch)
+    got = split_product(cop, act, mult, table)
+    assert not calls                          # no block GEMM
+    assert np.array_equal(got, _plain_split(cop, act, mult, table))
+    assert np.array_equal(split_product(cop[1], act, mult, table),
+                          _plain_split(cop[1], act, mult, table))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_split_product_keeps_non_finite_table_rows(rng, bad):
+    # 0 * NaN and 0 * inf are NaN: a non-finite row of the table in a block
+    # that no item's left factor reaches still makes column 4 NaN
+    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
+    cop = _rand(rng, 3, 4, 4)
+    cop[:, :, 1] = 0
+    cop[2] = 0
+    table = act_mult_table(act, mult)
+    table[1 * 5 + 2, 4] = bad                 # row (v, a) = (1, 2)
+    with np.errstate(invalid="ignore"):
+        ref = _plain_split(cop, act, mult, table)
+        got = split_product(cop, act, mult, table)
+    assert np.isnan(ref.reshape(3, 3, 18)[:, :, 4]).all()
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_split_product_keeps_non_finite_actions(rng, bad):
+    # a non-finite action entry reaches every block through coef . act
+    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
+    cop = _rand(rng, 3, 4, 4)
+    cop[:, :, 1] = 0
+    act[2, 1, 3] = bad
+    with np.errstate(invalid="ignore"):
+        ref = _plain_split(cop, act, mult, act_mult_table(act, mult))
+        got = split_product(cop, act, mult)
+    assert not np.isfinite(ref).all()
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref))
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+
+
+FINITE = [0.0, 1.0, -2.5, 1e-300, 3e7]
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _split_operands(draw):
+    nr, nv, npq, na, nk = (draw(st.integers(lo, 3)) for lo in (0, 1, 0, 1, 0))
+    complex_ = draw(st.booleans())
+
+    def table(*shape):
+        real = hnp.arrays(float, shape, elements=st.sampled_from(FINITE))
+        t = draw(real)
+        if complex_:
+            t = t.astype(complex)
+            t.imag = draw(real)
+        return t
+
+    coef = table(nr, nv, nv) if draw(st.booleans()) else table(nv, nv)
+    legs = draw(hnp.arrays(bool, coef.shape[:-2] + (1, nv)))   # zero v legs
+    coef = np.where(legs, 0, coef)
+    act, tab = table(nv, npq, na), table(nv * na, npq * nk)
+    for name in draw(st.lists(st.sampled_from(["coef", "act", "table"]), max_size=2)):
+        t = {"coef": coef, "act": act, "table": tab}[name]
+        if t.size:
+            t.flat[draw(st.integers(0, t.size - 1))] = draw(st.sampled_from(NON_FINITE))
+    return coef, act, np.zeros((na, na, nk)), tab
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_split_operands())
+def test_split_product_agrees_with_the_full_product(operands):
+    """Random shapes, zero v legs of coef and NaN/inf entries in coef, act or
+    the table: the pruned product is non-finite where the full one is, NaN
+    where it is on real tables, and equal to rounding elsewhere (on complex
+    tables, NaN or inf depends on the BLAS kernel even for the full
+    product)."""
+    coef, act, mult, table = operands
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = _plain_split(coef, act, mult, table)
+        got = split_product(coef, act, mult, table)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref))
+    if not np.iscomplexobj(ref):
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    finite = np.isfinite(ref)
+    scale = 1.0
+    for t in (coef, act, table):
+        scale *= float(np.abs(t[np.isfinite(t)]).max(initial=1.0))
+    np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-12 * scale)
+
+
 def _stacked(left, right):
     """The full product of every item, as one plain 2-D matmul."""
     nr, m, k = left.shape
     return np.matmul(left.reshape(nr * m, k), right).reshape(nr, m, right.shape[1])
 
 
-def _inner_sizes(monkeypatch):
-    """Record the inner dimension of every np.matmul call in _contract."""
-    sizes = []
+def _matmuls(monkeypatch):
+    """Record the operand shapes of every np.matmul call in _contract."""
+    shapes = []
 
     class Spy:
         def __getattr__(self, name):
@@ -116,11 +243,11 @@ def _inner_sizes(monkeypatch):
 
         @staticmethod
         def matmul(a, b, **kw):
-            sizes.append(a.shape[-1])
+            shapes.append((a.shape, b.shape))
             return np.matmul(a, b, **kw)
 
     monkeypatch.setattr(_contract, "np", Spy())
-    return sizes
+    return shapes
 
 
 def test_support_matmul_full_items_are_one_plain_gemm(rng):
@@ -137,9 +264,9 @@ def test_support_matmul_sums_each_item_over_its_support(rng, monkeypatch):
     left[:, :, [1, 5]] = 0                        # dropped by every item
     left[[0, 3], :, 2] = 0                        # items 0 and 3 share a support
     left[4] = 0                                   # an item with no support
-    sizes = _inner_sizes(monkeypatch)
+    calls = _matmuls(monkeypatch)
     got = support_matmul(left, right)
-    assert sorted(sizes) == [0, 5, 5, 6, 6]
+    assert sorted(a[-1] for a, _ in calls) == [0, 5, 5, 6, 6]
     _close(got, _stacked(left, right))
     assert not got[4].any()
 
@@ -160,7 +287,7 @@ def test_support_matmul_keeps_non_finite_rows(rng, bad):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
-ENTRIES = [0.0, 1.0, -2.5, 1e-300, 3e7, np.nan, np.inf, -np.inf]
+ENTRIES = FINITE + NON_FINITE
 
 
 @st.composite
@@ -313,6 +440,34 @@ def test_product_law_residual(rng, pauli_parts):
         - np.einsum("iuv,upa,vqb,abk->ipqk", W.cop, act, act, mult)
     with pytest.raises(ActionAxiomViolation, match="product law") as info:
         make_module_algebra(W, skewed, act)
+    _assert_reports(info.value, ref)
+
+
+def test_seed_product_law_sums_over_the_coproduct_reach(pauli_parts, monkeypatch):
+    # each coproduct row of the dim-16 Pauli algebra reaches 4 of its 16
+    # legs, so every product-law item and the Delta(1) splitting run one
+    # (4 x 4)(4 x 16) GEMM per reached block instead of the dense product
+    W, M, act = pauli_parts
+    assert ((W.cop != 0).any(axis=1).sum(axis=1) == 4).all()
+    calls = _matmuls(monkeypatch)
+    make_module_algebra(W, M, act)
+    assert calls.count(((4, 4), (4, 16))) == 16 * 4 + 4
+
+
+def test_product_law_fails_under_a_conjugated_action(rng, pauli_parts):
+    # act'_u = P act_u P^-1 keeps the composition and unit laws, not the
+    # product law; the pruned product must report the reference residual
+    W, M, act = pauli_parts
+    P = np.eye(4) + 0.05 * _rand(rng, 4, 4)
+    moved = P @ act @ np.linalg.inv(P)
+    composition = np.einsum("ijr,rpq->ijpq", W.alg.mult, moved) \
+        - np.einsum("jpr,irq->ijpq", moved, moved)
+    assert np.abs(composition).max() < 1e-12
+    assert np.abs(np.tensordot(W.alg.unit, moved, 1) - np.eye(4)).max() < 1e-12
+    ref = np.einsum("pqr,irk->ipqk", M.mult, moved) \
+        - np.einsum("iuv,upa,vqb,abk->ipqk", W.cop, moved, moved, M.mult)
+    with pytest.raises(ActionAxiomViolation, match="product law fails") as info:
+        make_module_algebra(W, M, moved)
     _assert_reports(info.value, ref)
 
 

@@ -183,10 +183,14 @@ def test_star_algebra_memory(monkeypatch, pauli_crossed):
 
 
 def test_module_algebra_memory(monkeypatch, pauli_crossed):
-    MA = pauli_crossed.as_module
-    da, dm = MA.hopf.dim, MA.target.dim
-    assert (da, dm) == (16, 16)
+    # the dual on the crossed product reaches every coproduct block, so its
+    # product law is one GEMM; the seed action reaches 4 of 16 blocks per
+    # coproduct row and takes the pruned product
+    seed = ex.m2_pauli_action()[1]
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
-    peak = _peak(lambda: make_module_algebra(MA.hopf, MA.target, MA.act))
-    shared = 16 * da * dm ** 3                     # the act-mult table
-    assert peak <= shared + 8 * 16 * max(da, dm) * dm ** 2
+    for MA, dims in ((pauli_crossed.as_module, (16, 16)), (seed, (16, 4))):
+        da, dm = MA.hopf.dim, MA.target.dim
+        assert (da, dm) == dims
+        peak = _peak(lambda: make_module_algebra(MA.hopf, MA.target, MA.act))
+        shared = 16 * da * dm ** 3                 # the act-mult table
+        assert peak <= shared + 8 * 16 * max(da, dm) * dm ** 2
