@@ -25,6 +25,11 @@ def row_slices(rows, row_entries):
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
+def fits_slice(entries):
+    """Do this many complex entries fit one slice of SLICE_BYTES?"""
+    return 16 * entries <= SLICE_BYTES
+
+
 def residual(*tables):
     """Largest absolute entry over all the tables; 0 when every table is
     empty, NaN whenever any entry is NaN."""

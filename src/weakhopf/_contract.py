@@ -22,50 +22,51 @@ sizes of weakhopf._checks.row_slices (one fixed byte target), and reduces
 each slice at once through require_sliced or residual_over, which report
 the verdict, residual and location of the whole table.  Operands that
 every slice needs are formed once, before the slices.  So associativity,
-the module composition and product laws, axioms Ia and Ic, the
-contractions of t1 = (Delta (x) id) Delta behind IIIc, the antipode
-recovery and the projection identities, the coaction laws, and the
+the module composition and product laws, axioms Ia and Ic and the
+contractions of t1 = (Delta (x) id) Delta over (y, z) behind two
+projection identities on the dense path, the coaction laws, and the
 translation and homomorphism checks of the regular representation hold
 one slice of their table at a time.  These checks still hold a four-index
-operand whole: axiom Ia its right half [(b, c), (j, v)] (n^4 entries); the
-module product law and the unit-coproduct splitting the act-mult table of
-split_product (dim A * dim M^3); coaction multiplicativity its [q, b, i, k]
-factor (dim M^2 * dim A^2); the translation exchange identity the products
-tau_l(f^u) ell(e_k) ((dim A)^4); and the regular homomorphism check its
-(t, b, c, p, r) factor.
+operand whole: axiom Ia on the dense path its right half [(b, c), (j, v)]
+(n^4 entries); the module product law and the unit-coproduct splitting
+the act-mult table of split_product (dim A * dim M^3); coaction
+multiplicativity its [q, b, i, k] factor (dim M^2 * dim A^2); the
+translation exchange identity the products tau_l(f^u) ell(e_k)
+((dim A)^4); and the regular homomorphism check its (t, b, c, p, r)
+factor.
 
-Support rule: two products of the package sum each item only over the part
-of the inner index that it reaches, and both drop only exact 0 * finite
-terms, which are exact zeros.  So every entry that is non-finite in the
-full product is non-finite here, a NaN or inf facing an exact zero still
-gives NaN, and the finite sums change only by rounding.  Items that reach
-the whole inner index, as on every dense table, share one plain GEMM, the
-full product.
+Nonzero-list rule: the weak Hopf axiom suite contracts monomial tables
+over their nonzero entries.  When mult and cop are finite and each has at
+most n^2 nonzeros, as every built-in algebra and its dual has in the
+natural basis and in any monomial (permutation times phases) basis, the
+n^4 tables of axioms Ia and Ic are formed as nonzero lists: nonzeros
+lists each table, join pairs the entries of two lists with equal
+contracted index, and accumulate sums the products per output index.
+Ia's right side is the ring P[i, u, b, c] (over a) joined with
+Q[b, c, j, v] (over d) on (b, c), so its right half is no longer held
+whole.  A join runs only when its exact term count, known from the two key
+histograms (join_size) before anything is allocated, fits one
+weakhopf._checks slice; otherwise, or on any other table (a Haar-random
+basis, a non-finite entry), the dense sliced path runs.  Every entry
+outside a list is an exact zero, and products of finite tables drop only
+exact 0 * finite terms, so the residual is still the maximum over the full
+index set and the sums change only by rounding.  On the dense path Ia
+costs n^6 flops: every summed index of its ring joins two of the four
+tables, so every pairwise order builds an n^4 table and ends in one
+(n^2 x n^2)(n^2 x n^2) GEMM.
 
-- Axiom Ia of the weak Hopf suite, Delta(xy) = Delta(x) Delta(y), costs n^6
-  flops when its tables are dense.  Its right side cop[i,a,b] cop[j,c,d]
-  mult[a,c,u] mult[b,d,v] is a ring in which every summed index joins two
-  of the four tables, so every pairwise order builds an n^4 table and ends
-  in an (n^2 x n^2)(n^2 x n^2) product.  That product is taken by
-  support_matmul, which sums each row i of the left half only over the
-  inner indices (b, c) at which that row has a nonzero entry or the right
-  half a non-finite one.  Rows with the same support share one gather of
-  the right half's rows in it, freed before the next support is gathered.
-  On the group-type tables each row of C[S3] x_Ad S3 touches 216 of its
-  1,296 inner indices: 6 whole blocks of one b, of only 36 rows each, and
-  at that size one GEMM over the gathered rows (4.5 MB) was faster than a
-  loop of block GEMMs (about 0.10 against 0.11-0.15 s per dim-36 product,
-  one BLAS thread).
-- The module product law and the unit-coproduct splitting take
-  split_product, whose inner index (v, a) runs over a coproduct leg v and
-  a target index a.  Each item is summed over whole blocks v: it reaches
-  block v when its left factor (coef . act) has a nonzero or NaN entry
-  there, or when the act-mult table has a non-finite row in block v.  The
-  rows of one block are contiguous in the table, so an item is summed
-  block by block over views of the table and gathers nothing.  On the
-  dim-64 Pauli tower step, each coproduct row of the dim-16 algebra reaches
-  4 of its 16 legs; the table there is 64 MB, and a gather of each item's
-  reached rows would add 16 MB.
+The module product law and the unit-coproduct splitting take
+split_product, whose inner index (v, a) runs over a coproduct leg v and a
+target index a.  Each item is summed over the blocks v it reaches: those
+where its left factor (coef . act) has a nonzero or NaN entry, or where
+the act-mult table has a non-finite row.  Only exact 0 * finite terms are
+dropped, so the result is non-finite where the full product is.  Items
+with the same reach share one GEMM per reached block, over views of the
+table (its rows (v, a) of one block are contiguous), so nothing of the
+table is gathered; a group is stacked in chunks whose sums and one GEMM
+result fit one slice.  On the dim-64 Pauli tower step, each coproduct row of
+the dim-16 algebra reaches 4 of its 16 legs; the table there is 64 MB.
+Items that reach every block, as on dense tables, share one plain GEMM.
 
 Every other identity costs at most n^5 flops.
 """
@@ -73,6 +74,8 @@ Every other identity costs at most n^5 flops.
 import math
 
 import numpy as np
+
+from ._checks import row_slices
 
 
 def pair_products(mult, xs, ys):
@@ -98,7 +101,7 @@ def act_mult_table(act, mult):
     return np.matmul(act[:, None], mult[None]).reshape(nv * na, nq * nk)
 
 
-def split_product(coef, act, mult, table=None, nonfinite_rows=None):
+def split_product(coef, act, mult, table=None, nonfinite_rows=None, out=None):
     """out[..., p, q, k] = sum coef[..., u, v] act[u, p, a] act[v, q, b]
     mult[a, b, k]: products (e_u |> f_p)(e_v |> f_q) weighted by a
     coproduct-shaped coefficient table.
@@ -107,17 +110,22 @@ def split_product(coef, act, mult, table=None, nonfinite_rows=None):
     which may be passed in as table, with its (dim A * dim M,) mask of
     non-finite rows as nonfinite_rows when it is reused.  That table has
     dim A * dim M^3 entries; with a two-index coef it exceeds the dim M^3
-    result, and every other pairwise order builds a dim M^4 table.
+    result, and every other pairwise order builds a dim M^4 table.  When
+    out (a C-contiguous array of the result's shape) is given, the product
+    is subtracted from it in place and out is returned, so that a check
+    holds no second table of that size.
 
     Each item (one index of coef's leading axes) is summed only over the
     blocks v that it reaches: those at which its left factor
     (coef . act)[..., v, p, a] has a nonzero or NaN entry, or at which the
     rows (v, a) of table have a non-finite entry.  Only exact 0 * finite
     terms are dropped, so the result equals the full product up to rounding
-    and is non-finite where it is.  The rows of one block v are contiguous
-    in table, so an item reads views of them, one GEMM per block, and
-    nothing is gathered.  When every item reaches every block, the whole
-    product is one plain GEMM against table.
+    and is non-finite where it is.  Items with the same reach are stacked,
+    in chunks whose sums and one GEMM result fit one slice, and each chunk
+    runs one GEMM per reached block; the rows of one block v are contiguous
+    in table, so each GEMM reads a view of them and nothing is gathered.
+    When every item reaches every block, the whole product is one plain
+    GEMM against table.
     """
     if table is None:
         table = act_mult_table(act, mult)
@@ -127,47 +135,70 @@ def split_product(coef, act, mult, table=None, nonfinite_rows=None):
     items = math.prod(coef.shape[:-2])
     left = np.tensordot(coef, act, axes=([-2], [0])).reshape(items, nv, npq, na)
     reach = (left != 0).any(axis=(2, 3)) | nonfinite_rows.reshape(nv, na).any(axis=1)
+    product = out is None
+    if product:
+        out = np.zeros(coef.shape[:-2] + (npq, npq, mult.shape[2]),
+                       np.result_type(left, table))
+    rows = out.reshape(items, npq, table.shape[1])
     if reach.all():
-        out = np.moveaxis(left, 1, 2).reshape(items * npq, nv * na) @ table
+        rows -= (np.moveaxis(left, 1, 2).reshape(items * npq, nv * na) @ table
+                 ).reshape(rows.shape)
     else:
         blocks = table.reshape(nv, na, table.shape[1])
-        out = np.zeros((items, npq, blocks.shape[2]), np.result_type(left, table))
-        for r, vs in enumerate(reach):
-            for v in np.flatnonzero(vs):
-                out[r] += np.matmul(left[r, v], blocks[v])
-    return out.reshape(coef.shape[:-2] + (npq, npq, mult.shape[2]))
+        by_leg = np.swapaxes(left, 0, 1)                     # [v, r, p, a]
+        groups = {}
+        for r, vs in enumerate(reach.tolist()):
+            groups.setdefault(tuple(vs), []).append(r)
+        for members in groups.values():
+            legs = np.flatnonzero(reach[members[0]])
+            if not legs.size:
+                continue                                 # items that reach nothing
+            # a chunk's sums and one GEMM result fit one slice together
+            for chunk in row_slices(len(members), 2 * rows[0].size):
+                rs = members[chunk]
+                stacked = by_leg[legs[:, None], rs].reshape(legs.size, len(rs) * npq, na)
+                sums = np.matmul(stacked[0], blocks[legs[0]])
+                for x, v in zip(stacked[1:], legs[1:]):
+                    sums += np.matmul(x, blocks[v])
+                rows[rs] -= sums.reshape(len(rs), *rows.shape[1:])
+    return np.negative(out, out=out) if product else out
 
 
-def support_matmul(left, right, nonfinite_rows=None):
-    """out[r] = left[r] @ right for a stack left (R, m, K) and a matrix
-    right (K, N), each item summed only over its support: the inner indices
-    k at which left[r][:, k] has a nonzero entry or right[k] a non-finite
-    one (nonfinite_rows, a (K,) mask that may be passed in when right is
-    reused).  Only exact 0 * finite terms are dropped, so the result equals
-    the full product up to rounding and is non-finite where it is: a NaN or
-    inf facing an exact-zero column of an item still gives NaN.
+def nonzeros(table):
+    """The nonzero entries of table: (index arrays, one per axis, values),
+    in row-major order."""
+    index = np.nonzero(table)
+    return index, table[index]
 
-    Items with the same support share one gather of the rows of right in
-    that support, and each is one GEMM against it, written in place.  When
-    every item touches every inner index, the whole stack is one plain GEMM
-    against right, with no gather or copy.
-    """
-    nr, m, k = left.shape
-    nn = right.shape[1]
-    if nonfinite_rows is None:
-        nonfinite_rows = ~np.isfinite(right).all(axis=1)
-    support = (left != 0).any(axis=1) | nonfinite_rows          # [r, k]
-    if support.all():
-        return (left.reshape(nr * m, k) @ right).reshape(nr, m, nn)
-    out = np.empty((nr, m, nn), dtype=np.result_type(left, right))
-    groups = {}
-    for r, item in enumerate(support):
-        groups.setdefault(item.tobytes(), []).append(r)
-    for items in groups.values():
-        cols = support[items[0]]
-        cols = slice(None) if cols.all() else np.flatnonzero(cols)
-        rows = right[cols]
-        for r in items:
-            np.matmul(left[r][:, cols], rows, out=out[r])
-        del rows                    # before the next support is gathered
-    return out
+
+def join_size(ka, kb):
+    """How many pairs join(ka, kb) returns, from the histograms of the two
+    arrays of non-negative integer keys, before any of them is formed."""
+    if not (ka.size and kb.size):
+        return 0
+    keys = int(max(ka.max(), kb.max())) + 1
+    return int(np.bincount(ka, minlength=keys) @ np.bincount(kb, minlength=keys))
+
+
+def join(ka, kb):
+    """Every pair of positions (ia, ib) with ka[ia] == kb[ib]: the terms of a
+    contraction over the key.  The pairs come in order of ia."""
+    order = np.argsort(kb, kind="stable")
+    ordered = kb[order]
+    lo = np.searchsorted(ordered, ka, "left")
+    counts = np.searchsorted(ordered, ka, "right") - lo
+    ia = np.repeat(np.arange(ka.size), counts)
+    first = np.cumsum(counts) - counts                # position of ia's first pair
+    return ia, order[np.repeat(lo - first, counts) + np.arange(ia.size)]
+
+
+def accumulate(keys, values):
+    """(distinct keys in increasing order, sum of the values at each key),
+    each sum taken in the order of the values."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    if not np.iscomplexobj(values):
+        return keys, np.bincount(inverse, values, keys.size)
+    sums = np.empty(keys.size, values.dtype)
+    sums.real = np.bincount(inverse, values.real, keys.size)
+    sums.imag = np.bincount(inverse, values.imag, keys.size)
+    return keys, sums

@@ -19,8 +19,9 @@ same arrow methods serve A acting on A^ and A^ acting on A.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import outside, require, require_first, residual, residual_over, row_slices
-from ._contract import pair_products, support_matmul
+from ._checks import (fits_slice, outside, require, require_first, residual,
+                      residual_over, row_slices)
+from ._contract import accumulate, join, join_size, nonzeros, pair_products
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, tolerance
 from .errors import AxiomViolation, ParentMismatch
@@ -258,52 +259,60 @@ def verify_weak_hopf(W, tol=None):
 
     Every identity is a chain of pairwise products (see weakhopf._contract).
     The antipode enters through four (n^2, n) tables [(x, y), q] that are
-    formed once: S(x) y, x S(y), S^-1(y) x and y S^-1(x).  The n^4 tables
-    are formed one slice of their leading index i at a time (see
-    weakhopf._checks): the two sides of Ia by row blocks, and
-    t1 = (Delta (x) id) Delta in the layout [i, x, y, z], whose slices feed
-    Ic and the n^3 contractions over its legs (x, y) (a batched product)
-    and (y, z) (one GEMM) behind IIIc, the antipode recovery and the four
-    projection identities.  The right half of Ia is the one n^4 operand
-    held whole.  Ia's n^6 product sums each row i only over the inner
-    indices at which that row has a nonzero entry or the right half a
-    non-finite one (weakhopf._contract.support_matmul): on the sparse
-    group-type tables it skips the exact zeros, on dense tables it is the
-    full GEMM.
+    formed once: S(x) y, x S(y), S^-1(y) x and y S^-1(x).
+
+    When mult and cop are finite and each has at most n^2 nonzeros (the
+    monomial tables of every built-in algebra and its dual), Ia and Ic are
+    contracted over nonzero lists (the nonzero-list rule of
+    weakhopf._contract): each side is the nonzero list of its n^4 table,
+    and the residual is the largest entry of the list of their difference,
+    every other entry being an exact zero.  The contractions of
+    t1 = (Delta (x) id) Delta over (y, z) behind the projection identities
+    read t1's nonzero list when nnz(t1) * n entries fit one slice.  Any join
+    too large for one slice, and every other table, takes the dense path:
+    the n^4 tables are formed one slice of their leading index i at a time
+    (see weakhopf._checks), Ia by row blocks against its whole right half
+    [(b, c), (j, v)], the one n^4 operand held whole, in one plain GEMM, and
+    t1 in the layout [i, x, y, z], whose slices feed Ic and the (y, z)
+    contractions.  The contractions of t1 over (x, y) behind IIIc, the
+    antipode recovery and two projection identities are reassociated
+    through cop, n^4 flops on every table.
     """
     A, cop, eps, smat = W.alg, W.cop, W.counit, W.antipode
     mult, unit, n = A.mult, A.unit, A.dim
     m2 = mult.reshape(n * n, n)            # [(i, j), k]
     c2 = cop.reshape(n, n * n)             # [i, (j, k)]
     blocks = row_slices(n, n ** 3)
+    lists = _monomial_lists(mult, cop)
     r = {}
 
     # a non-finite antipode is reported as not invertible, not factored
     s_invertible = bool(np.isfinite(smat).all()) and la.invertible(smat, tol=tol)[0]
     sinv = np.linalg.inv(smat) if s_invertible else None
 
-    # Ia, both sides in the layout [(i, u), (j, v)].  The right side
+    # Ia, both sides at [i, u, j, v].  The right side
     # cop[i,a,b] cop[j,c,d] mult[a,c,u] mult[b,d,v] is a ring of four
-    # tables: its two halves [i, u, (b, c)] and [(b, c), (j, v)] are
-    # batched products, and their product is the one n^6 product of the
-    # suite, taken one block of rows i at a time against the whole second
-    # half, each row over its support in (b, c) (see support_matmul).
-    cop_ib = np.ascontiguousarray(cop.transpose(0, 2, 1))       # [i, b, a]
-    cop_cj = np.ascontiguousarray(cop.transpose(1, 0, 2))       # [c, j, d]
-    mult_u = np.ascontiguousarray(mult.transpose(2, 0, 1))      # [u, a, c]
-    right = np.matmul(cop_cj[None], mult[:, None]).reshape(n * n, n * n)
-    nonfinite = ~np.isfinite(right).all(axis=1)
+    # tables with halves [i, u, (b, c)] and [(b, c), (j, v)].  On the dense
+    # path their product is the one n^6 GEMM of the suite, taken one block
+    # of rows i at a time against the whole second half.
+    gap = _ia_gap(*lists, n) if lists else None
+    if gap is not None:
+        r["Ia"] = residual(gap[1])
+    else:
+        cop_ib = np.ascontiguousarray(cop.transpose(0, 2, 1))   # [i, b, a]
+        cop_cj = np.ascontiguousarray(cop.transpose(1, 0, 2))   # [c, j, d]
+        mult_u = np.ascontiguousarray(mult.transpose(2, 0, 1))  # [u, a, c]
+        right = np.matmul(cop_cj[None], mult[:, None]).reshape(n * n, n * n)
 
-    def ia(rows):
-        left = np.matmul(cop_ib[rows, None], mult_u[None])      # [i, u, b, c]
-        gap = support_matmul(left.reshape(-1, n, n * n), right, nonfinite)
-        gap = gap.reshape(-1, n, n, n)
-        del left
-        gap -= (mult[rows].reshape(-1, n) @ c2).reshape(gap.shape).transpose(0, 2, 1, 3)
-        return gap
+        def ia(rows):
+            left = np.matmul(cop_ib[rows, None], mult_u[None])  # [i, u, b, c]
+            gap = (left.reshape(-1, n * n) @ right).reshape(-1, n, n, n)
+            del left
+            gap -= (mult[rows].reshape(-1, n) @ c2).reshape(gap.shape).transpose(0, 2, 1, 3)
+            return gap
 
-    r["Ia"] = residual_over(map(ia, blocks))
-    del right
+        r["Ia"] = residual_over(map(ia, blocks))
+        del right
 
     r["Ib"] = residual((A.star @ c2).reshape(n, n, n)
                        - A.star.T @ np.conj(cop) @ A.star)
@@ -315,26 +324,38 @@ def verify_weak_hopf(W, tol=None):
         siy_x = np.matmul(sinv.T, mult.transpose(1, 0, 2)).reshape(n * n, n)
         y_six = np.tensordot(sinv, mult, axes=([0], [1])).reshape(n * n, n)
 
-    # Ic on each slice of t1, and the contractions of t1 against antipode
-    # tables: over (x, y) at [i, q, z], over (y, z) at [i, x, q]
+    # the contractions of t1 = (Delta (x) id) Delta against antipode
+    # tables.  Over (x, y) at [i, q, z], t1[i,x,y,z] = cop[i,w,z] cop[w,x,y]
+    # reassociates to cop[i,w,z] (c2 @ table)[w,q], n^4 flops.
     over_xy = {"S(x)y": s_xy, "xS(y)": x_sy}
-    over_yz = {"xS(y)": x_sy}
     if s_invertible:
         over_xy["yS^-1(x)"] = y_six
-        over_yz["S^-1(y)x"] = siy_x
-    xy = {k: np.empty((n, n, n), dtype=complex) for k in over_xy}
-    yz = {k: np.empty((n, n, n), dtype=complex) for k in over_yz}
-    r["Ic"] = 0.0
-    for rows in blocks:
-        t1 = np.matmul(c2.T, cop[rows])                          # [i, (x, y), z]
-        for k, table in over_xy.items():
-            xy[k][rows] = np.matmul(table.T, t1)
-        t1 = t1.reshape(-1, n * n)                               # [(i, x), (y, z)]
-        for k, table in over_yz.items():
-            yz[k][rows] = (t1 @ table).reshape(-1, n, n)
-        t1 -= cop[rows].reshape(-1, n) @ c2
-        r["Ic"] = residual(r["Ic"], t1)
-        del t1
+    xy = {k: np.matmul((c2 @ table).T, cop) for k, table in over_xy.items()}
+
+    # Ic, and over (y, z) at [i, x, q] the two contractions the projection
+    # identities need: from t1's nonzero list when it is formed and
+    # nnz(t1) * n entries fit one slice, else from dense slices of t1
+    over_yz = {"xS(y)": x_sy, "S^-1(y)x": siy_x} if s_invertible else {}
+    ic = _ic_lists(lists[1], n) if lists else None
+    if ic is not None:
+        t1, gap = ic
+        r["Ic"] = residual(gap[1])
+        if fits_slice(t1[0].size * n):
+            yz = {k: _over_yz(t1, table, n) for k, table in over_yz.items()}
+            over_yz = {}
+    if ic is None or over_yz:
+        yz = {k: np.empty((n, n, n), dtype=complex) for k in over_yz}
+        r_ic = 0.0
+        for rows in blocks:
+            t1 = np.matmul(c2.T, cop[rows]).reshape(-1, n * n)   # [(i, x), (y, z)]
+            for k, table in over_yz.items():
+                yz[k][rows] = (t1 @ table).reshape(-1, n, n)
+            if ic is None:
+                t1 -= cop[rows].reshape(-1, n) @ c2
+                r_ic = residual(r_ic, t1)
+            del t1
+        if ic is None:
+            r["Ic"] = r_ic
 
     D1 = (unit @ c2).reshape(n, n)
     D3 = (c2.T @ D1).reshape(n, n, n)
@@ -415,6 +436,84 @@ def verify_weak_hopf(W, tol=None):
     r["counit_positive"] = residual(geps - geps.conj().T, np.minimum(lam, 0.0))
 
     return AxiomReport(r, s_invertible)
+
+
+def _monomial_lists(mult, cop):
+    """The nonzero lists of mult and cop (weakhopf._contract.nonzeros) when
+    the axiom suite contracts over them: both tables finite, each with at
+    most n^2 nonzeros.  None otherwise."""
+    n = mult.shape[0]
+    if not (np.isfinite(mult).all() and np.isfinite(cop).all()):
+        return None
+    if max(np.count_nonzero(mult), np.count_nonzero(cop)) > n * n:
+        return None
+    return nonzeros(mult), nonzeros(cop)
+
+
+def _summed(ka, kb, va, vb, key):
+    """The nonzero list of sum va[ia] vb[ib] over the pairs of join(ka, kb),
+    at the output keys key(ia, ib); None when the pairs do not fit one
+    slice."""
+    if not fits_slice(join_size(ka, kb)):
+        return None
+    ia, ib = join(ka, kb)
+    return accumulate(key(ia, ib), va[ia] * vb[ib])
+
+
+def _difference(a, b):
+    """The nonzero list of a - b, from those of a and b (an entry of either
+    list at a key the other lacks stands against an exact zero)."""
+    return accumulate(np.concatenate([a[0], b[0]]), np.concatenate([a[1], -b[1]]))
+
+
+def _ia_gap(m, c, n):
+    """The nonzero list of axiom Ia's difference table, keyed (i, u, j, v),
+    from the nonzero lists m of mult and c of cop; None when a join does not
+    fit one slice."""
+    (ma, mb, mk), mv = m            # mult[a, b, k]
+    (ci, cj, ck), cv = c            # cop[i, j, k]
+    n2 = n * n
+    # P[i, u, b, c] = cop[i, a, b] mult[a, c, u], over a
+    p = _summed(cj, ma, cv, mv, lambda s, t: ((ci[s] * n + mk[t]) * n + ck[s]) * n + mb[t])
+    # Q[b, c, j, v] = cop[j, c, d] mult[b, d, v], over d
+    q = _summed(ck, mb, cv, mv, lambda s, t: ((ma[t] * n + cj[s]) * n + ci[s]) * n + mk[t])
+    if p is None or q is None:
+        return None
+    # the right side P[i, u, b, c] Q[b, c, j, v], over (b, c)
+    right = _summed(p[0] % n2, q[0] // n2, p[1], q[1],
+                    lambda s, t: p[0][s] // n2 * n2 + q[0][t] % n2)
+    # the left side mult[i, j, k] cop[k, u, v], over k
+    left = _summed(mk, ci, mv, cv, lambda s, t: ((ma[s] * n + cj[t]) * n + mb[s]) * n + ck[t])
+    if right is None or left is None:
+        return None
+    return _difference(right, left)
+
+
+def _ic_lists(c, n):
+    """The nonzero lists, keyed (i, x, y, z), of t1 = (Delta (x) id) Delta
+    and of axiom Ic's difference table t1 - t2, from the nonzero list c of
+    cop; None when a join does not fit one slice."""
+    (ci, cj, ck), cv = c
+    # t1[i, x, y, z] = cop[i, a, z] cop[a, x, y], over a
+    t1 = _summed(cj, ci, cv, cv, lambda s, t: ((ci[s] * n + cj[t]) * n + ck[t]) * n + ck[s])
+    # t2[i, x, y, z] = cop[i, x, b] cop[b, y, z], over b
+    t2 = _summed(ck, ci, cv, cv, lambda s, t: ((ci[s] * n + cj[s]) * n + cj[t]) * n + ck[t])
+    if t1 is None or t2 is None:
+        return None
+    return t1, _difference(t1, t2)
+
+
+def _over_yz(t1, table, n):
+    """sum over (y, z) of t1[i, x, y, z] table[(y, z), q] at [i, x, q], from
+    t1's nonzero list, whose keys are sorted and so grouped by (i, x)."""
+    keys, values = t1
+    out = np.zeros((n * n, n), dtype=np.result_type(values, table))
+    if keys.size:
+        rows = keys // (n * n)
+        starts = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
+        out[rows[starts]] = np.add.reduceat(values[:, None] * table[keys % (n * n)],
+                                            starts)
+    return out.reshape(n, n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,7 @@ def make_module_algebra(W, M, act, tol=None):
 
     def product_law(rows):
         gap = np.matmul(multm.reshape(-1, dm), act[rows]).reshape(-1, dm, dm, dm)
-        gap -= split_product(cop[rows], act, multm, table, nonfinite)
-        return rows.start, gap
+        return rows.start, split_product(cop[rows], act, multm, table, nonfinite, out=gap)
 
     require_sliced(map(product_law, row_slices(da, max(da, dm) * dm * dm)), t,
                    ActionAxiomViolation, "product law fails", where=tuple)
@@ -153,7 +152,7 @@ def make_module_algebra(W, M, act, tol=None):
 
     # splitting of products through the coproduct of the unit
     D1 = W.delta_one()
-    require(split_product(D1, act, multm, table, nonfinite) - multm, t,
+    require(split_product(D1, act, multm, table, nonfinite, out=multm.copy()), t,
             ActionAxiomViolation, "unit-coproduct splitting fails", where=tuple)
     return MA
 

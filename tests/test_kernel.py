@@ -7,6 +7,7 @@ inline inside a verifier are compared through the residual and location
 that the verifier reports when a perturbed table makes it fail.
 """
 
+import math
 import types
 
 import numpy as np
@@ -15,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from weakhopf import _contract
+from weakhopf import _checks, _contract
 from weakhopf import _linalg as la
 from weakhopf import crossed as cr
 from weakhopf import hopf
 from weakhopf import examples as ex
 from weakhopf import tower as tw
-from weakhopf._contract import act_mult_table, pair_products, split_product, support_matmul
+from weakhopf._checks import residual
+from weakhopf._contract import (accumulate, act_mult_table, join, join_size, nonzeros,
+                                pair_products, split_product)
 from weakhopf.algebra import (
     StarAlgebra,
     Subspace,
@@ -143,6 +146,41 @@ def test_split_product_full_reach_is_one_plain_gemm(rng, monkeypatch):
                           _plain_split(cop[1], act, mult, table))
 
 
+def test_split_product_stacks_items_with_the_same_reach(rng, monkeypatch):
+    # items 0, 2, 4 reach blocks 0 and 2, items 1, 3, 5 blocks 0, 2 and 3:
+    # each group runs one GEMM per block over its three items, and with
+    # one-row slices the groups are cut into chunks of one item
+    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
+    cop = _rand(rng, 6, 4, 4)
+    cop[:, :, 1] = 0
+    cop[::2, :, 3] = 0
+    ref = np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult)
+    calls = _matmuls(monkeypatch)
+    _close(split_product(cop, act, mult), ref)
+    assert calls.count(((9, 5), (5, 18))) == 2 + 3
+    assert calls.count(((3, 5), (5, 18))) == 0
+    del calls[:]
+    monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    _close(split_product(cop, act, mult), ref)
+    assert calls.count(((3, 5), (5, 18))) == 3 * 2 + 3 * 3
+    assert calls.count(((9, 5), (5, 18))) == 0
+
+
+def test_split_product_subtracts_from_out(rng):
+    # with out given the product is subtracted from it in place, on the
+    # pruned path (zero v legs) and on the one-GEMM path alike
+    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
+    for zero_legs in (True, False):
+        cop = _rand(rng, 3, 4, 4)
+        if zero_legs:
+            cop[:, :, 1] = 0
+            cop[[0, 2], :, 3] = 0                 # items 0 and 2 share a reach
+        base = _rand(rng, 3, 3, 3, 6)
+        out = base.copy()
+        assert split_product(cop, act, mult, out=out) is out
+        _close(out, base - split_product(cop, act, mult))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
 def test_split_product_keeps_non_finite_table_rows(rng, bad):
     # 0 * NaN and 0 * inf are NaN: a non-finite row of the table in a block
@@ -227,12 +265,6 @@ def test_split_product_agrees_with_the_full_product(operands):
     np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-12 * scale)
 
 
-def _stacked(left, right):
-    """The full product of every item, as one plain 2-D matmul."""
-    nr, m, k = left.shape
-    return np.matmul(left.reshape(nr * m, k), right).reshape(nr, m, right.shape[1])
-
-
 def _matmuls(monkeypatch):
     """Record the operand shapes of every np.matmul call in _contract."""
     shapes = []
@@ -250,79 +282,97 @@ def _matmuls(monkeypatch):
     return shapes
 
 
-def test_support_matmul_full_items_are_one_plain_gemm(rng):
-    # every item touches every inner index, some through a single nonzero
-    # entry of its column: the result is the plain GEMM, bit for bit
-    left, right = _rand(rng, 4, 3, 7), _rand(rng, 7, 5)
-    left[:, 1:, 2] = 0
-    left[2, :, 4] = [0, 1e-300, 0]
-    assert np.array_equal(support_matmul(left, right), _stacked(left, right))
+def test_join_pairs_every_equal_key():
+    ka, kb = np.array([2, 0, 2, 5]), np.array([2, 1, 2, 0, 7])
+    ia, ib = join(ka, kb)
+    assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (0, 2), (1, 3), (2, 0), (2, 2)]
+    assert join_size(ka, kb) == ia.size == 5
 
 
-def test_support_matmul_sums_each_item_over_its_support(rng, monkeypatch):
-    left, right = _rand(rng, 5, 3, 8), _rand(rng, 8, 6)
-    left[:, :, [1, 5]] = 0                        # dropped by every item
-    left[[0, 3], :, 2] = 0                        # items 0 and 3 share a support
-    left[4] = 0                                   # an item with no support
-    calls = _matmuls(monkeypatch)
-    got = support_matmul(left, right)
-    assert sorted(a[-1] for a, _ in calls) == [0, 5, 5, 6, 6]
-    _close(got, _stacked(left, right))
-    assert not got[4].any()
+def test_accumulate_sums_each_key_in_order():
+    keys = np.array([3, 1, 3, 3, 0])
+    values = np.array([1, 2j, 1e16, -1e16, 4])
+    got = accumulate(keys, values)
+    assert got[0].tolist() == [0, 1, 3]
+    # (1 + 1e16) - 1e16 rounds to 0: the values are summed in their order
+    assert got[1].tolist() == [4, 2j, 0]
+    keys, sums = accumulate(keys, values.real)
+    assert sums.dtype == float and sums.tolist() == [4, 0, 0]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
-def test_support_matmul_keeps_non_finite_rows(rng, bad):
-    # 0 * NaN and 0 * inf are NaN: a non-finite row of right facing an
-    # exact-zero column of an item still makes that item's product NaN
-    left, right = _rand(rng, 3, 2, 6), _rand(rng, 6, 4)
-    left[:, :, 3] = 0
-    left[1] = 0
-    right[3, 2] = bad
-    with np.errstate(invalid="ignore"):
-        ref = _stacked(left, right)
-        got = support_matmul(left, right)
-    assert np.isnan(ref[:, :, 2]).all()
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+def test_empty_nonzero_sets_give_a_zero_residual():
+    empty = np.zeros(0, dtype=np.intp)
+    assert join_size(empty, np.arange(3)) == 0
+    assert all(a.size == 0 for a in join(empty, np.arange(3)) + join(np.arange(3), empty))
+    keys, sums = accumulate(empty, np.zeros(0, complex))
+    assert keys.size == sums.size == 0 and residual(sums) == 0.0
+    index, values = nonzeros(np.zeros((3, 3, 3), complex))
+    assert len(index) == 3 and values.size == 0
+    # all-zero tables are monomial: Ia and Ic run over empty lists
+    n = 3
+    zero = np.zeros((n, n, n), complex)
+    W = WeakHopfAlgebra(StarAlgebra(zero, np.ones(n), np.eye(n)), zero, np.ones(n), np.eye(n))
+    rep = verify_weak_hopf(W)
+    assert rep.residuals["Ia"] == 0.0 and rep.residuals["Ic"] == 0.0
 
 
-ENTRIES = FINITE + NON_FINITE
+def _dense_list(keys, values, shape):
+    out = np.zeros(math.prod(shape), dtype=values.dtype)
+    out[keys] = values
+    return out.reshape(shape)
 
 
 @st.composite
-def _support_operands(draw):
-    nr, m, k, nn = (draw(st.integers(0, 4)) for _ in range(4))
-    real = hnp.arrays(float, (nr, m, k), elements=st.sampled_from(ENTRIES))
-    left = draw(real)
-    if draw(st.booleans()):
-        left = left.astype(complex)
-        left.imag = draw(real)
-    zeros = draw(hnp.arrays(bool, (nr, 1, k)))
-    right = draw(hnp.arrays(float, (k, nn), elements=st.sampled_from(ENTRIES)))
-    return np.where(zeros, 0, left), right
+def _monomial_tables(draw):
+    """Two (n, n, n) tables with at most n^2 nonzeros each, real or complex,
+    at random places, from entries that include exact cancellations."""
+    n = draw(st.integers(1, 4))
+    complex_ = draw(st.booleans())
+
+    def table():
+        t = np.zeros(n ** 3, complex if complex_ else float)
+        at = draw(st.lists(st.integers(0, n ** 3 - 1), max_size=n * n, unique=True))
+        for k in at:
+            re, im = draw(st.sampled_from(FINITE[1:] + [-1.0])), draw(st.sampled_from(FINITE))
+            t[k] = complex(re, im) if complex_ else re
+        return t.reshape(n, n, n)
+
+    return table(), table()
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_support_operands())
-def test_support_matmul_agrees_with_the_full_product(operands):
-    """Random shapes, exact-zero columns and NaN/inf entries on either side:
-    the pruned product is non-finite where the full one is, NaN where it is
-    on real tables, and equal to rounding elsewhere.  Whether a complex
-    non-finite entry reads NaN or inf depends on the BLAS kernel even for
-    the full product, so only its non-finiteness is compared."""
-    left, right = operands
-    with np.errstate(invalid="ignore"):
-        ref = _stacked(left, right)
-        got = support_matmul(left, right)
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref))
-    if not np.iscomplexobj(ref):
-        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
-    finite = np.isfinite(ref)
-    scale = float(np.abs(left[np.isfinite(left)]).max(initial=1.0)
-                  * np.abs(right[np.isfinite(right)]).max(initial=1.0))
-    np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-12 * scale)
+@given(_monomial_tables())
+def test_nonzero_lists_agree_with_einsum(tables):
+    """join and accumulate contract two monomial tables as einsum does, and
+    join_size counts the pairs before they are formed; the axiom suite's Ia
+    and Ic lists equal the einsum sides of the two axioms."""
+    a, b = tables
+    n = a.shape[0]
+    ma, mb = (float(np.abs(t).max()) for t in tables)
+
+    def close(got, ref, scale):
+        # sums of products of large entries cancel to rounding of their size
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, scale))
+
+    (ai, aj, ak), av = nonzeros(a)
+    (bi, bj, bk), bv = nonzeros(b)
+    ia, ib = join(ak, bi)
+    assert join_size(ak, bi) == ia.size
+    keys = ((ai[ia] * n + aj[ia]) * n + bj[ib]) * n + bk[ib]
+    got = _dense_list(*accumulate(keys, av[ia] * bv[ib]), (n,) * 4)
+    close(got, np.einsum("ijk,klm->ijlm", a, b), ma * mb)
+    # a as mult, b as cop; gaps keyed (i, u, j, v) and (i, x, y, z)
+    ia_gap = hopf._ia_gap(nonzeros(a), nonzeros(b), n)
+    ref = np.einsum("iab,jcd,acu,bdv->iujv", b, b, a, a, optimize=True) \
+        - np.einsum("ijr,ruv->iujv", a, b)
+    close(_dense_list(*ia_gap, (n,) * 4), ref, (ma * mb) ** 2)
+    t1, ic_gap = hopf._ic_lists(nonzeros(b), n)
+    t1_ref = np.einsum("iaz,axy->ixyz", b, b)
+    close(_dense_list(*t1, (n,) * 4), t1_ref, mb * mb)
+    close(_dense_list(*ic_gap, (n,) * 4), t1_ref - np.einsum("ixb,byz->ixyz", b, b), mb * mb)
+    table = np.arange(n ** 3).reshape(n * n, n) * (1 - 0.5j)
+    close(hopf._over_yz(t1, table, n),
+          (t1_ref.reshape(n * n, n * n) @ table).reshape(n, n, n), mb * mb * n ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +495,15 @@ def test_product_law_residual(rng, pauli_parts):
 
 def test_seed_product_law_sums_over_the_coproduct_reach(pauli_parts, monkeypatch):
     # each coproduct row of the dim-16 Pauli algebra reaches 4 of its 16
-    # legs, so every product-law item and the Delta(1) splitting run one
-    # (4 x 4)(4 x 16) GEMM per reached block instead of the dense product
+    # legs, so the product law and the Delta(1) splitting run one GEMM per
+    # reach pattern and reached block instead of the dense product
     W, M, act = pauli_parts
     assert ((W.cop != 0).any(axis=1).sum(axis=1) == 4).all()
     calls = _matmuls(monkeypatch)
     make_module_algebra(W, M, act)
-    assert calls.count(((4, 4), (4, 16))) == 16 * 4 + 4
+    # the 16 items share 4 reach patterns, each stacked over its 4 items
+    assert calls.count(((16, 4), (4, 16))) == 4 * 4
+    assert calls.count(((4, 4), (4, 16))) == 4
 
 
 def test_product_law_fails_under_a_conjugated_action(rng, pauli_parts):
@@ -887,8 +939,9 @@ def test_axiom_suite_broken_counit(rng, wz3s3):
 
 
 def _sparse_weak_hopf(rng, n, density):
-    """Random tables with exact zeros at random places, so that the rows of
-    Ia's left half touch only part of their inner indices."""
+    """Random tables with exact zeros at random places: at density 0.15 they
+    mostly have at most n^2 nonzeros and the suite runs over nonzero lists,
+    at 0.4 the dense path runs."""
     W = _random_weak_hopf(rng, n, False)
     mult, cop = (t * (rng.random(t.shape) < density) for t in (W.alg.mult, W.cop))
     return WeakHopfAlgebra(StarAlgebra(mult, W.alg.unit, W.alg.star), cop,
@@ -925,8 +978,8 @@ def test_axiom_suite_monomial_basis(rng, wz3s3):
 
 
 def test_axiom_suite_broken_coproduct_fails_ia(wz3s3):
-    # one exact zero of the coproduct becomes 1e-3: a column of Ia's left
-    # half that was outside its row's support enters it
+    # one exact zero of the coproduct becomes 1e-3: a new entry of the
+    # coproduct's nonzero list
     cop = wz3s3.cop.copy()
     cop[tuple(np.argwhere(cop == 0)[len(cop) // 2])] = 1e-3
     broken = WeakHopfAlgebra(wz3s3.alg, cop, wz3s3.counit, wz3s3.antipode)
