@@ -16,7 +16,7 @@ import numpy as np
 from . import _linalg as la
 from ._checks import require, require_sliced, residual, row_slices
 from ._contract import pair_products
-from .config import SLACK_COMPOSITE, SLACK_DERIVED, tolerance
+from .config import SLACK_COMPOSITE, SLACK_DERIVED, memo, tolerance
 from .errors import (
     AssociativityViolation,
     NotCStar,
@@ -113,32 +113,23 @@ class StarAlgebra:
 
     def trace_vector(self):
         """Tr(L_{e_k}) for every k."""
-        if "trvec" not in self._cache:
-            self._cache["trvec"] = np.einsum("kjj->k", self.mult)
-        return self._cache["trvec"]
+        return memo(self, "trvec", lambda: np.einsum("kjj->k", self.mult))
 
     def trace_gram(self):
         """Gram matrix of <a,b> = Tr L_{a* b} in the given basis."""
-        if "gram" not in self._cache:
-            tr = self.trace_vector()
-            self._cache["gram"] = self.star @ (self.mult @ tr)
-        return self._cache["gram"]
+        return memo(self, "gram", lambda: self.star @ (self.mult @ self.trace_vector()))
 
     def gram_factor(self, tol=None):
         """(C, C_inv) with trace_gram = C^* C; orthonormalizes the basis."""
-        key = ("gramfac", tolerance(tol))
-        if key not in self._cache:
-            self._cache[key] = la.gram_sqrt(self.trace_gram(), tol=tol)
-        return self._cache[key]
+        return memo(self, ("gramfac", tolerance(tol)),
+                    lambda: la.gram_sqrt(self.trace_gram(), tol=tol))
 
     def full_subspace(self, tol=None):
         return Subspace(self, np.eye(self.dim, dtype=complex), tol=tol)
 
     def center(self, tol=None):
-        key = ("center", tolerance(tol))
-        if key not in self._cache:
-            self._cache[key] = commutant(self.full_subspace(tol), self, tol=tol)
-        return self._cache[key]
+        return memo(self, ("center", tolerance(tol)),
+                    lambda: commutant(self.full_subspace(tol), self, tol=tol))
 
 
 class Element:
@@ -254,13 +245,11 @@ class Subspace:
 # construction and verification
 
 
-def make_star_algebra(mult, unit, star, labels=None, tol=None, check_cstar=True):
+def make_star_algebra(mult, unit, star, labels=None, tol=None):
     """Build a StarAlgebra and verify all its defining invariants.
 
     Raises AssociativityViolation / UnitViolation / StarViolation / NotCStar
-    naming the failing basis triple and the residual norm.  The C*-surrogate
-    check (positive definiteness of the trace form) can be deferred with
-    check_cstar=False.
+    naming the failing basis triple and the residual norm.
     """
     A = StarAlgebra(mult, unit, star, labels=labels)
     tol = tolerance(tol)
@@ -294,13 +283,12 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None, check_cstar=True)
             "star is not antimultiplicative",
             where=lambda ix: (A.labels[ix[0]], A.labels[ix[1]]))
 
-    if check_cstar:
-        g = A.trace_gram()
-        require(g - g.conj().T, tol, NotCStar, "trace form is not hermitian")
-        evals = np.linalg.eigvalsh((g + g.conj().T) / 2)
-        if evals.min() <= tol:
-            raise NotCStar("trace form is not positive definite",
-                           residual=float(evals.min()))
+    g = A.trace_gram()
+    require(g - g.conj().T, tol, NotCStar, "trace form is not hermitian")
+    evals = np.linalg.eigvalsh((g + g.conj().T) / 2)
+    if evals.min() <= tol:
+        raise NotCStar("trace form is not positive definite",
+                       residual=float(evals.min()))
     return A
 
 

@@ -28,4 +28,14 @@ def tolerance(tol=None):
     return DEFAULT_TOL
 
 
+def memo(obj, key, build):
+    """The one cache rule: obj._cache[key], calling build() on first use.
+    The first value stored wins, so a derived object is the same object on
+    every call.  Data that depends on the tolerance keys on tolerance(tol)."""
+    cache = obj._cache
+    if key in cache:
+        return cache[key]
+    return cache.setdefault(key, build())
+
+
 DEFAULT_DIM_BUDGET = 5000

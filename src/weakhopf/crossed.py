@@ -10,7 +10,7 @@ from . import _linalg as la
 from ._checks import outside, require, require_sliced, residual, residual_over, row_slices
 from ._contract import pair_products
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
-from .config import SLACK_COMPOSITE, SLACK_SOLVED, tolerance
+from .config import SLACK_COMPOSITE, SLACK_SOLVED, memo, tolerance
 from .errors import ActionAxiomViolation, AxiomViolation, ParentMismatch
 from .modules import ConditionalExpectation, make_module_algebra
 
@@ -158,7 +158,9 @@ def _dual_moves(arrows, vecs, dm):
 
 
 def crossed_product(MA, tol=None):
-    return CrossedProduct(MA, tol=tol)
+    """M x A for the module algebra MA, built and verified once per resolved
+    tolerance: later calls with the same tolerance return the same object."""
+    return memo(MA, ("crossed", tolerance(tol)), lambda: CrossedProduct(MA, tol=tol))
 
 
 def dual_action(X, tol=None):

@@ -143,42 +143,44 @@ def group_weak_hopf(G, H=None, tol=None, verify=True):
     H = list(dict.fromkeys(int(h) for h in H))
     if not G.is_normal(H):
         raise NotNormal("H is not a normal subgroup of G")
+    nH = len(H)
+    return _semidirect(G, H, np.ones((nH, nH), dtype=complex),
+                       np.ones((G.order, nH), dtype=complex), tol, verify)
+
+
+def _semidirect(G, H, z, c, tol, verify=True):
+    """C[H] x_Ad G twisted by the unit-modulus tables z (H x H) and c
+    (G x H); z = c = 1 is the untwisted family."""
     hpos = {h: i for i, h in enumerate(H)}
-    nH, nG = len(H), G.order
+    nH = len(H)
     idx = _pair_index(H, G)
-    n = nH * nG
+    n = nH * G.order
+    labels = [f"({G.names[H[hi]]},{G.names[g]})" for (hi, g) in idx]
 
     mult = np.zeros((n, n, n), dtype=complex)
     star = np.zeros((n, n), dtype=complex)
     unit = np.zeros(n, dtype=complex)
-    labels = []
-    for (hi, g), k in idx.items():
-        labels.append(f"({G.names[H[hi]]},{G.names[g]})")
-    for (hi, g), k in idx.items():
-        h = H[hi]
-        # (h,g)(h',g') = (h * g h' g^{-1}, g g')
-        for (hj, g2), k2 in idx.items():
-            h2 = H[hj]
-            hh = G.mul(h, G.conj(g, h2))
-            mult[k, k2, idx[(hpos[hh], G.mul(g, g2))]] = 1.0
-        # (h,g)^* = (g^{-1} h^{-1} g, g^{-1})
-        gi = G.inv(g)
-        star[k, idx[(hpos[G.conj(gi, G.inv(h))], gi)]] = 1.0
-    unit[idx[(hpos[G.identity], G.identity)]] = 1.0
-
     cop = np.zeros((n, n, n), dtype=complex)
     counit = np.zeros(n, dtype=complex)
     smat = np.zeros((n, n), dtype=complex)
+
     for (hi, g), k in idx.items():
         h = H[hi]
-        for ht in H:
+        # (h,g)(h',g') = c(g,h') z(h, g h' g^-1) (h * g h' g^{-1}, g g')
+        for (hj, g2), k2 in idx.items():
+            hc = G.conj(g, H[hj])
+            mult[k, k2, idx[(hpos[G.mul(h, hc)], G.mul(g, g2))]] += c[g, hj] * z[hi, hpos[hc]]
+        # (h,g)^* = c(g^-1, h^-1) (g^{-1} h^{-1} g, g^{-1})
+        gi = G.inv(g)
+        star[k, idx[(hpos[G.conj(gi, G.inv(h))], gi)]] = c[gi, hpos[G.inv(h)]]
+        for hti, ht in enumerate(H):
+            # h *_z ht^{-1} = z(h, ht^{-1}) h ht^{-1}
             left = idx[(hpos[G.mul(h, G.inv(ht))], G.mul(ht, g))]
-            right = idx[(hpos[ht], g)]
-            cop[k, left, right] += 1.0 / nH
+            cop[k, left, idx[(hti, g)]] += z[hi, hpos[G.inv(ht)]] / nH
         if h == G.identity:
             counit[k] = nH
-        gi = G.inv(g)
-        smat[idx[(hpos[G.conj(gi, h)], G.mul(gi, G.inv(h)))], k] = 1.0
+        smat[idx[(hpos[G.conj(gi, h)], G.mul(gi, G.inv(h)))], k] = c[gi, hi]
+    unit[idx[(hpos[G.identity], G.identity)]] = 1.0
 
     alg = make_star_algebra(mult, unit, star, labels=labels, tol=tol)
     if verify:
@@ -262,43 +264,8 @@ def twisted_group_weak_hopf(G, H, cocycle, tol=None):
     if not G.is_normal(H):
         raise NotNormal("H is not a normal subgroup of G")
     cocycle.validate(tol=tol)
-    z, c = cocycle.z, cocycle.c
-    hpos = {h: i for i, h in enumerate(H)}
-    nH = len(H)
-    idx = _pair_index(H, G)
-    n = nH * G.order
-    labels = [f"({G.names[H[hi]]},{G.names[g]})" for (hi, g) in idx]
-
-    mult = np.zeros((n, n, n), dtype=complex)
-    star = np.zeros((n, n), dtype=complex)
-    unit = np.zeros(n, dtype=complex)
-    cop = np.zeros((n, n, n), dtype=complex)
-    counit = np.zeros(n, dtype=complex)
-    smat = np.zeros((n, n), dtype=complex)
-
-    for (hi, g), k in idx.items():
-        h = H[hi]
-        for (hj, g2), k2 in idx.items():
-            h2 = H[hj]
-            hc = G.conj(g, h2)
-            coeff = c[g, hj] * z[hi, hpos[hc]]
-            mult[k, k2, idx[(hpos[G.mul(h, hc)], G.mul(g, g2))]] += coeff
-        gi = G.inv(g)
-        hinv = hpos[G.inv(h)]
-        star[k, idx[(hpos[G.conj(gi, G.inv(h))], gi)]] = c[gi, hinv]
-        for hti, ht in enumerate(H):
-            # h *_z ht^{-1} = z(h, ht^{-1}) h ht^{-1}
-            coeff = z[hi, hpos[G.inv(ht)]] / nH
-            left = idx[(hpos[G.mul(h, G.inv(ht))], G.mul(ht, g))]
-            cop[k, left, idx[(hti, g)]] += coeff
-        if h == G.identity:
-            counit[k] = nH
-        smat[idx[(hpos[G.conj(gi, h)], G.mul(gi, G.inv(h)))], k] = c[gi, hi]
-    unit[idx[(hpos[G.identity], G.identity)]] = 1.0
-
-    alg = make_star_algebra(mult, unit, star, labels=labels, tol=tol)
-    W = make_weak_hopf(alg, cop, counit, smat, tol=tol)
-    W.group_data = {"G": G, "H": H, "index": idx, "cocycle": cocycle}
+    W = _semidirect(G, H, cocycle.z, cocycle.c, tol)
+    W.group_data["cocycle"] = cocycle
     return W
 
 
@@ -503,17 +470,22 @@ def adjoint_action_table(M, to_coords, mats):
     return out
 
 
-def m2_inner_z2_action(tol=None):
-    """Z2 = H acting on M_2 through u = diag(1,-1); standard, outer,
-    regular.  Returns (W, module algebra)."""
+def _m2_z2_action(u1, tol=None):
+    """H = G = Z2 acting on M_2 through Ad u, with u(1) = 1 and u(c1) = u1.
+    Returns (W, module algebra)."""
     G = cyclic_group(2)
     W = group_weak_hopf(G, [0, 1], tol=tol)
     M, to_coords, _ = matrix_algebra(2, tol=tol)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    mats = {0: np.eye(2, dtype=complex), 1: sz}
+    mats = {0: np.eye(2, dtype=complex), 1: u1}
     alpha = adjoint_action_table(M, to_coords, mats)
     u = [to_coords(mats[0]), to_coords(mats[1])]
     return W, partly_inner_action(W, M, alpha, u, tol=tol)
+
+
+def m2_inner_z2_action(tol=None):
+    """Z2 = H acting on M_2 through u = diag(1,-1); standard, outer,
+    regular.  Returns (W, module algebra)."""
+    return _m2_z2_action(np.diag([1, -1]).astype(complex), tol=tol)
 
 
 def m2_pauli_action(tol=None):
@@ -527,13 +499,7 @@ def m2_pauli_action(tol=None):
 def m2_collapsed_action(tol=None):
     """Degenerate variant: trivial alpha with u = 1; a valid module algebra
     that is not standard and not Galois."""
-    G = cyclic_group(2)
-    W = group_weak_hopf(G, [0, 1], tol=tol)
-    M, to_coords, _ = matrix_algebra(2, tol=tol)
-    eye = {0: np.eye(2, dtype=complex), 1: np.eye(2, dtype=complex)}
-    alpha = adjoint_action_table(M, to_coords, eye)
-    u = [to_coords(eye[0]), to_coords(eye[1])]
-    return W, partly_inner_action(W, M, alpha, u, tol=tol)
+    return _m2_z2_action(np.eye(2, dtype=complex), tol=tol)
 
 
 def named_group(name):

@@ -23,7 +23,7 @@ from ._checks import (fits_slice, outside, require, require_first, residual,
                       residual_over, row_slices)
 from ._contract import accumulate, join, join_size, nonzeros, pair_products
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
-from .config import SLACK_DERIVED, tolerance
+from .config import SLACK_DERIVED, memo, tolerance
 from .errors import AxiomViolation, ParentMismatch
 
 __all__ = [
@@ -99,17 +99,13 @@ class WeakHopfAlgebra:
         return self.antipode @ x
 
     def antipode_inv(self):
-        if "sinv" not in self._cache:
-            self._cache["sinv"] = np.linalg.inv(self.antipode)
-        return self._cache["sinv"]
+        return memo(self, "sinv", lambda: np.linalg.inv(self.antipode))
 
     def s_inv_coords(self, x):
         return self.antipode_inv() @ x
 
     def delta_one(self):
-        if "D1" not in self._cache:
-            self._cache["D1"] = self.delta_coords(self.alg.unit)
-        return self._cache["D1"]
+        return memo(self, "D1", lambda: self.delta_coords(self.alg.unit))
 
     # -- element-level wrappers -------------------------------------------
     def element(self, coords):
@@ -128,7 +124,7 @@ class WeakHopfAlgebra:
     def dual(self):
         """The dual weak Hopf algebra on the dual basis.  dual().dual()
         is this object again, giving a bit-exact double dual."""
-        if "dual" not in self._cache:
+        def build():
             dual_mult = np.ascontiguousarray(np.transpose(self.cop, (1, 2, 0)))
             dual_cop = np.ascontiguousarray(np.transpose(self.alg.mult, (2, 0, 1)))
             dual_unit = self.counit.copy()
@@ -138,9 +134,10 @@ class WeakHopfAlgebra:
             labels = [lb + "^" for lb in self.alg.labels]
             dalg = StarAlgebra(dual_mult, dual_unit, dual_star, labels=labels)
             W = WeakHopfAlgebra(dalg, dual_cop, dual_counit, dual_s)
-            W._cache["dual"] = self
-            self._cache["dual"] = W
-        return self._cache["dual"]
+            memo(W, "dual", lambda: self)
+            return W
+
+        return memo(self, "dual", build)
 
     @property
     def dual_alg(self):
@@ -174,27 +171,23 @@ class WeakHopfAlgebra:
         A^ -> A (keys 'L', 'R', 'hL', 'hR'), and of the counital
         projections of A onto its boundaries: 'LS' a -> a(1) S(a(2)),
         'SL' a -> S(a(1)) a(2) and 'Rinv' a -> a(2) S^-1(a(1))."""
-        if "counital" not in self._cache:
+        def build():
             er, d1 = self.alg.mult @ self.counit, self.delta_one()
-            maps = {"L": er.T, "R": er, "hL": d1.T, "hR": d1,
+            return {"L": er.T, "R": er, "hL": d1.T, "hR": d1,
                     "LS": d1.T @ er, "SL": d1 @ er.T, "Rinv": d1 @ er}
-            self._cache["counital"] = maps
-        return self._cache["counital"][which]
+
+        return memo(self, "counital", build)[which]
 
     # -- boundary subalgebras ------------------------------------------------
     def boundary(self, side, tol=None):
-        key = ("boundary", side, tolerance(tol))
-        if key not in self._cache:
-            if side == "L":
-                img = self.counital("hL")
-            elif side == "R":
-                img = self.counital("hR")
-            else:
+        def build():
+            if side not in ("L", "R"):
                 raise ValueError("side must be 'L' or 'R'")
-            S = Subspace(self.alg, img, tol=tol)
+            S = Subspace(self.alg, self.counital("h" + side), tol=tol)
             S.certify(tol=tol)
-            self._cache[key] = S
-        return self._cache[key]
+            return S
+
+        return memo(self, ("boundary", side, tolerance(tol)), build)
 
     def haar(self, tol=None):
         """Haar data, cached per tolerance by the integrals module."""

@@ -16,7 +16,7 @@ from .algebra import (
     positive_power,
     sqrt_positive,
 )
-from .config import SLACK_COMPOSITE, SLACK_SOLVED, tolerance
+from .config import SLACK_COMPOSITE, SLACK_SOLVED, memo, tolerance
 from .errors import (
     Degenerate,
     NoHaar,
@@ -96,15 +96,14 @@ class LeftIntegral:
         return residual(_integral_rows(self.hopf, "L") @ self.element.coords)
 
     def _derived(self, kind):
-        if kind not in self._cache:
-            W, l = self.hopf, self.element.coords
-            el = W.counital("L") @ l
-            er = W.counital("R") @ l
-            self._cache["d_L"] = Element(W.alg, W.counital("hL") @ el)
-            self._cache["d_R"] = Element(W.alg, W.counital("hR") @ el)
-            self._cache["n_L"] = Element(W.alg, W.counital("hL") @ er)
-            self._cache["n_R"] = Element(W.alg, W.counital("hR") @ er)
-        return self._cache[kind]
+        """d_X = eps^_X(eps_L(l)) and n_X = eps^_X(eps_R(l)) for X = L, R."""
+        W = self.hopf
+
+        def build():
+            inner = W.counital("L" if kind[0] == "d" else "R") @ self.element.coords
+            return Element(W.alg, W.counital("h" + kind[-1]) @ inner)
+
+        return memo(self, kind, build)
 
     @property
     def d_l(self):
@@ -255,10 +254,7 @@ class HaarData:
 
 
 def haar(W, tol=None):
-    key = ("haar", tolerance(tol))
-    if key not in W._cache:
-        W._cache[key] = HaarData(W, tol=tol)
-    return W._cache[key]
+    return memo(W, ("haar", tolerance(tol)), lambda: HaarData(W, tol=tol))
 
 
 def classify(l, tol=None):

@@ -16,7 +16,7 @@ from ._checks import (
 )
 from ._contract import act_mult_table, pair_products, split_product
 from .algebra import Element, Subspace, _homomorphism_gaps
-from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, tolerance
+from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, memo, tolerance
 from .errors import (
     ActionAxiomViolation,
     NoSolution,
@@ -78,32 +78,22 @@ class ModuleAlgebra:
 
     def act_on_unit(self):
         """Rows: e_i |> 1_M."""
-        if "act1" not in self._cache:
-            self._cache["act1"] = self.target.unit @ self.act
-        return self._cache["act1"]
+        return memo(self, "act1", lambda: self.target.unit @ self.act)
 
     def coaction(self):
         """rho[p, q, i]: coefficient of f_q (x) f^i in the coaction of f_p."""
-        if "rho" not in self._cache:
-            self._cache["rho"] = np.ascontiguousarray(
-                np.transpose(self.act, (1, 2, 0)))
-        return self._cache["rho"]
-
-    def _cached(self, name, build, tol):
-        key = (name, tolerance(tol))
-        if key not in self._cache:
-            self._cache[key] = build(self, tol=tol)
-        return self._cache[key]
+        return memo(self, "rho", lambda: np.ascontiguousarray(
+            np.transpose(self.act, (1, 2, 0))))
 
     def fixed_points(self, tol=None):
-        return self._cached("fixed", fixed_points, tol)
+        return memo(self, ("fixed", tolerance(tol)), lambda: fixed_points(self, tol=tol))
 
     def image_data(self, tol=None):
-        return self._cached("image", image_data, tol)
+        return memo(self, ("image", tolerance(tol)), lambda: image_data(self, tol=tol))
 
     def haar_expectation(self, tol=None):
-        return self._cached("e_haar", lambda MA, tol: cond_expectation(
-            MA, MA.hopf.haar(tol=tol).h, tol=tol), tol)
+        return memo(self, ("e_haar", tolerance(tol)), lambda: cond_expectation(
+            self, self.hopf.haar(tol=tol).h, tol=tol))
 
 
 def make_module_algebra(W, M, act, tol=None):
@@ -723,7 +713,7 @@ def galois_test(MA, tol=None):
     """Central support of the Haar expectation inside the crossed product,
     and the rank of the two-sided multiplication map around it.  The action
     is Galois when the support is the unit, equivalently when M h M fills
-    the crossed product."""
+    the crossed product, which is the cached crossed_product of MA."""
     from .crossed import crossed_product
 
     t = tolerance(tol)

@@ -45,8 +45,11 @@ def array_to_pairs(a):
 
 
 def pairs_to_array(data, shape=None):
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"complex entries must be numeric [re, im] pairs: {exc}") from exc
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise FormatError("complex entries must be [re, im] pairs")
     if not np.isfinite(arr).all():
         raise FormatError("complex entries must be finite")

@@ -1,8 +1,9 @@
 """The shared failure rule: residual(), outside(), require() and
 require_first() in weakhopf._checks, its streamed form require_sliced(),
 the NaN cases it closes, and source guards that keep the rule in that one
-module and the rank rule in weakhopf._linalg.  Also: caches of
-tolerance-dependent data are kept per tolerance."""
+module, the rank rule in weakhopf._linalg and the cache rule in
+weakhopf.config.memo.  Also: caches of tolerance-dependent data are kept
+per tolerance."""
 
 import ast
 import pathlib
@@ -212,7 +213,7 @@ def test_star_algebra_rejects_a_nan_product_entry():
     mult = A.mult.copy()
     mult[1, 2, 0] = np.nan
     with pytest.raises(AssociativityViolation):
-        make_star_algebra(mult, A.unit, A.star, check_cstar=False)
+        make_star_algebra(mult, A.unit, A.star)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +455,74 @@ def test_boundary_and_haar_are_cached_per_tolerance():
     assert W.boundary("L").dim == 3
     assert W.haar() is W.haar(tol=1e-9)
     assert W.haar(tol=1e-8) is not W.haar()
+
+
+# ---------------------------------------------------------------------------
+# source guard: the cache rule lives in config.memo
+
+
+CACHE_OWNER = ("config.py", "memo")
+
+
+def _starts_empty_cache(node):
+    """self._cache = {}: a constructor starting its own empty cache."""
+    return isinstance(node, ast.Assign) and len(node.targets) == 1 \
+        and getattr(node.targets[0], "attr", None) == "_cache" \
+        and getattr(node.targets[0].value, "id", None) == "self" \
+        and isinstance(node.value, ast.Dict) and not node.value.keys
+
+
+def _cache_accesses(source, owner=None):
+    """(line, function) for every read or write of an _cache attribute, or
+    the name "_cache" as a string, outside the function named owner; a
+    constructor may start its own empty cache."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == owner:
+                return
+            func = node.name
+        if func == "__init__" and _starts_empty_cache(node):
+            return
+        if getattr(node, "attr", None) == "_cache" \
+                or (isinstance(node, ast.Constant) and node.value == "_cache"):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_cache_guard_recognizes_the_accesses_it_forbids():
+    source = """
+class A:
+    def __init__(self, other):
+        self._cache = {}
+        self._cache = other._cache
+
+    def f(self):
+        if "k" not in self._cache:
+            self._cache["k"] = 1
+        return getattr(self, "_cache")["k"]
+
+def memo(obj, key, build):
+    return obj._cache.setdefault(key, build())
+"""
+    assert _cache_accesses(source, owner="memo") == [
+        (5, "__init__"), (5, "__init__"), (8, "f"), (9, "f"), (10, "f")]
+    assert _cache_accesses(source) == [
+        (5, "__init__"), (5, "__init__"), (8, "f"), (9, "f"), (10, "f"), (13, "memo")]
+
+
+def test_cache_rule_lives_in_memo():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    name, func = CACHE_OWNER
+    accesses = {n: _cache_accesses(src, owner=func if n == name else None)
+                for n, src in sources.items()}
+    assert {n: a for n, a in accesses.items() if a} == {}
+    assert _cache_accesses(sources[name])
 
 
 # ---------------------------------------------------------------------------

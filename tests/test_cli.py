@@ -112,6 +112,25 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, entry", [
+    ("verify", 5),                        # a scalar for a whole table
+    ("integrals", 5),                     # a scalar for the integral
+    ("integrals", [[1, 0], [1]]),         # a ragged list of pairs
+])
+def test_malformed_entries_exit_2(tmp_path, capsys, cz2, command, entry):
+    rec = ser.weak_hopf_record(cz2)
+    argv = [command, str(tmp_path / "w.json")]
+    if command == "verify":
+        rec["mult"] = entry
+    else:
+        (tmp_path / "l.json").write_text(json.dumps(entry))
+        argv += ["--integral", str(tmp_path / "l.json")]
+    (tmp_path / "w.json").write_text(json.dumps(rec))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_integrals_command(tmp_path, capsys, wz2z2):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(ser.weak_hopf_record(wz2z2)))

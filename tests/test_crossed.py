@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 import weakhopf._linalg as la
@@ -5,7 +7,10 @@ from weakhopf import crossed as cr
 from weakhopf import examples as ex
 from weakhopf import integrals as itg
 from weakhopf import modules as mo
+from weakhopf import serialize as ser
+from weakhopf import tower as tw
 from weakhopf.algebra import Subspace
+from weakhopf.cli import main
 
 
 def test_dims_and_identification_with_group_crossed_product(m2_action):
@@ -414,3 +419,45 @@ def test_galois_map_quotient(m2_action):
             rhs = XA.product_coords(
                 XA.product_coords(X.embed_m[:, p], eh), X.embed_m[:, q])
             assert np.abs(lhs - rhs).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the crossed product is a cached derived object of its module algebra
+
+
+def _count_constructions(monkeypatch):
+    built = []
+    init = cr.CrossedProduct.__init__
+
+    def spy(self, base, tol=None):
+        built.append(base)
+        init(self, base, tol=tol)
+
+    monkeypatch.setattr(cr.CrossedProduct, "__init__", spy)
+    return built
+
+
+def test_crossed_command_builds_two_crossed_products(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "ma.json"
+    path.write_text(json.dumps(ser.module_algebra_record(ex.named_action("m2-z2"))))
+    built = _count_constructions(monkeypatch)
+    assert main(["crossed", str(path)]) == 0
+    capsys.readouterr()
+    # M x A, shared by the commutant suite and the Galois test, and
+    # (M x A) x A^ for the Temperley-Lieb elements
+    assert len(built) == 2 and built[1] is not built[0]
+
+
+def test_basic_construction_builds_one_crossed_product(monkeypatch):
+    MA = ex.named_action("m2-z2")
+    built = _count_constructions(monkeypatch)
+    tw.basic_construction_check(MA)
+    assert built == [MA]
+
+
+def test_crossed_product_is_cached_per_tolerance():
+    MA = ex.named_action("m2-z2")
+    X = cr.crossed_product(MA)
+    assert cr.crossed_product(MA) is X
+    assert cr.crossed_product(MA, tol=1e-9) is X
+    assert cr.crossed_product(MA, tol=1e-8) is not X

@@ -137,7 +137,7 @@ def test_relation_data_is_factored_twice(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    cr.crossed_product(MA)
+    cr.CrossedProduct(MA)
     assert sum(pre in s for s in shapes) == 2
 
 
