@@ -1,9 +1,16 @@
 """Dense complex linear algebra helpers: rank-revealing null spaces,
 orthonormal spans, subspace arithmetic, constrained solves.
 
-Everything funnels through numpy SVD, and this module holds the one rank
-and invertibility rule of the package: a singular value counts when it
-exceeds tol * max(largest singular value, 1).  Non-finite input is refused
+This module holds the one rank and invertibility rule of the package: a
+singular value counts when it exceeds tol * max(largest singular value, 1).
+Every rank decision comes from a numpy SVD, reduced by one rule: a helper
+that throws away the long singular factor of a rectangular matrix takes
+the SVD of its square triangular factor R instead (Chan's R-SVD), found by
+np.linalg.qr(..., mode="r") without forming Q.  For a tall a = QR, R has
+the singular values and right singular vectors of a; for a wide a with
+a^H = QR, a = R^H Q^H and R^H has its singular values and left singular
+vectors.  The choice depends only on the shape, and the results differ
+from those of a direct SVD only by rounding.  Non-finite input is refused
 with NoSolution before it reaches LAPACK.
 """
 
@@ -21,97 +28,122 @@ def _as_matrix(a):
     return a
 
 
+def _finite_matrix(a):
+    a = _as_matrix(a)
+    if not np.isfinite(a).all():
+        raise NoSolution("matrix has non-finite entries")
+    return a
+
+
 def _cutoff(s, tol):
     # relative to the leading singular value, but with an absolute floor:
     # all tables in this package are O(1), so sub-tolerance spectra are noise
     return tolerance(tol) * max(float(s[0]), 1.0)
 
 
-def _svd(a, **kwargs):
-    if not np.isfinite(a).all():
-        raise NoSolution("matrix has non-finite entries")
-    return np.linalg.svd(a, **kwargs)
+def _count(s, tol):
+    return int(np.sum(s > _cutoff(s, tol))) if s.size else 0
+
+
+def _tall_factor(a):
+    """R of a = QR for a tall a, which has a's singular values and right
+    singular vectors; a itself otherwise."""
+    return np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a
+
+
+def _wide_factor(a):
+    """R^H where a^H = QR for a wide a, which has a's singular values and
+    left singular vectors; a itself otherwise."""
+    return _tall_factor(a.conj().T).conj().T if a.shape[1] > a.shape[0] else a
 
 
 def rank(a, tol=None):
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     if a.size == 0:
         return 0
-    s = _svd(a, compute_uv=False)
+    s = np.linalg.svd(_wide_factor(_tall_factor(a)), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > _cutoff(s, tol)))
+    return _count(s, tol)
 
 
 def null_space(a, tol=None):
     """Orthonormal basis (columns) of {x : a x = 0}."""
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     n = a.shape[1]
     if a.size == 0 or not np.any(a):
         return np.eye(n, dtype=complex)
-    # full right singular basis is needed; skip the big U on tall systems
-    full = a.shape[0] < n
-    u, s, vh = _svd(a, full_matrices=full)
-    r = int(np.sum(s > _cutoff(s, tol))) if s.size else 0
-    return vh[r:].conj().T.copy()
+    # the full right singular basis is needed; on wide systems that is vh
+    # of the full SVD, on tall ones vh of the square factor R
+    u, s, vh = np.linalg.svd(_tall_factor(a), full_matrices=a.shape[0] < n)
+    return vh[_count(s, tol):].conj().T.copy()
 
 
 def invertible(a, tol=None):
     """(is the square matrix a invertible, its smallest singular value):
     invertible when that value exceeds the rank cutoff, i.e. a has full rank."""
-    s = _svd(_as_matrix(a), compute_uv=False)
+    s = np.linalg.svd(_finite_matrix(a), compute_uv=False)
     smallest = float(s[-1]) if s.size else 0.0
     return bool(s.size and smallest > _cutoff(s, tol)), smallest
 
 
 def orth(a, tol=None):
     """Orthonormal basis (columns) of the column space of a."""
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, vh = _svd(a, full_matrices=False)
-    r = int(np.sum(s > _cutoff(s, tol)))
-    return u[:, :r].copy()
+    u, s, vh = np.linalg.svd(_wide_factor(a), full_matrices=False)
+    return u[:, :_count(s, tol)].copy()
 
 
 def orth_split(a, tol=None):
     """(orthonormal basis of the column space of a, orthonormal basis of its
-    orthogonal complement), both from one SVD of a."""
-    a = _as_matrix(a)
+    orthogonal complement), both from one SVD."""
+    a = _finite_matrix(a)
     m = a.shape[0]
     if a.size == 0 or not np.any(a):
         return np.zeros((m, 0), dtype=complex), np.eye(m, dtype=complex)
-    # the full left singular basis is needed; skip the big V on wide systems
-    u, s, vh = _svd(a, full_matrices=a.shape[1] < m)
-    r = int(np.sum(s > _cutoff(s, tol)))
+    # the full left singular basis is needed; on tall systems that is u of
+    # the full SVD, on wide ones u of the square factor R^H
+    u, s, vh = np.linalg.svd(_wide_factor(a), full_matrices=a.shape[1] < m)
+    r = _count(s, tol)
     return u[:, :r].copy(), u[:, r:].copy()
 
 
 def pseudo_inverse(a, tol=None):
     """Moore-Penrose pseudo-inverse of a under the rank rule: singular
     values at or below the cutoff are dropped, not inverted."""
-    a = _as_matrix(a)
+    a = _finite_matrix(a)
     if a.size == 0 or not np.any(a):
         return np.zeros(a.shape[::-1], dtype=complex)
-    u, s, vh = _svd(a, full_matrices=False)
-    r = int(np.sum(s > _cutoff(s, tol)))
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = _count(s, tol)
     return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
 def _solve(a, b, tol, full_matrices=False):
     """(minimum-norm least-squares solution of a x = b under the rank rule,
-    right singular vectors vh of a, rank of a), all from one SVD of a, the
+    right singular vectors vh of a, rank of a), all from one SVD, the
     solution accepted only when its residual is below tol.  With
-    full_matrices, vh is the full right singular basis."""
-    a = _as_matrix(a)
+    full_matrices, vh is the full right singular basis.
+
+    On a tall a the SVD is that of the factor R11 of [a | b] = Q [R11 R12],
+    and R12 = Q1^H b takes the place of u^H b."""
+    a = _finite_matrix(a)
     b = np.asarray(b, dtype=complex)
-    n = a.shape[1]
+    m, n = a.shape
     if a.size == 0 or not np.any(a):
         x, vh, r = np.zeros((n,) + b.shape[1:], dtype=complex), np.eye(n, dtype=complex), 0
     else:
-        u, s, vh = _svd(a, full_matrices=full_matrices)
-        r = int(np.sum(s > _cutoff(s, tol)))
-        coef = u[:, :r].conj().T @ b
+        if m > n:
+            rab = np.linalg.qr(np.hstack([a, b.reshape(m, -1)]), mode="r")
+            u, s, vh = np.linalg.svd(rab[:n, :n])
+            qb = rab[:n, n:].reshape((n,) + b.shape[1:])
+        else:
+            u, s, vh = np.linalg.svd(a, full_matrices=full_matrices)
+            qb = b
+        r = _count(s, tol)
+        coef = u[:, :r].conj().T @ qb
         coef /= s[:r].reshape((r,) + (1,) * (b.ndim - 1))
         x = vh[:r].conj().T @ coef
     require(a @ x - b, tolerance(tol), NoSolution, "linear system has no solution")
@@ -125,9 +157,10 @@ def solve(a, b, tol=None):
 
 def affine_solutions(a, b, tol=None):
     """Particular solution plus orthonormal null-space basis of a x = b,
-    both from one SVD of a; raises NoSolution like solve()."""
+    both from one SVD; raises NoSolution like solve()."""
     a = _as_matrix(a)
-    # the full right singular basis is needed; skip the big U on tall systems
+    # the full right singular basis is needed: on wide systems vh of the
+    # full SVD, on tall ones vh of the square factor R11
     x, vh, r = _solve(a, b, tol, full_matrices=a.shape[0] < a.shape[1])
     return x, vh[r:].conj().T.copy()
 

@@ -189,6 +189,12 @@ class WeakHopfAlgebra:
 
         return memo(self, ("boundary", side, tolerance(tol)), build)
 
+    def boundary_intersection(self, tol=None):
+        """A_L & A_R, cached per tolerance."""
+        return memo(self, ("boundary_meet", tolerance(tol)),
+                    lambda: self.boundary("L", tol=tol).intersect(
+                        self.boundary("R", tol=tol), tol=tol))
+
     def haar(self, tol=None):
         """Haar data, cached per tolerance by the integrals module."""
         from .integrals import haar
@@ -630,8 +636,7 @@ def is_pure(W, tol=None):
     ZA = W.alg.center(tol=tol)
     crit3 = AL.intersect(ZA, tol=tol).dim == 1 and AR.intersect(ZA, tol=tol).dim == 1
     Wd = W.dual()
-    crit2 = Wd.boundary("L", tol=tol).intersect(Wd.boundary("R", tol=tol),
-                                                tol=tol).dim == 1
+    crit2 = Wd.boundary_intersection(tol=tol).dim == 1
     if crit2 != crit3:
         raise AxiomViolation("purity criteria disagree between A and its dual")
     return crit2
@@ -640,11 +645,9 @@ def is_pure(W, tol=None):
 def hypercenter(W, tol=None):
     """A_L & A_R & C(A); canonically isomorphic to its dual counterpart
     through the counital maps."""
-    Z = W.boundary("L", tol=tol).intersect(W.boundary("R", tol=tol), tol=tol) \
-         .intersect(W.alg.center(tol=tol), tol=tol)
+    Z = W.boundary_intersection(tol=tol).intersect(W.alg.center(tol=tol), tol=tol)
     Wd = W.dual()
-    Zd = Wd.boundary("L", tol=tol).intersect(Wd.boundary("R", tol=tol), tol=tol) \
-           .intersect(Wd.alg.center(tol=tol), tol=tol)
+    Zd = Wd.boundary_intersection(tol=tol).intersect(Wd.alg.center(tol=tol), tol=tol)
     img = W.counital("R") @ Z.basis
     if Zd.dim != Z.dim or la.rank(img, tol=tol) != Z.dim \
             or not Zd.contains_coords(img, tol=tol):

@@ -318,7 +318,6 @@ def image_data(MA, tol=None):
     m_r = Subspace(M, mu, tol=tol)
     m_r.certify(tol=tol)
     AL = W.boundary("L", tol=tol)
-    AR = W.boundary("R", tol=tol)
 
     # mu restricted to the left boundary is a *-epimorphism onto M_R; the
     # first failing basis vector is reported, its products before its star
@@ -381,7 +380,7 @@ def image_data(MA, tol=None):
 
     # central-boundary images sit in the expected centers
     center_m = M.center(tol=tol)
-    albar = AL.intersect(AR, tol=tol)
+    albar = W.boundary_intersection(tol=tol)
     if albar.dim and not center_m.contains_coords(la.orth(mu @ albar.basis, tol=tol),
                                                   tol=tol):
         raise ActionAxiomViolation("A_L & A_R does not map into the center of M")
@@ -569,10 +568,9 @@ def trivial_implementers(MA, tol=None, ambient=None, inclusion=None):
 
 def is_outer(MA, tol=None):
     """Outer = every implementer of the coaction inside M comes from the
-    center of M times a dual left integral."""
-    full = implementer_space(MA, tol=tol)
-    triv = trivial_implementers(MA, tol=tol)
-    return la.span_equal(full, triv, tol=tol)
+    center of M times a dual left integral; cached per tolerance."""
+    return memo(MA, ("outer", tolerance(tol)), lambda: la.span_equal(
+        implementer_space(MA, tol=tol), trivial_implementers(MA, tol=tol), tol=tol))
 
 
 def is_minimal(MA, tol=None):
@@ -594,8 +592,7 @@ def is_regular(MA, tol=None):
     if not data.standard:
         return False
     W, M = MA.hopf, MA.target
-    albar = W.boundary("L", tol=tol).intersect(W.boundary("R", tol=tol), tol=tol)
-    img = la.orth(data.mu @ albar.basis, tol=tol)
+    img = la.orth(data.mu @ W.boundary_intersection(tol=tol).basis, tol=tol)
     if not la.span_equal(img, M.center(tol=tol).basis, tol=tol):
         return False
     return is_outer(MA, tol=tol)

@@ -258,13 +258,13 @@ def commutant_table(T, tol=None):
                                       tol=tol),
             "center_m": la.span_equal(
                 M.center(tol=tol).basis,
-                la.orth(mu @ AL.intersect(AR, tol=tol).basis, tol=tol), tol=tol),
+                la.orth(mu @ W.boundary_intersection(tol=tol).basis, tol=tol), tol=tol),
             "center_m1": la.span_equal(
                 centers[1].basis,
                 la.orth(X.embed_a @ AR.intersect(za, tol=tol).basis, tol=tol),
                 tol=tol),
         }
-        hz = AL.intersect(AR, tol=tol).intersect(za, tol=tol)
+        hz = W.boundary_intersection(tol=tol).intersect(za, tol=tol)
         up = T.levels[2].include
         img = la.orth(up @ la.orth(mu @ hz.basis, tol=tol), tol=tol)
         joint_pred = la.intersect(

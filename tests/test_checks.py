@@ -408,13 +408,46 @@ def test_weak_hopf_rejects_a_nan_table_entry(table):
         make_weak_hopf(W.alg, *args)
 
 
+def _spy_factorizations(monkeypatch):
+    """Names of the np.linalg factorizations called from now on."""
+    reached = []
+    for name in ("qr", "svd"):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            reached.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return reached
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_svd_helpers_refuse_non_finite_input(bad):
-    a = np.eye(3, dtype=complex)
-    a[1, 2] = bad
-    for helper in (la.rank, la.null_space, la.orth, la.orth_split, la.invertible):
-        with pytest.raises(NoSolution, match="non-finite"):
-            helper(a)
+def test_svd_helpers_refuse_non_finite_input(bad, monkeypatch):
+    reached = _spy_factorizations(monkeypatch)
+    for shape in ((3, 3), (6, 3), (3, 6)):
+        a = np.eye(*shape, dtype=complex)
+        a[1, 2] = bad
+        b = np.ones(shape[0])
+        helpers = [la.rank, la.null_space, la.orth, la.orth_split, la.pseudo_inverse,
+                   lambda m: la.solve(m, b), lambda m: la.affine_solutions(m, b)]
+        if shape[0] == shape[1]:
+            helpers.append(la.invertible)
+        for helper in helpers:
+            with pytest.raises(NoSolution, match="non-finite"):
+                helper(a)
+    assert reached == []
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (6, 3), (3, 6)])
+def test_solve_with_a_non_finite_right_hand_side_fails_its_residual(shape):
+    a = np.eye(*shape, dtype=complex)
+    b = np.ones(shape[0])
+    b[1] = np.nan
+    for solver in (la.solve, la.affine_solutions):
+        with pytest.raises(NoSolution, match="no solution") as exc:
+            solver(a, b)
+        assert np.isnan(exc.value.residual)
 
 
 def test_invertibility_rule():
@@ -455,6 +488,14 @@ def test_boundary_and_haar_are_cached_per_tolerance():
     assert W.boundary("L").dim == 3
     assert W.haar() is W.haar(tol=1e-9)
     assert W.haar(tol=1e-8) is not W.haar()
+
+
+def test_boundary_intersection_is_cached_per_tolerance():
+    W = ex.group_weak_hopf(ex.symmetric_group_3(), [0, 1, 2])
+    meet = W.boundary_intersection()
+    assert W.boundary_intersection(tol=1e-9) is meet
+    assert W.boundary_intersection(tol=1e-8) is not meet
+    assert meet.equals(W.boundary("L").intersect(W.boundary("R")))
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +574,15 @@ RANK_OWNER = "_linalg.py"
 
 
 def _rank_calls(source):
-    """(line, name) for every call of an SVD, of matrix_rank, or of the
-    SVD-backed pinv and lstsq, which apply numpy's own rank cutoffs."""
+    """(line, name) for every call of an SVD or a QR factorization, of
+    matrix_rank, or of the SVD-backed pinv and lstsq, which apply numpy's
+    own rank cutoffs."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in ("svd", "matrix_rank", "pinv", "lstsq"):
+            if name in ("svd", "qr", "matrix_rank", "pinv", "lstsq"):
                 found.append((node.lineno, name))
     return found
 
@@ -551,8 +593,10 @@ s = np.linalg.svd(a, compute_uv=False)
 r = np.linalg.matrix_rank(b)
 u = svd(c)
 n = la.rank(a)
+t = np.linalg.qr(a, mode="r")
 """
-    assert _rank_calls(source) == [(2, "svd"), (3, "matrix_rank"), (4, "svd")]
+    assert _rank_calls(source) == [(2, "svd"), (3, "matrix_rank"), (4, "svd"),
+                                   (6, "qr")]
 
 
 def test_rank_guard_recognizes_pinv_and_lstsq():
@@ -577,6 +621,7 @@ def test_rank_rule_lives_in_linalg():
 
 
 def test_affine_solutions_take_one_svd(monkeypatch):
+    # on a tall system the one SVD is that of the 7x7 triangular factor
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 7))      # rank 3
     b = a @ rng.standard_normal(7)
@@ -589,7 +634,7 @@ def test_affine_solutions_take_one_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     x, ns = la.affine_solutions(a, b)
-    assert calls == [(12, 7)]
+    assert calls == [(7, 7)]
     monkeypatch.undo()
     ref = np.linalg.lstsq(a, b, rcond=None)[0]            # the minimum-norm solution
     assert np.abs(x - ref).max() < 1e-12
@@ -597,6 +642,52 @@ def test_affine_solutions_take_one_svd(monkeypatch):
     assert la.span_equal(ns, la.null_space(a))
     with pytest.raises(NoSolution, match="no solution"):
         la.affine_solutions(a, b + rng.standard_normal(12))
+
+
+def _isometry(rng, m, k):
+    z = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    return np.linalg.qr(z)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(["tall", "wide", "square", "one-taller"]),
+       n=st.integers(1, 7), extra=st.integers(2, 9), deficit=st.integers(0, 6),
+       log_scale=st.floats(-3, 3), cols=st.sampled_from([None, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_reduced_helpers_agree_with_a_direct_svd(shape, n, extra, deficit, log_scale,
+                                                 cols, seed):
+    m = {"tall": n + extra, "wide": max(1, n - extra), "square": n,
+         "one-taller": n + 1}[shape]
+    k = max(1, min(m, n) - deficit)                   # rank of the product
+    rng = np.random.default_rng(seed)
+    sv = 10.0 ** log_scale * rng.uniform(1.0, 10.0, k)
+    a = (_isometry(rng, m, k) * sv) @ _isometry(rng, n, k).conj().T
+    u, s, vh = np.linalg.svd(a)                       # full, unreduced
+    cut = la._cutoff(s, None)
+    assert s[k - 1] > 10 * cut and (k == s.size or s[k] < cut / 10)   # a clear gap
+
+    assert la.rank(a) == k
+    assert la.null_space(a).shape[1] == n - k
+    assert la.span_equal(la.null_space(a), vh[k:].conj().T)
+    assert la.orth(a).shape[1] == k and la.span_equal(la.orth(a), u[:, :k])
+    rng_basis, complement = la.orth_split(a)
+    assert rng_basis.shape[1] == k and complement.shape[1] == m - k
+    assert la.span_equal(rng_basis, u[:, :k]) and la.span_equal(complement, u[:, k:])
+
+    x0 = rng.standard_normal((n, cols) if cols else n)
+    b = a @ x0
+    ref = np.linalg.lstsq(a, b, rcond=cut / s[0])[0]   # minimum norm, same cutoff
+    x = la.solve(a, b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    y, ns = la.affine_solutions(a, b)
+    assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert ns.shape[1] == n - k and la.span_equal(ns, vh[k:].conj().T)
+    if k < m:                                         # a right-hand side off the range
+        off = u[:, k] if cols is None else np.outer(u[:, k], [1.0, -1.0])
+        with pytest.raises(NoSolution, match="no solution"):
+            la.solve(a, b + off)
+        with pytest.raises(NoSolution, match="no solution"):
+            la.affine_solutions(a, b + off)
 
 
 def test_pseudo_inverse_drops_what_the_rank_rule_drops():

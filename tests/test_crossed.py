@@ -461,3 +461,20 @@ def test_crossed_product_is_cached_per_tolerance():
     assert cr.crossed_product(MA) is X
     assert cr.crossed_product(MA, tol=1e-9) is X
     assert cr.crossed_product(MA, tol=1e-8) is not X
+
+
+def test_commutant_suite_derives_outerness_once(monkeypatch):
+    MA = ex.named_action("m2-pauli")
+    X = cr.crossed_product(MA)
+    calls = []
+    real = mo.implementer_space
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "implementer_space", spy)
+    rep = cr.commutant_suite(X)
+    # is_outer directly, and again inside is_regular
+    assert rep["outer"] and rep["regular"]
+    assert calls == [MA]
