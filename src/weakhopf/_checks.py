@@ -114,6 +114,20 @@ def require_sliced(slices, bound, exc, message, where=None):
     _settle(*_worst(slices), bound, exc, message, where)
 
 
+def require_listed(listed, shape, bound, exc, message, where=None):
+    """require() on a table of the given shape held as a nonzero list (keys,
+    values): keys are row-major flat indices in increasing order, as
+    weakhopf._contract.accumulate returns them, and every entry outside the
+    list is an exact zero.  The first largest value of the list is then the
+    first largest entry of the table in row-major order, so the residual
+    and location are those of require() on the whole table."""
+    keys, values = listed
+    worst, loc = _worst([(0, values)])
+    if loc is not None:
+        loc = tuple(int(i) for i in np.unravel_index(int(keys[loc[0]]), shape))
+    _settle(worst, loc, bound, exc, message, where)
+
+
 def require_first(checks, bound, exc):
     """Raise at the first basis index that fails any of several checks.
 

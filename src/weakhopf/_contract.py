@@ -26,37 +26,54 @@ the module composition and product laws, axioms Ia and Ic and the
 contractions of t1 = (Delta (x) id) Delta over (y, z) behind two
 projection identities on the dense path, the coaction laws, and the
 translation and homomorphism checks of the regular representation hold
-one slice of their table at a time.  These checks still hold a four-index
-operand whole: axiom Ia on the dense path its right half [(b, c), (j, v)]
-(n^4 entries); the module product law and the unit-coproduct splitting
-the act-mult table of split_product (dim A * dim M^3); coaction
-multiplicativity its [q, b, i, k] factor (dim M^2 * dim A^2); the
+one slice of their table at a time.  Star antimultiplicativity, whose
+table has three indices, is sliced the same way: at n = 216 each whole
+n^3 table is 160 MB.  On the dense path, axiom Ia
+still holds its right half [(b, c), (j, v)] (n^4 entries) whole, and the
+module product law and the unit-coproduct splitting the act-mult table of
+split_product (dim A * dim M^3).  On every path, coaction
+multiplicativity holds its [q, b, i, k] factor (dim M^2 * dim A^2), the
 translation exchange identity the products tau_l(f^u) ell(e_k)
-((dim A)^4); and the regular homomorphism check its (t, b, c, p, r)
+((dim A)^4), and the regular homomorphism check its (t, b, c, p, r)
 factor.
 
-Nonzero-list rule: the weak Hopf axiom suite contracts monomial tables
-over their nonzero entries.  When mult and cop are finite and each has at
-most n^2 nonzeros, as every built-in algebra and its dual has in the
-natural basis and in any monomial (permutation times phases) basis, the
-n^4 tables of axioms Ia and Ic are formed as nonzero lists: nonzeros
-lists each table, join pairs the entries of two lists with equal
-contracted index, and accumulate sums the products per output index.
-Ia's right side is the ring P[i, u, b, c] (over a) joined with
-Q[b, c, j, v] (over d) on (b, c), so its right half is no longer held
-whole.  A join runs only when its exact term count, known from the two key
+Nonzero-list rule: monomial tables are contracted over their nonzero
+entries.  nonzeros lists a table, join pairs the entries of two lists with
+equal contracted index, accumulate sums the products per output index
+(summed does the three), and difference subtracts two lists.  A table is
+monomial for a check (monomial_lists) when it is finite and has at most
+its check's limit of nonzeros, as the tables of every built-in algebra,
+its dual and the crossed products of the package's actions have in the
+natural basis and in any monomial (permutation times phases) basis:
+
+  * axioms Ia and Ic: mult and cop with at most n^2 nonzeros.  Ia's right
+    side is the ring P[i, u, b, c] (over a) joined with Q[b, c, j, v]
+    (over d) on (b, c), so its right half is not held whole;
+  * associativity: mult with at most n^2 nonzeros, both sides joined over
+    the middle index;
+  * the module product law and the unit-coproduct splitting: the target's
+    mult with at most dim M^2, cop with at most dim A^2 and act with at
+    most dim A * dim M nonzeros, and a finite Delta(1).  Both sum
+    c[., u, v] act[u, p, a] act[v, q, b] mult[a, b, k] in the order
+    act-mult over b, then c-act over u (c = cop or Delta(1)), then the two
+    over (v, a); the act-mult table is never formed.
+
+A join runs only when its exact term count, known from the two key
 histograms (join_size) before anything is allocated, fits one
 weakhopf._checks slice; otherwise, or on any other table (a Haar-random
 basis, a non-finite entry), the dense sliced path runs.  Every entry
 outside a list is an exact zero, and products of finite tables drop only
 exact 0 * finite terms, so the residual is still the maximum over the full
-index set and the sums change only by rounding.  On the dense path Ia
-costs n^6 flops: every summed index of its ring joins two of the four
-tables, so every pairwise order builds an n^4 table and ends in one
-(n^2 x n^2)(n^2 x n^2) GEMM.
+index set and the sums change only by rounding.  accumulate returns its
+keys in increasing, that is row-major, order, so the first largest entry
+of a list is the location the dense path reports
+(weakhopf._checks.require_listed).  On the dense path Ia costs n^6 flops:
+every summed index of its ring joins two of the four tables, so every
+pairwise order builds an n^4 table and ends in one (n^2 x n^2)(n^2 x n^2)
+GEMM, and associativity costs n^5.
 
-The module product law and the unit-coproduct splitting take
-split_product, whose inner index (v, a) runs over a coproduct leg v and a
+On the dense path the module product law and the unit-coproduct splitting
+take split_product, whose inner index (v, a) runs over a coproduct leg v and a
 target index a.  Each item is summed over the blocks v it reaches: those
 where its left factor (coef . act) has a nonzero or NaN entry, or where
 the act-mult table has a non-finite row.  Only exact 0 * finite terms are
@@ -75,7 +92,7 @@ import math
 
 import numpy as np
 
-from ._checks import row_slices
+from ._checks import fits_slice, row_slices
 
 
 def pair_products(mult, xs, ys):
@@ -202,3 +219,28 @@ def accumulate(keys, values):
     sums.real = np.bincount(inverse, values.real, keys.size)
     sums.imag = np.bincount(inverse, values.imag, keys.size)
     return keys, sums
+
+
+def monomial_lists(*bounded):
+    """The nonzero lists of the tables of (table, limit) pairs when every
+    table is finite and has at most its limit of nonzeros; None otherwise."""
+    for table, limit in bounded:
+        if not np.isfinite(table).all() or np.count_nonzero(table) > limit:
+            return None
+    return [nonzeros(table) for table, _ in bounded]
+
+
+def summed(ka, kb, va, vb, key):
+    """The nonzero list of sum va[ia] vb[ib] over the pairs of join(ka, kb),
+    at the output keys key(ia, ib); None when the pairs do not fit one
+    slice."""
+    if not fits_slice(join_size(ka, kb)):
+        return None
+    ia, ib = join(ka, kb)
+    return accumulate(key(ia, ib), va[ia] * vb[ib])
+
+
+def difference(a, b):
+    """The nonzero list of a - b, from those of a and b (an entry of either
+    list at a key the other lacks stands against an exact zero)."""
+    return accumulate(np.concatenate([a[0], b[0]]), np.concatenate([a[1], -b[1]]))

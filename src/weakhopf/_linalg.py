@@ -12,6 +12,10 @@ a^H = QR, a = R^H Q^H and R^H has its singular values and left singular
 vectors.  The choice depends only on the shape, and the results differ
 from those of a direct SVD only by rounding.  Non-finite input is refused
 with NoSolution before it reaches LAPACK.
+
+Picking columns rather than spans (pivoted_columns) is column-pivoted QR,
+written in numpy; it takes no rank decision, its caller says how many
+columns to pick.
 """
 
 import numpy as np
@@ -55,6 +59,27 @@ def _wide_factor(a):
     """R^H where a^H = QR for a wide a, which has a's singular values and
     left singular vectors; a itself otherwise."""
     return _tall_factor(a.conj().T).conj().T if a.shape[1] > a.shape[0] else a
+
+
+def pivoted_columns(a, k):
+    """Indices, in increasing order, of k columns of a picked by
+    column-pivoted QR (Businger-Golub): each step takes the column of
+    largest norm once the span of the columns picked so far is projected
+    out.  Norms within a relative 1e-8 of the largest count as tied, and a
+    tie goes to the lowest index, so that rounding does not decide between
+    columns of equal weight."""
+    a = _finite_matrix(a)
+    if k == a.shape[1]:
+        return np.arange(k)
+    rest = a.copy()
+    picks = []
+    for _ in range(k):
+        norms = (rest.real ** 2 + rest.imag ** 2).sum(axis=0)
+        j = int(np.argmax(norms >= (1 - 1e-8) * norms.max()))
+        picks.append(j)
+        q = rest[:, j] / np.sqrt(norms[j])
+        rest -= np.outer(q, q.conj() @ rest)
+    return np.sort(np.array(picks, dtype=np.intp))
 
 
 def rank(a, tol=None):

@@ -30,7 +30,17 @@ __all__ = [
 
 class CrossedProduct:
     """The quotient of M (x) A by m (x) b a ~ m (b |> 1) (x) a for b in the
-    left boundary, carrying the crossed-product *-algebra."""
+    left boundary, carrying the crossed-product *-algebra.
+
+    Its basis is a set of classes of pure tensors f_p (x) e_i, picked by
+    column-pivoted QR of C^H for an orthonormal basis C of the complement
+    of the relations, and labelled "f_p#e_i" by the labels of M and A.
+    lift is the 0/1 selection S of the picked pure tensors (columns:
+    representatives on M (x) A), proj the oblique projection
+    (C^H S)^-1 C^H taking coordinates on M (x) A to coordinates on the
+    classes: proj @ lift = I, and proj kills the relations.  For group-type
+    and Pauli actions every class of a pure tensor is a multiple of one
+    picked class, so proj, and the structure constants, are monomial."""
 
     def __init__(self, base, tol=None):
         MA = base
@@ -42,47 +52,59 @@ class CrossedProduct:
 
         rels = _relations(MA, tol=tol)
         # two independent rank decisions: the rank of the relations, and the
-        # split of M (x) A into their span and its complement, the lift
+        # split of M (x) A into their span and its complement
         self.relation_rank = la.rank(rels, tol=tol)
-        self._rel_basis, lift = la.orth_split(rels, tol=tol)
-        self.lift = lift                  # columns: orthonormal quotient basis
-        self.proj = lift.conj().T
-        dim = lift.shape[1]
+        self._rel_basis, comp = la.orth_split(rels, tol=tol)
+        dim = comp.shape[1]
         if dim != pre - self.relation_rank:
             raise AxiomViolation("quotient dimension mismatch")
+        classes = comp.conj().T                 # [:, (p, i)]: class of f_p (x) e_i
+        picks = la.pivoted_columns(classes, dim)
+        proj = np.linalg.solve(classes[:, picks], classes)
+        # the solve leaves rounding residue where a class has no component
+        proj[np.abs(proj) <= np.finfo(float).eps * pre * np.abs(proj).max()] = 0.0
+        proj[:, picks] = np.eye(dim)
+        self.proj = proj
+        self.lift = np.zeros((pre, dim), dtype=complex)
+        self.lift[picks, np.arange(dim)] = 1.0
+        ps, js = np.divmod(picks, da)           # class B is that of f_ps[B] (x) e_js[B]
 
         cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
-        reps = lift.reshape(dm, da, dim)
         # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
-        # quotient basis classes A and B; the [A, s, B, k] products are the
-        # smallest intermediate any pairwise order reaches
-        moved = np.tensordot(act, reps, axes=([1], [0]))               # [u, r, j, B]
+        # picked pure tensors A = (p, i) and B = (q, j)
         tails = np.tensordot(cop, multa, 1)                            # [i, u, j, k]
-        right = np.tensordot(moved, tails, axes=([0, 2], [1, 2]))      # [r, B, i, k]
-        left = np.tensordot(reps, multm, axes=([0], [0]))              # [i, A, r, s]
-        prods = np.tensordot(left, right, axes=([0, 2], [2, 0]))       # [A, s, B, k]
-        mult = np.tensordot(prods, np.conj(lift).reshape(dm, da, dim),
-                            axes=([1, 3], [0, 1]))
+        right = np.matmul(act[:, ps].transpose(1, 2, 0),               # [B, r, u]
+                          tails[:, :, js].transpose(2, 1, 0, 3).reshape(dim, da, -1))
+        right = np.ascontiguousarray(
+            right.reshape(dim, dm, da, da).transpose(2, 1, 0, 3))      # [i, r, B, k]
+        mult = np.empty((dim, dim, dim), dtype=complex)
+        # the [A, s, B, k] products, one group of classes A with the same i
+        # at a time, contracted against proj over (s, k)
+        for i in np.unique(js):
+            rows = np.flatnonzero(js == i)
+            prods = np.matmul(multm[ps[rows]].transpose(0, 2, 1), right[i].reshape(dm, -1))
+            mult[rows] = np.tensordot(prods.reshape(rows.size, dm, dim, da),
+                                      proj.reshape(dim, dm, da), axes=([1, 3], [1, 2]))
 
         dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
         sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
         sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
-        sx = self.proj @ sbig @ np.conj(lift)
-        star_table = sx.T
+        star_table = (proj @ sbig[:, picks]).T
 
         unitv = np.outer(M.unit, A.unit).reshape(pre)
-        unit = self.proj @ unitv
+        unit = proj @ unitv
 
-        self.algebra = make_star_algebra(mult, unit, star_table, tol=tol)
+        labels = [f"{M.labels[p]}#{A.labels[j]}" for p, j in zip(ps, js)]
+        self.algebra = make_star_algebra(mult, unit, star_table, labels=labels, tol=tol)
 
-        blocks = self.proj.reshape(dim, dm, da)       # [:, p, i]: class of f_p (x) e_i
+        blocks = proj.reshape(dim, dm, da)            # [:, p, i]: class of f_p (x) e_i
         self.embed_m = blocks @ A.unit
         self.embed_a = M.unit @ blocks
 
         # dual action phi |> (m x a) = m x (phi -> a) on the quotient
         arrows = np.transpose(cop, (2, 1, 0))   # arrows[s][o,k] = cop[k,o,s]
         dact = np.ascontiguousarray(
-            (self.proj @ _dual_moves(arrows, lift, dm)).transpose(0, 2, 1))
+            (proj @ _dual_moves(arrows, self.lift, dm)).transpose(0, 2, 1))
         self._verify(arrows, tol=tol)
         self.as_module = make_module_algebra(W.dual(), self.algebra, dact, tol=tol)
 
@@ -91,9 +113,14 @@ class CrossedProduct:
         return self.algebra.dim
 
     def project(self, vec):
+        """Coordinates on the quotient basis of the class of a vector of
+        M (x) A, through the oblique projection proj."""
         return self.proj @ np.asarray(vec, dtype=complex).reshape(-1)
 
     def lift_coords(self, x):
+        """A representative on M (x) A, laid out [p, i], of the element with
+        coordinates x: the combination of the picked pure tensors f_p (x) e_i
+        (the 0/1 selection lift), so that project(lift_coords(x)) = x."""
         dm = self.base.target.dim
         return (self.lift @ np.asarray(x, dtype=complex)).reshape(dm, -1)
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import _linalg as la
 from ._checks import (fits_slice, outside, require, require_first, residual,
                       residual_over, row_slices)
-from ._contract import accumulate, join, join_size, nonzeros, pair_products
+from ._contract import (accumulate, difference, join, join_size, monomial_lists,
+                        pair_products)
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, memo, tolerance
 from .errors import AxiomViolation, ParentMismatch
@@ -442,11 +443,7 @@ def _monomial_lists(mult, cop):
     the axiom suite contracts over them: both tables finite, each with at
     most n^2 nonzeros.  None otherwise."""
     n = mult.shape[0]
-    if not (np.isfinite(mult).all() and np.isfinite(cop).all()):
-        return None
-    if max(np.count_nonzero(mult), np.count_nonzero(cop)) > n * n:
-        return None
-    return nonzeros(mult), nonzeros(cop)
+    return monomial_lists((mult, n * n), (cop, n * n))
 
 
 def _summed(ka, kb, va, vb, key):
@@ -457,12 +454,6 @@ def _summed(ka, kb, va, vb, key):
         return None
     ia, ib = join(ka, kb)
     return accumulate(key(ia, ib), va[ia] * vb[ib])
-
-
-def _difference(a, b):
-    """The nonzero list of a - b, from those of a and b (an entry of either
-    list at a key the other lacks stands against an exact zero)."""
-    return accumulate(np.concatenate([a[0], b[0]]), np.concatenate([a[1], -b[1]]))
 
 
 def _ia_gap(m, c, n):
@@ -485,7 +476,7 @@ def _ia_gap(m, c, n):
     left = _summed(mk, ci, mv, cv, lambda s, t: ((ma[s] * n + cj[t]) * n + mb[s]) * n + ck[t])
     if right is None or left is None:
         return None
-    return _difference(right, left)
+    return difference(right, left)
 
 
 def _ic_lists(c, n):
@@ -499,7 +490,7 @@ def _ic_lists(c, n):
     t2 = _summed(ck, ci, cv, cv, lambda s, t: ((ci[s] * n + cj[s]) * n + cj[t]) * n + ck[t])
     if t1 is None or t2 is None:
         return None
-    return t1, _difference(t1, t2)
+    return t1, difference(t1, t2)
 
 
 def _over_yz(t1, table, n):

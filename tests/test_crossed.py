@@ -30,16 +30,17 @@ def test_dims_and_identification_with_group_crossed_product(m2_action):
     XG = cr.crossed_product(MAG)
     assert XG.dim == 8
 
-    # the identification on pre-tensors: m (x) (h,g) -> m u(h) (x) g
+    # the identification on pre-tensors: m (x) (h,g) -> m u(h) (x) g, applied
+    # to the representatives X.lift of the basis classes of X
     u = {0: M.unit, 1: toc(sz)}
     idx = W.group_data["index"]
+    reps = X.lift.reshape(4, 4, 8)
     phi = np.zeros((8, 8), dtype=complex)
     for p in range(4):
         for (hi, g), k in idx.items():
-            src = X.project(np.outer(np.eye(4)[p], np.eye(4)[k]))
             mu_h = M.product_coords(np.eye(4)[p], u[hi])
             dst = XG.project(np.outer(mu_h, np.eye(2)[g]))
-            phi += np.outer(dst, np.conj(src))
+            phi += np.outer(dst, reps[p, k])
     # phi is a well-defined algebra isomorphism
     assert np.linalg.matrix_rank(phi) == 8
     XA, XGA = X.algebra, XG.algebra
@@ -77,7 +78,7 @@ def test_quotient_well_defined(m2_action, rng):
     W, MA = m2_action
     X = cr.crossed_product(MA)
     dm, da = MA.target.dim, W.dim
-    rel_basis = la.null_space(X.lift.conj().T)
+    rel_basis = la.null_space(X.proj)           # the relations: what proj kills
     assert rel_basis.shape[1] == X.relation_rank
     cop, act = W.cop, MA.act
     multm, multa = MA.target.mult, W.alg.mult

@@ -18,9 +18,11 @@ from hypothesis.extra import numpy as hnp
 
 from weakhopf import _checks, _contract
 from weakhopf import _linalg as la
+from weakhopf import algebra as al
 from weakhopf import crossed as cr
 from weakhopf import hopf
 from weakhopf import examples as ex
+from weakhopf import modules as mo
 from weakhopf import tower as tw
 from weakhopf._checks import residual
 from weakhopf._contract import (accumulate, act_mult_table, join, join_size, nonzeros,
@@ -345,7 +347,8 @@ def _monomial_tables(draw):
 def test_nonzero_lists_agree_with_einsum(tables):
     """join and accumulate contract two monomial tables as einsum does, and
     join_size counts the pairs before they are formed; the axiom suite's Ia
-    and Ic lists equal the einsum sides of the two axioms."""
+    and Ic lists, the associator list and the two module-law lists equal
+    the einsum sides of their identities."""
     a, b = tables
     n = a.shape[0]
     ma, mb = (float(np.abs(t).max()) for t in tables)
@@ -373,6 +376,17 @@ def test_nonzero_lists_agree_with_einsum(tables):
     table = np.arange(n ** 3).reshape(n * n, n) * (1 - 0.5j)
     close(hopf._over_yz(t1, table, n),
           (t1_ref.reshape(n * n, n * n) @ table).reshape(n, n, n), mb * mb * n ** 3)
+    # a as mult and as the action, b as cop and b[0] as Delta(1): the
+    # associator and the two module laws of make_star_algebra and
+    # make_module_algebra
+    ref = np.einsum("ijp,pkq->ijkq", a, a) - np.einsum("jkp,ipq->ijkq", a, a)
+    close(_dense_list(*al._associator_list(a), (n,) * 4), ref, ma * ma)
+    product, splitting = mo._split_law_lists(b, b[0], a, a)
+    ref = np.einsum("pqr,irk->ipqk", a, a) \
+        - np.einsum("iuv,upa,vqb,abk->ipqk", b, a, a, a, optimize=True)
+    close(_dense_list(*product, (n,) * 4), ref, mb * ma ** 3)
+    ref = a - np.einsum("uv,upa,vqb,abk->pqk", b[0], a, a, a, optimize=True)
+    close(_dense_list(*splitting, (n,) * 3), ref, mb * ma ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +507,22 @@ def test_product_law_residual(rng, pauli_parts):
     _assert_reports(info.value, ref)
 
 
-def test_seed_product_law_sums_over_the_coproduct_reach(pauli_parts, monkeypatch):
+def _rotated_target(M, act, U):
+    """M and the action on the basis f'_a = sum_p U[p, a] f_p."""
+    V = np.linalg.inv(U)
+    mult = np.einsum("ia,jb,ijk,ck->abc", U, U, M.mult, V, optimize=True)
+    star = np.einsum("ia,ik,ck->ac", U.conj(), M.star, V, optimize=True)
+    return StarAlgebra(mult, V @ M.unit, star), np.einsum("pa,upq,cq->uac", U, act, V)
+
+
+def test_seed_product_law_sums_over_the_coproduct_reach(rng, pauli_parts, monkeypatch):
     # each coproduct row of the dim-16 Pauli algebra reaches 4 of its 16
     # legs, so the product law and the Delta(1) splitting run one GEMM per
-    # reach pattern and reached block instead of the dense product
+    # reach pattern and reached block instead of the dense product.  The
+    # target is rotated by a unitary: its dense tables keep the reach and
+    # take the dense path
     W, M, act = pauli_parts
+    M, act = _rotated_target(M, act, np.linalg.qr(_rand(rng, 4, 4))[0])
     assert ((W.cop != 0).any(axis=1).sum(axis=1) == 4).all()
     calls = _matmuls(monkeypatch)
     make_module_algebra(W, M, act)
@@ -667,7 +692,7 @@ def test_crossed_structure_constants(pauli_crossed):
     reps = X.lift.reshape(dm, da, X.dim)
     prods = np.einsum("piA,qjB,iuv,uqr,prs,vjk->ABsk", reps, reps, W.cop, MA.act,
                       M.mult, W.alg.mult, optimize=True)
-    _close(X.algebra.mult, np.einsum("ABsk,skC->ABC", prods, np.conj(reps)))
+    _close(X.algebra.mult, np.einsum("ABsk,Csk->ABC", prods, X.proj.reshape(X.dim, dm, da)))
     dstar = np.einsum("ic,cuv->iuv", W.alg.star, W.cop)
     sbig = np.einsum("iuv,ps,usr->pirv", dstar, M.star, MA.act)
     sbig = sbig.reshape(dm * da, dm * da).T

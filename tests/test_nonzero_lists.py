@@ -1,0 +1,288 @@
+"""Associativity, the module product law and the unit-coproduct splitting
+over nonzero lists (the nonzero-list rule of weakhopf._contract), and the
+pure-tensor quotient basis of the crossed product that keeps Pauli tower
+levels monomial.
+
+A check on a monomial table must take the list path and report what the
+dense sliced path reports: the same exception, message and location, and
+the same residual up to rounding.  Haar-random, non-finite and over-slice
+tables must take the dense path."""
+
+import numpy as np
+import pytest
+
+from weakhopf import _checks, _contract
+from weakhopf import _linalg as la
+from weakhopf import algebra as al
+from weakhopf import crossed as cr
+from weakhopf import examples as ex
+from weakhopf import modules as mo
+from weakhopf.algebra import StarAlgebra, make_star_algebra
+from weakhopf.errors import ActionAxiomViolation, AssociativityViolation
+from weakhopf.hopf import WeakHopfAlgebra
+from weakhopf.modules import make_module_algebra
+
+
+def _monomial_unitary(rng, n):
+    """A permutation times phases: it keeps every exact zero of the tables."""
+    P = np.zeros((n, n), dtype=complex)
+    P[rng.permutation(n), np.arange(n)] = np.exp(2j * np.pi * rng.random(n))
+    return P
+
+
+def _haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _rebased_algebra(A, U):
+    """The tables of A on the basis f_a = sum_i U[i, a] e_i."""
+    V = np.linalg.inv(U)
+    mult = np.einsum("ia,jb,ijk,ck->abc", U, U, A.mult, V, optimize=True)
+    star = np.einsum("ia,ik,ck->ac", U.conj(), A.star, V, optimize=True)
+    return mult, V @ A.unit, star
+
+
+def _rebased_module(MA, P, U):
+    """MA with W on the basis P and M on the basis U."""
+    W, M = MA.hopf, MA.target
+    Q, V = np.linalg.inv(P), np.linalg.inv(U)
+    cop = np.einsum("ia,iuv,bu,cv->abc", P, W.cop, Q, Q, optimize=True)
+    Wp = WeakHopfAlgebra(StarAlgebra(*_rebased_algebra(W.alg, P)), cop,
+                         P.T @ W.counit, Q @ W.antipode @ P)
+    act = np.einsum("ub,pa,upq,cq->bac", P, U, MA.act, V, optimize=True)
+    return make_module_algebra(Wp, StarAlgebra(*_rebased_algebra(M, U)), act)
+
+
+def _spy_joins(monkeypatch):
+    """Record the key counts of every join run through _contract.summed."""
+    seen, join = [], _contract.join
+
+    def spy(ka, kb):
+        seen.append((ka.size, kb.size))
+        return join(ka, kb)
+
+    monkeypatch.setattr(_contract, "join", spy)
+    return seen
+
+
+def _outcome(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    exc = info.value
+    return type(exc), str(exc).split(",")[0], exc.where, exc.residual
+
+
+def _same_outcome(listed, dense):
+    assert listed[:3] == dense[:3]
+    if np.isnan(dense[3]):
+        assert np.isnan(listed[3])
+    else:
+        assert listed[3] == pytest.approx(dense[3], rel=1e-12, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def rng():
+    return np.random.default_rng(31)
+
+
+@pytest.fixture(scope="module")
+def pauli_level():
+    """The dim-16 crossed product of the Pauli action: 128 nonzeros."""
+    return cr.crossed_product(ex.named_action("m2-pauli")).algebra
+
+
+@pytest.fixture(scope="module")
+def pauli_seed():
+    return ex.named_action("m2-pauli")
+
+
+# ---------------------------------------------------------------------------
+# the pure-tensor quotient basis
+
+
+def test_pivoted_columns_take_the_largest_remaining_column():
+    a = np.array([[1.0, 0.0, 3.0, 1.0], [0.0, 2.0, 0.0, 1.0]])
+    # column 2 first (norm 3), then column 1 (norm 2 once column 2 is out)
+    assert la.pivoted_columns(a, 2).tolist() == [1, 2]
+    # tied columns go to the lowest index; picking every column takes all
+    assert la.pivoted_columns(np.eye(3)[:, [2, 0, 1]], 1).tolist() == [0]
+    assert la.pivoted_columns(np.eye(3)[:, [2, 0, 1]], 3).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("basis", ["natural", "monomial"])
+def test_pauli_tower_levels_are_monomial(basis):
+    MA = ex.named_action("m2-pauli")
+    if basis == "monomial":
+        rng = np.random.default_rng(3)
+        MA = _rebased_module(MA, _monomial_unitary(rng, MA.hopf.dim),
+                             _monomial_unitary(rng, MA.target.dim))
+    X1 = cr.crossed_product(MA)
+    X2 = cr.crossed_product(X1.as_module)
+    assert [np.count_nonzero(X.algebra.mult) for X in (X1, X2)] == [128, 512]
+    assert (X1.dim, X2.dim) == (16, 64)
+
+
+def test_quotient_basis_is_a_pure_tensor_selection(pauli_seed):
+    X = cr.crossed_product(pauli_seed)
+    M, A = pauli_seed.target, pauli_seed.hopf.alg
+    picked = np.argwhere(X.lift.reshape(M.dim, A.dim, X.dim) == 1)   # [p, i, B]
+    assert sorted(picked[:, 2].tolist()) == list(range(X.dim))
+    assert X.algebra.labels == [f"{M.labels[p]}#{A.labels[i]}" for p, i, _ in picked]
+    assert np.array_equal(X.proj @ X.lift, np.eye(X.dim))
+    assert np.abs(X.proj @ X._rel_basis).max() < 1e-12
+    # every class of a pure tensor is a multiple of one picked class
+    assert (np.count_nonzero(X.proj, axis=0) <= 1).all()
+
+
+# ---------------------------------------------------------------------------
+# associativity
+
+
+def _dense_associativity(monkeypatch):
+    monkeypatch.setattr(al, "_associator_list", lambda mult: None)
+
+
+def test_monomial_associativity_takes_nonzero_lists(pauli_level, monkeypatch, rng):
+    A = pauli_level
+    seen = _spy_joins(monkeypatch)
+    make_star_algebra(A.mult, A.unit, A.star)
+    assert len(seen) == 2
+    # the same algebra in a Haar-random basis runs the dense path
+    del seen[:]
+    make_star_algebra(*_rebased_algebra(A, _haar_unitary(rng, A.dim)))
+    assert not seen
+
+
+def test_associativity_beyond_one_slice_takes_the_dense_path(pauli_level, monkeypatch):
+    A = pauli_level
+    seen = _spy_joins(monkeypatch)
+    monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    make_star_algebra(A.mult, A.unit, A.star)
+    assert not seen
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_associativity_takes_the_dense_path(pauli_level, monkeypatch, bad):
+    A = pauli_level
+    mult = A.mult.copy()
+    mult[3, 5, 7] = bad
+    seen = _spy_joins(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        exc = _outcome(lambda: make_star_algebra(mult, A.unit, A.star))
+    assert not seen
+    assert exc[0] is AssociativityViolation and np.isnan(exc[3])
+
+
+@pytest.mark.parametrize("change", ["perturbed", "added"])
+def test_broken_associativity_reports_as_the_dense_path(pauli_level, monkeypatch, change):
+    A = pauli_level
+    mult = A.mult.copy()
+    if change == "perturbed":
+        mult[tuple(np.argwhere(mult != 0)[40])] *= 1.001
+    else:
+        mult[tuple(np.argwhere(mult == 0)[1000])] = 1e-3
+    assert np.count_nonzero(mult) <= A.dim ** 2
+
+    def build():
+        return make_star_algebra(mult, A.unit, A.star, labels=A.labels)
+
+    seen = _spy_joins(monkeypatch)
+    listed = _outcome(build)
+    assert len(seen) == 2 and listed[0] is AssociativityViolation
+    _dense_associativity(monkeypatch)
+    _same_outcome(listed, _outcome(build))
+
+
+# ---------------------------------------------------------------------------
+# the module product law and the unit-coproduct splitting
+
+
+def _dense_module_laws(monkeypatch):
+    monkeypatch.setattr(mo, "_split_law_lists", lambda cop, D1, act, mult: (None, None))
+
+
+def _spy_tables(monkeypatch):
+    formed, table = [], mo.act_mult_table
+
+    def spy(act, mult):
+        formed.append(act.shape)
+        return table(act, mult)
+
+    monkeypatch.setattr(mo, "act_mult_table", spy)
+    return formed
+
+
+def test_monomial_module_laws_take_nonzero_lists(pauli_seed, monkeypatch, rng):
+    # the act-mult table, dim A * dim M^3 entries, is never formed; the
+    # crossed product's dual action is monomial too
+    seen, formed = _spy_joins(monkeypatch), _spy_tables(monkeypatch)
+    for MA in (pauli_seed, cr.crossed_product(pauli_seed).as_module):
+        del seen[:]
+        make_module_algebra(MA.hopf, MA.target, MA.act)
+        assert len(seen) == 6
+    assert not formed
+    # a target rotated by a Haar-random unitary runs the dense path
+    del seen[:]
+    U = _haar_unitary(rng, pauli_seed.target.dim)
+    _rebased_module(pauli_seed, np.eye(pauli_seed.hopf.dim), U)
+    assert not seen and len(formed) == 1
+
+
+def test_module_laws_beyond_one_slice_take_the_dense_path(pauli_seed, monkeypatch):
+    seen, formed = _spy_joins(monkeypatch), _spy_tables(monkeypatch)
+    monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    make_module_algebra(pauli_seed.hopf, pauli_seed.target, pauli_seed.act)
+    assert not seen and len(formed) == 1
+
+
+@pytest.mark.parametrize("table", ["mult", "D1"])
+def test_non_finite_module_laws_take_the_dense_path(pauli_seed, monkeypatch, table):
+    W, M = pauli_seed.hopf, pauli_seed.target
+    mult = M.mult.copy()
+    V = WeakHopfAlgebra(W.alg, W.cop, W.counit, W.antipode)
+    V._cache = dict(W._cache)
+    if table == "mult":
+        mult[1, 2, 0] = np.nan
+    else:
+        D1 = W.delta_one().copy()
+        D1[2, 5] = np.nan
+        V._cache["D1"] = D1
+    seen = _spy_joins(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        exc = _outcome(lambda: make_module_algebra(V, StarAlgebra(mult, M.unit, M.star),
+                                                   pauli_seed.act))
+    law = "product law" if table == "mult" else "unit-coproduct splitting"
+    assert exc[0] is ActionAxiomViolation and exc[1].startswith(law)
+    assert np.isnan(exc[3])
+    # the product law of the NaN D1 still runs over lists; the splitting does not
+    assert len(seen) == (0 if table == "mult" else 4)
+
+
+@pytest.mark.parametrize("change", ["perturbed", "added"])
+@pytest.mark.parametrize("law", ["product law", "splitting"])
+def test_broken_module_laws_report_as_the_dense_path(pauli_seed, monkeypatch, law, change):
+    W, M = pauli_seed.hopf, pauli_seed.target
+    V = WeakHopfAlgebra(W.alg, W.cop, W.counit, W.antipode)
+    V._cache = dict(W._cache)
+    mult = M.mult.copy()
+    # the product law is the first law that reads M's product, the
+    # splitting the only one that reads Delta(1)
+    table = mult if law == "product law" else W.delta_one().copy()
+    if change == "perturbed":
+        table[tuple(np.argwhere(table != 0)[3])] += 0.25
+    else:
+        table[tuple(np.argwhere(table == 0)[5])] = 1e-3
+    if law == "splitting":
+        V._cache["D1"] = table
+    assert np.count_nonzero(mult) <= M.dim ** 2
+
+    def build():
+        return make_module_algebra(V, StarAlgebra(mult, M.unit, M.star), pauli_seed.act)
+
+    seen = _spy_joins(monkeypatch)
+    listed = _outcome(build)
+    assert len(seen) == 6 and listed[0] is ActionAxiomViolation and law in listed[1]
+    _dense_module_laws(monkeypatch)
+    _same_outcome(listed, _outcome(build))
