@@ -38,61 +38,57 @@ translation exchange identity the products tau_l(f^u) ell(e_k)
 factor.
 
 Nonzero-list rule: monomial tables are contracted over their nonzero
-entries.  nonzeros lists a table, join pairs the entries of two lists with
-equal contracted index, accumulate sums the products per output index
-(summed does the three), and difference subtracts two lists.  A table is
-monomial for a check (monomial_lists) when it is finite and has at most
-its check's limit of nonzeros, as the tables of every built-in algebra,
-its dual and the crossed products of the package's actions have in the
-natural basis and in any monomial (permutation times phases) basis:
+entries.  A nonzero list is one format: the row-major flat keys of the
+entries of a table, in increasing order, and their values.  listed gives
+the list of a table when it is finite and has at most its check's limit of
+nonzeros, as the tables of every built-in algebra, its dual and the
+crossed products of the package's actions have in the natural basis and
+in any monomial (permutation times phases) basis.  Each identity is
+written as pairwise np.einsum subscripts over lists, one contract call per
+step, and contract derives every key from the subscripts and the letter
+sizes; difference subtracts two lists:
 
+  * associativity: mult with at most n^2 nonzeros, "ijp,pkq->ijkq"
+    against "jkp,ipq->ijkq";
   * axioms Ia and Ic: mult and cop with at most n^2 nonzeros.  Ia's right
-    side is the ring P[i, u, b, c] (over a) joined with Q[b, c, j, v]
-    (over d) on (b, c), so its right half is not held whole;
-  * associativity: mult with at most n^2 nonzeros, both sides joined over
-    the middle index;
+    side is "iab,acu->iubc" and "jcd,bdv->bcjv" joined by
+    "iubc,bcjv->iujv", so its right half is not held whole; its left side
+    is "ijk,kuv->iujv".  Ic is t1 = "iaz,axy->ixyz" against
+    "ixb,byz->ixyz";
   * the module product law and the unit-coproduct splitting: the target's
     mult with at most dim M^2, cop with at most dim A^2 and act with at
     most dim A * dim M nonzeros, and a finite Delta(1).  Both sum
-    c[., u, v] act[u, p, a] act[v, q, b] mult[a, b, k] in the order
-    act-mult over b, then c-act over u (c = cop or Delta(1)), then the two
+    c[., u, v] act[u, p, a] act[v, q, b] mult[a, b, k] as "vqb,abk->vaqk",
+    then "iuv,upa->ipva" (or "uv,upa->pva" for Delta(1)), then the two
     over (v, a); the act-mult table is never formed.
 
-A join runs only when its exact term count, known from the two key
-histograms (join_size) before anything is allocated, fits one
-weakhopf._checks slice; otherwise, or on any other table (a Haar-random
-basis, a non-finite entry), the dense sliced path runs.  Every entry
-outside a list is an exact zero, and products of finite tables drop only
-exact 0 * finite terms, so the residual is still the maximum over the full
-index set and the sums change only by rounding.  accumulate returns its
-keys in increasing, that is row-major, order, so the first largest entry
-of a list is the location the dense path reports
-(weakhopf._checks.require_listed).  On the dense path Ia costs n^6 flops:
-every summed index of its ring joins two of the four tables, so every
-pairwise order builds an n^4 table and ends in one (n^2 x n^2)(n^2 x n^2)
-GEMM, and associativity costs n^5.
+list_matmul multiplies a list, read as a matrix, by a dense table: the
+(y, z) contractions of t1 behind two projection identities, when
+nnz(t1) * n entries fit one slice.
 
-On the dense path the module product law and the unit-coproduct splitting
-take split_product, whose inner index (v, a) runs over a coproduct leg v and a
-target index a.  Each item is summed over the blocks v it reaches: those
-where its left factor (coef . act) has a nonzero or NaN entry, or where
-the act-mult table has a non-finite row.  Only exact 0 * finite terms are
-dropped, so the result is non-finite where the full product is.  Items
-with the same reach share one GEMM per reached block, over views of the
-table (its rows (v, a) of one block are contiguous), so nothing of the
-table is gathered; a group is stacked in chunks whose sums and one GEMM
-result fit one slice.  On the dim-64 Pauli tower step, each coproduct row of
-the dim-16 algebra reaches 4 of its 16 legs; the table there is 64 MB.
-Items that reach every block, as on dense tables, share one plain GEMM.
+A contraction runs only when its exact term count, known from the key
+histograms of the shared letters (join_size) before anything is
+allocated, fits one weakhopf._checks slice; otherwise it gives None, as
+does every later step and difference that reads it, and the check takes
+its dense sliced path, as on any other table (a Haar-random basis, a
+non-finite entry).  Every entry outside a list is an exact zero, and
+products of finite tables drop only exact 0 * finite terms, so the
+residual is still the maximum over the full index set and the sums change
+only by rounding.  accumulate returns its keys in increasing, that is
+row-major, order, so the first largest entry of a list is the location the
+dense path reports (weakhopf._checks.require_listed).  On the dense path
+Ia costs n^6 flops: every summed index of its ring joins two of the four
+tables, so every pairwise order builds an n^4 table and ends in one
+(n^2 x n^2)(n^2 x n^2) GEMM, and associativity costs n^5.  On the dense
+path the module product law and the unit-coproduct splitting take
+split_product, one plain GEMM against the act-mult table.
 
 Every other identity costs at most n^5 flops.
 """
 
-import math
-
 import numpy as np
 
-from ._checks import fits_slice, row_slices
+from ._checks import fits_slice
 
 
 def pair_products(mult, xs, ys):
@@ -118,74 +114,91 @@ def act_mult_table(act, mult):
     return np.matmul(act[:, None], mult[None]).reshape(nv * na, nq * nk)
 
 
-def split_product(coef, act, mult, table=None, nonfinite_rows=None, out=None):
+def split_product(coef, act, mult, table=None, out=None):
     """out[..., p, q, k] = sum coef[..., u, v] act[u, p, a] act[v, q, b]
     mult[a, b, k]: products (e_u |> f_p)(e_v |> f_q) weighted by a
     coproduct-shaped coefficient table.
 
-    Contracted as (coef . act) against the act_mult_table of act and mult,
-    which may be passed in as table, with its (dim A * dim M,) mask of
-    non-finite rows as nonfinite_rows when it is reused.  That table has
+    One GEMM of (coef . act) against the act_mult_table of act and mult,
+    which may be passed in as table when it is reused.  That table has
     dim A * dim M^3 entries; with a two-index coef it exceeds the dim M^3
     result, and every other pairwise order builds a dim M^4 table.  When
     out (a C-contiguous array of the result's shape) is given, the product
     is subtracted from it in place and out is returned, so that a check
     holds no second table of that size.
-
-    Each item (one index of coef's leading axes) is summed only over the
-    blocks v that it reaches: those at which its left factor
-    (coef . act)[..., v, p, a] has a nonzero or NaN entry, or at which the
-    rows (v, a) of table have a non-finite entry.  Only exact 0 * finite
-    terms are dropped, so the result equals the full product up to rounding
-    and is non-finite where it is.  Items with the same reach are stacked,
-    in chunks whose sums and one GEMM result fit one slice, and each chunk
-    runs one GEMM per reached block; the rows of one block v are contiguous
-    in table, so each GEMM reads a view of them and nothing is gathered.
-    When every item reaches every block, the whole product is one plain
-    GEMM against table.
     """
     if table is None:
         table = act_mult_table(act, mult)
-    if nonfinite_rows is None:
-        nonfinite_rows = ~np.isfinite(table).all(axis=1)
     nv, npq, na = act.shape
-    items = math.prod(coef.shape[:-2])
-    left = np.tensordot(coef, act, axes=([-2], [0])).reshape(items, nv, npq, na)
-    reach = (left != 0).any(axis=(2, 3)) | nonfinite_rows.reshape(nv, na).any(axis=1)
-    product = out is None
-    if product:
-        out = np.zeros(coef.shape[:-2] + (npq, npq, mult.shape[2]),
-                       np.result_type(left, table))
-    rows = out.reshape(items, npq, table.shape[1])
-    if reach.all():
-        rows -= (np.moveaxis(left, 1, 2).reshape(items * npq, nv * na) @ table
-                 ).reshape(rows.shape)
-    else:
-        blocks = table.reshape(nv, na, table.shape[1])
-        by_leg = np.swapaxes(left, 0, 1)                     # [v, r, p, a]
-        groups = {}
-        for r, vs in enumerate(reach.tolist()):
-            groups.setdefault(tuple(vs), []).append(r)
-        for members in groups.values():
-            legs = np.flatnonzero(reach[members[0]])
-            if not legs.size:
-                continue                                 # items that reach nothing
-            # a chunk's sums and one GEMM result fit one slice together
-            for chunk in row_slices(len(members), 2 * rows[0].size):
-                rs = members[chunk]
-                stacked = by_leg[legs[:, None], rs].reshape(legs.size, len(rs) * npq, na)
-                sums = np.matmul(stacked[0], blocks[legs[0]])
-                for x, v in zip(stacked[1:], legs[1:]):
-                    sums += np.matmul(x, blocks[v])
-                rows[rs] -= sums.reshape(len(rs), *rows.shape[1:])
-    return np.negative(out, out=out) if product else out
+    left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -3, -2)
+    product = (left.reshape(-1, nv * na) @ table).reshape(
+        coef.shape[:-2] + (npq, npq, mult.shape[2]))
+    if out is None:
+        return product
+    out -= product
+    return out
 
 
-def nonzeros(table):
-    """The nonzero entries of table: (index arrays, one per axis, values),
-    in row-major order."""
-    index = np.nonzero(table)
-    return index, table[index]
+def listed(table, limit):
+    """The nonzero list of table, (row-major flat keys in increasing order,
+    values); None when table has a non-finite entry or more than limit
+    nonzeros."""
+    if not np.isfinite(table).all():
+        return None
+    keys = np.flatnonzero(table)
+    if keys.size > limit:
+        return None
+    return keys, table.ravel()[keys]
+
+
+def contract(subscripts, a, b, dims):
+    """The nonzero list of the contraction of the lists a and b written as
+    np.einsum subscripts, such as "ijp,pkq->ijkq": every pair of entries
+    that agree on the letters both operands carry is multiplied, and the
+    products are summed at the key of the output letters.  dims maps each
+    letter to its size, or is one size for every letter.  None when a or b
+    is None, or when the pairs do not fit one slice."""
+    if a is None or b is None:
+        return None
+    inputs, output = subscripts.split("->")
+    sa, sb = inputs.split(",")
+    if isinstance(dims, int):
+        dims = dict.fromkeys(sa + sb, dims)
+    shared = [x for x in sa if x in sb]
+    ka, kb = _keys(a[0], sa, shared, dims), _keys(b[0], sb, shared, dims)
+    if not fits_slice(join_size(ka, kb)):
+        return None
+    ia, ib = join(ka, kb)
+    # a letter of both operands is read from a
+    keys = _keys(a[0], sa, output, dims)[ia] + _keys(b[0], sb, output, dims, skip=sa)[ib]
+    return accumulate(keys, a[1][ia] * b[1][ib])
+
+
+def _keys(keys, word, within, dims, skip=""):
+    """The share of row-major keys over the letters of within that the
+    letters of word, other than those in skip, contribute; read from keys
+    over the letters of word."""
+    digits = dict(zip(word, np.unravel_index(keys, [dims[x] for x in word])))
+    part, stride = np.zeros(keys.shape, np.intp), 1
+    for x in reversed(within):
+        if x in digits and x not in skip:
+            part += digits[x] * stride
+        stride *= dims[x]
+    return part
+
+
+def list_matmul(a, table, rows):
+    """The dense (rows, len(table)) matrix held as the nonzero list a, times
+    table: a (rows, table.shape[1]) array.  The keys of a are sorted, so
+    its entries come grouped by row."""
+    keys, values = a
+    out = np.zeros((rows, table.shape[1]), dtype=np.result_type(values, table))
+    if keys.size:
+        row = keys // len(table)
+        starts = np.flatnonzero(np.concatenate([[True], row[1:] != row[:-1]]))
+        out[row[starts]] = np.add.reduceat(values[:, None] * table[keys % len(table)],
+                                           starts)
+    return out
 
 
 def join_size(ka, kb):
@@ -221,26 +234,10 @@ def accumulate(keys, values):
     return keys, sums
 
 
-def monomial_lists(*bounded):
-    """The nonzero lists of the tables of (table, limit) pairs when every
-    table is finite and has at most its limit of nonzeros; None otherwise."""
-    for table, limit in bounded:
-        if not np.isfinite(table).all() or np.count_nonzero(table) > limit:
-            return None
-    return [nonzeros(table) for table, _ in bounded]
-
-
-def summed(ka, kb, va, vb, key):
-    """The nonzero list of sum va[ia] vb[ib] over the pairs of join(ka, kb),
-    at the output keys key(ia, ib); None when the pairs do not fit one
-    slice."""
-    if not fits_slice(join_size(ka, kb)):
-        return None
-    ia, ib = join(ka, kb)
-    return accumulate(key(ia, ib), va[ia] * vb[ib])
-
-
 def difference(a, b):
     """The nonzero list of a - b, from those of a and b (an entry of either
-    list at a key the other lacks stands against an exact zero)."""
+    list at a key the other lacks stands against an exact zero); None when
+    a or b is None."""
+    if a is None or b is None:
+        return None
     return accumulate(np.concatenate([a[0], b[0]]), np.concatenate([a[1], -b[1]]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import require, require_listed, require_sliced, residual, row_slices
-from ._contract import difference, monomial_lists, pair_products, summed
+from ._contract import contract, difference, listed, pair_products
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, memo, tolerance
 from .errors import (
     AssociativityViolation,
@@ -34,7 +34,6 @@ __all__ = [
     "Subspace",
     "make_star_algebra",
     "multiply",
-    "left_regular_rep",
     "is_positive",
     "sqrt_positive",
     "invert",
@@ -307,27 +306,12 @@ def _associator_list(mult):
     (the nonzero-list rule of weakhopf._contract): for a finite mult with at
     most n^2 nonzeros whose joins fit one slice, None otherwise."""
     n = mult.shape[0]
-    lists = monomial_lists((mult, n * n))
-    if lists is None:
-        return None
-    (mi, mj, mk), mv = lists[0]
-    # mult[i, j, p] mult[p, k, q] over p, and mult[j, k, p] mult[i, p, q] over p
-    left = summed(mk, mi, mv, mv, lambda s, t: ((mi[s] * n + mj[s]) * n + mj[t]) * n + mk[t])
-    right = summed(mk, mj, mv, mv, lambda s, t: ((mi[t] * n + mi[s]) * n + mj[s]) * n + mk[t])
-    if left is None or right is None:
-        return None
-    return difference(left, right)
+    m = listed(mult, n * n)
+    return difference(contract("ijp,pkq->ijkq", m, m, n), contract("jkp,ipq->ijkq", m, m, n))
 
 
 def multiply(a, b):
     return a * b
-
-
-def left_regular_rep(A):
-    """Element -> matrix of left multiplication; L_a L_b = L_{ab}."""
-    def rep(x):
-        return A.left_mult_matrix(x.coords if isinstance(x, Element) else x)
-    return rep
 
 
 def _hermitian_part(A, x, tol=None):

@@ -21,8 +21,7 @@ import numpy as np
 from . import _linalg as la
 from ._checks import (fits_slice, outside, require, require_first, residual,
                       residual_over, row_slices)
-from ._contract import (accumulate, difference, join, join_size, monomial_lists,
-                        pair_products)
+from ._contract import contract, difference, list_matmul, listed, pair_products
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, memo, tolerance
 from .errors import AxiomViolation, ParentMismatch
@@ -35,7 +34,6 @@ __all__ = [
     "dual",
     "arrow_left",
     "arrow_right",
-    "counit_maps",
     "boundary_subalgebra",
     "mu_iso",
     "is_pure",
@@ -283,7 +281,8 @@ def verify_weak_hopf(W, tol=None):
     m2 = mult.reshape(n * n, n)            # [(i, j), k]
     c2 = cop.reshape(n, n * n)             # [i, (j, k)]
     blocks = row_slices(n, n ** 3)
-    lists = _monomial_lists(mult, cop)
+    m, c = listed(mult, n * n), listed(cop, n * n)
+    lists = None if m is None or c is None else (m, c)
     r = {}
 
     # a non-finite antipode is reported as not invertible, not factored
@@ -341,7 +340,8 @@ def verify_weak_hopf(W, tol=None):
         t1, gap = ic
         r["Ic"] = residual(gap[1])
         if fits_slice(t1[0].size * n):
-            yz = {k: _over_yz(t1, table, n) for k, table in over_yz.items()}
+            yz = {k: list_matmul(t1, table, n * n).reshape(n, n, n)
+                  for k, table in over_yz.items()}
             over_yz = {}
     if ic is None or over_yz:
         yz = {k: np.empty((n, n, n), dtype=complex) for k in over_yz}
@@ -438,72 +438,24 @@ def verify_weak_hopf(W, tol=None):
     return AxiomReport(r, s_invertible)
 
 
-def _monomial_lists(mult, cop):
-    """The nonzero lists of mult and cop (weakhopf._contract.nonzeros) when
-    the axiom suite contracts over them: both tables finite, each with at
-    most n^2 nonzeros.  None otherwise."""
-    n = mult.shape[0]
-    return monomial_lists((mult, n * n), (cop, n * n))
-
-
-def _summed(ka, kb, va, vb, key):
-    """The nonzero list of sum va[ia] vb[ib] over the pairs of join(ka, kb),
-    at the output keys key(ia, ib); None when the pairs do not fit one
-    slice."""
-    if not fits_slice(join_size(ka, kb)):
-        return None
-    ia, ib = join(ka, kb)
-    return accumulate(key(ia, ib), va[ia] * vb[ib])
-
-
 def _ia_gap(m, c, n):
     """The nonzero list of axiom Ia's difference table, keyed (i, u, j, v),
     from the nonzero lists m of mult and c of cop; None when a join does not
     fit one slice."""
-    (ma, mb, mk), mv = m            # mult[a, b, k]
-    (ci, cj, ck), cv = c            # cop[i, j, k]
-    n2 = n * n
-    # P[i, u, b, c] = cop[i, a, b] mult[a, c, u], over a
-    p = _summed(cj, ma, cv, mv, lambda s, t: ((ci[s] * n + mk[t]) * n + ck[s]) * n + mb[t])
-    # Q[b, c, j, v] = cop[j, c, d] mult[b, d, v], over d
-    q = _summed(ck, mb, cv, mv, lambda s, t: ((ma[t] * n + cj[s]) * n + ci[s]) * n + mk[t])
-    if p is None or q is None:
-        return None
-    # the right side P[i, u, b, c] Q[b, c, j, v], over (b, c)
-    right = _summed(p[0] % n2, q[0] // n2, p[1], q[1],
-                    lambda s, t: p[0][s] // n2 * n2 + q[0][t] % n2)
-    # the left side mult[i, j, k] cop[k, u, v], over k
-    left = _summed(mk, ci, mv, cv, lambda s, t: ((ma[s] * n + cj[t]) * n + mb[s]) * n + ck[t])
-    if right is None or left is None:
-        return None
-    return difference(right, left)
+    # the right side: P[i, u, b, c] = cop[i, a, b] mult[a, c, u] over a,
+    # Q[b, c, j, v] = cop[j, c, d] mult[b, d, v] over d, then P Q over (b, c)
+    p, q = contract("iab,acu->iubc", c, m, n), contract("jcd,bdv->bcjv", c, m, n)
+    right = contract("iubc,bcjv->iujv", p, q, n)
+    return difference(right, contract("ijk,kuv->iujv", m, c, n))
 
 
 def _ic_lists(c, n):
     """The nonzero lists, keyed (i, x, y, z), of t1 = (Delta (x) id) Delta
     and of axiom Ic's difference table t1 - t2, from the nonzero list c of
     cop; None when a join does not fit one slice."""
-    (ci, cj, ck), cv = c
-    # t1[i, x, y, z] = cop[i, a, z] cop[a, x, y], over a
-    t1 = _summed(cj, ci, cv, cv, lambda s, t: ((ci[s] * n + cj[t]) * n + ck[t]) * n + ck[s])
-    # t2[i, x, y, z] = cop[i, x, b] cop[b, y, z], over b
-    t2 = _summed(ck, ci, cv, cv, lambda s, t: ((ci[s] * n + cj[s]) * n + cj[t]) * n + ck[t])
-    if t1 is None or t2 is None:
-        return None
-    return t1, difference(t1, t2)
-
-
-def _over_yz(t1, table, n):
-    """sum over (y, z) of t1[i, x, y, z] table[(y, z), q] at [i, x, q], from
-    t1's nonzero list, whose keys are sorted and so grouped by (i, x)."""
-    keys, values = t1
-    out = np.zeros((n * n, n), dtype=np.result_type(values, table))
-    if keys.size:
-        rows = keys // (n * n)
-        starts = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
-        out[rows[starts]] = np.add.reduceat(values[:, None] * table[keys % (n * n)],
-                                            starts)
-    return out.reshape(n, n, n)
+    t1 = contract("iaz,axy->ixyz", c, c, n)
+    gap = difference(t1, contract("ixb,byz->ixyz", c, c, n))
+    return None if gap is None else (t1, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +486,6 @@ def _wha_for(alg, dual_alg):
     if W is not None and W.dual_alg is alg:
         return W.dual()
     raise ParentMismatch("no weak Hopf algebra links these parents")
-
-
-class CounitMaps:
-    def __init__(self, W):
-        self.eps_l = W.counital("L")
-        self.eps_r = W.counital("R")
-        self.eps_l_hat = W.counital("hL")
-        self.eps_r_hat = W.counital("hR")
-
-
-def counit_maps(W):
-    return CounitMaps(W)
 
 
 def boundary_subalgebra(W, side, tol=None):

@@ -15,15 +15,7 @@ from ._checks import (
     residual,
     row_slices,
 )
-from ._contract import (
-    act_mult_table,
-    difference,
-    monomial_lists,
-    nonzeros,
-    pair_products,
-    split_product,
-    summed,
-)
+from ._contract import act_mult_table, contract, difference, listed, pair_products, split_product
 from .algebra import Element, Subspace, _homomorphism_gaps
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, memo, tolerance
 from .errors import (
@@ -129,17 +121,15 @@ def make_module_algebra(W, M, act, tol=None):
     # e_i |> (f_p f_q) against (e_i(1) |> f_p)(e_i(2) |> f_q), as [i, p, q, k],
     # and the splitting of products through the coproduct of the unit, as
     # [p, q, k]: over nonzero lists for monomial tables; otherwise through
-    # split_product, which shares the act-mult table and its mask of
-    # non-finite rows between the two
+    # split_product, which shares the act-mult table between the two
     D1 = W.delta_one()
     product_gap, splitting_gap = _split_law_lists(cop, D1, act, multm)
     if product_gap is None or splitting_gap is None:
         table = act_mult_table(act, multm)
-        nonfinite = ~np.isfinite(table).all(axis=1)
 
     def product_law(rows):
         gap = np.matmul(multm.reshape(-1, dm), act[rows]).reshape(-1, dm, dm, dm)
-        return rows.start, split_product(cop[rows], act, multm, table, nonfinite, out=gap)
+        return rows.start, split_product(cop[rows], act, multm, table, out=gap)
 
     if product_gap is not None:
         require_listed(product_gap, (da, dm, dm, dm), t, ActionAxiomViolation,
@@ -162,7 +152,7 @@ def make_module_algebra(W, M, act, tol=None):
         require_listed(splitting_gap, (dm, dm, dm), t, ActionAxiomViolation,
                        "unit-coproduct splitting fails", where=tuple)
     else:
-        require(split_product(D1, act, multm, table, nonfinite, out=multm.copy()), t,
+        require(split_product(D1, act, multm, table, out=multm.copy()), t,
                 ActionAxiomViolation, "unit-coproduct splitting fails", where=tuple)
     return MA
 
@@ -178,37 +168,21 @@ def _split_law_lists(cop, D1, act, mult):
     c = cop or D1, in the order act-mult over b, then c-act over u, then
     the two over (v, a)."""
     da, dm = act.shape[:2]
-    lists = monomial_lists((cop, da * da), (act, da * dm), (mult, dm * dm))
-    if lists is None:
+    c, a, m = listed(cop, da * da), listed(act, da * dm), listed(mult, dm * dm)
+    if c is None or a is None or m is None:
         return None, None
-    ((ci, cu, cv), c), ((au, ap, aa), a), ((ma, mb, mk), m) = lists
-    vas, qks = da * dm, dm * dm
-    # T[v, a, q, k] = act[v, q, b] mult[a, b, k], over b
-    tail = summed(aa, mb, a, m, lambda s, t: (au[s] * dm + ma[t]) * qks + ap[s] * dm + mk[t])
+    dims = dict.fromkeys("iuv", da) | dict.fromkeys("pqrabk", dm)
+    tail = contract("vqb,abk->vaqk", a, m, dims)
     if tail is None:
         return None, None
-
-    def split(head):
-        """Sum over (v, a) of head[lead, v, a] T[v, a, q, k], keyed
-        [lead, q, k], from head keyed lead * (dim A * dim M) + (v, a)."""
-        if head is None:
-            return None
-        return summed(head[0] % vas, tail[0] // qks, head[1], tail[1],
-                      lambda s, t: head[0][s] // vas * qks + tail[0][t] % qks)
-
     # e_i |> (f_p f_q) = mult[p, q, r] act[i, r, k] over r, against
-    # cop[i, u, v] act[u, p, a] over u, keyed [(i, p), (v, a)]
-    lhs = summed(mk, ap, m, a, lambda s, t: ((au[t] * dm + ma[s]) * dm + mb[s]) * dm + aa[t])
-    rhs = split(summed(cu, au, c, a, lambda s, t: (ci[s] * dm + ap[t]) * vas + cv[s] * dm + aa[t]))
-    product = None if lhs is None or rhs is None else difference(lhs, rhs)
-
-    # mult[p, q, k] against D1[u, v] act[u, p, a] over u, keyed [p, (v, a)]
-    splitting = None
-    if np.isfinite(D1).all():
-        (du, dv), d = nonzeros(D1)
-        rhs = split(summed(du, au, d, a, lambda s, t: ap[t] * vas + dv[s] * dm + aa[t]))
-        if rhs is not None:
-            splitting = difference(((ma * dm + mb) * dm + mk, m), rhs)
+    # cop[i, u, v] act[u, p, a] over u, then the tail over (v, a)
+    product = difference(contract("pqr,irk->ipqk", m, a, dims), contract(
+        "ipva,vaqk->ipqk", contract("iuv,upa->ipva", c, a, dims), tail, dims))
+    # mult[p, q, k] against D1[u, v] act[u, p, a] over u, then the tail
+    d = listed(D1, D1.size)
+    splitting = difference(m, contract(
+        "pva,vaqk->pqk", contract("uv,upa->pva", d, a, dims), tail, dims))
     return product, splitting
 
 

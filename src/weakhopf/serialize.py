@@ -1,6 +1,5 @@
-"""JSON records for algebras, weak Hopf algebras, module algebras, groups
-and cocycles.  Complex scalars are [re, im] pairs; no string-encoded
-numerics."""
+"""JSON records for algebras, weak Hopf algebras and module algebras.
+Complex scalars are [re, im] pairs; no string-encoded numerics."""
 
 import hashlib
 import json
@@ -9,7 +8,6 @@ import numpy as np
 
 from .algebra import StarAlgebra, make_star_algebra
 from .errors import FormatError
-from .examples import Cocycle, FiniteGroup
 from .hopf import WeakHopfAlgebra, make_weak_hopf
 from .modules import make_module_algebra
 
@@ -23,10 +21,6 @@ __all__ = [
     "weak_hopf_from_record",
     "module_algebra_record",
     "module_algebra_from_record",
-    "group_record",
-    "group_from_record",
-    "cocycle_record",
-    "cocycle_from_record",
     "content_hash",
     "dump_canonical",
 ]
@@ -125,33 +119,6 @@ def module_algebra_from_record(rec, tol=None, check=True):
         return make_module_algebra(W, M, act, tol=tol)
     from .modules import ModuleAlgebra
     return ModuleAlgebra(W, M, act)
-
-
-def group_record(G):
-    return {"order": G.order, "mult": [list(row) for row in G.table],
-            "names": list(G.names)}
-
-
-def group_from_record(rec):
-    try:
-        return FiniteGroup(rec["mult"], names=rec.get("names"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad group record: {exc}") from exc
-
-
-def cocycle_record(c):
-    return {"z": array_to_pairs(c.z), "c": array_to_pairs(c.c),
-            "subgroup": list(c.H)}
-
-
-def cocycle_from_record(rec, G):
-    try:
-        H = [int(h) for h in rec["subgroup"]]
-        z = pairs_to_array(rec["z"])
-        c = pairs_to_array(rec["c"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad cocycle record: {exc}") from exc
-    return Cocycle(G, H, z, c)
 
 
 def dump_canonical(obj):

@@ -567,6 +567,48 @@ def test_cache_rule_lives_in_memo():
 
 
 # ---------------------------------------------------------------------------
+# source guard: the nonzero-list key format lives in _contract
+
+
+KEY_OWNER = "_contract.py"
+KEY_HELPERS = {"join", "join_size", "accumulate"}
+
+
+def _key_helper_uses(source):
+    """(line, name) for every import of join, join_size or accumulate, and
+    every call of them by name or through _contract (str.join is not
+    one)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in KEY_HELPERS]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else None
+            if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "_contract":
+                name = f.attr
+            if name in KEY_HELPERS:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_key_format_lives_in_contract():
+    sample = """
+from ._contract import contract, join
+from . import _contract
+keys = join(a, b)
+size = _contract.join_size(a, b)
+text = ", ".join(parts)
+total = np.add.accumulate(x)
+"""
+    assert _key_helper_uses(sample) == [(2, "join"), (4, "join"), (5, "join_size")]
+    uses = {p.name: _key_helper_uses(p.read_text()) for p in sorted(SRC.glob("*.py"))
+            if p.name != KEY_OWNER}
+    assert {n: u for n, u in uses.items() if u} == {}
+    assert _key_helper_uses((SRC / KEY_OWNER).read_text())
+
+
+# ---------------------------------------------------------------------------
 # source guard: the rank rule lives in _linalg
 
 

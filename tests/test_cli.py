@@ -35,17 +35,6 @@ def test_module_algebra_round_trip(m2_action):
     assert np.abs(MA2.act - m2_action[1].act).max() == 0.0
 
 
-def test_group_and_cocycle_round_trip(pauli):
-    G = ex.klein_four()
-    rec = ser.group_record(G)
-    G2 = ser.group_from_record(rec)
-    assert G2.table == G.table
-    c = pauli[0].group_data["cocycle"]
-    crec = ser.cocycle_record(c)
-    c2 = ser.cocycle_from_record(crec, G)
-    assert np.abs(c2.z - c.z).max() == 0.0
-
-
 def test_byte_stable_reports(tmp_path, capsys):
     rc, out1 = run(["example", "group", "--group", "z2", "--subgroup", "0,1"],
                    capsys)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import weakhopf._linalg as la
-from weakhopf import _checks
+from weakhopf import _checks, _contract
 from weakhopf import examples as ex
 from weakhopf import hopf
-from weakhopf._contract import join
 from weakhopf.algebra import Element, StarAlgebra
 from weakhopf.errors import AxiomViolation, ParentMismatch
 
@@ -117,19 +116,19 @@ def _haar_unitary(rng, n):
 
 def _spy_joins(monkeypatch):
     """Record the key counts of every join the axiom suite runs."""
-    seen = []
+    seen, join = [], _contract.join
 
     def spy(ka, kb):
         seen.append((ka.size, kb.size))
         return join(ka, kb)
 
-    monkeypatch.setattr(hopf, "join", spy)
+    monkeypatch.setattr(_contract, "join", spy)
     return seen
 
 
 def _dense(monkeypatch):
-    """Send the axiom suite down its dense path."""
-    monkeypatch.setattr(hopf, "_monomial_lists", lambda mult, cop: None)
+    """Send the axiom suite down its dense path: no join fits one slice."""
+    monkeypatch.setattr(_contract, "fits_slice", lambda entries: False)
 
 
 def _peak(fn):
@@ -228,8 +227,8 @@ def test_verdict_does_not_depend_on_a_unitary_basis(name, dual, monkeypatch):
     assert want[0]
     mono = _rebased(W, _monomial_unitary(rng, n))
     haar = _rebased(W, _haar_unitary(rng, n))
-    assert hopf._monomial_lists(mono.alg.mult, mono.cop) is not None
-    assert hopf._monomial_lists(haar.alg.mult, haar.cop) is None
+    assert all(_contract.listed(t, n * n) is not None for t in (mono.alg.mult, mono.cop))
+    assert any(_contract.listed(t, n * n) is None for t in (haar.alg.mult, haar.cop))
     listed = hopf.verify_weak_hopf(mono)
     assert _verdict(listed) == want
     _dense(monkeypatch)
@@ -481,12 +480,3 @@ def test_star_conjugations(wz2z2, pauli):
                 s = W.s_coords(np.eye(4)[k])
                 expect = W.alg.star_coords(np.conj(s))
                 assert np.abs(got.coords - expect).max() < 1e-12
-
-
-def test_counit_maps_bundle(wz2z2):
-    maps = hopf.counit_maps(wz2z2)
-    assert np.abs(maps.eps_l - wz2z2.counital("L")).max() == 0.0
-    assert np.abs(maps.eps_r_hat - wz2z2.counital("hR")).max() == 0.0
-    # the four images span the boundaries
-    assert la.span_equal(la.orth(maps.eps_l_hat), wz2z2.boundary("L").basis)
-    assert la.span_equal(la.orth(maps.eps_r_hat), wz2z2.boundary("R").basis)

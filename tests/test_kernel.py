@@ -7,8 +7,10 @@ inline inside a verifier are compared through the residual and location
 that the verifier reports when a perturbed table makes it fail.
 """
 
+import ast
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,9 @@ from weakhopf import examples as ex
 from weakhopf import modules as mo
 from weakhopf import tower as tw
 from weakhopf._checks import residual
-from weakhopf._contract import (accumulate, act_mult_table, join, join_size, nonzeros,
-                                pair_products, split_product)
+from weakhopf._contract import (accumulate, act_mult_table, contract, difference, join,
+                                join_size, list_matmul, listed, pair_products,
+                                split_product)
 from weakhopf.algebra import (
     StarAlgebra,
     Subspace,
@@ -106,77 +109,23 @@ def test_split_product(rng):
 
 
 def _plain_split(coef, act, mult, table):
-    """split_product's full product: every item against the whole table in
-    one plain GEMM."""
+    """The reference product: every item against the whole table in one
+    plain GEMM."""
     nv, npq, na = act.shape
     left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -2, -3)
     out = left.reshape(-1, nv * na) @ table
     return out.reshape(coef.shape[:-2] + (npq, npq, mult.shape[2]))
 
 
-def test_split_product_sums_each_item_over_the_blocks_it_reaches(rng, monkeypatch):
-    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
-    cop, d1 = _rand(rng, 3, 4, 4), _rand(rng, 4, 4)
-    cop[:, :, 1] = 0                          # no item reaches block 1
-    cop[0, :, 2] = 0                          # item 0 reaches blocks 0 and 3
-    cop[2] = 0                                # item 2 reaches none
-    d1[:, [0, 3]] = 0
-    calls = _matmuls(monkeypatch)
-    got = split_product(cop, act, mult)
-    assert calls.count(((3, 5), (5, 18))) == 2 + 3   # items 0 and 1, one per block
-    _close(got, np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult))
-    assert not got[2].any()
-    del calls[:]
-    _close(split_product(d1, act, mult),
-           np.einsum("uv,upa,vqb,abk->pqk", d1, act, act, mult))
-    assert calls.count(((3, 5), (5, 18))) == 2
-
-
-def test_split_product_full_reach_is_one_plain_gemm(rng, monkeypatch):
-    # every item reaches every block, some through a single nonzero entry of
-    # coef or one tiny entry: the result is the plain GEMM, bit for bit
-    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
-    cop = _rand(rng, 3, 4, 4)
-    cop[:, 1:, 2] = 0
-    cop[1, :, 3] = [0, 1e-300, 0, 0]
-    table = act_mult_table(act, mult)
-    calls = _matmuls(monkeypatch)
-    got = split_product(cop, act, mult, table)
-    assert not calls                          # no block GEMM
-    assert np.array_equal(got, _plain_split(cop, act, mult, table))
-    assert np.array_equal(split_product(cop[1], act, mult, table),
-                          _plain_split(cop[1], act, mult, table))
-
-
-def test_split_product_stacks_items_with_the_same_reach(rng, monkeypatch):
-    # items 0, 2, 4 reach blocks 0 and 2, items 1, 3, 5 blocks 0, 2 and 3:
-    # each group runs one GEMM per block over its three items, and with
-    # one-row slices the groups are cut into chunks of one item
-    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
-    cop = _rand(rng, 6, 4, 4)
-    cop[:, :, 1] = 0
-    cop[::2, :, 3] = 0
-    ref = np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult)
-    calls = _matmuls(monkeypatch)
-    _close(split_product(cop, act, mult), ref)
-    assert calls.count(((9, 5), (5, 18))) == 2 + 3
-    assert calls.count(((3, 5), (5, 18))) == 0
-    del calls[:]
-    monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
-    _close(split_product(cop, act, mult), ref)
-    assert calls.count(((3, 5), (5, 18))) == 3 * 2 + 3 * 3
-    assert calls.count(((9, 5), (5, 18))) == 0
-
-
 def test_split_product_subtracts_from_out(rng):
-    # with out given the product is subtracted from it in place, on the
-    # pruned path (zero v legs) and on the one-GEMM path alike
+    # with out given the product is subtracted from it in place, also where
+    # coef has zero v legs
     act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
     for zero_legs in (True, False):
         cop = _rand(rng, 3, 4, 4)
         if zero_legs:
             cop[:, :, 1] = 0
-            cop[[0, 2], :, 3] = 0                 # items 0 and 2 share a reach
+            cop[[0, 2], :, 3] = 0
         base = _rand(rng, 3, 3, 3, 6)
         out = base.copy()
         assert split_product(cop, act, mult, out=out) is out
@@ -186,7 +135,7 @@ def test_split_product_subtracts_from_out(rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
 def test_split_product_keeps_non_finite_table_rows(rng, bad):
     # 0 * NaN and 0 * inf are NaN: a non-finite row of the table in a block
-    # that no item's left factor reaches still makes column 4 NaN
+    # v where every item's coef is zero still makes column 4 NaN
     act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
     cop = _rand(rng, 3, 4, 4)
     cop[:, :, 1] = 0
@@ -203,7 +152,7 @@ def test_split_product_keeps_non_finite_table_rows(rng, bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_split_product_keeps_non_finite_actions(rng, bad):
-    # a non-finite action entry reaches every block through coef . act
+    # a non-finite action entry spreads to every block through coef . act
     act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
     cop = _rand(rng, 3, 4, 4)
     cop[:, :, 1] = 0
@@ -248,7 +197,7 @@ def _split_operands(draw):
 @given(_split_operands())
 def test_split_product_agrees_with_the_full_product(operands):
     """Random shapes, zero v legs of coef and NaN/inf entries in coef, act or
-    the table: the pruned product is non-finite where the full one is, NaN
+    the table: the product is non-finite where the reference is, NaN
     where it is on real tables, and equal to rounding elsewhere (on complex
     tables, NaN or inf depends on the BLAS kernel even for the full
     product)."""
@@ -265,23 +214,6 @@ def test_split_product_agrees_with_the_full_product(operands):
     for t in (coef, act, table):
         scale *= float(np.abs(t[np.isfinite(t)]).max(initial=1.0))
     np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-12 * scale)
-
-
-def _matmuls(monkeypatch):
-    """Record the operand shapes of every np.matmul call in _contract."""
-    shapes = []
-
-    class Spy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def matmul(a, b, **kw):
-            shapes.append((a.shape, b.shape))
-            return np.matmul(a, b, **kw)
-
-    monkeypatch.setattr(_contract, "np", Spy())
-    return shapes
 
 
 def test_join_pairs_every_equal_key():
@@ -308,8 +240,8 @@ def test_empty_nonzero_sets_give_a_zero_residual():
     assert all(a.size == 0 for a in join(empty, np.arange(3)) + join(np.arange(3), empty))
     keys, sums = accumulate(empty, np.zeros(0, complex))
     assert keys.size == sums.size == 0 and residual(sums) == 0.0
-    index, values = nonzeros(np.zeros((3, 3, 3), complex))
-    assert len(index) == 3 and values.size == 0
+    keys, values = listed(np.zeros((3, 3, 3), complex), 0)
+    assert keys.size == values.size == 0
     # all-zero tables are monomial: Ia and Ic run over empty lists
     n = 3
     zero = np.zeros((n, n, n), complex)
@@ -342,13 +274,28 @@ def _monomial_tables(draw):
     return table(), table()
 
 
+def _declared_subscripts():
+    """The subscripts of every contract call in the package."""
+    found = set()
+    for path in Path(_contract.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "contract":
+                found.add(node.args[0].value)
+    return sorted(found)
+
+
+# associativity 2, axioms Ia and Ic 6, the module laws 6
+DECLARED = _declared_subscripts()
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_monomial_tables())
 def test_nonzero_lists_agree_with_einsum(tables):
-    """join and accumulate contract two monomial tables as einsum does, and
-    join_size counts the pairs before they are formed; the axiom suite's Ia
-    and Ic lists, the associator list and the two module-law lists equal
-    the einsum sides of their identities."""
+    """contract takes every subscript the package declares as einsum does,
+    join_size counts the pairs before they are formed, a join over one
+    slice gives None and None passes through contract and difference; the
+    axiom suite's Ia and Ic lists, the associator list and the two
+    module-law lists equal the einsum sides of their identities."""
     a, b = tables
     n = a.shape[0]
     ma, mb = (float(np.abs(t).max()) for t in tables)
@@ -357,25 +304,43 @@ def test_nonzero_lists_agree_with_einsum(tables):
         # sums of products of large entries cancel to rounding of their size
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, scale))
 
-    (ai, aj, ak), av = nonzeros(a)
-    (bi, bj, bk), bv = nonzeros(b)
+    # each operand of a declared subscript is a table of its arity: b[0], a
+    # or the four-index contraction of a and b, and the same with a and b
+    # swapped
+    assert len(DECLARED) == 14
+    pools = ({2: b[0], 3: a, 4: np.einsum("ijk,klm->ijlm", a, b)},
+             {2: a[0], 3: b, 4: np.einsum("ijk,klm->ijlm", b, a)})
+    for subscripts in DECLARED:
+        inputs, out = subscripts.split("->")
+        sx, sy = inputs.split(",")
+        x, y = pools[0][len(sx)], pools[1][len(sy)]
+        got = contract(subscripts, listed(x, x.size), listed(y, y.size), n)
+        scale = n * n * float(np.abs(x).max()) * float(np.abs(y).max())
+        close(_dense_list(*got, (n,) * len(out)), np.einsum(subscripts, x, y), scale)
+
+    x, y = listed(a, a.size), listed(b, b.size)
+    ak, bi = x[0] % n, y[0] // (n * n)
     ia, ib = join(ak, bi)
     assert join_size(ak, bi) == ia.size
-    keys = ((ai[ia] * n + aj[ia]) * n + bj[ib]) * n + bk[ib]
-    got = _dense_list(*accumulate(keys, av[ia] * bv[ib]), (n,) * 4)
-    close(got, np.einsum("ijk,klm->ijlm", a, b), ma * mb)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_checks, "SLICE_BYTES", 16 * ia.size - 1)
+        assert contract("ijp,pkq->ijkq", x, y, n) is None
+    assert contract("ijp,pkq->ijkq", None, y, n) is None
+    assert contract("ijp,pkq->ijkq", x, None, n) is None
+    assert difference(None, y) is None and difference(x, None) is None
+
     # a as mult, b as cop; gaps keyed (i, u, j, v) and (i, x, y, z)
-    ia_gap = hopf._ia_gap(nonzeros(a), nonzeros(b), n)
+    ia_gap = hopf._ia_gap(x, y, n)
     ref = np.einsum("iab,jcd,acu,bdv->iujv", b, b, a, a, optimize=True) \
         - np.einsum("ijr,ruv->iujv", a, b)
     close(_dense_list(*ia_gap, (n,) * 4), ref, (ma * mb) ** 2)
-    t1, ic_gap = hopf._ic_lists(nonzeros(b), n)
+    t1, ic_gap = hopf._ic_lists(y, n)
     t1_ref = np.einsum("iaz,axy->ixyz", b, b)
     close(_dense_list(*t1, (n,) * 4), t1_ref, mb * mb)
     close(_dense_list(*ic_gap, (n,) * 4), t1_ref - np.einsum("ixb,byz->ixyz", b, b), mb * mb)
     table = np.arange(n ** 3).reshape(n * n, n) * (1 - 0.5j)
-    close(hopf._over_yz(t1, table, n),
-          (t1_ref.reshape(n * n, n * n) @ table).reshape(n, n, n), mb * mb * n ** 3)
+    close(list_matmul(t1, table, n * n),
+          t1_ref.reshape(n * n, n * n) @ table, mb * mb * n ** 3)
     # a as mult and as the action, b as cop and b[0] as Delta(1): the
     # associator and the two module laws of make_star_algebra and
     # make_module_algebra
@@ -507,33 +472,9 @@ def test_product_law_residual(rng, pauli_parts):
     _assert_reports(info.value, ref)
 
 
-def _rotated_target(M, act, U):
-    """M and the action on the basis f'_a = sum_p U[p, a] f_p."""
-    V = np.linalg.inv(U)
-    mult = np.einsum("ia,jb,ijk,ck->abc", U, U, M.mult, V, optimize=True)
-    star = np.einsum("ia,ik,ck->ac", U.conj(), M.star, V, optimize=True)
-    return StarAlgebra(mult, V @ M.unit, star), np.einsum("pa,upq,cq->uac", U, act, V)
-
-
-def test_seed_product_law_sums_over_the_coproduct_reach(rng, pauli_parts, monkeypatch):
-    # each coproduct row of the dim-16 Pauli algebra reaches 4 of its 16
-    # legs, so the product law and the Delta(1) splitting run one GEMM per
-    # reach pattern and reached block instead of the dense product.  The
-    # target is rotated by a unitary: its dense tables keep the reach and
-    # take the dense path
-    W, M, act = pauli_parts
-    M, act = _rotated_target(M, act, np.linalg.qr(_rand(rng, 4, 4))[0])
-    assert ((W.cop != 0).any(axis=1).sum(axis=1) == 4).all()
-    calls = _matmuls(monkeypatch)
-    make_module_algebra(W, M, act)
-    # the 16 items share 4 reach patterns, each stacked over its 4 items
-    assert calls.count(((16, 4), (4, 16))) == 4 * 4
-    assert calls.count(((4, 4), (4, 16))) == 4
-
-
 def test_product_law_fails_under_a_conjugated_action(rng, pauli_parts):
     # act'_u = P act_u P^-1 keeps the composition and unit laws, not the
-    # product law; the pruned product must report the reference residual
+    # product law; the dense product must report the reference residual
     W, M, act = pauli_parts
     P = np.eye(4) + 0.05 * _rand(rng, 4, 4)
     moved = P @ act @ np.linalg.inv(P)

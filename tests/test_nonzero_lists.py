@@ -56,7 +56,7 @@ def _rebased_module(MA, P, U):
 
 
 def _spy_joins(monkeypatch):
-    """Record the key counts of every join run through _contract.summed."""
+    """Record the key counts of every join run through _contract.contract."""
     seen, join = [], _contract.join
 
     def spy(ka, kb):

@@ -183,9 +183,8 @@ def test_star_algebra_memory(monkeypatch, pauli_crossed):
 
 
 def test_module_algebra_memory(monkeypatch, pauli_crossed):
-    # the dual on the crossed product reaches every coproduct block, so its
-    # product law is one GEMM; the seed action reaches 4 of 16 blocks per
-    # coproduct row and takes the pruned product
+    # with one-row slices no join fits, so both actions take the dense
+    # product law, one GEMM per slice against the shared act-mult table
     seed = ex.m2_pauli_action()[1]
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
     for MA, dims in ((pauli_crossed.as_module, (16, 16)), (seed, (16, 4))):
