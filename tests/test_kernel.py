@@ -306,11 +306,11 @@ def test_nonzero_lists_agree_with_einsum(tables):
 
     # each operand of a declared subscript is a table of its arity: b[0], a
     # or the four-index contraction of a and b, and the same with a and b
-    # swapped
+    # swapped; "ijp,jpq->ijq" keeps a letter that both operands carry
     assert len(DECLARED) == 14
     pools = ({2: b[0], 3: a, 4: np.einsum("ijk,klm->ijlm", a, b)},
              {2: a[0], 3: b, 4: np.einsum("ijk,klm->ijlm", b, a)})
-    for subscripts in DECLARED:
+    for subscripts in DECLARED + ["ijp,jpq->ijq"]:
         inputs, out = subscripts.split("->")
         sx, sy = inputs.split(",")
         x, y = pools[0][len(sx)], pools[1][len(sy)]
