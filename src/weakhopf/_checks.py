@@ -56,29 +56,51 @@ def outside(values, bound):
     return ~(np.asarray(values) <= bound)
 
 
-def _worst(slices):
-    """(largest |entry|, its index tuple) over the (offset, table) slices of
-    one table, taken in order along its leading index: the first NaN, else
-    the first entry of the maximum in row-major order, as argmax finds it
-    on the whole table.  (0.0, None) when every slice is empty."""
-    worst, loc = None, None
-    for offset, gap in slices:
+class Worst:
+    """The largest |entry| of one table fed slice by slice along its leading
+    index, in order, and its index tuple: the first NaN, else the first entry
+    of the maximum in row-major order, as argmax finds it on the whole
+    table."""
+
+    def __init__(self):
+        self.value, self.loc = None, None
+
+    def add(self, offset, gap):
+        """Take in the slice gap, whose first row is row offset of the table."""
+        if self.value != self.value:
+            return                       # a NaN: nothing later moves it
         mags = np.abs(gap)
         if not mags.size:
-            continue
+            return
         m = float(mags.max())
-        if worst is not None and m <= worst:
-            continue                     # ties keep the earlier entry
+        if self.value is not None and m <= self.value:
+            return                       # ties keep the earlier entry
         ix = [int(i) for i in np.unravel_index(int(mags.argmax()), mags.shape)]
         if ix:
             ix[0] += offset
-        worst, loc = m, tuple(ix)
-        if m != m:
-            break                        # nothing later moves the first NaN
-    return (0.0 if worst is None else worst), loc
+        self.value, self.loc = m, tuple(ix)
+
+    def result(self):
+        """(largest |entry|, its index tuple); (0.0, None) when every slice
+        was empty."""
+        return (0.0 if self.value is None else self.value), self.loc
 
 
-def _settle(worst, loc, bound, exc, message, where):
+def _worst(slices):
+    """Worst.result() over the (offset, table) slices of one table."""
+    worst = Worst()
+    for offset, gap in slices:
+        worst.add(offset, gap)
+        if worst.value != worst.value:
+            break
+    return worst.result()
+
+
+def settle(gap, bound, exc, message, where=None):
+    """Raise exc(message, where=..., residual=...) unless the residual of
+    gap, a (residual, location) pair as Worst.result() gives it, is at most
+    bound; where is as in require()."""
+    worst, loc = gap
     if worst <= bound:
         return
     if callable(where):
@@ -102,7 +124,7 @@ def require(gap, bound, exc, message, where=None):
         loc = keys[loc[0]] if loc else None
     else:
         worst, loc = _worst([(0, gap)])
-    _settle(worst, loc, bound, exc, message, where)
+    settle((worst, loc), bound, exc, message, where)
 
 
 def require_sliced(slices, bound, exc, message, where=None):
@@ -111,21 +133,21 @@ def require_sliced(slices, bound, exc, message, where=None):
     index of its first row.  Raises with the same exception, message,
     residual and location as require() on the whole table; only one slice
     is held at a time when slices is a generator."""
-    _settle(*_worst(slices), bound, exc, message, where)
+    settle(_worst(slices), bound, exc, message, where)
 
 
-def require_listed(listed, shape, bound, exc, message, where=None):
-    """require() on a table of the given shape held as a nonzero list (keys,
-    values): keys are row-major flat indices in increasing order, as
+def worst_listed(listed, shape):
+    """Worst.result() of a table of the given shape held as a nonzero list
+    (keys, values): keys are row-major flat indices in increasing order, as
     weakhopf._contract.accumulate returns them, and every entry outside the
     list is an exact zero.  The first largest value of the list is then the
     first largest entry of the table in row-major order, so the residual
-    and location are those of require() on the whole table."""
+    and location are those of the whole table."""
     keys, values = listed
     worst, loc = _worst([(0, values)])
     if loc is not None:
         loc = tuple(int(i) for i in np.unravel_index(int(keys[loc[0]]), shape))
-    _settle(worst, loc, bound, exc, message, where)
+    return worst, loc
 
 
 def require_first(checks, bound, exc):

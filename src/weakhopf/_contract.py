@@ -16,79 +16,68 @@ Loops over pairs of basis vectors are replaced by one batched product
 against the multiplication table; every residual is still taken over the
 full index set.
 
-Slicing rule: a check whose difference table has four indices (n^4
-entries) forms it one slice of its leading index at a time, with the slice
-sizes of weakhopf._checks.row_slices (one fixed byte target), and reduces
-each slice at once through require_sliced or residual_over, which report
-the verdict, residual and location of the whole table.  Operands that
-every slice needs are formed once, before the slices.  So associativity,
-the module composition and product laws, axioms Ia and Ic and the
-contractions of t1 = (Delta (x) id) Delta over (y, z) behind two
-projection identities on the dense path, the coaction laws, and the
-translation and homomorphism checks of the regular representation hold
-one slice of their table at a time.  Star antimultiplicativity, whose
-table has three indices, is sliced the same way: at n = 216 each whole
-n^3 table is 160 MB.  On the dense path, axiom Ia
-still holds its right half [(b, c), (j, v)] (n^4 entries) whole, and the
-module product law and the unit-coproduct splitting the act-mult table of
-split_product (dim A * dim M^3).  On every path, coaction
-multiplicativity holds its [q, b, i, k] factor (dim M^2 * dim A^2), the
-translation exchange identity the products tau_l(f^u) ell(e_k)
-((dim A)^4), and the regular homomorphism check its (t, b, c, p, r)
-factor.
+Declared identities.  Associativity, the module composition and product
+laws, the unit-coproduct splitting, axioms Ia and Ic and the contractions
+of t1 = (Delta (x) id) Delta over (y, z) behind two projection identities
+are written once, as data beside their checks: a chain is a table name or
+(subscripts, chain, chain), one pairwise np.einsum step over two chains,
+and an identity is a pair of chains with the same output letters, whose
+difference is checked, or one chain, whose value is wanted.  evaluate runs
+the identities of one call over named tables in one of two ways, chosen
+per identity from its input:
 
-Nonzero-list rule: monomial tables are contracted over their nonzero
-entries.  A nonzero list is one format: the row-major flat keys of the
-entries of a table, in increasing order, and their values.  listed gives
-the list of a table when it is finite and has at most its check's limit of
-nonzeros, as the tables of every built-in algebra, its dual and the
-crossed products of the package's actions have in the natural basis and
-in any monomial (permutation times phases) basis.  Each identity is
-written as pairwise np.einsum subscripts over lists, one contract call per
-step, and contract derives every key from the subscripts and the letter
-sizes; difference subtracts two lists:
+  * nonzero lists, when every table the identity reads passes listed under
+    its limit (finite, with at most that many nonzeros, as the tables of
+    every built-in algebra, its dual and the crossed products of the
+    package's actions have in the natural basis and in any monomial basis)
+    and every join fits one weakhopf._checks slice.  A nonzero list is one
+    format: the row-major flat keys of the entries of a table, in
+    increasing order, and their values; contract derives every key from the
+    subscripts and the letter sizes, and difference subtracts two lists.
+    A join's exact term count is known from the key histograms of the
+    shared letters (join_size) before anything is allocated;
+  * dense slices otherwise (a Haar-random basis, a non-finite entry, a join
+    over one slice).  The output is formed one slice of its first letter
+    at a time, with the slice sizes of weakhopf._checks.row_slices for the
+    largest row of any step that carries that letter, and each slice is
+    reduced at once (weakhopf._checks.Worst), so the verdict, residual and
+    location are those of the whole table.  A subtree without the lead
+    letter is formed once per call and held whole, and a step that several
+    identities of the call share is formed once per slice.  Each step is
+    one np.matmul whose result is laid out in the step's output order
+    (dense_step), and the two sides are subtracted in place.
 
-  * associativity: mult with at most n^2 nonzeros, "ijp,pkq->ijkq"
-    against "jkp,ipq->ijkq";
-  * axioms Ia and Ic: mult and cop with at most n^2 nonzeros.  Ia's right
-    side is "iab,acu->iubc" and "jcd,bdv->bcjv" joined by
-    "iubc,bcjv->iujv", so its right half is not held whole; its left side
-    is "ijk,kuv->iujv".  Ic is t1 = "iaz,axy->ixyz" against
-    "ixb,byz->ixyz";
-  * the module product law and the unit-coproduct splitting: the target's
-    mult with at most dim M^2, cop with at most dim A^2 and act with at
-    most dim A * dim M nonzeros, and a finite Delta(1).  Both sum
-    c[., u, v] act[u, p, a] act[v, q, b] mult[a, b, k] as "vqb,abk->vaqk",
-    then "iuv,upa->ipva" (or "uv,upa->pva" for Delta(1)), then the two
-    over (v, a); the act-mult table is never formed.
+Every entry outside a list is an exact zero, and products of finite tables
+drop only exact 0 * finite terms, so both ways give the same residual up to
+rounding.  accumulate returns its keys in increasing, that is row-major,
+order, so the first largest entry of a list is the location the dense
+slices report (weakhopf._checks.worst_listed).
 
-list_matmul multiplies a list, read as a matrix, by a dense table: the
-(y, z) contractions of t1 behind two projection identities, when
-nnz(t1) * n entries fit one slice.
+Held whole on the dense path: Ia's right half [(b, c), (j, v)] (n^4
+entries), the act-mult products [v, a, q, k] (dim A * dim M^3) that the
+module product law and the unit-coproduct splitting share, and the t1
+contractions over (y, z) (n^3).  Ia costs n^6 flops there: every summed
+index of its ring joins two of the four tables, so every pairwise order
+builds an n^4 table and ends in one (n^2 x n^2)(n^2 x n^2) GEMM;
+associativity costs n^5.
 
-A contraction runs only when its exact term count, known from the key
-histograms of the shared letters (join_size) before anything is
-allocated, fits one weakhopf._checks slice; otherwise it gives None, as
-does every later step and difference that reads it, and the check takes
-its dense sliced path, as on any other table (a Haar-random basis, a
-non-finite entry).  Every entry outside a list is an exact zero, and
-products of finite tables drop only exact 0 * finite terms, so the
-residual is still the maximum over the full index set and the sums change
-only by rounding.  accumulate returns its keys in increasing, that is
-row-major, order, so the first largest entry of a list is the location the
-dense path reports (weakhopf._checks.require_listed).  On the dense path
-Ia costs n^6 flops: every summed index of its ring joins two of the four
-tables, so every pairwise order builds an n^4 table and ends in one
-(n^2 x n^2)(n^2 x n^2) GEMM, and associativity costs n^5.  On the dense
-path the module product law and the unit-coproduct splitting take
-split_product, one plain GEMM against the act-mult table.
-
-Every other identity costs at most n^5 flops.
+Written by hand beside their callers, one slice of their leading index at
+a time: the coaction laws, the translation and homomorphism checks of the
+regular representation, and star antimultiplicativity (three indices, each
+whole n^3 table 160 MB at n = 216).  Coaction multiplicativity holds its
+[q, b, i, k] factor (dim M^2 * dim A^2), the translation exchange identity
+the products tau_l(f^u) ell(e_k) ((dim A)^4), and the regular homomorphism
+check its (t, b, c, p, r) factor.  Every other identity costs at most n^5
+flops.
 """
+
+import functools
+import math
+from collections import Counter
 
 import numpy as np
 
-from ._checks import fits_slice
+from ._checks import Worst, fits_slice, row_slices, worst_listed
 
 
 def pair_products(mult, xs, ys):
@@ -104,50 +93,167 @@ def pair_products(mult, xs, ys):
     return np.matmul(ys.T, left)
 
 
-def act_mult_table(act, mult):
-    """table[(v, a), (q, k)] = sum_b act[v, q, b] mult[a, b, k]: the
-    products f_a (e_v |> f_q), formed directly in the layout in which
-    split_product contracts them, so several calls can share one copy.
-    It has dim A * dim M^3 entries."""
-    nv, nq, _ = act.shape
-    na, _, nk = mult.shape
-    return np.matmul(act[:, None], mult[None]).reshape(nv * na, nq * nk)
+def evaluate(tables, *identities):
+    """The declared identities over tables, a dict of name: (table, limit of
+    nonzeros for its list), each by nonzero lists or by dense slices (see
+    the module docstring): for each, the (residual, location) of the
+    difference of its two sides, as weakhopf._checks.Worst gives them."""
+    sides, leaves, leads = _layout(identities)
+    dims = {}
+    for name, word in leaves:
+        dims.update(zip(word, np.shape(tables[name][0])))
+    results, lists, once = [None] * len(sides), {}, {}
+    for k, ((lhs, word), (rhs, _)) in enumerate(sides):
+        a = _as_list(lhs, tables, dims, lists)
+        b = None if a is None else _as_list(rhs, tables, dims, lists)
+        if b is not None:
+            results[k] = worst_listed(difference(a, b), [dims[x] for x in word])
+    for lead, group, words, shared in leads:
+        group = [k for k in group if results[k] is None]
+        _dense_group(lead, group, words, shared, sides, tables, dims, once, results)
+    return results
 
 
-def split_product(coef, act, mult, table=None, out=None):
-    """out[..., p, q, k] = sum coef[..., u, v] act[u, p, a] act[v, q, b]
-    mult[a, b, k]: products (e_u |> f_p)(e_v |> f_q) weighted by a
-    coproduct-shaped coefficient table.
+@functools.lru_cache(maxsize=None)
+def _layout(identities):
+    """For each identity its two sides [(chain, output letters)], the (name,
+    letters) of every table they read, and for each first output letter
+    (the lead): the positions of the identities it leads, the letters of
+    every step that carries it and the steps that two of their sides
+    share."""
+    sides, groups = [], {}
+    for k, identity in enumerate(identities):
+        word = next(c[0].split("->")[1] for c in identity if not isinstance(c, str))
+        sides.append([(side, word) for side in identity])
+        groups.setdefault(word[0], []).append(k)
+    nodes = [[n for side in s for n in _nodes(*side)] for s in sides]
+    leaves = sorted({n for ns in nodes for n in ns if isinstance(n[0], str)})
+    leads = []
+    for lead, group in groups.items():
+        steps = [n for k in group for n in nodes[k] if not isinstance(n[0], str) and lead in n[1]]
+        shared = {c for c, count in Counter(c for c, _ in steps).items() if count > 1}
+        leads.append((lead, group, {w for _, w in steps}, shared))
+    return sides, leaves, leads
 
-    One GEMM of (coef . act) against the act_mult_table of act and mult,
-    which may be passed in as table when it is reused.  That table has
-    dim A * dim M^3 entries; with a two-index coef it exceeds the dim M^3
-    result, and every other pairwise order builds a dim M^4 table.  When
-    out (a C-contiguous array of the result's shape) is given, the product
-    is subtracted from it in place and out is returned, so that a check
-    holds no second table of that size.
-    """
-    if table is None:
-        table = act_mult_table(act, mult)
-    nv, npq, na = act.shape
-    left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -3, -2)
-    product = (left.reshape(-1, nv * na) @ table).reshape(
-        coef.shape[:-2] + (npq, npq, mult.shape[2]))
-    if out is None:
-        return product
-    out -= product
-    return out
+
+def _operands(chain):
+    """(operand, its letters) for the two operands of a step."""
+    return zip(chain[1:], chain[0].split("->")[0].split(","))
+
+
+def _nodes(chain, word):
+    """(chain, letters) of chain and of every chain below it."""
+    yield chain, word
+    if not isinstance(chain, str):
+        for operand in _operands(chain):
+            yield from _nodes(*operand)
+
+
+def _as_list(chain, tables, dims, memo):
+    """The nonzero list of chain, each chain formed once per call; None when
+    a table it reads is not listed or a join does not fit one slice."""
+    if chain not in memo:
+        if isinstance(chain, str):
+            memo[chain] = listed(*tables[chain])
+        else:
+            a = _as_list(chain[1], tables, dims, memo)
+            memo[chain] = None if a is None else contract(
+                chain[0], a, _as_list(chain[2], tables, dims, memo), dims)
+    return memo[chain]
+
+
+def _dense_group(lead, group, words, shared, sides, tables, dims, once, results):
+    """results[k] for the identities k of group, whose outputs lead with the
+    letter lead, by dense slices of that letter.  words are the letters of
+    every step that carries it; once holds the steps without it, formed
+    whole once per call, and a step of shared is formed once per slice."""
+    row = max((math.prod(dims[x] for x in w.replace(lead, "", 1)) for w in words), default=1)
+    worst = {k: Worst() for k in group}
+    for rows in row_slices(dims[lead], row):
+        at = (lead, rows, tables, once, {}, shared)
+        for k in group:
+            if worst[k].value != worst[k].value:
+                continue                 # a NaN: skip the later slices
+            (lhs, word), (rhs, _) = sides[k]
+            a, b = _dense(lhs, word, at), _dense(rhs, word, at)
+            fresh = [v for c, v in ((lhs, a), (rhs, b))
+                     if not isinstance(c, str) and c not in shared]
+            gap = np.subtract(a, b, out=fresh[0] if fresh else None)
+            del a, b, fresh              # the reduction reuses their memory
+            worst[k].add(rows.start, gap)
+    for k in group:
+        results[k] = worst[k].result()
+
+
+def _dense(chain, word, at):
+    """The dense value of chain at the rows of the lead letter, when its
+    letters word carry it, else whole; at = (lead, rows, tables, once, memo,
+    shared): a step without the lead is kept in once, a step in shared in
+    memo, the steps formed for these rows."""
+    lead, rows, tables, once, memo, shared = at
+    if isinstance(chain, str):
+        table = tables[chain][0]
+        if lead not in word:
+            return table
+        return table[(slice(None),) * word.index(lead) + (rows,)]
+    cache = memo if lead in word else once
+    if chain in cache:
+        return cache[chain]
+    (x, wx), (y, wy) = _operands(chain)
+    got = dense_step(chain[0], _dense(x, wx, at), _dense(y, wy, at))
+    if lead not in word or chain in shared:
+        cache[chain] = got
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(subscripts):
+    """How dense_step lays out a step: for each operand its axis order and
+    the axes each dimension of its matrix merges, and the axes of the
+    output, all as positions in the two shapes joined.  The result [batch,
+    rows, columns] is the output in order: the columns are the trailing
+    output letters of the second operand alone, the rows the output letters
+    of the first alone before them, and every earlier output letter is a
+    batch letter, which a table without it broadcasts.  Every summed letter
+    is carried by both operands."""
+    inputs, out = subscripts.split("->")
+    w1, w2 = inputs.split(",")
+    end = len(out)
+    while end and out[end - 1] in w2 and out[end - 1] not in w1:
+        end -= 1
+    start = end
+    while start and out[start - 1] in w1 and out[start - 1] not in w2:
+        start -= 1
+    batch, rows, cols = out[:start], out[start:end], out[end:]
+    summed = "".join(x for x in w1 if x in w2 and x not in out)
+    operands = []
+    for word, offset, groups in ((w1, 0, (rows, summed)), (w2, len(w1), (summed, cols))):
+        order = [c for c in batch if c in word] + list(groups[0] + groups[1])
+        merged = [c if c in word else "" for c in batch] + list(groups)
+        operands.append(([word.index(c) for c in order],
+                         [[offset + word.index(c) for c in g] for g in merged]))
+    return operands, [(w1 + w2).index(c) for c in out]
+
+
+def dense_step(subscripts, x, y):
+    """np.einsum(subscripts, x, y) for two tables as one np.matmul whose
+    result is laid out in the output order (see _plan); an operand is
+    copied only when its letters are not already in the order the product
+    reads them."""
+    operands, out = _plan(subscripts)
+    dims = x.shape + y.shape
+    x, y = (t.transpose(order).reshape([math.prod(dims[i] for i in g) for g in merged])
+            for t, (order, merged) in zip((x, y), operands))
+    return np.matmul(x, y).reshape([dims[i] for i in out])
 
 
 def listed(table, limit):
     """The nonzero list of table, (row-major flat keys in increasing order,
     values); None when table has a non-finite entry or more than limit
     nonzeros."""
-    if not np.isfinite(table).all():
+    if np.count_nonzero(table) > limit or not np.isfinite(table).all():
         return None
     keys = np.flatnonzero(table)
-    if keys.size > limit:
-        return None
     return keys, table.ravel()[keys]
 
 
@@ -156,14 +262,12 @@ def contract(subscripts, a, b, dims):
     np.einsum subscripts, such as "ijp,pkq->ijkq": every pair of entries
     that agree on the letters both operands carry is multiplied, and the
     products are summed at the key of the output letters.  dims maps each
-    letter to its size, or is one size for every letter.  None when a or b
-    is None, or when the pairs do not fit one slice."""
+    letter to its size.  None when a or b is None, or when the pairs do not
+    fit one slice."""
     if a is None or b is None:
         return None
     inputs, output = subscripts.split("->")
     sa, sb = inputs.split(",")
-    if isinstance(dims, int):
-        dims = dict.fromkeys(sa + sb, dims)
     shared = [x for x in sa if x in sb]
     ka, kb = _keys(a[0], sa, shared, dims), _keys(b[0], sb, shared, dims)
     if not fits_slice(join_size(ka, kb)):
@@ -185,20 +289,6 @@ def _keys(keys, word, within, dims, skip=""):
             part += digits[x] * stride
         stride *= dims[x]
     return part
-
-
-def list_matmul(a, table, rows):
-    """The dense (rows, len(table)) matrix held as the nonzero list a, times
-    table: a (rows, table.shape[1]) array.  The keys of a are sorted, so
-    its entries come grouped by row."""
-    keys, values = a
-    out = np.zeros((rows, table.shape[1]), dtype=np.result_type(values, table))
-    if keys.size:
-        row = keys // len(table)
-        starts = np.flatnonzero(np.concatenate([[True], row[1:] != row[:-1]]))
-        out[row[starts]] = np.add.reduceat(values[:, None] * table[keys % len(table)],
-                                           starts)
-    return out
 
 
 def join_size(ka, kb):

@@ -14,8 +14,8 @@ Conventions, fixed once for the whole package:
 import numpy as np
 
 from . import _linalg as la
-from ._checks import require, require_listed, require_sliced, residual, row_slices
-from ._contract import contract, difference, listed, pair_products
+from ._checks import require, require_sliced, residual, row_slices, settle
+from ._contract import evaluate, pair_products
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, memo, tolerance
 from .errors import (
     AssociativityViolation,
@@ -244,6 +244,10 @@ class Subspace:
 # construction and verification
 
 
+# (e_i e_j) e_k against e_i (e_j e_k), both [i, j, k, q] (weakhopf._contract)
+ASSOCIATIVITY = (("ijp,pkq->ijkq", "mult", "mult"), ("jkp,ipq->ijkq", "mult", "mult"))
+
+
 def make_star_algebra(mult, unit, star, labels=None, tol=None):
     """Build a StarAlgebra and verify all its defining invariants.
 
@@ -254,24 +258,11 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None):
     tol = tolerance(tol)
     n = A.dim
 
-    # (e_i e_j) e_k and e_i (e_j e_k), both laid out [i, j, k, q]: over
-    # nonzero lists for a monomial table, else one slice of i at a time
-    def associators(rows):
-        gap = (A.mult[rows].reshape(-1, n) @ A.mult.reshape(n, n * n)) \
-            .reshape(-1, n, n, n)
-        gap -= np.matmul(A.mult.reshape(n * n, n), A.mult[rows]).reshape(gap.shape)
-        return rows.start, gap
-
     def triple(ix):
         return tuple(A.labels[i] for i in ix[:3])
 
-    gap = _associator_list(A.mult)
-    if gap is not None:
-        require_listed(gap, (n,) * 4, tol, AssociativityViolation,
-                       "associativity fails", where=triple)
-    else:
-        require_sliced(map(associators, row_slices(n, n ** 3)), tol,
-                       AssociativityViolation, "associativity fails", where=triple)
+    gap, = evaluate({"mult": (A.mult, n * n)}, ASSOCIATIVITY)
+    settle(gap, tol, AssociativityViolation, "associativity fails", where=triple)
 
     # left and right unit laws stacked as [side, i, :]; the failing row names e_i
     units = np.stack([A.left_mult_matrix(A.unit).T, A.right_mult_matrix(A.unit).T])
@@ -299,15 +290,6 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None):
         raise NotCStar("trace form is not positive definite",
                        residual=float(evals.min()))
     return A
-
-
-def _associator_list(mult):
-    """The nonzero list, keyed [i, j, k, q], of (e_i e_j) e_k - e_i (e_j e_k)
-    (the nonzero-list rule of weakhopf._contract): for a finite mult with at
-    most n^2 nonzeros whose joins fit one slice, None otherwise."""
-    n = mult.shape[0]
-    m = listed(mult, n * n)
-    return difference(contract("ijp,pkq->ijkq", m, m, n), contract("jkp,ipq->ijkq", m, m, n))
 
 
 def multiply(a, b):

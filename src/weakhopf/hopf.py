@@ -19,9 +19,8 @@ same arrow methods serve A acting on A^ and A^ acting on A.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import (fits_slice, outside, require, require_first, residual,
-                      residual_over, row_slices)
-from ._contract import contract, difference, list_matmul, listed, pair_products
+from ._checks import outside, require, require_first, residual
+from ._contract import evaluate, pair_products
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, memo, tolerance
 from .errors import AxiomViolation, ParentMismatch
@@ -251,6 +250,20 @@ class AxiomReport:
         return float(np.max(list(self.residuals.values())))
 
 
+# Ia, both sides at [i, u, j, v]: the ring cop[i,a,b] cop[j,c,d] mult[a,c,u]
+# mult[b,d,v] through its halves [i, u, (b, c)] and [(b, c), (j, v)], against
+# mult[i,j,k] cop[k,u,v]; on the dense path the second half is held whole
+IA = (("iubc,bcjv->iujv", ("iab,acu->iubc", "cop", "mult"), ("jcd,bdv->bcjv", "cop", "mult")),
+      ("ijk,kuv->iujv", "mult", "cop"))
+# Ic: t1 = (Delta (x) id) Delta against (id (x) Delta) Delta, at [i, x, y, z]
+T1 = ("axy,iaz->ixyz", "cop", "cop")
+IC = (T1, ("ixb,byz->ixyz", "cop", "cop"))
+# the projection identities R and L_inv, at [i, x, q]: t1 over (y, z)
+# against the antipode tables x S(y) and S^-1(y) x, and Delta(1) against mult
+PROJECTION_R = (("ixyz,yzq->ixq", T1, "xS(y)"), ("kix,kq->ixq", "mult", "D1"))
+PROJECTION_L_INV = (("ixyz,yzq->ixq", T1, "S^-1(y)x"), ("ikx,kq->ixq", "mult", "D1"))
+
+
 def verify_weak_hopf(W, tol=None):
     """Evaluate every axiom and the derived identity suite as table
     identities; failures are report entries, never exceptions.
@@ -259,20 +272,10 @@ def verify_weak_hopf(W, tol=None):
     The antipode enters through four (n^2, n) tables [(x, y), q] that are
     formed once: S(x) y, x S(y), S^-1(y) x and y S^-1(x).
 
-    When mult and cop are finite and each has at most n^2 nonzeros (the
-    monomial tables of every built-in algebra and its dual), Ia and Ic are
-    contracted over nonzero lists (the nonzero-list rule of
-    weakhopf._contract): each side is the nonzero list of its n^4 table,
-    and the residual is the largest entry of the list of their difference,
-    every other entry being an exact zero.  The contractions of
-    t1 = (Delta (x) id) Delta over (y, z) behind the projection identities
-    read t1's nonzero list when nnz(t1) * n entries fit one slice.  Any join
-    too large for one slice, and every other table, takes the dense path:
-    the n^4 tables are formed one slice of their leading index i at a time
-    (see weakhopf._checks), Ia by row blocks against its whole right half
-    [(b, c), (j, v)], the one n^4 operand held whole, in one plain GEMM, and
-    t1 in the layout [i, x, y, z], whose slices feed Ic and the (y, z)
-    contractions.  The contractions of t1 over (x, y) behind IIIc, the
+    Ia, Ic and the two projection identities that contract t1 over (y, z)
+    are declared (IA, IC, PROJECTION_R, PROJECTION_L_INV) and evaluated by
+    weakhopf._contract.evaluate, over nonzero lists for monomial tables and
+    by dense slices of i otherwise; the dense t1 slices feed all three.  The contractions of t1 over (x, y) behind IIIc, the
     antipode recovery and two projection identities are reassociated
     through cop, n^4 flops on every table.
     """
@@ -280,84 +283,38 @@ def verify_weak_hopf(W, tol=None):
     mult, unit, n = A.mult, A.unit, A.dim
     m2 = mult.reshape(n * n, n)            # [(i, j), k]
     c2 = cop.reshape(n, n * n)             # [i, (j, k)]
-    blocks = row_slices(n, n ** 3)
-    m, c = listed(mult, n * n), listed(cop, n * n)
-    lists = None if m is None or c is None else (m, c)
     r = {}
 
     # a non-finite antipode is reported as not invertible, not factored
     s_invertible = bool(np.isfinite(smat).all()) and la.invertible(smat, tol=tol)[0]
     sinv = np.linalg.inv(smat) if s_invertible else None
 
-    # Ia, both sides at [i, u, j, v].  The right side
-    # cop[i,a,b] cop[j,c,d] mult[a,c,u] mult[b,d,v] is a ring of four
-    # tables with halves [i, u, (b, c)] and [(b, c), (j, v)].  On the dense
-    # path their product is the one n^6 GEMM of the suite, taken one block
-    # of rows i at a time against the whole second half.
-    gap = _ia_gap(*lists, n) if lists else None
-    if gap is not None:
-        r["Ia"] = residual(gap[1])
-    else:
-        cop_ib = np.ascontiguousarray(cop.transpose(0, 2, 1))   # [i, b, a]
-        cop_cj = np.ascontiguousarray(cop.transpose(1, 0, 2))   # [c, j, d]
-        mult_u = np.ascontiguousarray(mult.transpose(2, 0, 1))  # [u, a, c]
-        right = np.matmul(cop_cj[None], mult[:, None]).reshape(n * n, n * n)
-
-        def ia(rows):
-            left = np.matmul(cop_ib[rows, None], mult_u[None])  # [i, u, b, c]
-            gap = (left.reshape(-1, n * n) @ right).reshape(-1, n, n, n)
-            del left
-            gap -= (mult[rows].reshape(-1, n) @ c2).reshape(gap.shape).transpose(0, 2, 1, 3)
-            return gap
-
-        r["Ia"] = residual_over(map(ia, blocks))
-        del right
-
-    r["Ib"] = residual((A.star @ c2).reshape(n, n, n)
-                       - A.star.T @ np.conj(cop) @ A.star)
-
     # the antipode tables [(x, y), q]
     s_xy = np.tensordot(smat, mult, axes=([0], [0])).reshape(n * n, n)
     x_sy = np.matmul(smat.T, mult).reshape(n * n, n)
+    D1 = (unit @ c2).reshape(n, n)
+    tables = {"mult": (mult, n * n), "cop": (cop, n * n), "D1": (D1, n * n)}
+    identities = [IA, IC]
     if s_invertible:
         siy_x = np.matmul(sinv.T, mult.transpose(1, 0, 2)).reshape(n * n, n)
         y_six = np.tensordot(sinv, mult, axes=([0], [1])).reshape(n * n, n)
+        tables["xS(y)"] = (x_sy.reshape(n, n, n), n * n)
+        tables["S^-1(y)x"] = (siy_x.reshape(n, n, n), n * n)
+        identities += [PROJECTION_R, PROJECTION_L_INV]
+    (r["Ia"], _), (ic, _), *projections = evaluate(tables, *identities)
+
+    r["Ib"] = residual((A.star @ c2).reshape(n, n, n)
+                       - A.star.T @ np.conj(cop) @ A.star)
+    r["Ic"] = ic
 
     # the contractions of t1 = (Delta (x) id) Delta against antipode
-    # tables.  Over (x, y) at [i, q, z], t1[i,x,y,z] = cop[i,w,z] cop[w,x,y]
+    # tables over (x, y) at [i, q, z], t1[i,x,y,z] = cop[i,w,z] cop[w,x,y]
     # reassociates to cop[i,w,z] (c2 @ table)[w,q], n^4 flops.
     over_xy = {"S(x)y": s_xy, "xS(y)": x_sy}
     if s_invertible:
         over_xy["yS^-1(x)"] = y_six
     xy = {k: np.matmul((c2 @ table).T, cop) for k, table in over_xy.items()}
 
-    # Ic, and over (y, z) at [i, x, q] the two contractions the projection
-    # identities need: from t1's nonzero list when it is formed and
-    # nnz(t1) * n entries fit one slice, else from dense slices of t1
-    over_yz = {"xS(y)": x_sy, "S^-1(y)x": siy_x} if s_invertible else {}
-    ic = _ic_lists(lists[1], n) if lists else None
-    if ic is not None:
-        t1, gap = ic
-        r["Ic"] = residual(gap[1])
-        if fits_slice(t1[0].size * n):
-            yz = {k: list_matmul(t1, table, n * n).reshape(n, n, n)
-                  for k, table in over_yz.items()}
-            over_yz = {}
-    if ic is None or over_yz:
-        yz = {k: np.empty((n, n, n), dtype=complex) for k in over_yz}
-        r_ic = 0.0
-        for rows in blocks:
-            t1 = np.matmul(c2.T, cop[rows]).reshape(-1, n * n)   # [(i, x), (y, z)]
-            for k, table in over_yz.items():
-                yz[k][rows] = (t1 @ table).reshape(-1, n, n)
-            if ic is None:
-                t1 -= cop[rows].reshape(-1, n) @ c2
-                r_ic = residual(r_ic, t1)
-            del t1
-        if ic is None:
-            r["Ic"] = r_ic
-
-    D1 = (unit @ c2).reshape(n, n)
     D3 = (c2.T @ D1).reshape(n, n, n)
     idp = np.matmul((D1 @ mult.reshape(n, n * n)).reshape(n, n, n)
                     .transpose(0, 2, 1), D1)
@@ -401,10 +358,8 @@ def verify_weak_hopf(W, tol=None):
         # each left side is compared position by position with its
         # right side, in the index order the identity is written in
         r["projection_identity_L"] = residual(proj_l - np.matmul(D1, mult))
-        rhs = (D1.T @ mult.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
-        r["projection_identity_R"] = residual(yz["xS(y)"] - rhs)
-        r["projection_identity_L_inv"] = residual(
-            yz["S^-1(y)x"].transpose(0, 2, 1) - np.matmul(D1.T, mult))
+        r["projection_identity_R"] = projections[0][0]
+        r["projection_identity_L_inv"] = projections[1][0]
         rhs = (D1 @ mult.reshape(n, n * n)).reshape(n, n, n).transpose(1, 2, 0)
         r["projection_identity_R_inv"] = residual(
             xy["yS^-1(x)"].transpose(0, 2, 1) - rhs)
@@ -436,26 +391,6 @@ def verify_weak_hopf(W, tol=None):
     r["counit_positive"] = residual(geps - geps.conj().T, np.minimum(lam, 0.0))
 
     return AxiomReport(r, s_invertible)
-
-
-def _ia_gap(m, c, n):
-    """The nonzero list of axiom Ia's difference table, keyed (i, u, j, v),
-    from the nonzero lists m of mult and c of cop; None when a join does not
-    fit one slice."""
-    # the right side: P[i, u, b, c] = cop[i, a, b] mult[a, c, u] over a,
-    # Q[b, c, j, v] = cop[j, c, d] mult[b, d, v] over d, then P Q over (b, c)
-    p, q = contract("iab,acu->iubc", c, m, n), contract("jcd,bdv->bcjv", c, m, n)
-    right = contract("iubc,bcjv->iujv", p, q, n)
-    return difference(right, contract("ijk,kuv->iujv", m, c, n))
-
-
-def _ic_lists(c, n):
-    """The nonzero lists, keyed (i, x, y, z), of t1 = (Delta (x) id) Delta
-    and of axiom Ic's difference table t1 - t2, from the nonzero list c of
-    cop; None when a join does not fit one slice."""
-    t1 = contract("iaz,axy->ixyz", c, c, n)
-    gap = difference(t1, contract("ixb,byz->ixyz", c, c, n))
-    return None if gap is None else (t1, gap)
 
 
 # ---------------------------------------------------------------------------

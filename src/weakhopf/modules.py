@@ -6,16 +6,8 @@ quasi-bases, implementers/outerness, GNS and modular data, Galois tests.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import (
-    outside,
-    require,
-    require_first,
-    require_listed,
-    require_sliced,
-    residual,
-    row_slices,
-)
-from ._contract import act_mult_table, contract, difference, listed, pair_products, split_product
+from ._checks import outside, require, require_first, require_sliced, residual, row_slices, settle
+from ._contract import evaluate, pair_products
 from .algebra import Element, Subspace, _homomorphism_gaps
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, memo, tolerance
 from .errors import (
@@ -97,46 +89,41 @@ class ModuleAlgebra:
             self, self.hopf.haar(tol=tol).h, tol=tol))
 
 
+# (e_i e_j) |> f_p against e_i |> (e_j |> f_p), at [i, j, p, q]
+COMPOSITION = (("ijr,rpq->ijpq", "mult_A", "act"), ("jps,isq->ijpq", "act", "act"))
+# the right sides of the product law and the splitting sum c[., u, v]
+# act[u, p, a] act[v, q, b] mult[a, b, k] for c = cop or Delta(1): the
+# act-mult products f_a (e_v |> f_q) over b, held whole on the dense path,
+# then c-act over u, one plain GEMM, then the two over (v, a)
+ACT_MULT = ("vqb,abk->vaqk", "act", "mult")
+# e_i |> (f_p f_q) against (e_i(1) |> f_p)(e_i(2) |> f_q), at [i, p, q, k]
+PRODUCT_LAW = (("pqr,irk->ipqk", "mult", "act"),
+               ("ivpa,vaqk->ipqk", ("iuv,upa->ivpa", "cop", "act"), ACT_MULT))
+# f_p f_q against (1(1) |> f_p)(1(2) |> f_q), at [p, q, k]
+SPLITTING = ("mult", ("vpa,vaqk->pqk", ("uv,upa->vpa", "D1", "act"), ACT_MULT))
+
+
 def make_module_algebra(W, M, act, tol=None):
-    """Verify the module-algebra laws for the table act and wrap it."""
+    """Verify the module-algebra laws for the table act and wrap it.  The
+    composition law, the product law and the unit-coproduct splitting are
+    declared identities (weakhopf._contract.evaluate); the act-mult
+    products are formed once for both of the last two."""
     MA = ModuleAlgebra(W, M, act)
     t = tolerance(tol)
     act = MA.act
-    multa, multm = W.alg.mult, M.mult
-    cop = W.cop
     da, dm = W.dim, M.dim
 
-    # the two n^4 laws are checked one slice of the acting index i at a time
-    def composition(rows):
-        gap = np.tensordot(multa[rows], act, 1)                        # [i, j, p, q]
-        gap -= np.matmul(act.reshape(-1, dm), act[rows]).reshape(gap.shape)
-        return rows.start, gap
-
-    require_sliced(map(composition, row_slices(da, da * dm * dm)), t,
-                   ActionAxiomViolation, "composition law fails", where=tuple)
+    gap, = evaluate({"mult_A": (W.alg.mult, da * da), "act": (act, da * dm)}, COMPOSITION)
+    settle(gap, t, ActionAxiomViolation, "composition law fails", where=tuple)
 
     require(np.tensordot(W.alg.unit, act, 1) - np.eye(dm), t, ActionAxiomViolation,
             "unit acts nontrivially", where=tuple)
 
-    # e_i |> (f_p f_q) against (e_i(1) |> f_p)(e_i(2) |> f_q), as [i, p, q, k],
-    # and the splitting of products through the coproduct of the unit, as
-    # [p, q, k]: over nonzero lists for monomial tables; otherwise through
-    # split_product, which shares the act-mult table between the two
     D1 = W.delta_one()
-    product_gap, splitting_gap = _split_law_lists(cop, D1, act, multm)
-    if product_gap is None or splitting_gap is None:
-        table = act_mult_table(act, multm)
-
-    def product_law(rows):
-        gap = np.matmul(multm.reshape(-1, dm), act[rows]).reshape(-1, dm, dm, dm)
-        return rows.start, split_product(cop[rows], act, multm, table, out=gap)
-
-    if product_gap is not None:
-        require_listed(product_gap, (da, dm, dm, dm), t, ActionAxiomViolation,
-                       "product law fails", where=tuple)
-    else:
-        require_sliced(map(product_law, row_slices(da, max(da, dm) * dm * dm)), t,
-                       ActionAxiomViolation, "product law fails", where=tuple)
+    product_gap, splitting_gap = evaluate(
+        {"cop": (W.cop, da * da), "act": (act, da * dm), "mult": (M.mult, dm * dm),
+         "D1": (D1, D1.size)}, PRODUCT_LAW, SPLITTING)
+    settle(product_gap, t, ActionAxiomViolation, "product law fails", where=tuple)
 
     lower = W.alg.star.T @ np.conj(W.antipode)  # columns: (e_i)_* = S(e_i)^*
     lhs = np.conj(act) @ M.star
@@ -148,42 +135,9 @@ def make_module_algebra(W, M, act, tol=None):
         require(act1.T - act1.T @ W.counital(key), t, ActionAxiomViolation,
                 f"{name} fails", where=tuple)
 
-    if splitting_gap is not None:
-        require_listed(splitting_gap, (dm, dm, dm), t, ActionAxiomViolation,
-                       "unit-coproduct splitting fails", where=tuple)
-    else:
-        require(split_product(D1, act, multm, table, out=multm.copy()), t,
-                ActionAxiomViolation, "unit-coproduct splitting fails", where=tuple)
+    settle(splitting_gap, t, ActionAxiomViolation, "unit-coproduct splitting fails",
+           where=tuple)
     return MA
-
-
-def _split_law_lists(cop, D1, act, mult):
-    """The nonzero lists (weakhopf._contract's nonzero-list rule) of the
-    product-law gap, keyed [i, p, q, k], and of the unit-coproduct
-    splitting gap, keyed [p, q, k]: each None unless cop, act and mult are
-    finite with at most dim A^2, dim A * dim M and dim M^2 nonzeros, D1 is
-    finite, and every join of that law fits one slice.
-
-    Both laws sum c[., u, v] act[u, p, a] act[v, q, b] mult[a, b, k] for
-    c = cop or D1, in the order act-mult over b, then c-act over u, then
-    the two over (v, a)."""
-    da, dm = act.shape[:2]
-    c, a, m = listed(cop, da * da), listed(act, da * dm), listed(mult, dm * dm)
-    if c is None or a is None or m is None:
-        return None, None
-    dims = dict.fromkeys("iuv", da) | dict.fromkeys("pqrabk", dm)
-    tail = contract("vqb,abk->vaqk", a, m, dims)
-    if tail is None:
-        return None, None
-    # e_i |> (f_p f_q) = mult[p, q, r] act[i, r, k] over r, against
-    # cop[i, u, v] act[u, p, a] over u, then the tail over (v, a)
-    product = difference(contract("pqr,irk->ipqk", m, a, dims), contract(
-        "ipva,vaqk->ipqk", contract("iuv,upa->ipva", c, a, dims), tail, dims))
-    # mult[p, q, k] against D1[u, v] act[u, p, a] over u, then the tail
-    d = listed(D1, D1.size)
-    splitting = difference(m, contract(
-        "pva,vaqk->pqk", contract("uv,upa->pva", d, a, dims), tail, dims))
-    return product, splitting
 
 
 def hopf_adjoint_table(W):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weakhopf import _contract
 from weakhopf import examples as ex
 
 
@@ -72,3 +73,40 @@ def all_instances(group_instances, pauli):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
+
+
+# ---------------------------------------------------------------------------
+# the two paths of weakhopf._contract.evaluate
+
+
+@pytest.fixture()
+def joins(monkeypatch):
+    """The key counts of every join of the nonzero-list path, in order."""
+    seen, join = [], _contract.join
+
+    def spy(ka, kb):
+        seen.append((ka.size, kb.size))
+        return join(ka, kb)
+
+    monkeypatch.setattr(_contract, "join", spy)
+    return seen
+
+
+@pytest.fixture()
+def dense_steps(monkeypatch):
+    """The subscripts of every step of the dense path, in order."""
+    seen, step = [], _contract.dense_step
+
+    def spy(subscripts, x, y):
+        seen.append(subscripts)
+        return step(subscripts, x, y)
+
+    monkeypatch.setattr(_contract, "dense_step", spy)
+    return seen
+
+
+@pytest.fixture()
+def force_dense(monkeypatch):
+    """Call it to send every declared identity down the dense path: no table
+    passes the list gate."""
+    return lambda: monkeypatch.setattr(_contract, "listed", lambda table, limit: None)

@@ -567,17 +567,18 @@ def test_cache_rule_lives_in_memo():
 
 
 # ---------------------------------------------------------------------------
-# source guard: the nonzero-list key format lives in _contract
+# source guard: the nonzero-list key format and the choice between the two
+# paths live in _contract
 
 
 KEY_OWNER = "_contract.py"
-KEY_HELPERS = {"join", "join_size", "accumulate"}
+KEY_HELPERS = {"join", "join_size", "accumulate", "listed", "contract", "difference"}
 
 
 def _key_helper_uses(source):
-    """(line, name) for every import of join, join_size or accumulate, and
-    every call of them by name or through _contract (str.join is not
-    one)."""
+    """(line, name) for every import of a nonzero-list helper (join,
+    join_size, accumulate, listed, contract or difference), and every call
+    of one by name or through _contract (str.join is not one)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -594,14 +595,17 @@ def _key_helper_uses(source):
 
 def test_key_format_lives_in_contract():
     sample = """
-from ._contract import contract, join
+from ._contract import evaluate, join, listed
 from . import _contract
 keys = join(a, b)
 size = _contract.join_size(a, b)
 text = ", ".join(parts)
 total = np.add.accumulate(x)
+gap = _contract.difference(contract(s, a, b, n), c)
+rest = names.difference(seen)
 """
-    assert _key_helper_uses(sample) == [(2, "join"), (4, "join"), (5, "join_size")]
+    assert _key_helper_uses(sample) == [(2, "join"), (2, "listed"), (4, "join"),
+                                        (5, "join_size"), (8, "difference"), (8, "contract")]
     uses = {p.name: _key_helper_uses(p.read_text()) for p in sorted(SRC.glob("*.py"))
             if p.name != KEY_OWNER}
     assert {n: u for n, u in uses.items() if u} == {}

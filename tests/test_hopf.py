@@ -114,23 +114,6 @@ def _haar_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _spy_joins(monkeypatch):
-    """Record the key counts of every join the axiom suite runs."""
-    seen, join = [], _contract.join
-
-    def spy(ka, kb):
-        seen.append((ka.size, kb.size))
-        return join(ka, kb)
-
-    monkeypatch.setattr(_contract, "join", spy)
-    return seen
-
-
-def _dense(monkeypatch):
-    """Send the axiom suite down its dense path: no join fits one slice."""
-    monkeypatch.setattr(_contract, "fits_slice", lambda entries: False)
-
-
 def _peak(fn):
     tracemalloc.start()
     try:
@@ -146,63 +129,63 @@ def ws3():
     return ex.group_weak_hopf(ex.symmetric_group_3(), list(range(6)))
 
 
-def test_ia_and_ic_take_nonzero_lists(ws3, monkeypatch):
-    # Ia joins P, Q, their product and the left side; Ic joins t1 and t2.
-    # Neither forms an n^4 table: the peak stays below one.  On the dual,
-    # nnz(t1) * n entries exceed one slice, so its (y, z) contractions run
-    # over dense t1 slices of at most SLICE_BYTES.
+def test_ia_and_ic_take_nonzero_lists(ws3, joins, dense_steps):
+    # Ia joins P, Q, their product and the left side; Ic joins t1 and t2;
+    # each of the two projection identities joins t1 with an antipode table
+    # and Delta(1) with mult.  No step runs dense and no n^4 table is
+    # formed: the peak stays below one.
     n = ws3.dim
-    seen = _spy_joins(monkeypatch)
     for V in (ws3, ws3.dual()):
-        del seen[:]
+        del joins[:]
         rep, peak = _peak(lambda: hopf.verify_weak_hopf(V))
-        assert rep.passed() and len(seen) == 6
+        assert rep.passed() and len(joins) == 10 and not dense_steps
         assert peak < 16 * n ** 4
     # the same algebra in a Haar-random basis runs the dense path
     rng = np.random.default_rng(5)
     U = _rebased(ws3, _haar_unitary(rng, n))
-    del seen[:]
+    del joins[:]
     assert hopf.verify_weak_hopf(U).passed()
-    assert not seen
+    assert not joins and dense_steps
 
 
-def test_joins_beyond_one_slice_take_the_dense_path(wz3s3, monkeypatch):
+def test_joins_beyond_one_slice_take_the_dense_path(wz3s3, monkeypatch, joins):
     # the term count of a join is known before it runs: with a slice of
     # 100 entries no join of S3/A3 fits, and the dense path gives the same
     # residuals
     listed = hopf.verify_weak_hopf(wz3s3)
-    seen = _spy_joins(monkeypatch)
+    del joins[:]
     monkeypatch.setattr(_checks, "SLICE_BYTES", 16 * 100)
     dense = hopf.verify_weak_hopf(wz3s3)
-    assert not seen and dense.passed()
+    assert not joins and dense.passed()
     for key, value in dense.residuals.items():
         assert abs(listed.residuals[key] - value) <= 1e-15, key
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("table", ["mult", "cop"])
-def test_non_finite_tables_take_the_dense_path(wz3s3, monkeypatch, bad, table):
+def test_non_finite_tables_take_the_dense_path(wz3s3, joins, bad, table):
     mult, cop = wz3s3.alg.mult.copy(), wz3s3.cop.copy()
     {"mult": mult, "cop": cop}[table][1, 2, 3] = bad
     W = hopf.WeakHopfAlgebra(StarAlgebra(mult, wz3s3.alg.unit, wz3s3.alg.star),
                              cop, wz3s3.counit, wz3s3.antipode)
-    seen = _spy_joins(monkeypatch)
     with np.errstate(invalid="ignore", over="ignore"):
         rep = hopf.verify_weak_hopf(W)
-    assert not seen
-    # Ia reads both tables, Ic only cop; 0 * NaN and 0 * inf are NaN
+    # Ia reads both tables, Ic only cop, so a non-finite mult leaves Ic on
+    # its two joins; 0 * NaN and 0 * inf are NaN
+    assert len(joins) == (2 if table == "mult" else 0)
     for key in ("Ia", "Ic") if table == "cop" else ("Ia",):
         assert np.isnan(rep.residuals[key]) and key in rep.failures()
+    if table == "mult":
+        assert "Ic" not in rep.failures()
 
 
-def test_perturbed_coproduct_fails_ia_as_on_the_dense_path(ws3, monkeypatch):
+def test_perturbed_coproduct_fails_ia_as_on_the_dense_path(ws3, joins, force_dense):
     cop = ws3.cop.copy()
     cop[tuple(np.argwhere(cop != 0)[100])] *= 1.001
     W = hopf.WeakHopfAlgebra(ws3.alg, cop, ws3.counit, ws3.antipode)
-    seen = _spy_joins(monkeypatch)
     rep = hopf.verify_weak_hopf(W)
-    assert len(seen) == 6 and "Ia" in rep.failures() and rep.residuals["Ia"] > 1e-4
-    _dense(monkeypatch)
+    assert len(joins) == 10 and "Ia" in rep.failures() and rep.residuals["Ia"] > 1e-4
+    force_dense()
     dense = hopf.verify_weak_hopf(W)
     assert rep.failures() == dense.failures()
     for key, value in dense.residuals.items():
@@ -215,7 +198,7 @@ def _verdict(rep):
 
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("name", list(BUILTIN))
-def test_verdict_does_not_depend_on_a_unitary_basis(name, dual, monkeypatch):
+def test_verdict_does_not_depend_on_a_unitary_basis(name, dual, force_dense):
     # a unitary change of basis is a *-isomorphism of weak Hopf algebras:
     # the verdict stays, and on the monomial basis, where the suite runs
     # over nonzero lists, every residual equals the dense path's
@@ -231,7 +214,7 @@ def test_verdict_does_not_depend_on_a_unitary_basis(name, dual, monkeypatch):
     assert any(_contract.listed(t, n * n) is None for t in (haar.alg.mult, haar.cop))
     listed = hopf.verify_weak_hopf(mono)
     assert _verdict(listed) == want
-    _dense(monkeypatch)
+    force_dense()
     dense = hopf.verify_weak_hopf(mono)
     assert _verdict(dense) == want and _verdict(hopf.verify_weak_hopf(haar)) == want
     for key, value in dense.residuals.items():

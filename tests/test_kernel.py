@@ -9,6 +9,7 @@ that the verifier reports when a perturbed table makes it fail.
 
 import ast
 import math
+import string
 import types
 from pathlib import Path
 
@@ -27,9 +28,8 @@ from weakhopf import examples as ex
 from weakhopf import modules as mo
 from weakhopf import tower as tw
 from weakhopf._checks import residual
-from weakhopf._contract import (accumulate, act_mult_table, contract, difference, join,
-                                join_size, list_matmul, listed, pair_products,
-                                split_product)
+from weakhopf._contract import (accumulate, contract, dense_step, difference, evaluate, join,
+                                join_size, listed, pair_products)
 from weakhopf.algebra import (
     StarAlgebra,
     Subspace,
@@ -98,13 +98,48 @@ def test_pair_products(rng):
     _close(pair_products(mult, xs, ys), np.einsum("ia,jb,ijk->abk", xs, ys, mult))
 
 
+def _split(coef, act, table):
+    """The declared chain of the product law's (3-index coef) or the
+    splitting's (2-index coef) right side over a given act-mult table
+    [v, a, q, k]."""
+    if coef.ndim == 3:
+        return ("ivpa,vaqk->ipqk", ("iuv,upa->ivpa", "coef", "act"), table)
+    return ("vpa,vaqk->pqk", ("uv,upa->vpa", "coef", "act"), table)
+
+
+def _dense_value(chain, tables):
+    """The value of a chain through dense_step, one step at a time: the
+    steps of the dense path of evaluate, on whole tables."""
+    if isinstance(chain, str):
+        return tables[chain]
+    return dense_step(chain[0], *(_dense_value(c, tables) for c in chain[1:]))
+
+
+def _dense_split(coef, act, mult, table=None):
+    """_split on the dense path: over the act-mult table given as a
+    (v * a, q * k) matrix, or formed from act and mult."""
+    tables = {"coef": coef, "act": act, "mult": mult}
+    if table is None:
+        return _dense_value(_split(coef, act, mo.ACT_MULT), tables)
+    tables["table"] = table.reshape(act.shape[0], mult.shape[0], act.shape[1], mult.shape[2])
+    return _dense_value(_split(coef, act, "table"), tables)
+
+
+def _act_mult(act, mult):
+    """The act-mult table [(v, a), (q, k)] = sum_b act[v, q, b] mult[a, b, k]."""
+    nv, nq, _ = act.shape
+    na, _, nk = mult.shape
+    return np.matmul(act[:, None], mult[None]).reshape(nv * na, nq * nk)
+
+
 def test_split_product(rng):
+    # the right sides of the product law and the splitting on the dense path
     act = _rand(rng, 3, 4, 5)                 # [u, p, a]
     mult = _rand(rng, 5, 5, 6)                # [a, b, k]
     cop, d1 = _rand(rng, 2, 3, 3), _rand(rng, 3, 3)
-    _close(split_product(cop, act, mult),
+    _close(_dense_split(cop, act, mult),
            np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult))
-    _close(split_product(d1, act, mult),
+    _close(_dense_split(d1, act, mult),
            np.einsum("uv,upa,vqb,abk->pqk", d1, act, act, mult))
 
 
@@ -118,18 +153,28 @@ def _plain_split(coef, act, mult, table):
 
 
 def test_split_product_subtracts_from_out(rng):
-    # with out given the product is subtracted from it in place, also where
-    # coef has zero v legs
-    act, mult = _rand(rng, 4, 3, 5), _rand(rng, 5, 5, 6)
+    # the dense path subtracts the two sides of the product law and the
+    # splitting in place, also where cop has zero v legs: the residual and
+    # location are those of the whole difference, and no table is written
+    act, mult = _rand(rng, 4, 3, 3), _rand(rng, 3, 3, 3)
     for zero_legs in (True, False):
-        cop = _rand(rng, 3, 4, 4)
+        cop = _rand(rng, 4, 4, 4)
         if zero_legs:
             cop[:, :, 1] = 0
             cop[[0, 2], :, 3] = 0
-        base = _rand(rng, 3, 3, 3, 6)
-        out = base.copy()
-        assert split_product(cop, act, mult, out=out) is out
-        _close(out, base - split_product(cop, act, mult))
+        tables = {"cop": (cop, -1), "act": (act, -1), "mult": (mult, -1),
+                  "D1": (cop[1], -1)}             # -1: the dense path
+        kept = {k: t.copy() for k, (t, _) in tables.items()}
+        product, splitting = evaluate(tables, mo.PRODUCT_LAW, mo.SPLITTING)
+        for k, t in kept.items():
+            np.testing.assert_array_equal(tables[k][0], t)
+        gap = np.einsum("pqr,irk->ipqk", mult, act) \
+            - np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult)
+        assert product[0] == pytest.approx(_peak(gap)[0], rel=1e-12)
+        assert product[1] == _peak(gap)[1]
+        gap = mult - np.einsum("uv,upa,vqb,abk->pqk", cop[1], act, act, mult)
+        assert splitting[0] == pytest.approx(_peak(gap)[0], rel=1e-12)
+        assert splitting[1] == _peak(gap)[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
@@ -140,11 +185,11 @@ def test_split_product_keeps_non_finite_table_rows(rng, bad):
     cop = _rand(rng, 3, 4, 4)
     cop[:, :, 1] = 0
     cop[2] = 0
-    table = act_mult_table(act, mult)
+    table = _act_mult(act, mult)
     table[1 * 5 + 2, 4] = bad                 # row (v, a) = (1, 2)
     with np.errstate(invalid="ignore"):
         ref = _plain_split(cop, act, mult, table)
-        got = split_product(cop, act, mult, table)
+        got = _dense_split(cop, act, mult, table)
     assert np.isnan(ref.reshape(3, 3, 18)[:, :, 4]).all()
     np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
@@ -158,8 +203,8 @@ def test_split_product_keeps_non_finite_actions(rng, bad):
     cop[:, :, 1] = 0
     act[2, 1, 3] = bad
     with np.errstate(invalid="ignore"):
-        ref = _plain_split(cop, act, mult, act_mult_table(act, mult))
-        got = split_product(cop, act, mult)
+        ref = _plain_split(cop, act, mult, _act_mult(act, mult))
+        got = _dense_split(cop, act, mult)
     assert not np.isfinite(ref).all()
     np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref))
     np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
@@ -193,18 +238,30 @@ def _split_operands(draw):
     return coef, act, np.zeros((na, na, nk)), tab
 
 
+def _full_split(coef, act, mult, table):
+    """The reference product in the association of the declared chains
+    (coef . act over u, then the table over (v, a)), each stage one sum of
+    products per entry (np.einsum without BLAS), in which every 0 * NaN and
+    0 * inf term stays NaN; a BLAS product may skip a zero factor."""
+    nv, npq, na = act.shape
+    lead = "i" if coef.ndim == 3 else ""
+    left = np.einsum(f"{lead}uv,upa->{lead}vpa", coef, act)
+    return np.einsum(f"{lead}vpa,vaqk->{lead}pqk", left,
+                     table.reshape(nv, na, npq, mult.shape[2]))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_split_operands())
 def test_split_product_agrees_with_the_full_product(operands):
-    """Random shapes, zero v legs of coef and NaN/inf entries in coef, act or
-    the table: the product is non-finite where the reference is, NaN
+    """The dense path of the product law's and the splitting's chains over
+    random shapes, zero v legs of coef and NaN/inf entries in coef, act or
+    the table: the product is non-finite where the exact reference is, NaN
     where it is on real tables, and equal to rounding elsewhere (on complex
-    tables, NaN or inf depends on the BLAS kernel even for the full
-    product)."""
+    tables, NaN or inf depends on the multiplication kernel)."""
     coef, act, mult, table = operands
     with np.errstate(invalid="ignore", over="ignore"):
-        ref = _plain_split(coef, act, mult, table)
-        got = split_product(coef, act, mult, table)
+        ref = _full_split(coef, act, mult, table)
+        got = _dense_split(coef, act, mult, table)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref))
     if not np.iscomplexobj(ref):
@@ -275,30 +332,60 @@ def _monomial_tables(draw):
 
 
 def _declared_subscripts():
-    """The subscripts of every contract call in the package."""
+    """The subscripts of every step the package declares: the first entry of
+    each three-entry tuple literal whose first entry holds "->"."""
     found = set()
     for path in Path(_contract.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "contract":
-                found.add(node.args[0].value)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 3:
+                first = node.elts[0]
+                if isinstance(first, ast.Constant) and "->" in str(first.value):
+                    found.add(first.value)
     return sorted(found)
 
 
-# associativity 2, axioms Ia and Ic 6, the module laws 6
+# associativity 2, axioms Ia and Ic 6, the projection identities 3, the
+# composition law 2, the product law and the splitting 6
 DECLARED = _declared_subscripts()
+
+
+def _identities(a, b):
+    """Each declared identity, with its tables read off a as mult and act
+    and b as cop, as the acting algebra's mult, the antipode tables and (b[0])
+    Delta(1), and the einsum reference of each side (None for a table)."""
+    tables = {"mult": a, "act": a, "cop": b, "mult_A": b, "xS(y)": b, "S^-1(y)x": b,
+              "D1": b[0]}
+    t1 = np.einsum("iaz,axy->ixyz", b, b)
+    split = "upa,vqb,abk->"
+    refs = [
+        (al.ASSOCIATIVITY, (np.einsum("ijp,pkq->ijkq", a, a), np.einsum("jkp,ipq->ijkq", a, a))),
+        (hopf.IA, (np.einsum("iab,jcd,acu,bdv->iujv", b, b, a, a, optimize=True),
+                   np.einsum("ijk,kuv->iujv", a, b))),
+        (hopf.IC, (t1, np.einsum("ixb,byz->ixyz", b, b))),
+        (hopf.PROJECTION_R, (np.einsum("ixyz,yzq->ixq", t1, b),
+                             np.einsum("kix,kq->ixq", a, b[0]))),
+        (hopf.PROJECTION_L_INV, (np.einsum("ixyz,yzq->ixq", t1, b),
+                                 np.einsum("ikx,kq->ixq", a, b[0]))),
+        (mo.COMPOSITION, (np.einsum("ijr,rpq->ijpq", b, a), np.einsum("jps,isq->ijpq", a, a))),
+        (mo.PRODUCT_LAW, (np.einsum("pqr,irk->ipqk", a, a),
+                          np.einsum("iuv," + split + "ipqk", b, a, a, a, optimize=True))),
+        (mo.SPLITTING, (None, np.einsum("uv," + split + "pqk", b[0], a, a, a, optimize=True))),
+    ]
+    return {k: (t, t.size) for k, t in tables.items()}, refs
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_monomial_tables())
 def test_nonzero_lists_agree_with_einsum(tables):
-    """contract takes every subscript the package declares as einsum does,
-    join_size counts the pairs before they are formed, a join over one
-    slice gives None and None passes through contract and difference; the
-    axiom suite's Ia and Ic lists, the associator list and the two
-    module-law lists equal the einsum sides of their identities."""
+    """contract and dense_step take every subscript the package declares as
+    einsum does, join_size counts the pairs before they are formed, a join
+    over one slice gives None and None passes through contract and
+    difference; over nonzero lists and on the dense path, each side of
+    every declared identity is its einsum reference, and the residual of
+    the identity is that of the references."""
     a, b = tables
     n = a.shape[0]
-    ma, mb = (float(np.abs(t).max()) for t in tables)
+    dims = dict.fromkeys(string.ascii_lowercase, n)
 
     def close(got, ref, scale):
         # sums of products of large entries cancel to rounding of their size
@@ -307,16 +394,18 @@ def test_nonzero_lists_agree_with_einsum(tables):
     # each operand of a declared subscript is a table of its arity: b[0], a
     # or the four-index contraction of a and b, and the same with a and b
     # swapped; "ijp,jpq->ijq" keeps a letter that both operands carry
-    assert len(DECLARED) == 14
+    assert len(DECLARED) == 19
     pools = ({2: b[0], 3: a, 4: np.einsum("ijk,klm->ijlm", a, b)},
              {2: a[0], 3: b, 4: np.einsum("ijk,klm->ijlm", b, a)})
     for subscripts in DECLARED + ["ijp,jpq->ijq"]:
         inputs, out = subscripts.split("->")
         sx, sy = inputs.split(",")
         x, y = pools[0][len(sx)], pools[1][len(sy)]
-        got = contract(subscripts, listed(x, x.size), listed(y, y.size), n)
+        ref = np.einsum(subscripts, x, y)
         scale = n * n * float(np.abs(x).max()) * float(np.abs(y).max())
-        close(_dense_list(*got, (n,) * len(out)), np.einsum(subscripts, x, y), scale)
+        got = contract(subscripts, listed(x, x.size), listed(y, y.size), dims)
+        close(_dense_list(*got, (n,) * len(out)), ref, scale)
+        close(dense_step(subscripts, x, y), ref, scale)
 
     x, y = listed(a, a.size), listed(b, b.size)
     ak, bi = x[0] % n, y[0] // (n * n)
@@ -324,34 +413,25 @@ def test_nonzero_lists_agree_with_einsum(tables):
     assert join_size(ak, bi) == ia.size
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_checks, "SLICE_BYTES", 16 * ia.size - 1)
-        assert contract("ijp,pkq->ijkq", x, y, n) is None
-    assert contract("ijp,pkq->ijkq", None, y, n) is None
-    assert contract("ijp,pkq->ijkq", x, None, n) is None
+        assert contract("ijp,pkq->ijkq", x, y, dims) is None
+    assert contract("ijp,pkq->ijkq", None, y, dims) is None
+    assert contract("ijp,pkq->ijkq", x, None, dims) is None
     assert difference(None, y) is None and difference(x, None) is None
 
-    # a as mult, b as cop; gaps keyed (i, u, j, v) and (i, x, y, z)
-    ia_gap = hopf._ia_gap(x, y, n)
-    ref = np.einsum("iab,jcd,acu,bdv->iujv", b, b, a, a, optimize=True) \
-        - np.einsum("ijr,ruv->iujv", a, b)
-    close(_dense_list(*ia_gap, (n,) * 4), ref, (ma * mb) ** 2)
-    t1, ic_gap = hopf._ic_lists(y, n)
-    t1_ref = np.einsum("iaz,axy->ixyz", b, b)
-    close(_dense_list(*t1, (n,) * 4), t1_ref, mb * mb)
-    close(_dense_list(*ic_gap, (n,) * 4), t1_ref - np.einsum("ixb,byz->ixyz", b, b), mb * mb)
-    table = np.arange(n ** 3).reshape(n * n, n) * (1 - 0.5j)
-    close(list_matmul(t1, table, n * n),
-          t1_ref.reshape(n * n, n * n) @ table, mb * mb * n ** 3)
-    # a as mult and as the action, b as cop and b[0] as Delta(1): the
-    # associator and the two module laws of make_star_algebra and
-    # make_module_algebra
-    ref = np.einsum("ijp,pkq->ijkq", a, a) - np.einsum("jkp,ipq->ijkq", a, a)
-    close(_dense_list(*al._associator_list(a), (n,) * 4), ref, ma * ma)
-    product, splitting = mo._split_law_lists(b, b[0], a, a)
-    ref = np.einsum("pqr,irk->ipqk", a, a) \
-        - np.einsum("iuv,upa,vqb,abk->ipqk", b, a, a, a, optimize=True)
-    close(_dense_list(*product, (n,) * 4), ref, mb * ma ** 3)
-    ref = a - np.einsum("uv,upa,vqb,abk->pqk", b[0], a, a, a, optimize=True)
-    close(_dense_list(*splitting, (n,) * 3), ref, mb * ma ** 3)
+    named, refs = _identities(a, b)
+    bound = 1e-12 * max(1.0, float(np.abs(tables).max(initial=1.0)) ** 4 * n ** 3)
+    for dense in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if dense:
+                patch.setattr(_contract, "listed", lambda table, limit: None)
+            for identity, sides in refs:
+                for side, ref in zip(identity, sides):
+                    if ref is not None:
+                        (worst, _), = evaluate(dict(named, ref=(ref, ref.size)), (side, "ref"))
+                        assert worst <= bound
+                gap = (a if sides[0] is None else sides[0]) - sides[1]
+                (worst, _), = evaluate(named, identity)
+                assert worst == pytest.approx(float(np.abs(gap).max(initial=0)), abs=bound)
 
 
 # ---------------------------------------------------------------------------

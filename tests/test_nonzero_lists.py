@@ -1,7 +1,7 @@
-"""Associativity, the module product law and the unit-coproduct splitting
-over nonzero lists (the nonzero-list rule of weakhopf._contract), and the
-pure-tensor quotient basis of the crossed product that keeps Pauli tower
-levels monomial.
+"""Associativity, the module composition and product laws and the
+unit-coproduct splitting over nonzero lists (the list path of
+weakhopf._contract.evaluate), and the pure-tensor quotient basis of the
+crossed product that keeps Pauli tower levels monomial.
 
 A check on a monomial table must take the list path and report what the
 dense sliced path reports: the same exception, message and location, and
@@ -11,12 +11,10 @@ tables must take the dense path."""
 import numpy as np
 import pytest
 
-from weakhopf import _checks, _contract
+from weakhopf import _checks
 from weakhopf import _linalg as la
-from weakhopf import algebra as al
 from weakhopf import crossed as cr
 from weakhopf import examples as ex
-from weakhopf import modules as mo
 from weakhopf.algebra import StarAlgebra, make_star_algebra
 from weakhopf.errors import ActionAxiomViolation, AssociativityViolation
 from weakhopf.hopf import WeakHopfAlgebra
@@ -53,18 +51,6 @@ def _rebased_module(MA, P, U):
                          P.T @ W.counit, Q @ W.antipode @ P)
     act = np.einsum("ub,pa,upq,cq->bac", P, U, MA.act, V, optimize=True)
     return make_module_algebra(Wp, StarAlgebra(*_rebased_algebra(M, U)), act)
-
-
-def _spy_joins(monkeypatch):
-    """Record the key counts of every join run through _contract.contract."""
-    seen, join = [], _contract.join
-
-    def spy(ka, kb):
-        seen.append((ka.size, kb.size))
-        return join(ka, kb)
-
-    monkeypatch.setattr(_contract, "join", spy)
-    return seen
 
 
 def _outcome(fn):
@@ -140,43 +126,37 @@ def test_quotient_basis_is_a_pure_tensor_selection(pauli_seed):
 # associativity
 
 
-def _dense_associativity(monkeypatch):
-    monkeypatch.setattr(al, "_associator_list", lambda mult: None)
-
-
-def test_monomial_associativity_takes_nonzero_lists(pauli_level, monkeypatch, rng):
+def test_monomial_associativity_takes_nonzero_lists(pauli_level, rng, joins, dense_steps):
     A = pauli_level
-    seen = _spy_joins(monkeypatch)
     make_star_algebra(A.mult, A.unit, A.star)
-    assert len(seen) == 2
+    assert len(joins) == 2 and not dense_steps
     # the same algebra in a Haar-random basis runs the dense path
-    del seen[:]
+    del joins[:]
     make_star_algebra(*_rebased_algebra(A, _haar_unitary(rng, A.dim)))
-    assert not seen
+    assert not joins and len(dense_steps) == 2
 
 
-def test_associativity_beyond_one_slice_takes_the_dense_path(pauli_level, monkeypatch):
+def test_associativity_beyond_one_slice_takes_the_dense_path(pauli_level, monkeypatch, joins):
     A = pauli_level
-    seen = _spy_joins(monkeypatch)
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
     make_star_algebra(A.mult, A.unit, A.star)
-    assert not seen
+    assert not joins
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_associativity_takes_the_dense_path(pauli_level, monkeypatch, bad):
+def test_non_finite_associativity_takes_the_dense_path(pauli_level, joins, bad):
     A = pauli_level
     mult = A.mult.copy()
     mult[3, 5, 7] = bad
-    seen = _spy_joins(monkeypatch)
     with np.errstate(invalid="ignore"):
         exc = _outcome(lambda: make_star_algebra(mult, A.unit, A.star))
-    assert not seen
+    assert not joins
     assert exc[0] is AssociativityViolation and np.isnan(exc[3])
 
 
 @pytest.mark.parametrize("change", ["perturbed", "added"])
-def test_broken_associativity_reports_as_the_dense_path(pauli_level, monkeypatch, change):
+def test_broken_associativity_reports_as_the_dense_path(pauli_level, joins, force_dense,
+                                                        change):
     A = pauli_level
     mult = A.mult.copy()
     if change == "perturbed":
@@ -188,57 +168,48 @@ def test_broken_associativity_reports_as_the_dense_path(pauli_level, monkeypatch
     def build():
         return make_star_algebra(mult, A.unit, A.star, labels=A.labels)
 
-    seen = _spy_joins(monkeypatch)
     listed = _outcome(build)
-    assert len(seen) == 2 and listed[0] is AssociativityViolation
-    _dense_associativity(monkeypatch)
+    assert len(joins) == 2 and listed[0] is AssociativityViolation
+    force_dense()
     _same_outcome(listed, _outcome(build))
 
 
 # ---------------------------------------------------------------------------
-# the module product law and the unit-coproduct splitting
+# the module composition and product laws and the unit-coproduct splitting
 
 
-def _dense_module_laws(monkeypatch):
-    monkeypatch.setattr(mo, "_split_law_lists", lambda cop, D1, act, mult: (None, None))
+# the act-mult products [v, a, q, k] that the product law and the splitting share
+ACT_MULT = "vqb,abk->vaqk"
 
 
-def _spy_tables(monkeypatch):
-    formed, table = [], mo.act_mult_table
-
-    def spy(act, mult):
-        formed.append(act.shape)
-        return table(act, mult)
-
-    monkeypatch.setattr(mo, "act_mult_table", spy)
-    return formed
-
-
-def test_monomial_module_laws_take_nonzero_lists(pauli_seed, monkeypatch, rng):
-    # the act-mult table, dim A * dim M^3 entries, is never formed; the
+def test_monomial_module_laws_take_nonzero_lists(pauli_seed, rng, joins, dense_steps):
+    # the composition law joins twice, the product law four times and the
+    # splitting twice more, as it shares the act-mult products; the
     # crossed product's dual action is monomial too
-    seen, formed = _spy_joins(monkeypatch), _spy_tables(monkeypatch)
     for MA in (pauli_seed, cr.crossed_product(pauli_seed).as_module):
-        del seen[:]
+        del joins[:]
         make_module_algebra(MA.hopf, MA.target, MA.act)
-        assert len(seen) == 6
-    assert not formed
-    # a target rotated by a Haar-random unitary runs the dense path
-    del seen[:]
+        assert len(joins) == 8
+    assert not dense_steps
+    # a target rotated by a Haar-random unitary runs the dense path, and
+    # forms the act-mult products (dim A * dim M^3 entries) once
+    del joins[:]
     U = _haar_unitary(rng, pauli_seed.target.dim)
     _rebased_module(pauli_seed, np.eye(pauli_seed.hopf.dim), U)
-    assert not seen and len(formed) == 1
+    assert not joins and dense_steps.count(ACT_MULT) == 1
 
 
-def test_module_laws_beyond_one_slice_take_the_dense_path(pauli_seed, monkeypatch):
-    seen, formed = _spy_joins(monkeypatch), _spy_tables(monkeypatch)
+def test_module_laws_beyond_one_slice_take_the_dense_path(pauli_seed, monkeypatch, joins,
+                                                          dense_steps):
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
     make_module_algebra(pauli_seed.hopf, pauli_seed.target, pauli_seed.act)
-    assert not seen and len(formed) == 1
+    # one row per slice: the act-mult products are still formed once
+    assert not joins and dense_steps.count(ACT_MULT) == 1
+    assert len(dense_steps) > 2 * pauli_seed.hopf.dim
 
 
 @pytest.mark.parametrize("table", ["mult", "D1"])
-def test_non_finite_module_laws_take_the_dense_path(pauli_seed, monkeypatch, table):
+def test_non_finite_module_laws_take_the_dense_path(pauli_seed, joins, table):
     W, M = pauli_seed.hopf, pauli_seed.target
     mult = M.mult.copy()
     V = WeakHopfAlgebra(W.alg, W.cop, W.counit, W.antipode)
@@ -249,27 +220,34 @@ def test_non_finite_module_laws_take_the_dense_path(pauli_seed, monkeypatch, tab
         D1 = W.delta_one().copy()
         D1[2, 5] = np.nan
         V._cache["D1"] = D1
-    seen = _spy_joins(monkeypatch)
     with np.errstate(invalid="ignore"):
         exc = _outcome(lambda: make_module_algebra(V, StarAlgebra(mult, M.unit, M.star),
                                                    pauli_seed.act))
     law = "product law" if table == "mult" else "unit-coproduct splitting"
     assert exc[0] is ActionAxiomViolation and exc[1].startswith(law)
     assert np.isnan(exc[3])
-    # the product law of the NaN D1 still runs over lists; the splitting does not
-    assert len(seen) == (0 if table == "mult" else 4)
+    # the composition law never reads M's product or Delta(1), and the
+    # product law of the NaN D1 still runs over lists; the splitting does not
+    assert len(joins) == (2 if table == "mult" else 6)
 
 
 @pytest.mark.parametrize("change", ["perturbed", "added"])
-@pytest.mark.parametrize("law", ["product law", "splitting"])
-def test_broken_module_laws_report_as_the_dense_path(pauli_seed, monkeypatch, law, change):
-    W, M = pauli_seed.hopf, pauli_seed.target
+@pytest.mark.parametrize("law", ["composition law", "product law", "splitting"])
+def test_broken_module_laws_report_as_the_dense_path(pauli_seed, joins, force_dense, law,
+                                                     change):
+    # the seed's action has all dim A * dim M nonzeros its list may hold, so
+    # the composition law is broken on the crossed product's dual action,
+    # which has 64 of 256
+    MA = cr.crossed_product(pauli_seed).as_module if law == "composition law" else pauli_seed
+    W, M = MA.hopf, MA.target
     V = WeakHopfAlgebra(W.alg, W.cop, W.counit, W.antipode)
     V._cache = dict(W._cache)
-    mult = M.mult.copy()
-    # the product law is the first law that reads M's product, the
-    # splitting the only one that reads Delta(1)
-    table = mult if law == "product law" else W.delta_one().copy()
+    mult, act = M.mult.copy(), MA.act.copy()
+    # the composition law is the first law, and the only one before the
+    # product law that reads the action; the product law is the first law
+    # that reads M's product, the splitting the only one that reads Delta(1)
+    table = {"composition law": act, "product law": mult,
+             "splitting": W.delta_one().copy()}[law]
     if change == "perturbed":
         table[tuple(np.argwhere(table != 0)[3])] += 0.25
     else:
@@ -277,12 +255,13 @@ def test_broken_module_laws_report_as_the_dense_path(pauli_seed, monkeypatch, la
     if law == "splitting":
         V._cache["D1"] = table
     assert np.count_nonzero(mult) <= M.dim ** 2
+    assert np.count_nonzero(act) <= W.dim * M.dim
 
     def build():
-        return make_module_algebra(V, StarAlgebra(mult, M.unit, M.star), pauli_seed.act)
+        return make_module_algebra(V, StarAlgebra(mult, M.unit, M.star), act)
 
-    seen = _spy_joins(monkeypatch)
     listed = _outcome(build)
-    assert len(seen) == 6 and listed[0] is ActionAxiomViolation and law in listed[1]
-    _dense_module_laws(monkeypatch)
+    assert len(joins) == (2 if law == "composition law" else 8)
+    assert listed[0] is ActionAxiomViolation and law in listed[1]
+    force_dense()
     _same_outcome(listed, _outcome(build))
