@@ -17,14 +17,13 @@ against the multiplication table; every residual is still taken over the
 full index set.
 
 Declared identities.  Associativity, the module composition and product
-laws, the unit-coproduct splitting, axioms Ia and Ic and the contractions
-of t1 = (Delta (x) id) Delta over (y, z) behind two projection identities
-are written once, as data beside their checks: a chain is a table name or
-(subscripts, chain, chain), one pairwise np.einsum step over two chains,
-and an identity is a pair of chains with the same output letters, whose
-difference is checked, or one chain, whose value is wanted.  evaluate runs
-the identities of one call over named tables in one of two ways, chosen
-per identity from its input:
+laws, the unit-coproduct splitting, axioms Ia and Ic and the two projection
+identities that contract t1 = (Delta (x) id) Delta over (y, z) are written
+once, as data beside their checks: a chain is a table name or (subscripts,
+chain, chain), one pairwise np.einsum step over two chains, and an
+identity is a pair of chains with the same output letters, whose
+difference is checked.  evaluate runs the identities of one call over
+named tables in one of two ways, chosen per identity from its input:
 
   * nonzero lists, when every table the identity reads passes listed under
     its limit (finite, with at most that many nonzeros, as the tables of
@@ -53,10 +52,10 @@ rounding.  accumulate returns its keys in increasing, that is row-major,
 order, so the first largest entry of a list is the location the dense
 slices report (weakhopf._checks.worst_listed).
 
-Held whole on the dense path: Ia's right half [(b, c), (j, v)] (n^4
-entries), the act-mult products [v, a, q, k] (dim A * dim M^3) that the
-module product law and the unit-coproduct splitting share, and the t1
-contractions over (y, z) (n^3).  Ia costs n^6 flops there: every summed
+Held whole on the dense path, besides the tables: Ia's right half
+[(b, c), (j, v)] (n^4 entries) and the act-mult products [v, a, q, k]
+(dim A * dim M^3) that the module product law and the unit-coproduct
+splitting share.  Ia costs n^6 flops there: every summed
 index of its ring joins two of the four tables, so every pairwise order
 builds an n^4 table and ends in one (n^2 x n^2)(n^2 x n^2) GEMM;
 associativity costs n^5.
@@ -172,8 +171,6 @@ def _dense_group(lead, group, words, shared, sides, tables, dims, once, results)
     for rows in row_slices(dims[lead], row):
         at = (lead, rows, tables, once, {}, shared)
         for k in group:
-            if worst[k].value != worst[k].value:
-                continue                 # a NaN: skip the later slices
             (lhs, word), (rhs, _) = sides[k]
             a, b = _dense(lhs, word, at), _dense(rhs, word, at)
             fresh = [v for c, v in ((lhs, a), (rhs, b))

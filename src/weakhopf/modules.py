@@ -119,10 +119,9 @@ def make_module_algebra(W, M, act, tol=None):
     require(np.tensordot(W.alg.unit, act, 1) - np.eye(dm), t, ActionAxiomViolation,
             "unit acts nontrivially", where=tuple)
 
-    D1 = W.delta_one()
     product_gap, splitting_gap = evaluate(
         {"cop": (W.cop, da * da), "act": (act, da * dm), "mult": (M.mult, dm * dm),
-         "D1": (D1, D1.size)}, PRODUCT_LAW, SPLITTING)
+         "D1": (W.delta_one(), da * da)}, PRODUCT_LAW, SPLITTING)
     settle(product_gap, t, ActionAxiomViolation, "product law fails", where=tuple)
 
     lower = W.alg.star.T @ np.conj(W.antipode)  # columns: (e_i)_* = S(e_i)^*

@@ -143,13 +143,16 @@ def test_split_product(rng):
            np.einsum("uv,upa,vqb,abk->pqk", d1, act, act, mult))
 
 
-def _plain_split(coef, act, mult, table):
-    """The reference product: every item against the whole table in one
-    plain GEMM."""
+def _full_split(coef, act, mult, table):
+    """The reference product in the association of the declared chains
+    (coef . act over u, then the table over (v, a)), each stage one sum of
+    products per entry (np.einsum without BLAS), in which every 0 * NaN and
+    0 * inf term stays NaN; a BLAS product may skip a zero factor."""
     nv, npq, na = act.shape
-    left = np.moveaxis(np.tensordot(coef, act, axes=([-2], [0])), -2, -3)
-    out = left.reshape(-1, nv * na) @ table
-    return out.reshape(coef.shape[:-2] + (npq, npq, mult.shape[2]))
+    lead = "i" if coef.ndim == 3 else ""
+    left = np.einsum(f"{lead}uv,upa->{lead}vpa", coef, act)
+    return np.einsum(f"{lead}vpa,vaqk->{lead}pqk", left,
+                     table.reshape(nv, na, npq, mult.shape[2]))
 
 
 def test_split_product_subtracts_from_out(rng):
@@ -188,7 +191,7 @@ def test_split_product_keeps_non_finite_table_rows(rng, bad):
     table = _act_mult(act, mult)
     table[1 * 5 + 2, 4] = bad                 # row (v, a) = (1, 2)
     with np.errstate(invalid="ignore"):
-        ref = _plain_split(cop, act, mult, table)
+        ref = _full_split(cop, act, mult, table)
         got = _dense_split(cop, act, mult, table)
     assert np.isnan(ref.reshape(3, 3, 18)[:, :, 4]).all()
     np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
@@ -203,7 +206,7 @@ def test_split_product_keeps_non_finite_actions(rng, bad):
     cop[:, :, 1] = 0
     act[2, 1, 3] = bad
     with np.errstate(invalid="ignore"):
-        ref = _plain_split(cop, act, mult, _act_mult(act, mult))
+        ref = _full_split(cop, act, mult, _act_mult(act, mult))
         got = _dense_split(cop, act, mult)
     assert not np.isfinite(ref).all()
     np.testing.assert_array_equal(np.isfinite(got), np.isfinite(ref))
@@ -236,18 +239,6 @@ def _split_operands(draw):
         if t.size:
             t.flat[draw(st.integers(0, t.size - 1))] = draw(st.sampled_from(NON_FINITE))
     return coef, act, np.zeros((na, na, nk)), tab
-
-
-def _full_split(coef, act, mult, table):
-    """The reference product in the association of the declared chains
-    (coef . act over u, then the table over (v, a)), each stage one sum of
-    products per entry (np.einsum without BLAS), in which every 0 * NaN and
-    0 * inf term stays NaN; a BLAS product may skip a zero factor."""
-    nv, npq, na = act.shape
-    lead = "i" if coef.ndim == 3 else ""
-    left = np.einsum(f"{lead}uv,upa->{lead}vpa", coef, act)
-    return np.einsum(f"{lead}vpa,vaqk->{lead}pqk", left,
-                     table.reshape(nv, na, npq, mult.shape[2]))
 
 
 @settings(max_examples=300, deadline=None, database=None)
