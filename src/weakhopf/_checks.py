@@ -66,34 +66,27 @@ class Worst:
         self.value, self.loc = None, None
 
     def add(self, offset, gap):
-        """Take in the slice gap, whose first row is row offset of the table."""
+        """Take in the slice gap, whose first row is row offset of the table;
+        returns self."""
         if self.value != self.value:
-            return                       # a NaN: nothing later moves it
+            return self                  # a NaN: nothing later moves it
         mags = np.abs(gap)
         if not mags.size:
-            return
-        m = float(mags.max())
+            return self
+        at = int(mags.argmax())          # the first NaN, else the first maximum
+        m = float(mags.flat[at])
         if self.value is not None and m <= self.value:
-            return                       # ties keep the earlier entry
-        ix = [int(i) for i in np.unravel_index(int(mags.argmax()), mags.shape)]
+            return self                  # ties keep the earlier entry
+        ix = [int(i) for i in np.unravel_index(at, mags.shape)]
         if ix:
             ix[0] += offset
         self.value, self.loc = m, tuple(ix)
+        return self
 
     def result(self):
         """(largest |entry|, its index tuple); (0.0, None) when every slice
         was empty."""
         return (0.0 if self.value is None else self.value), self.loc
-
-
-def _worst(slices):
-    """Worst.result() over the (offset, table) slices of one table."""
-    worst = Worst()
-    for offset, gap in slices:
-        worst.add(offset, gap)
-        if worst.value != worst.value:
-            break
-    return worst.result()
 
 
 def settle(gap, bound, exc, message, where=None):
@@ -120,10 +113,10 @@ def require(gap, bound, exc, message, where=None):
     """
     if isinstance(gap, dict):
         keys = list(gap)
-        worst, loc = _worst([(0, np.asarray(list(gap.values())))])
+        worst, loc = Worst().add(0, np.asarray(list(gap.values()))).result()
         loc = keys[loc[0]] if loc else None
     else:
-        worst, loc = _worst([(0, gap)])
+        worst, loc = Worst().add(0, gap).result()
     settle((worst, loc), bound, exc, message, where)
 
 
@@ -133,7 +126,12 @@ def require_sliced(slices, bound, exc, message, where=None):
     index of its first row.  Raises with the same exception, message,
     residual and location as require() on the whole table; only one slice
     is held at a time when slices is a generator."""
-    settle(_worst(slices), bound, exc, message, where)
+    worst = Worst()
+    for offset, gap in slices:
+        worst.add(offset, gap)
+        if worst.value != worst.value:
+            break                        # a NaN: no later slice is formed
+    settle(worst.result(), bound, exc, message, where)
 
 
 def worst_listed(listed, shape):
@@ -144,7 +142,7 @@ def worst_listed(listed, shape):
     first largest entry of the table in row-major order, so the residual
     and location are those of the whole table."""
     keys, values = listed
-    worst, loc = _worst([(0, values)])
+    worst, loc = Worst().add(0, values).result()
     if loc is not None:
         loc = tuple(int(i) for i in np.unravel_index(int(keys[loc[0]]), shape))
     return worst, loc

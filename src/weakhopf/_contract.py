@@ -25,8 +25,9 @@ identity is a pair of chains with the same output letters, whose
 difference is checked.  evaluate runs the identities of one call over
 named tables in one of two ways, chosen per identity from its input:
 
-  * nonzero lists, when every table the identity reads passes listed under
-    its limit (finite, with at most that many nonzeros, as the tables of
+  * nonzero lists, when every table the identity reads passes listed with
+    as many nonzeros as the product of its first two dimensions (finite,
+    with at most n^2 nonzeros for an (n, n, n) table, as the tables of
     every built-in algebra, its dual and the crossed products of the
     package's actions have in the natural basis and in any monomial basis)
     and every join fits one weakhopf._checks slice.  A nonzero list is one
@@ -42,9 +43,12 @@ named tables in one of two ways, chosen per identity from its input:
     reduced at once (weakhopf._checks.Worst), so the verdict, residual and
     location are those of the whole table.  A subtree without the lead
     letter is formed once per call and held whole, and a step that several
-    identities of the call share is formed once per slice.  Each step is
-    one np.matmul whose result is laid out in the step's output order
-    (dense_step), and the two sides are subtracted in place.
+    identities of the call share is formed once per slice and dropped after
+    the last of them has read it; an identity one of whose sides is such a
+    step is evaluated after the others.  Each step is one np.matmul whose
+    result is laid out in the step's output order (dense_step), and the
+    two sides are subtracted in place, into a side no later identity
+    reads.
 
 Every entry outside a list is an exact zero, and products of finite tables
 drop only exact 0 * finite terms, so both ways give the same residual up to
@@ -93,23 +97,23 @@ def pair_products(mult, xs, ys):
 
 
 def evaluate(tables, *identities):
-    """The declared identities over tables, a dict of name: (table, limit of
-    nonzeros for its list), each by nonzero lists or by dense slices (see
-    the module docstring): for each, the (residual, location) of the
-    difference of its two sides, as weakhopf._checks.Worst gives them."""
+    """The declared identities over tables, a dict of name: table, each by
+    nonzero lists or by dense slices (see the module docstring): for each,
+    the (residual, location) of the difference of its two sides, as
+    weakhopf._checks.Worst gives them."""
     sides, leaves, leads = _layout(identities)
     dims = {}
     for name, word in leaves:
-        dims.update(zip(word, np.shape(tables[name][0])))
+        dims.update(zip(word, np.shape(tables[name])))
     results, lists, once = [None] * len(sides), {}, {}
     for k, ((lhs, word), (rhs, _)) in enumerate(sides):
         a = _as_list(lhs, tables, dims, lists)
         b = None if a is None else _as_list(rhs, tables, dims, lists)
         if b is not None:
             results[k] = worst_listed(difference(a, b), [dims[x] for x in word])
-    for lead, group, words, shared in leads:
+    for lead, group, words, shared, drops in leads:
         group = [k for k in group if results[k] is None]
-        _dense_group(lead, group, words, shared, sides, tables, dims, once, results)
+        _dense_group(lead, group, words, shared, drops, sides, tables, dims, once, results)
     return results
 
 
@@ -117,9 +121,11 @@ def evaluate(tables, *identities):
 def _layout(identities):
     """For each identity its two sides [(chain, output letters)], the (name,
     letters) of every table they read, and for each first output letter
-    (the lead): the positions of the identities it leads, the letters of
-    every step that carries it and the steps that two of their sides
-    share."""
+    (the lead): the positions of the identities it leads, in the order they
+    are evaluated, the letters of every step that carries it, the steps
+    that two of their sides share and, for each identity, the shared steps
+    it is the last to read.  An identity one of whose sides is a shared
+    step comes after the others, so that it reads that step last."""
     sides, groups = [], {}
     for k, identity in enumerate(identities):
         word = next(c[0].split("->")[1] for c in identity if not isinstance(c, str))
@@ -131,7 +137,10 @@ def _layout(identities):
     for lead, group in groups.items():
         steps = [n for k in group for n in nodes[k] if not isinstance(n[0], str) and lead in n[1]]
         shared = {c for c, count in Counter(c for c, _ in steps).items() if count > 1}
-        leads.append((lead, group, {w for _, w in steps}, shared))
+        group.sort(key=lambda k: any(side in shared for side, _ in sides[k]))
+        last = {c: k for k in group for c, _ in nodes[k] if c in shared}
+        drops = {k: [c for c, j in last.items() if j == k] for k in group}
+        leads.append((lead, group, {w for _, w in steps}, shared, drops))
     return sides, leaves, leads
 
 
@@ -153,7 +162,8 @@ def _as_list(chain, tables, dims, memo):
     a table it reads is not listed or a join does not fit one slice."""
     if chain not in memo:
         if isinstance(chain, str):
-            memo[chain] = listed(*tables[chain])
+            table = tables[chain]
+            memo[chain] = listed(table, math.prod(table.shape[:2]))
         else:
             a = _as_list(chain[1], tables, dims, memo)
             memo[chain] = None if a is None else contract(
@@ -161,20 +171,24 @@ def _as_list(chain, tables, dims, memo):
     return memo[chain]
 
 
-def _dense_group(lead, group, words, shared, sides, tables, dims, once, results):
+def _dense_group(lead, group, words, shared, drops, sides, tables, dims, once, results):
     """results[k] for the identities k of group, whose outputs lead with the
     letter lead, by dense slices of that letter.  words are the letters of
     every step that carries it; once holds the steps without it, formed
-    whole once per call, and a step of shared is formed once per slice."""
+    whole once per call, and a step of shared is formed once per slice and
+    dropped after the identity k with that step in drops[k]."""
     row = max((math.prod(dims[x] for x in w.replace(lead, "", 1)) for w in words), default=1)
     worst = {k: Worst() for k in group}
     for rows in row_slices(dims[lead], row):
-        at = (lead, rows, tables, once, {}, shared)
+        memo = {}
+        at = (lead, rows, tables, once, memo, shared)
         for k in group:
             (lhs, word), (rhs, _) = sides[k]
             a, b = _dense(lhs, word, at), _dense(rhs, word, at)
+            for c in drops[k]:
+                memo.pop(c, None)
             fresh = [v for c, v in ((lhs, a), (rhs, b))
-                     if not isinstance(c, str) and c not in shared]
+                     if not isinstance(c, str) and c not in memo]
             gap = np.subtract(a, b, out=fresh[0] if fresh else None)
             del a, b, fresh              # the reduction reuses their memory
             worst[k].add(rows.start, gap)
@@ -189,7 +203,7 @@ def _dense(chain, word, at):
     memo, the steps formed for these rows."""
     lead, rows, tables, once, memo, shared = at
     if isinstance(chain, str):
-        table = tables[chain][0]
+        table = tables[chain]
         if lead not in word:
             return table
         return table[(slice(None),) * word.index(lead) + (rows,)]
@@ -203,14 +217,14 @@ def _dense(chain, word, at):
     return got
 
 
-@functools.lru_cache(maxsize=None)
-def _plan(subscripts):
-    """How dense_step lays out a step: for each operand its axis order and
-    the axes each dimension of its matrix merges, and the axes of the
-    output, all as positions in the two shapes joined.  The result [batch,
-    rows, columns] is the output in order: the columns are the trailing
-    output letters of the second operand alone, the rows the output letters
-    of the first alone before them, and every earlier output letter is a
+@functools.lru_cache(maxsize=1024)
+def _plan(subscripts, dims):
+    """How dense_step lays out a step on operands whose shapes joined are
+    dims: for each operand its axis order and the shape of its stack of
+    matrices, and the shape of the output.  The result [batch, rows,
+    columns] is the output in order: the columns are the trailing output
+    letters of the second operand alone, the rows the output letters of
+    the first alone before them, and every earlier output letter is a
     batch letter, which a table without it broadcasts.  Every summed letter
     is carried by both operands."""
     inputs, out = subscripts.split("->")
@@ -227,9 +241,10 @@ def _plan(subscripts):
     for word, offset, groups in ((w1, 0, (rows, summed)), (w2, len(w1), (summed, cols))):
         order = [c for c in batch if c in word] + list(groups[0] + groups[1])
         merged = [c if c in word else "" for c in batch] + list(groups)
-        operands.append(([word.index(c) for c in order],
-                         [[offset + word.index(c) for c in g] for g in merged]))
-    return operands, [(w1 + w2).index(c) for c in out]
+        operands.append((tuple(word.index(c) for c in order),
+                         tuple(math.prod(dims[offset + word.index(c)] for c in g)
+                               for g in merged)))
+    return operands, tuple(dims[(w1 + w2).index(c)] for c in out)
 
 
 def dense_step(subscripts, x, y):
@@ -237,11 +252,8 @@ def dense_step(subscripts, x, y):
     result is laid out in the output order (see _plan); an operand is
     copied only when its letters are not already in the order the product
     reads them."""
-    operands, out = _plan(subscripts)
-    dims = x.shape + y.shape
-    x, y = (t.transpose(order).reshape([math.prod(dims[i] for i in g) for g in merged])
-            for t, (order, merged) in zip((x, y), operands))
-    return np.matmul(x, y).reshape([dims[i] for i in out])
+    ((ox, sx), (oy, sy)), out = _plan(subscripts, x.shape + y.shape)
+    return np.matmul(x.transpose(ox).reshape(sx), y.transpose(oy).reshape(sy)).reshape(out)
 
 
 def listed(table, limit):

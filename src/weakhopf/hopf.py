@@ -275,9 +275,10 @@ def verify_weak_hopf(W, tol=None):
     Ia, Ic and the two projection identities that contract t1 over (y, z)
     are declared (IA, IC, PROJECTION_R, PROJECTION_L_INV) and evaluated by
     weakhopf._contract.evaluate, over nonzero lists for monomial tables and
-    by dense slices of i otherwise; the dense t1 slices feed all three.  The contractions of t1 over (x, y) behind IIIc, the
-    antipode recovery and two projection identities are reassociated
-    through cop, n^4 flops on every table.
+    by dense slices of i otherwise; the dense t1 slices feed all three.
+    The contractions of t1 over (x, y) behind IIIc, the antipode recovery
+    and two projection identities are reassociated through cop, n^4 flops
+    on every table.
     """
     A, cop, eps, smat = W.alg, W.cop, W.counit, W.antipode
     mult, unit, n = A.mult, A.unit, A.dim
@@ -293,13 +294,13 @@ def verify_weak_hopf(W, tol=None):
     s_xy = np.tensordot(smat, mult, axes=([0], [0])).reshape(n * n, n)
     x_sy = np.matmul(smat.T, mult).reshape(n * n, n)
     D1 = (unit @ c2).reshape(n, n)
-    tables = {"mult": (mult, n * n), "cop": (cop, n * n), "D1": (D1, n * n)}
+    tables = {"mult": mult, "cop": cop, "D1": D1}
     identities = [IA, IC]
     if s_invertible:
         siy_x = np.matmul(sinv.T, mult.transpose(1, 0, 2)).reshape(n * n, n)
         y_six = np.tensordot(sinv, mult, axes=([0], [1])).reshape(n * n, n)
-        tables["xS(y)"] = (x_sy.reshape(n, n, n), n * n)
-        tables["S^-1(y)x"] = (siy_x.reshape(n, n, n), n * n)
+        tables["xS(y)"] = x_sy.reshape(n, n, n)
+        tables["S^-1(y)x"] = siy_x.reshape(n, n, n)
         identities += [PROJECTION_R, PROJECTION_L_INV]
     (r["Ia"], _), (ic, _), *projections = evaluate(tables, *identities)
 

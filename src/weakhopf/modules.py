@@ -111,17 +111,17 @@ def make_module_algebra(W, M, act, tol=None):
     MA = ModuleAlgebra(W, M, act)
     t = tolerance(tol)
     act = MA.act
-    da, dm = W.dim, M.dim
+    dm = M.dim
 
-    gap, = evaluate({"mult_A": (W.alg.mult, da * da), "act": (act, da * dm)}, COMPOSITION)
+    gap, = evaluate({"mult_A": W.alg.mult, "act": act}, COMPOSITION)
     settle(gap, t, ActionAxiomViolation, "composition law fails", where=tuple)
 
     require(np.tensordot(W.alg.unit, act, 1) - np.eye(dm), t, ActionAxiomViolation,
             "unit acts nontrivially", where=tuple)
 
     product_gap, splitting_gap = evaluate(
-        {"cop": (W.cop, da * da), "act": (act, da * dm), "mult": (M.mult, dm * dm),
-         "D1": (W.delta_one(), da * da)}, PRODUCT_LAW, SPLITTING)
+        {"cop": W.cop, "act": act, "mult": M.mult, "D1": W.delta_one()},
+        PRODUCT_LAW, SPLITTING)
     settle(product_gap, t, ActionAxiomViolation, "product law fails", where=tuple)
 
     lower = W.alg.star.T @ np.conj(W.antipode)  # columns: (e_i)_* = S(e_i)^*

@@ -140,25 +140,41 @@ def test_ia_and_ic_take_nonzero_lists(ws3, joins, dense_steps):
         rep, peak = _peak(lambda: hopf.verify_weak_hopf(V))
         assert rep.passed() and len(joins) == 10 and not dense_steps
         assert peak < 16 * n ** 4
-    # the same algebra in a Haar-random basis runs the dense path
+    # the same algebra in a Haar-random basis runs the dense path, where
+    # each slice of t1 is formed once for Ic and both projection identities
     rng = np.random.default_rng(5)
     U = _rebased(ws3, _haar_unitary(rng, n))
     del joins[:]
     assert hopf.verify_weak_hopf(U).passed()
-    assert not joins and dense_steps
+    assert not joins and dense_steps.count(hopf.T1[0]) == len(_checks.row_slices(n, n ** 3))
 
 
-def test_joins_beyond_one_slice_take_the_dense_path(wz3s3, monkeypatch, joins):
+def test_joins_beyond_one_slice_take_the_dense_path(wz3s3, monkeypatch, joins, dense_steps):
     # the term count of a join is known before it runs: with a slice of
     # 100 entries no join of S3/A3 fits, and the dense path gives the same
-    # residuals
+    # residuals; at one row per slice, t1 is formed once per row
     listed = hopf.verify_weak_hopf(wz3s3)
     del joins[:]
     monkeypatch.setattr(_checks, "SLICE_BYTES", 16 * 100)
     dense = hopf.verify_weak_hopf(wz3s3)
     assert not joins and dense.passed()
+    assert dense_steps.count(hopf.T1[0]) == wz3s3.dim
     for key, value in dense.residuals.items():
         assert abs(listed.residuals[key] - value) <= 1e-15, key
+
+
+def test_ic_subtracts_into_t1_after_the_projection_identities(rng, force_dense):
+    # on the dense path Ic reads t1 after both projection identities and
+    # subtracts its right side from it: a slice holds at most t1 and that
+    # side (32 n^4 bytes), and never |gap| beside both (40 n^4 bytes)
+    force_dense()
+    n = 12
+    cop, mult = (rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+                 for _ in range(2))
+    tables = {"cop": cop, "mult": mult, "D1": cop[0], "xS(y)": mult, "S^-1(y)x": mult}
+    _, peak = _peak(lambda: _contract.evaluate(tables, hopf.IC, hopf.PROJECTION_R,
+                                               hopf.PROJECTION_L_INV))
+    assert peak < 36 * n ** 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -155,22 +155,22 @@ def _full_split(coef, act, mult, table):
                      table.reshape(nv, na, npq, mult.shape[2]))
 
 
-def test_split_product_subtracts_from_out(rng):
+def test_split_product_subtracts_from_out(rng, force_dense):
     # the dense path subtracts the two sides of the product law and the
     # splitting in place, also where cop has zero v legs: the residual and
     # location are those of the whole difference, and no table is written
+    force_dense()
     act, mult = _rand(rng, 4, 3, 3), _rand(rng, 3, 3, 3)
     for zero_legs in (True, False):
         cop = _rand(rng, 4, 4, 4)
         if zero_legs:
             cop[:, :, 1] = 0
             cop[[0, 2], :, 3] = 0
-        tables = {"cop": (cop, -1), "act": (act, -1), "mult": (mult, -1),
-                  "D1": (cop[1], -1)}             # -1: the dense path
-        kept = {k: t.copy() for k, (t, _) in tables.items()}
+        tables = {"cop": cop, "act": act, "mult": mult, "D1": cop[1]}
+        kept = {k: t.copy() for k, t in tables.items()}
         product, splitting = evaluate(tables, mo.PRODUCT_LAW, mo.SPLITTING)
         for k, t in kept.items():
-            np.testing.assert_array_equal(tables[k][0], t)
+            np.testing.assert_array_equal(tables[k], t)
         gap = np.einsum("pqr,irk->ipqk", mult, act) \
             - np.einsum("iuv,upa,vqb,abk->ipqk", cop, act, act, mult)
         assert product[0] == pytest.approx(_peak(gap)[0], rel=1e-12)
@@ -343,26 +343,36 @@ DECLARED = _declared_subscripts()
 def _identities(a, b):
     """Each declared identity, with its tables read off a as mult and act
     and b as cop, as the acting algebra's mult, the antipode tables and (b[0])
-    Delta(1), and the einsum reference of each side (None for a table)."""
+    Delta(1); the einsum reference of each side (None for a table); and the
+    scale of its rounding: over both sides, the largest product of the
+    largest entries of the d tables a term multiplies, times n^(d - 1)."""
     tables = {"mult": a, "act": a, "cop": b, "mult_A": b, "xS(y)": b, "S^-1(y)x": b,
               "D1": b[0]}
+    n = a.shape[0]
+    ma, mb = (float(np.abs(t).max()) for t in (a, b))
     t1 = np.einsum("iaz,axy->ixyz", b, b)
     split = "upa,vqb,abk->"
     refs = [
-        (al.ASSOCIATIVITY, (np.einsum("ijp,pkq->ijkq", a, a), np.einsum("jkp,ipq->ijkq", a, a))),
+        (al.ASSOCIATIVITY, (np.einsum("ijp,pkq->ijkq", a, a), np.einsum("jkp,ipq->ijkq", a, a)),
+         ma ** 2 * n),
         (hopf.IA, (np.einsum("iab,jcd,acu,bdv->iujv", b, b, a, a, optimize=True),
-                   np.einsum("ijk,kuv->iujv", a, b))),
-        (hopf.IC, (t1, np.einsum("ixb,byz->ixyz", b, b))),
+                   np.einsum("ijk,kuv->iujv", a, b)), (ma * mb) ** 2 * n ** 3),
+        (hopf.IC, (t1, np.einsum("ixb,byz->ixyz", b, b)), mb ** 2 * n),
         (hopf.PROJECTION_R, (np.einsum("ixyz,yzq->ixq", t1, b),
-                             np.einsum("kix,kq->ixq", a, b[0]))),
+                             np.einsum("kix,kq->ixq", a, b[0])),
+         max(mb ** 3 * n ** 2, ma * mb * n)),
         (hopf.PROJECTION_L_INV, (np.einsum("ixyz,yzq->ixq", t1, b),
-                                 np.einsum("ikx,kq->ixq", a, b[0]))),
-        (mo.COMPOSITION, (np.einsum("ijr,rpq->ijpq", b, a), np.einsum("jps,isq->ijpq", a, a))),
+                                 np.einsum("ikx,kq->ixq", a, b[0])),
+         max(mb ** 3 * n ** 2, ma * mb * n)),
+        (mo.COMPOSITION, (np.einsum("ijr,rpq->ijpq", b, a), np.einsum("jps,isq->ijpq", a, a)),
+         max(ma * mb, ma ** 2) * n),
         (mo.PRODUCT_LAW, (np.einsum("pqr,irk->ipqk", a, a),
-                          np.einsum("iuv," + split + "ipqk", b, a, a, a, optimize=True))),
-        (mo.SPLITTING, (None, np.einsum("uv," + split + "pqk", b[0], a, a, a, optimize=True))),
+                          np.einsum("iuv," + split + "ipqk", b, a, a, a, optimize=True)),
+         max(ma ** 2 * n, mb * ma ** 3 * n ** 3)),
+        (mo.SPLITTING, (None, np.einsum("uv," + split + "pqk", b[0], a, a, a, optimize=True)),
+         max(ma, mb * ma ** 3 * n ** 3)),
     ]
-    return {k: (t, t.size) for k, t in tables.items()}, refs
+    return tables, refs
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -409,20 +419,23 @@ def test_nonzero_lists_agree_with_einsum(tables):
     assert contract("ijp,pkq->ijkq", x, None, dims) is None
     assert difference(None, y) is None and difference(x, None) is None
 
+    # every table passes the list gate in the first pass (the einsum
+    # references have up to n^4 nonzeros) and none in the second
     named, refs = _identities(a, b)
-    bound = 1e-12 * max(1.0, float(np.abs(tables).max(initial=1.0)) ** 4 * n ** 3)
-    for dense in (False, True):
+    gates = (lambda table, limit: listed(table, table.size), lambda table, limit: None)
+    for gate in gates:
         with pytest.MonkeyPatch.context() as patch:
-            if dense:
-                patch.setattr(_contract, "listed", lambda table, limit: None)
-            for identity, sides in refs:
+            patch.setattr(_contract, "listed", gate)
+            for identity, sides, scale in refs:
+                bound = 1e-12 * max(1.0, scale)
                 for side, ref in zip(identity, sides):
                     if ref is not None:
-                        (worst, _), = evaluate(dict(named, ref=(ref, ref.size)), (side, "ref"))
+                        (worst, _), = evaluate(dict(named, ref=ref), (side, "ref"))
                         assert worst <= bound
                 gap = (a if sides[0] is None else sides[0]) - sides[1]
                 (worst, _), = evaluate(named, identity)
-                assert worst == pytest.approx(float(np.abs(gap).max(initial=0)), abs=bound)
+                assert worst == pytest.approx(float(np.abs(gap).max(initial=0)),
+                                              rel=1e-12, abs=bound)
 
 
 # ---------------------------------------------------------------------------
