@@ -25,12 +25,12 @@ identity is a pair of chains with the same output letters, whose
 difference is checked.  evaluate runs the identities of one call over
 named tables in one of two ways, chosen per identity from its input:
 
-  * nonzero lists, when every table the identity reads passes listed with
-    as many nonzeros as the product of its first two dimensions (finite,
-    with at most n^2 nonzeros for an (n, n, n) table, as the tables of
-    every built-in algebra, its dual and the crossed products of the
-    package's actions have in the natural basis and in any monomial basis)
-    and every join fits one weakhopf._checks slice.  A nonzero list is one
+  * nonzero lists, when every table the identity reads is listed (finite,
+    with at most as many nonzeros as the product of its first two
+    dimensions, n^2 for an (n, n, n) table, as the tables of every built-in
+    algebra, its dual and the crossed products of the package's actions
+    have in the natural basis and in any monomial basis) and every join
+    fits one weakhopf._checks slice.  A nonzero list is one
     format: the row-major flat keys of the entries of a table, in
     increasing order, and their values; contract derives every key from the
     subscripts and the letter sizes, and difference subtracts two lists.
@@ -102,9 +102,7 @@ def evaluate(tables, *identities):
     the (residual, location) of the difference of its two sides, as
     weakhopf._checks.Worst gives them."""
     sides, leaves, leads = _layout(identities)
-    dims = {}
-    for name, word in leaves:
-        dims.update(zip(word, np.shape(tables[name])))
+    dims = {x: d for name, word in leaves for x, d in zip(word, tables[name].shape)}
     results, lists, once = [None] * len(sides), {}, {}
     for k, ((lhs, word), (rhs, _)) in enumerate(sides):
         a = _as_list(lhs, tables, dims, lists)
@@ -162,8 +160,7 @@ def _as_list(chain, tables, dims, memo):
     a table it reads is not listed or a join does not fit one slice."""
     if chain not in memo:
         if isinstance(chain, str):
-            table = tables[chain]
-            memo[chain] = listed(table, math.prod(table.shape[:2]))
+            memo[chain] = listed(tables[chain])
         else:
             a = _as_list(chain[1], tables, dims, memo)
             memo[chain] = None if a is None else contract(
@@ -256,11 +253,11 @@ def dense_step(subscripts, x, y):
     return np.matmul(x.transpose(ox).reshape(sx), y.transpose(oy).reshape(sy)).reshape(out)
 
 
-def listed(table, limit):
+def listed(table):
     """The nonzero list of table, (row-major flat keys in increasing order,
-    values); None when table has a non-finite entry or more than limit
-    nonzeros."""
-    if np.count_nonzero(table) > limit or not np.isfinite(table).all():
+    values); None when table has a non-finite entry or more nonzeros than
+    the product of its first two dimensions."""
+    if np.count_nonzero(table) > math.prod(table.shape[:2]) or not np.isfinite(table).all():
         return None
     keys = np.flatnonzero(table)
     return keys, table.ravel()[keys]

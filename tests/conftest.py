@@ -109,4 +109,4 @@ def dense_steps(monkeypatch):
 def force_dense(monkeypatch):
     """Call it to send every declared identity down the dense path: no table
     passes the list gate."""
-    return lambda: monkeypatch.setattr(_contract, "listed", lambda table, limit: None)
+    return lambda: monkeypatch.setattr(_contract, "listed", lambda table: None)

@@ -288,7 +288,7 @@ def test_empty_nonzero_sets_give_a_zero_residual():
     assert all(a.size == 0 for a in join(empty, np.arange(3)) + join(np.arange(3), empty))
     keys, sums = accumulate(empty, np.zeros(0, complex))
     assert keys.size == sums.size == 0 and residual(sums) == 0.0
-    keys, values = listed(np.zeros((3, 3, 3), complex), 0)
+    keys, values = listed(np.zeros((3, 3, 3), complex))
     assert keys.size == values.size == 0
     # all-zero tables are monomial: Ia and Ic run over empty lists
     n = 3
@@ -296,6 +296,12 @@ def test_empty_nonzero_sets_give_a_zero_residual():
     W = WeakHopfAlgebra(StarAlgebra(zero, np.ones(n), np.eye(n)), zero, np.ones(n), np.eye(n))
     rep = verify_weak_hopf(W)
     assert rep.residuals["Ia"] == 0.0 and rep.residuals["Ic"] == 0.0
+
+
+def _listed(table):
+    """The nonzero list of a table with any number of nonzeros."""
+    keys = np.flatnonzero(table)
+    return keys, table.ravel()[keys]
 
 
 def _dense_list(keys, values, shape):
@@ -404,11 +410,11 @@ def test_nonzero_lists_agree_with_einsum(tables):
         x, y = pools[0][len(sx)], pools[1][len(sy)]
         ref = np.einsum(subscripts, x, y)
         scale = n * n * float(np.abs(x).max()) * float(np.abs(y).max())
-        got = contract(subscripts, listed(x, x.size), listed(y, y.size), dims)
+        got = contract(subscripts, _listed(x), _listed(y), dims)
         close(_dense_list(*got, (n,) * len(out)), ref, scale)
         close(dense_step(subscripts, x, y), ref, scale)
 
-    x, y = listed(a, a.size), listed(b, b.size)
+    x, y = listed(a), listed(b)
     ak, bi = x[0] % n, y[0] // (n * n)
     ia, ib = join(ak, bi)
     assert join_size(ak, bi) == ia.size
@@ -422,8 +428,7 @@ def test_nonzero_lists_agree_with_einsum(tables):
     # every table passes the list gate in the first pass (the einsum
     # references have up to n^4 nonzeros) and none in the second
     named, refs = _identities(a, b)
-    gates = (lambda table, limit: listed(table, table.size), lambda table, limit: None)
-    for gate in gates:
+    for gate in (_listed, lambda table: None):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_contract, "listed", gate)
             for identity, sides, scale in refs:
