@@ -467,16 +467,30 @@ def _quasi_basis_system(M, table, basis):
     sum T[p, q] e_p E(e_q e_m) and of sum T[p, q] E(e_m e_p) e_q.
 
     basis is contracted into the two multiplication factors first, so no
-    table larger than the (dim^2, k^2) system itself is built."""
+    table larger than the (dim^2, k^2) system itself is built.
+
+    A row whose coefficients and right-hand side are all exactly zero is
+    the equation 0 = 0 and is left out of each identity's block, in order;
+    the solutions, the singular values and the largest residual stay those
+    of the full system.  Rows that are zero with right-hand side 1 stay,
+    and so does every row with a nonzero entry, however small."""
     dm, k = basis.shape
     left = (basis.T @ M.mult.reshape(dm, dm * dm)).reshape(k, dm, dm)   # b_a e_t
     right = np.matmul(basis.T, M.mult)                                 # e_t b_a
-    a1 = np.tensordot(left @ table.T, left, axes=([2], [1]))           # [b, m, a, s]
-    a2 = np.tensordot(right @ table.T, right, axes=([2], [0]))         # [m, a, b, s]
-    sys = np.vstack([a1.transpose(1, 3, 2, 0).reshape(dm * dm, k * k),
-                     a2.transpose(0, 3, 1, 2).reshape(dm * dm, k * k)])
-    rhs_block = np.eye(dm).reshape(dm * dm)
-    return sys, np.concatenate([rhs_block, rhs_block])
+    delta = np.eye(dm)
+
+    def equations(block):                                              # [m, s, a, b]
+        keep = block.any(axis=(2, 3)) | (delta != 0)
+        if keep.all():
+            return block.reshape(dm * dm, k * k), delta.reshape(dm * dm)
+        return block[keep].reshape(-1, k * k), delta[keep]
+
+    # one identity at a time, so one (dim^2, k^2) block is held whole
+    a1, b1 = equations(np.tensordot(left @ table.T, left, axes=([2], [1]))    # [b, m, a, s]
+                       .transpose(1, 3, 2, 0))
+    a2, b2 = equations(np.tensordot(right @ table.T, right, axes=([2], [0]))  # [m, a, b, s]
+                       .transpose(0, 3, 1, 2))
+    return np.vstack([a1, a2]), np.concatenate([b1, b2])
 
 
 def quasi_basis(E, tol=None, subspace=None):

@@ -122,7 +122,9 @@ def module_algebra_from_record(rec, tol=None, check=True):
 
 
 def dump_canonical(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # records and reports are trees, so the reference-cycle check has
+    # nothing to find
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def content_hash(obj):

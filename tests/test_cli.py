@@ -52,6 +52,13 @@ def test_byte_stable_reports(tmp_path, capsys):
     assert parsed["passed"] and "input_hash" in parsed
 
 
+def test_content_hash_of_a_built_in_record_is_pinned():
+    # the input_hash of every report hashes these canonical bytes
+    rec = json.loads(json.dumps(ser.module_algebra_record(ex.named_action("dual-s3"))))
+    assert (ser.content_hash(rec)
+            == "050c59d515182181ef1629b29658b806332594c062bebc7e9a6d1901d0000ee6")
+
+
 def test_verify_round_trip_of_emitted_records(tmp_path, capsys):
     for args in (["example", "group", "--group", "s3", "--subgroup", "0,1,2"],
                  ["example", "twisted", "--name", "pauli"]):

@@ -10,6 +10,7 @@ from weakhopf.errors import (
     ActionAxiomViolation,
     ImplementerMismatch,
     NotFaithful,
+    NotIndexFinite,
 )
 
 
@@ -252,6 +253,19 @@ def test_quasi_basis_examples(m2_action):
     ident = mo.ConditionalExpectation(M, np.eye(4))
     qb_id = mo.quasi_basis(ident)
     assert (qb_id.index - M.one).norm() < 1e-9
+
+
+def test_quasi_basis_of_the_zero_map_is_refused(m2_action):
+    # every coefficient row is zero; the rows m = s read 0 = 1 and stay, so
+    # the refusal and its residual are those of the full 2 dim^2 system
+    M = m2_action[1].target
+    E = mo.ConditionalExpectation(M, np.zeros((M.dim, M.dim)))
+    sys, rhs = mo._quasi_basis_system(M, E.table, np.eye(M.dim))
+    assert sys.shape == (2 * M.dim, M.dim ** 2) and not sys.any()
+    assert np.array_equal(rhs, np.ones(2 * M.dim))
+    with pytest.raises(NotIndexFinite, match="no quasi-basis") as exc:
+        mo.quasi_basis(E)
+    assert exc.value.residual == 1.0
 
 
 def test_quasi_basis_closed_form_on_dual(wz2z2):

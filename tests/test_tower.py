@@ -9,7 +9,18 @@ from weakhopf import examples as ex
 from weakhopf import modules as mo
 from weakhopf import tower as tw
 from weakhopf.algebra import Subspace, commutant
+from weakhopf.config import SLACK_SOLVED, tolerance
 from weakhopf.errors import DimensionBudgetExceeded
+
+
+@pytest.fixture(scope="module")
+def pauli_top(pauli):
+    """The dual expectation of the dim-64 level of the depth-2 m2-pauli
+    tower and the dim-16 relative commutant its quasi-basis lives in."""
+    T = tw.build_tower(pauli[1], 2)
+    lv = T.levels[3]
+    rel = commutant(Subspace(lv.algebra, T.include_map(0, 2)), lv.algebra)
+    return mo.ConditionalExpectation(lv.algebra, lv.expectation), rel
 
 
 def test_canonical_seed_dims(cz2):
@@ -41,6 +52,45 @@ def test_quasi_basis_on_commutant_stays_below_one_n4_table(m2_action):
     finally:
         tracemalloc.stop()
     assert peak < 16 * XA.dim ** 4
+
+
+def test_quasi_basis_at_the_pauli_top_stays_below_64_mib(pauli_top):
+    # the 4096 x 256 system, the solve's [a | b] and its QR copy take 48 MiB;
+    # with the 4096 rows 0 = 0 kept they would take 96 MiB
+    E, rel = pauli_top
+    tracemalloc.start()
+    try:
+        mo.quasi_basis(E, subspace=rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_pauli_top_system_leaves_out_its_zero_equations(pauli_top):
+    E, rel = pauli_top
+    XA, b = E.algebra, rel.basis
+    n, k = XA.dim, rel.dim
+    assert (n, k) == (64, 16)
+    sys, rhs = mo._quasi_basis_system(XA, E.table, b)
+    assert sys.shape == (4096, k * k)
+    assert (sys.any(axis=1) | (rhs != 0)).all()
+    # the full 2 n^2 rows: test_kernel's formula, embedded in rel (x) rel
+    a1 = np.einsum("qmr,tr,pts,pa,qb->msab", XA.mult, E.table, XA.mult, b, b,
+                   optimize=True).reshape(n * n, k * k)
+    a2 = np.einsum("mpr,tr,tqs,pa,qb->msab", XA.mult, E.table, XA.mult, b, b,
+                   optimize=True).reshape(n * n, k * k)
+    full = np.vstack([a1, a2])
+    full_rhs = np.concatenate([np.eye(n).reshape(-1)] * 2)
+    kept = full.any(axis=1) | (full_rhs != 0)
+    assert kept.sum() == 4096
+    assert np.abs(sys - full[kept]).max() < 1e-12
+    assert np.array_equal(rhs, full_rhs[kept])
+    vec, ns = la.affine_solutions(full, full_rhs)
+    index = (b @ vec.reshape(k, k) @ b.T).reshape(-1) @ XA.mult.reshape(n * n, n)
+    qb = mo.quasi_basis(E, subspace=rel)
+    assert qb.nullity == ns.shape[1] == 192
+    assert np.abs(qb.index.coords - index).max() < SLACK_SOLVED * tolerance()
 
 
 def test_depth_zero(m2_action):
