@@ -469,27 +469,33 @@ def _quasi_basis_system(M, table, basis):
     basis is contracted into the two multiplication factors first, so no
     table larger than the (dim^2, k^2) system itself is built.
 
-    A row whose coefficients and right-hand side are all exactly zero is
-    the equation 0 = 0 and is left out of each identity's block, in order;
-    the solutions, the singular values and the largest residual stay those
-    of the full system.  Rows that are zero with right-hand side 1 stay,
-    and so does every row with a nonzero entry, however small."""
+    A row that the zeros of M.mult and table alone make 0 = 0, whatever
+    the basis, is left out of each identity's block, in order: every term
+    of its coefficients holds an exact zero factor, so the solutions, the
+    singular values and the largest residual stay those of the full system.
+    Rows that are zero with right-hand side 1 stay, and so does every row
+    the basis makes small or zero, so the rows kept do not depend on the
+    rounding of the basis."""
     dm, k = basis.shape
     left = (basis.T @ M.mult.reshape(dm, dm * dm)).reshape(k, dm, dm)   # b_a e_t
     right = np.matmul(basis.T, M.mult)                                 # e_t b_a
     delta = np.eye(dm)
+    paths = (table != 0).T.astype(float)
+    nonzero = M.mult != 0
 
-    def equations(block):                                              # [m, s, a, b]
-        keep = block.any(axis=(2, 3)) | (delta != 0)
+    def equations(block, factor):                                      # [m, s, a, b]
+        # factor[t, u] counts the e_r with e_r e_t or e_t e_r reaching e_u,
+        # so the path count is 0 only on rows no basis can make nonzero
+        keep = (factor @ paths @ factor != 0) | (delta != 0)
         if keep.all():
             return block.reshape(dm * dm, k * k), delta.reshape(dm * dm)
         return block[keep].reshape(-1, k * k), delta[keep]
 
     # one identity at a time, so one (dim^2, k^2) block is held whole
     a1, b1 = equations(np.tensordot(left @ table.T, left, axes=([2], [1]))    # [b, m, a, s]
-                       .transpose(1, 3, 2, 0))
+                       .transpose(1, 3, 2, 0), nonzero.sum(axis=0, dtype=float))
     a2, b2 = equations(np.tensordot(right @ table.T, right, axes=([2], [0]))  # [m, a, b, s]
-                       .transpose(0, 3, 1, 2))
+                       .transpose(0, 3, 1, 2), nonzero.sum(axis=1, dtype=float))
     return np.vstack([a1, a2]), np.concatenate([b1, b2])
 
 

@@ -55,8 +55,8 @@ def test_quasi_basis_on_commutant_stays_below_one_n4_table(m2_action):
 
 
 def test_quasi_basis_at_the_pauli_top_stays_below_64_mib(pauli_top):
-    # the at most 4096 x 256 system, the solve's [a | b] and its QR copy take
-    # at most 48 MiB; with the rows 0 = 0 kept they would take 96 MiB
+    # the 4096 x 256 system, the solve's [a | b] and its QR copy take 48 MiB;
+    # with the rows 0 = 0 kept they would take 96 MiB
     E, rel = pauli_top
     tracemalloc.start()
     try:
@@ -73,22 +73,24 @@ def test_pauli_top_system_leaves_out_its_zero_equations(pauli_top):
     n, k = XA.dim, rel.dim
     assert (n, k) == (64, 16)
     sys, rhs = mo._quasi_basis_system(XA, E.table, b)
-    assert (sys.any(axis=1) | (rhs != 0)).all()
+    assert sys.shape == (4096, k * k)
     # the full 2 n^2 rows: test_kernel's formula, embedded in rel (x) rel
-    a1 = np.einsum("qmr,tr,pts,pa,qb->msab", XA.mult, E.table, XA.mult, b, b,
-                   optimize=True).reshape(n * n, k * k)
-    a2 = np.einsum("mpr,tr,tqs,pa,qb->msab", XA.mult, E.table, XA.mult, b, b,
-                   optimize=True).reshape(n * n, k * k)
-    full = np.vstack([a1, a2])
+    terms = ("qmr,tr,pts,pa,qb->msab", "mpr,tr,tqs,pa,qb->msab")
+    full = np.vstack([np.einsum(t, XA.mult, E.table, XA.mult, b, b, optimize=True)
+                      .reshape(n * n, k * k) for t in terms])
     full_rhs = np.concatenate([np.eye(n).reshape(-1)] * 2)
-    kept = full.any(axis=1) | (full_rhs != 0)
-    # 4096 of the 8192 rows are 0 = 0 and 2048 carry an entry above rounding
-    # level; the other 2048 hold entries below 1e-13 that come out exactly
-    # zero or not with the BLAS thread count, and stay whenever they are not
+    # the rows 0 = 0 whatever the basis: the same formulas on |mult|, |table|
+    # and an all-ones basis
+    ones, mult, table = np.ones((n, k)), np.abs(XA.mult), np.abs(E.table)
+    bound = np.vstack([np.einsum(t, mult, table, mult, ones, ones, optimize=True)
+                       .reshape(n * n, k * k) for t in terms])
+    kept = bound.any(axis=1) | (full_rhs != 0)
+    assert not full[~kept].any() and not full_rhs[~kept].any()
+    # 2048 rows carry an entry above rounding level; 2048 more hold entries
+    # below 1e-13 that come out exactly zero or not with the BLAS thread
+    # count and the basis, and stay either way
     above = (np.abs(full).max(axis=1) > 1e-13) | (full_rhs != 0)
-    assert above.sum() == 2048
-    assert 2048 <= kept.sum() <= 4096
-    assert sys.shape == (kept.sum(), k * k)
+    assert above.sum() == 2048 and kept[above].all()
     assert np.abs(sys - full[kept]).max() < 1e-12
     assert np.array_equal(rhs, full_rhs[kept])
     vec, ns = la.affine_solutions(full, full_rhs)
