@@ -5,10 +5,10 @@ passes only when every entry is at most its bound, a tolerance times one of
 the slack levels of weakhopf.config, sometimes scaled by an operand norm.
 NaN is never at most anything, so a non-finite residual always fails.
 
-A table too large to hold at once is checked slice by slice along its
-leading index (row_slices, require_sliced, residual_over); the maximum over
-the slices is the maximum over the table, bit for bit, so the verdict, the
-residual and the reported location do not depend on the slicing.
+A table too large to hold at once is reduced slice by slice along its
+leading index (row_slices, Worst); the maximum over the slices is the
+maximum over the table, bit for bit, so the verdict, the residual and the
+reported location do not depend on the slicing.
 """
 
 import numpy as np
@@ -33,12 +33,6 @@ def fits_slice(entries):
 def residual(*tables):
     """Largest absolute entry over all the tables; 0 when every table is
     empty, NaN whenever any entry is NaN."""
-    return residual_over(tables)
-
-
-def residual_over(tables):
-    """residual() of the tables of an iterable, taken one at a time, so a
-    generator of slices holds one slice at a time.  Stops at the first NaN."""
     worst = 0.0
     for t in tables:
         t = np.asarray(t)
@@ -118,20 +112,6 @@ def require(gap, bound, exc, message, where=None):
     else:
         worst, loc = Worst().add(0, gap).result()
     settle((worst, loc), bound, exc, message, where)
-
-
-def require_sliced(slices, bound, exc, message, where=None):
-    """require() on a table given as an iterable of (offset, slice) pairs:
-    consecutive slices along its leading index, in order, each with the
-    index of its first row.  Raises with the same exception, message,
-    residual and location as require() on the whole table; only one slice
-    is held at a time when slices is a generator."""
-    worst = Worst()
-    for offset, gap in slices:
-        worst.add(offset, gap)
-        if worst.value != worst.value:
-            break                        # a NaN: no later slice is formed
-    settle(worst.result(), bound, exc, message, where)
 
 
 def worst_listed(listed, shape):

@@ -1,8 +1,8 @@
 """Structure-constant contractions shared by the construction and
 verification layers.
 
-These kernels, and the identities written in place beside their callers,
-are chains of pairwise contractions (``@``/``np.matmul`` on C-contiguous
+These kernels, and the identities declared beside their checks, are chains
+of pairwise contractions (``@``/``np.matmul`` on C-contiguous
 tables, or ``np.tensordot``) rather than one many-operand ``np.einsum``,
 whose greedy path can pick a three-operand loop that costs orders of
 magnitude more.
@@ -16,14 +16,20 @@ Loops over pairs of basis vectors are replaced by one batched product
 against the multiplication table; every residual is still taken over the
 full index set.
 
-Declared identities.  Associativity, the module composition and product
-laws, the unit-coproduct splitting, axioms Ia and Ic and the two projection
-identities that contract t1 = (Delta (x) id) Delta over (y, z) are written
-once, as data beside their checks: a chain is a table name or (subscripts,
-chain, chain), one pairwise np.einsum step over two chains, and an
-identity is a pair of chains with the same output letters, whose
+Declared identities.  Every n^4 identity that a check of the package
+raises on is written once, as data beside its check: associativity and star
+antimultiplicativity (weakhopf.algebra), the module composition and
+product laws, the unit-coproduct splitting and the coaction laws
+(weakhopf.modules), axioms Ia and Ic and the two projection identities that
+contract t1 = (Delta (x) id) Delta over (y, z) (weakhopf.hopf), and the
+covariance identity, the two canonical quasi-basis identities, the
+translation products, the translation exchange identity and the regular
+homomorphism products (weakhopf.crossed).  A chain is a table name or
+(subscripts, chain, chain), one pairwise np.einsum step over two chains,
+and an identity is a pair of chains with the same output letters, whose
 difference is checked.  evaluate runs the identities of one call over
-named tables in one of two ways, chosen per identity from its input:
+named tables, each letter of the call at one size, in one of two ways,
+chosen per identity from its input:
 
   * nonzero lists, when every table the identity reads is listed (finite,
     with at most as many nonzeros as the product of its first two
@@ -39,7 +45,8 @@ named tables in one of two ways, chosen per identity from its input:
   * dense slices otherwise (a Haar-random basis, a non-finite entry, a join
     over one slice).  The output is formed one slice of its first letter
     at a time, with the slice sizes of weakhopf._checks.row_slices for the
-    largest row of any step that carries that letter, and each slice is
+    largest row of any step of these identities that carries that letter
+    (no other module slices a table), and each slice is
     reduced at once (weakhopf._checks.Worst), so the verdict, residual and
     location are those of the whole table.  A subtree without the lead
     letter is formed once per call and held whole, and a step that several
@@ -57,21 +64,18 @@ order, so the first largest entry of a list is the location the dense
 slices report (weakhopf._checks.worst_listed).
 
 Held whole on the dense path, besides the tables: Ia's right half
-[(b, c), (j, v)] (n^4 entries) and the act-mult products [v, a, q, k]
+[(b, c), (j, v)] (n^4 entries), the act-mult products [v, a, q, k]
 (dim A * dim M^3) that the module product law and the unit-coproduct
-splitting share.  Ia costs n^6 flops there: every summed
-index of its ring joins two of the four tables, so every pairwise order
-builds an n^4 table and ends in one (n^2 x n^2)(n^2 x n^2) GEMM;
-associativity costs n^5.
-
-Written by hand beside their callers, one slice of their leading index at
-a time: the coaction laws, the translation and homomorphism checks of the
-regular representation, and star antimultiplicativity (three indices, each
-whole n^3 table 160 MB at n = 216).  Coaction multiplicativity holds its
-[q, b, i, k] factor (dim M^2 * dim A^2), the translation exchange identity
-the products tau_l(f^u) ell(e_k) ((dim A)^4), and the regular homomorphism
-check its (t, b, c, p, r) factor.  Every other identity costs at most n^5
-flops.
+splitting share, the [q, i, b, k] factor of coaction multiplicativity
+(dim M^2 * dim A^2), the products (e_u)(f_p) [u, p, x] of covariance and
+their [u, c, x] factor (dim A * dim X^2), the exchange identity's products
+tau_l(f^u) ell(e_k) ((dim A)^4), and the regular homomorphism's
+[p, b, y, c, r] factor (dim X * dim M^2 * dim A^2).  Star
+antimultiplicativity reads conj(mult), one n^3 copy its caller makes.  Ia
+costs n^6 flops there: every summed index of its ring joins two of the four
+tables, so every pairwise order builds an n^4 table and ends in one
+(n^2 x n^2)(n^2 x n^2) GEMM; associativity costs n^5, and every other
+identity at most n^5.
 """
 
 import functools
@@ -100,9 +104,14 @@ def evaluate(tables, *identities):
     """The declared identities over tables, a dict of name: table, each by
     nonzero lists or by dense slices (see the module docstring): for each,
     the (residual, location) of the difference of its two sides, as
-    weakhopf._checks.Worst gives them."""
+    weakhopf._checks.Worst gives them.  Raises ValueError when two tables
+    give one letter of the call different sizes."""
     sides, leaves, leads = _layout(identities)
-    dims = {x: d for name, word in leaves for x, d in zip(word, tables[name].shape)}
+    dims = {}
+    for name, word in leaves:
+        for x, d in zip(word, tables[name].shape):
+            if dims.setdefault(x, d) != d:
+                raise ValueError(f"letter {x} is read at sizes {dims[x]} and {d}")
     results, lists, once = [None] * len(sides), {}, {}
     for k, ((lhs, word), (rhs, _)) in enumerate(sides):
         a = _as_list(lhs, tables, dims, lists)
@@ -111,7 +120,9 @@ def evaluate(tables, *identities):
             results[k] = worst_listed(difference(a, b), [dims[x] for x in word])
     for lead, group, words, shared, drops in leads:
         group = [k for k in group if results[k] is None]
-        _dense_group(lead, group, words, shared, drops, sides, tables, dims, once, results)
+        if group:
+            _dense_group(lead, group, words, shared, drops, sides, tables, dims, once,
+                         results)
     return results
 
 
@@ -120,10 +131,11 @@ def _layout(identities):
     """For each identity its two sides [(chain, output letters)], the (name,
     letters) of every table they read, and for each first output letter
     (the lead): the positions of the identities it leads, in the order they
-    are evaluated, the letters of every step that carries it, the steps
-    that two of their sides share and, for each identity, the shared steps
-    it is the last to read.  An identity one of whose sides is a shared
-    step comes after the others, so that it reads that step last."""
+    are evaluated, for each identity the letters of every step of it that
+    carries the lead, the steps that two of their sides share and, for each
+    identity, the shared steps it is the last to read.  An identity one of
+    whose sides is a shared step comes after the others, so that it reads
+    that step last."""
     sides, groups = [], {}
     for k, identity in enumerate(identities):
         word = next(c[0].split("->")[1] for c in identity if not isinstance(c, str))
@@ -133,12 +145,15 @@ def _layout(identities):
     leaves = sorted({n for ns in nodes for n in ns if isinstance(n[0], str)})
     leads = []
     for lead, group in groups.items():
-        steps = [n for k in group for n in nodes[k] if not isinstance(n[0], str) and lead in n[1]]
-        shared = {c for c, count in Counter(c for c, _ in steps).items() if count > 1}
+        steps = {k: [n for n in nodes[k] if not isinstance(n[0], str) and lead in n[1]]
+                 for k in group}
+        shared = {c for c, count in Counter(c for k in group for c, _ in steps[k]).items()
+                  if count > 1}
         group.sort(key=lambda k: any(side in shared for side, _ in sides[k]))
         last = {c: k for k in group for c, _ in nodes[k] if c in shared}
         drops = {k: [c for c, j in last.items() if j == k] for k in group}
-        leads.append((lead, group, {w for _, w in steps}, shared, drops))
+        words = {k: {w for _, w in steps[k]} for k in group}
+        leads.append((lead, group, words, shared, drops))
     return sides, leaves, leads
 
 
@@ -170,11 +185,13 @@ def _as_list(chain, tables, dims, memo):
 
 def _dense_group(lead, group, words, shared, drops, sides, tables, dims, once, results):
     """results[k] for the identities k of group, whose outputs lead with the
-    letter lead, by dense slices of that letter.  words are the letters of
-    every step that carries it; once holds the steps without it, formed
-    whole once per call, and a step of shared is formed once per slice and
-    dropped after the identity k with that step in drops[k]."""
-    row = max((math.prod(dims[x] for x in w.replace(lead, "", 1)) for w in words), default=1)
+    letter lead, by dense slices of that letter.  words[k] are the letters
+    of every step of identity k that carries it, and the slices are sized
+    for the largest row of a step of group; once holds the steps without
+    it, formed whole once per call, and a step of shared is formed once per
+    slice and dropped after the identity k with that step in drops[k]."""
+    row = max((math.prod(dims[x] for x in w.replace(lead, "", 1))
+               for k in group for w in words[k]), default=1)
     worst = {k: Worst() for k in group}
     for rows in row_slices(dims[lead], row):
         memo = {}

@@ -2,7 +2,8 @@
 pipelines, emit machine-readable reports.
 
 Exit codes: 0 = all checks pass, 1 = mathematical failure, 2 = malformed
-input.  WHA_TOL overrides the default tolerance; --tol overrides both.
+input, 3 = out of memory.  WHA_TOL overrides the default tolerance; --tol
+overrides both.
 """
 
 import argparse
@@ -293,6 +294,9 @@ def main(argv=None):
     except WeakHopfError as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ extension, Temperley-Lieb elements, and relative-commutant reports.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import outside, require, require_sliced, residual, residual_over, row_slices
-from ._contract import pair_products
+from ._checks import outside, require, residual
+from ._contract import evaluate, pair_products
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
 from .config import SLACK_COMPOSITE, SLACK_SOLVED, memo, tolerance
 from .errors import ActionAxiomViolation, AxiomViolation, ParentMismatch
@@ -130,7 +130,7 @@ class CrossedProduct:
         W, M = MA.hopf, MA.target
         A = W.alg
         XA = self.algebra
-        dm, da = M.dim, A.dim
+        dm = M.dim
         em, ea = self.embed_m, self.embed_a
 
         if la.rank(em, tol=tol) != dm:
@@ -148,17 +148,23 @@ class CrossedProduct:
             raise AxiomViolation(
                 "kernel of the A-embedding is not the annihilating ideal")
 
-        # covariance: (a |> m) x 1 = a(1) (m x 1) S(a(2)), as [p, i, :]
-        base = pair_products(XA.mult, ea, em)                    # (e_u)(f_p)
-        tail = np.tensordot(W.cop, ea @ W.antipode, axes=([2], [1]))
-        rhs = sum(pair_products(XA.mult, base[u].T, tail[:, u].T) for u in range(da))
-        require((MA.act @ em.T).transpose(1, 0, 2) - rhs, SLACK_COMPOSITE * t,
-                AxiomViolation, "covariance identity fails")
+        (gap, _), = evaluate({"act": MA.act, "em": em, "ea": ea, "S": W.antipode,
+                              "cop": W.cop, "mult": XA.mult}, COVARIANCE)
+        require(gap, SLACK_COMPOSITE * t, AxiomViolation, "covariance identity fails")
 
         # the dual action preserves the relation span, functional by functional
         for gap in self.proj @ _dual_moves(arrows, self._rel_basis, dm):
             require(gap, SLACK_COMPOSITE * t, AxiomViolation,
                     "dual action does not descend")
+
+
+# covariance (e_a |> f_p) x 1 = e_a(1) (f_p x 1) S(e_a(2)), as [a, p, k]:
+# (e_u)(f_p) as [u, p, x] times the products (x) (1 x S(e_a(2))) over mult,
+# where u is the first leg of e_a
+COVARIANCE = (("apq,kq->apk", "act", "em"),
+              ("upx,xauk->apk",
+               ("cp,ucx->upx", "em", ("zu,zcx->ucx", "ea", "mult")),
+               ("auy,xyk->xauk", ("auv,yv->auy", "cop", ("yw,wv->yv", "ea", "S")), "mult")))
 
 
 def _relations(MA, tol=None):
@@ -205,6 +211,17 @@ def dual_action(X, tol=None):
     return mod
 
 
+# the quasi-basis identities sum T[p, q] e_p E(e_q e_m) = e_m and
+# sum T[p, q] E(e_m e_p) e_q = e_m for the tensor T and the expectation
+# table E, as [m, s]; E(e_x e_y) is formed as [x, y, z]
+QUASI_BASIS = (
+    (("pmz,pzs->ms", ("pq,qmz->pmz", "tensor", ("qmk,zk->qmz", "mult", "table")), "mult"),
+     "eye"),
+    (("mzq,zqs->ms", ("mpz,pq->mzq", ("mpk,zk->mpz", "mult", "table"), "tensor"), "mult"),
+     "eye"),
+)
+
+
 def hat_expectation(X, lam, tol=None):
     """E(m x a) = m ((lam -> a) |> 1): the M-M bimodule expectation induced
     by a left integral of the dual, with canonical quasi-basis
@@ -243,7 +260,9 @@ def hat_expectation(X, lam, tol=None):
     sinv = W.antipode_inv()
     dl = W.delta_coords(l_dual.element.coords)
     tensor = X.embed_a @ dl.T @ (X.embed_a @ sinv).T
-    require(_quasi_basis_residual(XA, table, tensor), SLACK_COMPOSITE * t,
+    gaps = evaluate({"mult": XA.mult, "table": table, "tensor": tensor,
+                     "eye": np.eye(XA.dim)}, *QUASI_BASIS)
+    require(residual(*(gap for gap, _ in gaps)), SLACK_COMPOSITE * t,
             ActionAxiomViolation, "canonical quasi-basis fails")
     ind = tensor.reshape(-1) @ XA.mult.reshape(-1, XA.dim)
     ind_ref = X.embed_a @ l_dual.n_r.coords
@@ -254,20 +273,27 @@ def hat_expectation(X, lam, tol=None):
     return E
 
 
-def _quasi_basis_residual(M, table, tensor):
-    n = M.dim
-    # sum T[p, q] e_p E(e_q e_m) and sum T[p, q] E(e_m e_p) e_q, as [m, s]
-    expect = (M.mult.reshape(n * n, n) @ table.T).reshape(n, n, n)   # E(e_x e_y)
-    a1 = np.tensordot((tensor @ expect.reshape(n, n * n)).reshape(n, n, n),
-                      M.mult, axes=([0, 2], [0, 1]))
-    a2 = np.tensordot(expect, tensor, axes=([1], [0])).reshape(n, n * n) \
-        @ M.mult.reshape(n * n, n)
-    eye = np.eye(M.dim)
-    return residual(a1 - eye, a2 - eye)
-
-
 # ---------------------------------------------------------------------------
 # the regular homomorphism and GNS
+
+
+# [s, t, a, c]: the two translations commute, and tau(f^s) tau(f^t) =
+# tau(f^s f^t) for each
+TRANSLATIONS = (
+    (("sab,tbc->stac", "tau_r", "tau_l"), ("tab,sbc->stac", "tau_l", "tau_r")),
+    (("sab,tbc->stac", "tau_r", "tau_r"), ("stw,wac->stac", "mult_hat", "tau_r")),
+    (("sab,tbc->stac", "tau_l", "tau_l"), ("stw,wac->stac", "mult_hat", "tau_l")),
+)
+# ell(a) tau_l(phi) = tau_l(phi(1)) <phi(2)|a(1)> ell(a(2)), as [i, s, a, c],
+# with the (dim A)^4 products tau_l(f^u) ell(e_k) held whole on the dense path
+EXCHANGE = (("iab,sbc->isac", "ell", "tau_l"),
+            ("isuk,uakc->isac", ("ujs,ijk->isuk", "mult_A", "cop"),
+             ("uab,kbc->uakc", "tau_l", "ell")))
+# pi(e_x) pi(e_y) = pi(e_x e_y) in block coordinates, as [x, a, y, c, r]:
+# sum pi(e_x)[p, a, b] pi(e_y)[q, b, c] f_p f_q, with the [p, b, y, c, r]
+# factor of pi(e_y) and mult held whole on the dense path
+HOMOMORPHISM = (("xpab,pbycr->xaycr", "images", ("yqbc,pqr->pbycr", "images", "mult")),
+                ("xyg,grac->xaycr", "mult_X", "images"))
 
 
 class RegularRep:
@@ -320,14 +346,13 @@ class RegularRep:
         return np.moveaxis(self._block_products(x[np.newaxis], y[np.newaxis])[0, 0],
                            -1, 0)
 
-    def _block_products(self, xs, ys, right=None):
+    def _block_products(self, xs, ys):
         """out[s, t, a, c, r] = (xs[s] * ys[t]) in block coordinates.  The
-        (t, b, c, p, r) middle table of ys, which may be passed in as right
-        when several calls share it, has dim M / (batch of xs) times the
-        entries of the result, so it stays within it while dim M <= len(xs)."""
-        if right is None:
-            mult = self.X.base.target.mult
-            right = np.tensordot(ys, mult, axes=([1], [1]))       # [t, b, c, p, r]
+        (t, b, c, p, r) middle table of ys has dim M / (batch of xs) times
+        the entries of the result, so it stays within it while
+        dim M <= len(xs)."""
+        mult = self.X.base.target.mult
+        right = np.tensordot(ys, mult, axes=([1], [1]))           # [t, b, c, p, r]
         return np.moveaxis(np.tensordot(xs, right, axes=([1, 3], [3, 1])), 2, 1)
 
     def block_star(self, x):
@@ -343,22 +368,14 @@ class RegularRep:
         def dagger(mats):
             return gram_inv @ mats.conj().swapaxes(-1, -2) @ gram
 
-        # [s, s2]: tau(f^s) tau(f^s2) = tau(f^s f^s2) for both translations,
-        # which commute; tau(f^s)^dagger = tau(f^s*).  The (dim A)^4 tables
-        # are formed one slice of s at a time.
+        # the translation products and tau(f^s)^dagger = tau(f^s*)
         tau_r, tau_l = self.tau_r, self.tau_l
-        da = tau_r.shape[0]
-
-        def gaps(rows):
-            yield np.matmul(tau_r[rows, None], tau_l[None]) \
-                - np.matmul(tau_l[None], tau_r[rows, None])
-            for tau in (tau_r, tau_l):
-                yield np.matmul(tau[rows, None], tau[None]) \
-                    - np.tensordot(Wd.alg.mult[rows], tau, 1)
-
-        worst = residual_over(g for rows in row_slices(da, da ** 3) for g in gaps(rows))
-        worst = residual(worst, *(dagger(tau) - np.tensordot(Wd.alg.star, tau, 1)
-                                  for tau in (tau_r, tau_l)))
+        *products, (exchange, _) = evaluate(
+            {"tau_r": tau_r, "tau_l": tau_l, "ell": self.ell, "mult_hat": Wd.alg.mult,
+             "mult_A": W.alg.mult, "cop": W.cop}, *TRANSLATIONS, EXCHANGE)
+        worst = residual(*(gap for gap, _ in products),
+                         *(dagger(tau) - np.tensordot(Wd.alg.star, tau, 1)
+                           for tau in (tau_r, tau_l)))
         require(worst, SLACK_COMPOSITE * t, AxiomViolation,
                 "translation representations fail")
 
@@ -369,40 +386,18 @@ class RegularRep:
         require(gaps, SLACK_COMPOSITE * t, AxiomViolation,
                 "boundary translation identity fails")
 
-        # ell(a) tau_l(phi) = tau_l(phi(1)) <phi(2)|a(1)> ell(a(2)), as
-        # [i, s, a, c], one slice of i at a time against the (dim A)^4 table
-        # of products tau_l(f^u) ell(e_k)
-        cop, multa = W.cop, A.mult
-        blocks = np.tensordot(tau_l, self.ell, axes=([2], [1]))        # [u, a, k, c]
-
-        def exchange(rows):
-            lhs = np.matmul(self.ell[rows, None], tau_l[None])         # [i, s, a, c]
-            pairing = np.tensordot(multa, cop[rows], axes=([1], [1]))  # [u, s, i, k]
-            rhs = np.tensordot(pairing, blocks, axes=([0, 3], [0, 2]))  # [s, i, a, c]
-            return rows.start, lhs - rhs.transpose(1, 0, 2, 3)
-
-        require_sliced(map(exchange, row_slices(da, da ** 3)), SLACK_COMPOSITE * t,
-                       AxiomViolation, "translation exchange identity fails")
+        require(exchange, SLACK_COMPOSITE * t, AxiomViolation,
+                "translation exchange identity fails")
 
     def _check_homomorphism(self, tol=None):
         t = tolerance(tol)
         XA = self.X.algebra
         dim = XA.dim
         images = self.images
-        flat = images.reshape(dim, -1)
-        # pi(e_alpha) pi(e_beta) = pi(e_alpha e_beta), as [alpha, beta, a, c, q],
-        # one slice of alpha at a time
-        right = np.tensordot(images, self.X.base.target.mult, axes=([1], [1]))
-
-        def products(rows):
-            prods = (XA.mult[rows].reshape(-1, dim) @ flat).reshape(
-                (-1, dim) + images.shape[1:])
-            return self._block_products(images[rows], images, right) \
-                - np.moveaxis(prods, 2, -1)
-
-        worst = residual(
-            residual_over(map(products, row_slices(dim, dim * flat.shape[1]))),
-            self.block_star(images) - (XA.star @ flat).reshape(images.shape))
+        (gap, _), = evaluate({"images": images, "mult": self.X.base.target.mult,
+                              "mult_X": XA.mult}, HOMOMORPHISM)
+        worst = residual(gap, self.block_star(images)
+                         - (XA.star @ images.reshape(dim, -1)).reshape(images.shape))
         require(worst, SLACK_COMPOSITE * t, AxiomViolation, "regular homomorphism fails")
         if la.rank(self.images.reshape(dim, -1).T, tol=tol) != dim:
             raise AxiomViolation("regular homomorphism is not injective")

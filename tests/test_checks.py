@@ -1,9 +1,9 @@
 """The shared failure rule: residual(), outside(), require() and
-require_first() in weakhopf._checks, its streamed form require_sliced(),
-the NaN cases it closes, and source guards that keep the rule in that one
-module, the rank rule in weakhopf._linalg and the cache rule in
-weakhopf.config.memo.  Also: caches of tolerance-dependent data are kept
-per tolerance."""
+require_first() in weakhopf._checks, its streamed form (Worst fed slice by
+slice, then settle), the NaN cases it closes, and source guards that keep
+the rule in that one module, the slicing in weakhopf._contract, the rank
+rule in weakhopf._linalg and the cache rule in weakhopf.config.memo.  Also:
+caches of tolerance-dependent data are kept per tolerance."""
 
 import ast
 import pathlib
@@ -16,14 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from weakhopf import _linalg as la
 from weakhopf import examples as ex
-from weakhopf._checks import (
-    outside,
-    require,
-    require_first,
-    require_sliced,
-    residual,
-    residual_over,
-)
+from weakhopf._checks import Worst, outside, require, require_first, residual, settle
 from weakhopf.algebra import StarAlgebra, is_positive, make_star_algebra
 from weakhopf.errors import (
     ActionAxiomViolation,
@@ -114,7 +107,8 @@ def test_require_names_the_worst_key():
 
 
 # ---------------------------------------------------------------------------
-# the streamed form: gap slices along the leading index
+# the streamed form: gap slices along the leading index, as
+# weakhopf._contract reduces them
 
 
 def _slices(gap, cuts):
@@ -131,41 +125,6 @@ def _verdict(fn):
         res = exc.residual
         return type(exc), str(exc), exc.where, "nan" if res != res else res
     return None
-
-
-def test_require_sliced_reports_the_whole_table():
-    gap = np.zeros((4, 3), dtype=complex)
-    gap[2, 1], gap[3, 0], gap[0, 2] = 3j, -3.0, 1.0       # a tie across slices
-    whole = _verdict(lambda: require(gap, 1.0, NoHaar, "fails", where=tuple))
-    assert whole == (NoHaar, "fails, at (2, 1), residual 3.000e+00", (2, 1), 3.0)
-    for cuts in ([], [1], [3], [1, 2, 3]):
-        assert _verdict(lambda: require_sliced(iter(_slices(gap, cuts)), 1.0, NoHaar,
-                                               "fails", where=tuple)) == whole
-    require_sliced([], 0.0, NoHaar, "unused")
-    require_sliced(_slices(gap, [2]), 3.0, NoHaar, "unused")
-
-
-def test_require_sliced_stops_at_the_first_nan():
-    gap = np.ones((5, 2))
-    gap[1, 1] = gap[3, 0] = np.nan
-    seen = []
-
-    def slices():
-        for offset in range(5):
-            seen.append(offset)
-            yield offset, gap[offset:offset + 1]
-
-    with pytest.raises(NoHaar) as info:
-        require_sliced(slices(), 10.0, NoHaar, "fails", where=tuple)
-    assert info.value.where == (1, 1) and np.isnan(info.value.residual)
-    assert seen == [0, 1]
-
-
-def test_residual_over_takes_one_table_at_a_time():
-    tables = (np.full(2, k) for k in (1.0, -3.0, 2.0))
-    assert residual_over(tables) == 3.0
-    assert residual_over([]) == 0.0
-    assert np.isnan(residual_over(iter([np.ones(2), np.array([np.nan])])))
 
 
 ENTRIES = [0.0, 1.0, -1.0, 1j, 2.0, -2j, 1 + 1j, 1e-12, np.nan, complex(1, np.nan),
@@ -185,15 +144,16 @@ def _sliced_tables(draw):
 @given(_sliced_tables())
 def test_sliced_rule_agrees_with_the_whole_table(case):
     """Random tables with NaN, inf and tied maxima, cut into random slices:
-    require_sliced and require give the same pass/fail, exception type,
-    message, residual and where, and residual_over equals residual."""
+    Worst fed the slices in order, then settle, gives the same pass/fail,
+    exception type, message, residual and where as require on the whole
+    table."""
     gap, cuts, bound = case
     whole = _verdict(lambda: require(gap, bound, NoHaar, "fails", where=tuple))
-    sliced = _verdict(lambda: require_sliced(iter(_slices(gap, cuts)), bound, NoHaar,
-                                             "fails", where=tuple))
+    worst = Worst()
+    for offset, part in _slices(gap, cuts):
+        worst.add(offset, part)
+    sliced = _verdict(lambda: settle(worst.result(), bound, NoHaar, "fails", where=tuple))
     assert sliced == whole
-    got = residual_over(t for _, t in _slices(gap, cuts))
-    assert repr(got) == repr(residual(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +570,48 @@ rest = names.difference(seen)
             if p.name != KEY_OWNER}
     assert {n: u for n, u in uses.items() if u} == {}
     assert _key_helper_uses((SRC / KEY_OWNER).read_text())
+
+
+# ---------------------------------------------------------------------------
+# source guard: _contract is the one module that slices a table
+
+
+SLICE_OWNERS = {"_checks.py", "_contract.py"}      # where row_slices is defined and used
+
+
+def _row_slices_imports(source):
+    """Lines of every import that brings in row_slices, by name or with the
+    whole of weakhopf._checks under which it could be reached."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if "row_slices" in names or "*" in names \
+                    or (node.module is None and "_checks" in names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.endswith("_checks") for a in node.names):
+                found.append(node.lineno)
+    return found
+
+
+def test_slice_guard_recognizes_the_imports_it_forbids():
+    source = """
+from ._checks import require, row_slices
+from ._checks import *
+from . import _checks
+import weakhopf._checks
+from ._checks import Worst, settle
+from ._contract import evaluate
+"""
+    assert _row_slices_imports(source) == [2, 3, 4, 5]
+
+
+def test_one_slicing_path():
+    found = {p.name: _row_slices_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))
+             if p.name not in SLICE_OWNERS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert "row_slices" in (SRC / "_contract.py").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from weakhopf import examples as ex
 from weakhopf import serialize as ser
+from weakhopf import cli
 from weakhopf.cli import main
 from weakhopf.errors import FormatError
 
@@ -203,3 +204,18 @@ def test_action_example_emission(capsys):
     rec = json.loads(out)
     MA = ser.module_algebra_from_record(rec)
     assert not MA.image_data().standard
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 17.0 GiB", ""])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, m2_action, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(ser.module_algebra_record(m2_action[1])))
+
+    def exhausted(args):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(cli, "cmd_tower", exhausted)
+    assert main(["tower", "--seed", str(path), "--depth", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"out of memory: {message or 'an allocation failed'}\n"

@@ -342,20 +342,30 @@ def _declared_subscripts():
 
 
 # associativity 2, axioms Ia and Ic 6, the projection identities 3, the
-# composition law 2, the product law and the splitting 6
+# composition law 2, the product law and the splitting 6, star
+# antimultiplicativity 3, the coaction laws 6, covariance 7, the quasi-basis
+# identities 6, the translation products 3, the exchange identity 4 and the
+# regular homomorphism 3
 DECLARED = _declared_subscripts()
 
 
 def _identities(a, b):
-    """Each declared identity, with its tables read off a as mult and act
-    and b as cop, as the acting algebra's mult, the antipode tables and (b[0])
-    Delta(1); the einsum reference of each side (None for a table); and the
-    scale of its rounding: over both sides, the largest product of the
-    largest entries of the d tables a term multiplies, times n^(d - 1)."""
-    tables = {"mult": a, "act": a, "cop": b, "mult_A": b, "xS(y)": b, "S^-1(y)x": b,
-              "D1": b[0]}
+    """Each declared identity over named tables: a as mult, act, rho, tau_r
+    and ell, b as cop, the other algebras' products, the antipode tables
+    and tau_l, the two-index tables b[0], a[0] and b[-1], the identity, and
+    the four-index images, a contracted with b; the einsum reference of
+    each side (None for a table); and the scale of its rounding: over both
+    sides, the largest product of the largest entries of the tables a term
+    multiplies, times n to the number of its summed letters."""
     n = a.shape[0]
-    ma, mb = (float(np.abs(t).max()) for t in (a, b))
+    images = np.einsum("ijk,klm->ijlm", a, b)
+    tables = {"mult": a, "act": a, "cop": b, "mult_A": b, "xS(y)": b, "S^-1(y)x": b,
+              "D1": b[0], "conj(mult)": np.conj(a), "star": b[0], "rho": a,
+              "mult_hat": b, "em": b[0], "ea": a[0], "S": b[-1], "table": b[0],
+              "tensor": a[0], "eye": np.eye(n), "tau_r": a, "tau_l": b, "ell": a,
+              "images": images, "mult_X": b}
+    ma, mb, m1, m2, m3, m4 = (float(np.abs(t).max()) for t in (a, b, b[0], a[0], b[-1],
+                                                              images))
     t1 = np.einsum("iaz,axy->ixyz", b, b)
     split = "upa,vqb,abk->"
     refs = [
@@ -377,6 +387,33 @@ def _identities(a, b):
          max(ma ** 2 * n, mb * ma ** 3 * n ** 3)),
         (mo.SPLITTING, (None, np.einsum("uv," + split + "pqk", b[0], a, a, a, optimize=True)),
          max(ma, mb * ma ** 3 * n ** 3)),
+        (al.ANTIMULTIPLICATIVITY, (np.einsum("ijk,kl->ijl", np.conj(a), b[0]),
+                                   np.einsum("ja,ib,abl->ijl", b[0], b[0], a)),
+         max(ma * m1 * n, m1 ** 2 * ma * n ** 2)),
+        (mo.COASSOCIATIVITY, (np.einsum("pqi,qrj->pirj", a, a), np.einsum("prk,kji->pirj", a, b)),
+         max(ma, mb) * ma * n),
+        (mo.MULTIPLICATIVITY, (np.einsum("pqr,rsk->pqsk", a, a),
+                               np.einsum("pai,abs,qbj,ijk->pqsk", a, a, a, b, optimize=True)),
+         max(ma ** 2 * n, ma ** 3 * mb * n ** 4)),
+        (cr.COVARIANCE, (np.einsum("apq,kq->apk", a, b[0]),
+                         np.einsum("auv,yw,wv,zu,cp,zcx,xyk->apk", b, a[0], b[-1], a[0], b[0],
+                                   a, a, optimize=True)),
+         max(ma * m1 * n, mb * m2 ** 2 * m3 * m1 * ma ** 2 * n ** 7)),
+        *((identity, (np.einsum(ref, a[0], a, b[0], a, optimize=True), None),
+           max(1.0, m2 * m1 * ma ** 2 * n ** 4))
+          for identity, ref in zip(cr.QUASI_BASIS, ("pq,qmk,zk,pzs->ms", "pq,mpk,zk,zqs->ms"))),
+        (cr.TRANSLATIONS[0], (np.einsum("sab,tbc->stac", a, b), np.einsum("tab,sbc->stac", b, a)),
+         ma * mb * n),
+        (cr.TRANSLATIONS[1], (np.einsum("sab,tbc->stac", a, a), np.einsum("stw,wac->stac", b, a)),
+         max(ma, mb) * ma * n),
+        (cr.TRANSLATIONS[2], (np.einsum("sab,tbc->stac", b, b), np.einsum("stw,wac->stac", b, b)),
+         mb ** 2 * n),
+        (cr.EXCHANGE, (np.einsum("iab,sbc->isac", a, b),
+                       np.einsum("ujs,ijk,uab,kbc->isac", b, b, b, a, optimize=True)),
+         max(ma * mb * n, mb ** 3 * ma * n ** 4)),
+        (cr.HOMOMORPHISM, (np.einsum("xpab,yqbc,pqr->xaycr", images, images, a, optimize=True),
+                           np.einsum("xyg,grac->xaycr", b, images)),
+         max(m4 ** 2 * ma * n ** 3, mb * m4 * n)),
     ]
     return tables, refs
 
@@ -398,12 +435,13 @@ def test_nonzero_lists_agree_with_einsum(tables):
         # sums of products of large entries cancel to rounding of their size
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, scale))
 
-    # each operand of a declared subscript is a table of its arity: b[0], a
-    # or the four-index contraction of a and b, and the same with a and b
-    # swapped; "ijp,jpq->ijq" keeps a letter that both operands carry
-    assert len(DECLARED) == 19
-    pools = ({2: b[0], 3: a, 4: np.einsum("ijk,klm->ijlm", a, b)},
-             {2: a[0], 3: b, 4: np.einsum("ijk,klm->ijlm", b, a)})
+    # each operand of a declared subscript is a table of its arity: b[0], a,
+    # the four-index contraction of a and b or the five-index one of a, b
+    # and a, and the same with a and b swapped; "ijp,jpq->ijq" keeps a
+    # letter that both operands carry
+    assert len(DECLARED) == 51
+    pools = [{2: x[0], 3: y, 4: np.einsum("ijk,klm->ijlm", y, x),
+              5: np.einsum("ijk,klm,mpq->ijlpq", y, x, y)} for x, y in ((b, a), (a, b))]
     for subscripts in DECLARED + ["ijp,jpq->ijq"]:
         inputs, out = subscripts.split("->")
         sx, sy = inputs.split(",")
@@ -437,10 +475,22 @@ def test_nonzero_lists_agree_with_einsum(tables):
                     if ref is not None:
                         (worst, _), = evaluate(dict(named, ref=ref), (side, "ref"))
                         assert worst <= bound
-                gap = (a if sides[0] is None else sides[0]) - sides[1]
+                lhs, rhs = (named[side] if ref is None else ref
+                            for side, ref in zip(identity, sides))
+                gap = lhs - rhs
                 (worst, _), = evaluate(named, identity)
                 assert worst == pytest.approx(float(np.abs(gap).max(initial=0)),
                                               rel=1e-12, abs=bound)
+
+
+def test_a_letter_read_at_two_sizes_is_refused():
+    tables = {"x": np.ones((2, 3)), "y": np.ones((4, 5))}
+    with pytest.raises(ValueError, match="letter j is read at sizes 3 and 4"):
+        evaluate(tables, (("ij,jk->ik", "x", "y"), ("ij,jk->ik", "x", "y")))
+    # the sizes of one call hold across its identities
+    tables = {"w": np.ones((4, 4)), "z": np.ones((2, 2))}
+    with pytest.raises(ValueError, match="letter i is read at sizes 4 and 2"):
+        evaluate(tables, ("z", ("ij,jk->ik", "z", "z")), ("w", ("ij,jk->ik", "w", "w")))
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +821,13 @@ def test_hat_expectation_table(pauli_crossed):
 
 def test_quasi_basis_residual(rng):
     n = 5
-    M = StarAlgebra(_rand(rng, n, n, n), _rand(rng, n), _rand(rng, n, n))
+    mult = _rand(rng, n, n, n)
     table, tensor = _rand(rng, n, n), _rand(rng, n, n)
-    a1 = np.einsum("pq,qmr,tr,pts->ms", tensor, M.mult, table, M.mult)
-    a2 = np.einsum("pq,mpr,tr,tqs->ms", tensor, M.mult, table, M.mult)
-    ref = max(np.abs(a1 - np.eye(n)).max(), np.abs(a2 - np.eye(n)).max())
-    assert cr._quasi_basis_residual(M, table, tensor) == pytest.approx(ref, rel=1e-12)
+    a1 = np.einsum("pq,qmr,tr,pts->ms", tensor, mult, table, mult)
+    a2 = np.einsum("pq,mpr,tr,tqs->ms", tensor, mult, table, mult)
+    tables = {"mult": mult, "table": table, "tensor": tensor, "eye": np.eye(n)}
+    for got, ref in zip(evaluate(tables, *cr.QUASI_BASIS), (a1, a2)):
+        assert got[0] == pytest.approx(np.abs(ref - np.eye(n)).max(), rel=1e-12)
 
 
 def test_regular_rep_blocks(rng, pauli_crossed):

@@ -1,7 +1,8 @@
-"""Associativity, the module composition and product laws and the
-unit-coproduct splitting over nonzero lists (the list path of
-weakhopf._contract.evaluate), and the pure-tensor quotient basis of the
-crossed product that keeps Pauli tower levels monomial.
+"""Associativity, the module composition and product laws, the
+unit-coproduct splitting and the other declared identities over nonzero
+lists (the list path of weakhopf._contract.evaluate), and the pure-tensor
+quotient basis of the crossed product that keeps Pauli tower levels
+monomial.
 
 A check on a monomial table must take the list path and report what the
 dense sliced path reports: the same exception, message and location, and
@@ -11,8 +12,10 @@ tables must take the dense path."""
 import numpy as np
 import pytest
 
-from weakhopf import _checks
+from weakhopf import _checks, _contract
 from weakhopf import _linalg as la
+from weakhopf import algebra as al
+from weakhopf import modules as mo
 from weakhopf import crossed as cr
 from weakhopf import examples as ex
 from weakhopf.algebra import StarAlgebra, make_star_algebra
@@ -127,13 +130,14 @@ def test_quotient_basis_is_a_pure_tensor_selection(pauli_seed):
 
 
 def test_monomial_associativity_takes_nonzero_lists(pauli_level, rng, joins, dense_steps):
+    # associativity joins twice, star antimultiplicativity three times
     A = pauli_level
     make_star_algebra(A.mult, A.unit, A.star)
-    assert len(joins) == 2 and not dense_steps
+    assert len(joins) == 5 and not dense_steps
     # the same algebra in a Haar-random basis runs the dense path
     del joins[:]
     make_star_algebra(*_rebased_algebra(A, _haar_unitary(rng, A.dim)))
-    assert not joins and len(dense_steps) == 2
+    assert not joins and len(dense_steps) == 5
 
 
 def test_associativity_beyond_one_slice_takes_the_dense_path(pauli_level, monkeypatch, joins):
@@ -169,7 +173,7 @@ def test_broken_associativity_reports_as_the_dense_path(pauli_level, joins, forc
         return make_star_algebra(mult, A.unit, A.star, labels=A.labels)
 
     listed = _outcome(build)
-    assert len(joins) == 2 and listed[0] is AssociativityViolation
+    assert len(joins) == 5 and listed[0] is AssociativityViolation
     force_dense()
     _same_outcome(listed, _outcome(build))
 
@@ -265,3 +269,89 @@ def test_broken_module_laws_report_as_the_dense_path(pauli_seed, joins, force_de
     assert listed[0] is ActionAxiomViolation and law in listed[1]
     force_dense()
     _same_outcome(listed, _outcome(build))
+
+
+# ---------------------------------------------------------------------------
+# star antimultiplicativity, the coaction laws, covariance, the quasi-basis
+# identities and the regular representation's products
+
+
+def _declared_cases(MA):
+    """name: (identity, its tables on the Pauli seed, its crossed product
+    or their regular representation, the table to break)."""
+    W, M = MA.hopf, MA.target
+    Wd = W.dual()
+    X = cr.crossed_product(MA)
+    A = X.algebra
+    E = cr.hat_expectation(X, W.haar().hhat)
+    reg = cr.regular_homomorphism(X)
+    star = {"mult": A.mult, "conj(mult)": np.conj(A.mult), "star": A.star}
+    coaction = {"rho": MA.coaction(), "cop": Wd.cop, "mult": M.mult, "mult_hat": Wd.alg.mult}
+    covariance = {"act": MA.act, "em": X.embed_m, "ea": X.embed_a, "S": W.antipode,
+                  "cop": W.cop, "mult": A.mult}
+    quasi = {"mult": A.mult, "table": E.table, "tensor": E.canonical_tensor,
+             "eye": np.eye(A.dim)}
+    translations = {"tau_r": reg.tau_r, "tau_l": reg.tau_l, "ell": reg.ell,
+                    "mult_hat": Wd.alg.mult, "mult_A": W.alg.mult, "cop": W.cop}
+    homomorphism = {"images": reg.images, "mult": M.mult, "mult_X": A.mult}
+    return {
+        "antimultiplicativity": (al.ANTIMULTIPLICATIVITY, star, "star"),
+        "coassociativity": (mo.COASSOCIATIVITY, coaction, "rho"),
+        "multiplicativity": (mo.MULTIPLICATIVITY, coaction, "mult"),
+        "covariance": (cr.COVARIANCE, covariance, "act"),
+        "quasi-basis, left": (cr.QUASI_BASIS[0], quasi, "table"),
+        "quasi-basis, right": (cr.QUASI_BASIS[1], quasi, "mult"),
+        "translations commute": (cr.TRANSLATIONS[0], translations, "tau_l"),
+        "tau_r products": (cr.TRANSLATIONS[1], translations, "tau_r"),
+        "tau_l products": (cr.TRANSLATIONS[2], translations, "mult_hat"),
+        "exchange": (cr.EXCHANGE, translations, "ell"),
+        "homomorphism": (cr.HOMOMORPHISM, homomorphism, "images"),
+    }
+
+
+@pytest.fixture(scope="module")
+def declared_cases(pauli_seed):
+    return _declared_cases(pauli_seed)
+
+
+CASES = ["antimultiplicativity", "coassociativity", "multiplicativity", "covariance",
+         "quasi-basis, left", "quasi-basis, right", "translations commute", "tau_r products",
+         "tau_l products", "exchange", "homomorphism"]
+
+
+def _broken(tables, key, bad):
+    """tables with one nonzero entry of tables[key] shifted by bad."""
+    table = tables[key].copy()
+    table[tuple(np.argwhere(table != 0)[3])] += bad
+    return dict(tables, **{key: table})
+
+
+def _any_count(table):
+    """The nonzero list of a table whatever its number of nonzeros."""
+    keys = np.flatnonzero(table)
+    return keys, table.ravel()[keys]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_perturbed_declared_identity_reports_as_the_dense_path(declared_cases, monkeypatch,
+                                                              joins, case):
+    identity, tables, key = declared_cases[case]
+    (clean, _), = _contract.evaluate(tables, identity)
+    assert clean < 1e-9
+    broken = _broken(tables, key, 0.25)
+    monkeypatch.setattr(_contract, "listed", _any_count)
+    (listed, at), = _contract.evaluate(broken, identity)
+    assert joins and listed > 1e-3
+    del joins[:]
+    monkeypatch.setattr(_contract, "listed", lambda table: None)
+    (dense, dense_at), = _contract.evaluate(broken, identity)
+    assert not joins
+    assert at == dense_at and listed == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_nan_entry_fails_the_declared_identity(declared_cases, case):
+    identity, tables, key = declared_cases[case]
+    with np.errstate(invalid="ignore"):
+        (worst, _), = _contract.evaluate(_broken(tables, key, np.nan), identity)
+    assert np.isnan(worst)
