@@ -7,6 +7,7 @@ overrides both.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -236,7 +237,10 @@ def cmd_report(args):
     return 0 if report["passed"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; each subcommand runs
+    the cmd_<name> of this module that main looks up at call time."""
     p = argparse.ArgumentParser(prog="wha",
                                 description="weak Hopf algebra computations")
     p.add_argument("--tol", type=float, default=None,
@@ -249,7 +253,6 @@ def build_parser():
 
     q = sub.add_parser("verify", help="verify a (weak Hopf) algebra record")
     q.add_argument("input")
-    q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("example", help="emit a built-in instance")
     q.add_argument("what", choices=("group", "twisted", "action"))
@@ -259,35 +262,29 @@ def build_parser():
     q.add_argument("--name", default="pauli",
                    help="twisted: pauli; action: m2-z2|m2-pauli|m2-collapsed|"
                         "dual-<group>[/<subgroup>]")
-    q.set_defaults(func=cmd_example)
 
     q = sub.add_parser("integrals", help="integral spaces, Haar and modular data")
     q.add_argument("input")
     q.add_argument("--integral", default=None,
                    help="JSON coordinate file of a left integral to classify")
-    q.set_defaults(func=cmd_integrals)
 
     q = sub.add_parser("crossed", help="crossed product of a module record")
     q.add_argument("input")
-    q.set_defaults(func=cmd_crossed)
 
     q = sub.add_parser("tower", help="iterated crossed products")
     q.add_argument("--seed", required=True)
     q.add_argument("--depth", type=int, default=2)
     q.add_argument("--report", default=None)
-    q.set_defaults(func=cmd_tower)
 
     q = sub.add_parser("report", help="full identity suite for an algebra")
     q.add_argument("input")
-    q.set_defaults(func=cmd_report)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

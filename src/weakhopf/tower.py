@@ -6,7 +6,8 @@ the basic-construction identification, and depth-2 verification.
 import numpy as np
 
 from . import _linalg as la
-from ._checks import require, residual
+from ._checks import outside, require, residual
+from ._contract import evaluate
 from .algebra import (
     Element,
     Subspace,
@@ -17,7 +18,7 @@ from .algebra import (
 from .config import DEFAULT_DIM_BUDGET, SLACK_COMPOSITE, tolerance
 from .errors import AxiomViolation, DimensionBudgetExceeded
 from .modules import galois_test, invariant_state, is_regular, quasi_basis
-from .crossed import crossed_product, gns_cross, hat_expectation
+from .crossed import QUASI_BASIS, crossed_product, gns_cross, hat_expectation
 
 __all__ = [
     "Tower",
@@ -30,13 +31,14 @@ __all__ = [
 
 class TowerLevel:
     def __init__(self, algebra, include, module=None, crossed=None,
-                 jones=None, expectation=None, state=None):
+                 jones=None, expectation=None, state=None, canonical_tensor=None):
         self.algebra = algebra          # StarAlgebra of this level
         self.include = include          # matrix: previous level -> this level
         self.module = module            # ModuleAlgebra built on this level
         self.crossed = crossed          # CrossedProduct that produced it
         self.jones = jones              # coords of the Jones projection here
         self.expectation = expectation  # endo-map table with range one level down
+        self.canonical_tensor = canonical_tensor  # its canonical quasi-basis T[p, q]
         self.state = state              # invariant state covector
 
 
@@ -115,7 +117,8 @@ def build_tower(MA, depth, omega0=None, tol=None, budget=DEFAULT_DIM_BUDGET):
         levels.append(TowerLevel(
             X.algebra, X.embed_m, module=X.as_module, crossed=X,
             jones=X.embed_a @ hd.h.coords,
-            expectation=Ehat.table, state=omega_next))
+            expectation=Ehat.table, canonical_tensor=Ehat.canonical_tensor,
+            state=omega_next))
         current = X.as_module
     T = Tower(levels, MA)
     _verify_jones_relations(T, tol=tol)
@@ -302,7 +305,13 @@ def _center_match(T, level, predicted, tol=None):
 def depth2_check(T, tol=None):
     """The dual expectation of each step admits a quasi-basis inside the
     relative commutant of the level two below, which is the working form
-    of the depth-2 property."""
+    of the depth-2 property.
+
+    Each level is certified first by its witness, the canonical quasi-basis
+    (1 x l(2)) (x) (1 x S^{-1} l(1)) that hat_expectation built for it
+    (_witness_holds).  Only a level whose witness is refused searches for a
+    quasi-basis with quasi_basis(E, subspace=rel), and its verdict is the
+    search's."""
     from .errors import NoSolution, NotIndexFinite
     from .modules import ConditionalExpectation
 
@@ -314,9 +323,29 @@ def depth2_check(T, tol=None):
         # the dual expectation needs a quasi-basis in the double commutant
         inc2 = T.include_map(k - 3, k - 1)
         rel = commutant(Subspace(XA, inc2, tol=tol), XA, tol=tol)
+        if _witness_holds(lv, rel, tol=tol):
+            continue
         E = ConditionalExpectation(XA, lv.expectation)
         try:
             quasi_basis(E, tol=tol, subspace=rel)
         except (NotIndexFinite, NoSolution):
             ok = False
     return ok
+
+
+def _witness_holds(lv, rel, tol=None):
+    """Is the level's stored canonical tensor T a quasi-basis of its
+    expectation inside rel (x) rel?  Its columns and rows lie in rel, both
+    quasi-basis identities hold within tol (the bound of the search's
+    a x - b check), and its index sum T[p, q] e_p e_q is central, as
+    quasi_basis requires of a solution."""
+    T = lv.canonical_tensor
+    if not (rel.contains_coords(T, tol=tol) and rel.contains_coords(T.T, tol=tol)):
+        return False
+    XA = lv.algebra
+    gaps = evaluate({"mult": XA.mult, "table": lv.expectation, "tensor": T,
+                     "eye": np.eye(XA.dim)}, *QUASI_BASIS)
+    if outside(residual(*(gap for gap, _ in gaps)), tolerance(tol)):
+        return False
+    index = T.reshape(-1) @ XA.mult.reshape(-1, XA.dim)
+    return XA.center(tol=tol).contains_coords(index.reshape(-1, 1), tol=tol)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -219,3 +220,20 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, m2_action, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"out of memory: {message or 'an allocation failed'}\n"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built, add_subparsers = [], argparse.ArgumentParser.add_subparsers
+
+    def spy(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    try:
+        outs = [run(["example", "group", "--group", "z2"], capsys) for _ in range(3)]
+    finally:
+        cli.build_parser.cache_clear()
+    assert outs[0][0] == 0 and outs.count(outs[0]) == 3
+    assert built == ["wha"]

@@ -8,16 +8,22 @@ from weakhopf import crossed as cr
 from weakhopf import examples as ex
 from weakhopf import modules as mo
 from weakhopf import tower as tw
+from weakhopf._contract import evaluate
 from weakhopf.algebra import Subspace, commutant
-from weakhopf.config import SLACK_SOLVED, tolerance
+from weakhopf.config import SLACK_COMPOSITE, SLACK_SOLVED, tolerance
 from weakhopf.errors import DimensionBudgetExceeded
 
 
 @pytest.fixture(scope="module")
-def pauli_top(pauli):
+def pauli_tower(pauli):
+    return tw.build_tower(pauli[1], 2)
+
+
+@pytest.fixture(scope="module")
+def pauli_top(pauli_tower):
     """The dual expectation of the dim-64 level of the depth-2 m2-pauli
     tower and the dim-16 relative commutant its quasi-basis lives in."""
-    T = tw.build_tower(pauli[1], 2)
+    T = pauli_tower
     lv = T.levels[3]
     rel = commutant(Subspace(lv.algebra, T.include_map(0, 2)), lv.algebra)
     return mo.ConditionalExpectation(lv.algebra, lv.expectation), rel
@@ -98,6 +104,182 @@ def test_pauli_top_system_leaves_out_its_zero_equations(pauli_top):
     qb = mo.quasi_basis(E, subspace=rel)
     assert qb.nullity == ns.shape[1] == 192
     assert np.abs(qb.index.coords - index).max() < SLACK_SOLVED * tolerance()
+
+
+# the depth-2 towers of the built-in seeds whose top level has at most 81
+# dimensions (dual-s3, dual-z4/0,2 and dual-z2xz2/0,1 reach 216 and 128),
+# and the depth-3 tower of C[Z2] acting on its dual
+WITNESS_SEEDS = ["m2-z2", "m2-collapsed", "m2-pauli", "dual-z2", "dual-z3", "dual-z4",
+                 "dual-z2xz2", "dual-z2/0,1", "dual-z3/0,1,2"]
+AGREEMENT_SEEDS = ["m2-z2", "m2-collapsed", "dual-z3", "dual-z2/0,1", "m2-pauli",
+                   "canonical-z2"]
+
+
+@pytest.fixture(scope="module")
+def towers(cz2, pauli_tower):
+    out = {name: tw.build_tower(ex.named_action(name), 2)
+           for name in WITNESS_SEEDS if name != "m2-pauli"}
+    out["m2-pauli"] = pauli_tower
+    out["canonical-z2"] = tw.build_tower(ex.canonical_dual_module(cz2), 3)
+    return out
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """The dimension of the level of every quasi_basis search that
+    depth2_check runs, in order."""
+    seen, search = [], tw.quasi_basis
+
+    def spy(E, tol=None, subspace=None):
+        seen.append(E.algebra.dim)
+        return search(E, tol=tol, subspace=subspace)
+
+    monkeypatch.setattr(tw, "quasi_basis", spy)
+    return seen
+
+
+def _checked_levels(T):
+    """(level, relative commutant) at every level depth2_check certifies."""
+    for k in range(2, len(T.levels)):
+        XA = T.levels[k].algebra
+        yield T.levels[k], commutant(Subspace(XA, T.include_map(k - 3, k - 1)), XA)
+
+
+def _index(lv, tensor):
+    """sum tensor[p, q] e_p e_q in the level's algebra."""
+    return tensor.reshape(-1) @ lv.algebra.mult.reshape(-1, lv.algebra.dim)
+
+
+def _central(lv, tensor):
+    return lv.algebra.center().contains_coords(_index(lv, tensor)[:, None])
+
+
+def _quasi_basis_gaps(lv, tensor):
+    XA = lv.algebra
+    return [gap for gap, _ in evaluate({"mult": XA.mult, "table": lv.expectation,
+                                        "tensor": tensor, "eye": np.eye(XA.dim)},
+                                       *cr.QUASI_BASIS)]
+
+
+@pytest.mark.parametrize("name", AGREEMENT_SEEDS)
+def test_witness_and_search_agree(towers, name):
+    for lv, rel in _checked_levels(towers[name]):
+        assert tw._witness_holds(lv, rel)
+        qb = mo.quasi_basis(mo.ConditionalExpectation(lv.algebra, lv.expectation),
+                            subspace=rel)
+        gap = _index(lv, lv.canonical_tensor) - qb.index.coords
+        assert np.abs(gap).max() < SLACK_SOLVED * tolerance()
+
+
+@pytest.mark.parametrize("name", WITNESS_SEEDS + ["canonical-z2"])
+def test_every_witness_is_accepted_without_a_search(towers, name, searches):
+    assert tw.depth2_check(towers[name])
+    assert searches == []
+
+
+def _m2_top(m2_action):
+    """A fresh depth-2 m2-z2 tower, its dim-16 top level and that level's
+    relative commutant."""
+    T = tw.build_tower(m2_action[1], 2)
+    lv, rel = list(_checked_levels(T))[-1]
+    assert lv.algebra.dim == 16
+    return T, lv, rel
+
+
+def _moves_off_one_leg(lv, rel):
+    """Two solutions of the null space of the unconstrained quasi-basis
+    system: one whose columns stay in rel while its rows leave it, and one
+    whose rows stay while its columns leave."""
+    XA, n = lv.algebra, lv.algebra.dim
+    sys, rhs = mo._quasi_basis_system(XA, lv.expectation, np.eye(n))
+    moves = la.affine_solutions(sys, rhs)[1].T.reshape(-1, n, n)
+    off = np.eye(n) - rel.basis @ rel.basis.conj().T
+    out = []
+    for leg in (lambda m: off @ m, lambda m: m @ off.T):
+        c = la.null_space(np.stack([leg(m).reshape(-1) for m in moves], axis=1))[:, 0]
+        out.append(np.tensordot(c, moves, axes=1))
+    return out
+
+
+def test_a_witness_off_the_relative_commutant_is_refused(m2_action, searches):
+    T, lv, rel = _m2_top(m2_action)
+    witness = lv.canonical_tensor
+    # quasi-bases of the whole algebra that leave rel (x) rel on one leg
+    for move, legs in zip(_moves_off_one_leg(lv, rel), ((True, False), (False, True))):
+        moved = witness + move
+        assert max(_quasi_basis_gaps(lv, moved)) <= tolerance() and _central(lv, moved)
+        assert (rel.contains_coords(moved), rel.contains_coords(moved.T)) == legs
+        assert np.abs(move).max() > 1e-2
+        lv.canonical_tensor = moved
+        assert not tw._witness_holds(lv, rel)
+    assert tw.depth2_check(T)
+    assert searches == [16]
+
+
+def test_a_witness_that_misses_an_identity_is_refused(m2_action, searches):
+    T, lv, rel = _m2_top(m2_action)
+    t, witness = tolerance(), lv.canonical_tensor
+    # scaled by 1 + 1e-7 the witness stays in rel (x) rel with a central
+    # index, and its identities miss by about 1e-7: above tol, below the
+    # SLACK_COMPOSITE * tol that hat_expectation allows
+    scaled = (1 + 1e-7) * witness
+    assert rel.contains_coords(scaled) and rel.contains_coords(scaled.T)
+    assert _central(lv, scaled)
+    assert t < max(_quasi_basis_gaps(lv, scaled)) < SLACK_COMPOSITE * t
+    # one entry moved by 1e-6
+    p, q = np.unravel_index(np.abs(witness).argmax(), witness.shape)
+    nudged = witness.copy()
+    nudged[p, q] += 1e-6
+    assert max(_quasi_basis_gaps(lv, nudged)) > t
+    for moved in (scaled, nudged):
+        lv.canonical_tensor = moved
+        assert not tw._witness_holds(lv, rel)
+    assert tw.depth2_check(T)
+    assert searches == [16]
+
+
+def test_a_witness_whose_index_leaves_the_center_is_refused(m2_action, searches,
+                                                           monkeypatch):
+    T, lv, rel = _m2_top(m2_action)
+    XA = lv.algebra
+    assert XA.center().dim == 1 and _central(lv, lv.canonical_tensor)
+    # the cached center (the crossed products, so the algebra, are shared
+    # by every tower of this seed) replaced for this test by a space that
+    # leaves the index out: the witness still passes its other two
+    # conditions, and both paths refuse
+    monkeypatch.setitem(XA._cache, ("center", tolerance()),
+                        Subspace(XA, np.zeros((XA.dim, 0))))
+    witness = lv.canonical_tensor
+    assert rel.contains_coords(witness) and rel.contains_coords(witness.T)
+    assert max(_quasi_basis_gaps(lv, witness)) <= tolerance()
+    assert not tw._witness_holds(lv, rel)
+    assert not tw.depth2_check(T)
+    assert searches == [16]
+
+
+def test_a_broken_expectation_fails_on_both_paths(m2_action, searches, rng):
+    T, lv, rel = _m2_top(m2_action)
+    n = lv.algebra.dim
+    lv.expectation = lv.expectation + 1e-3 * rng.standard_normal((n, n))
+    assert not tw._witness_holds(lv, rel)
+    assert not tw.depth2_check(T)
+    assert searches == [16]
+
+
+def test_depth2_check_on_the_pauli_tower_stays_below_8_mib(pauli_tower):
+    # the witness needs n^2 tables and the slices of its two identities; a
+    # search at the dim-64 level holds the 4096 x 256 system, the solve's
+    # [a | b] and its QR copy (about 49 MB).  The centers are derived first,
+    # as commutant_table derives them before depth2_check in `wha tower`.
+    for lv in pauli_tower.levels:
+        lv.algebra.center()
+    tracemalloc.start()
+    try:
+        assert tw.depth2_check(pauli_tower)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_depth_zero(m2_action):

@@ -1,6 +1,6 @@
 """Run the `wha` equivalence set against one source tree, or compare two runs.
 
-The set is 164 commands:
+The set is 165 commands:
 
 * 48 weak Hopf records (the group-type algebras z2, z3, z4, z2xz2, s3,
   z2/0,1, z3/0,1,2, z4/0,2, z2xz2/0,1, s3/0,1,2, s3/all and the twisted
@@ -12,7 +12,9 @@ The set is 164 commands:
 * `wha crossed` and `wha tower` on m2-pauli (depth 2), dual-s3 (depth 0)
   and dual-z2/0,1 (depth 2), each also in a seeded monomial unitary basis
   (a permutation times phases), and on m2-pauli with a conjugated action
-  act'_u = P act_u P^-1, which fails the product law.
+  act'_u = P act_u P^-1, which fails the product law;
+* `wha tower --depth 2` on the natural dual-s3, whose dim-216 top level is
+  the largest depth-2 certificate of the set.
 
 Usage:
 
@@ -131,6 +133,8 @@ def write_inputs(work):
     path = dump("m2-pauli~conjugated", module_record(MA.hopf, MA.target, moved))
     commands += [("crossed m2-pauli~conjugated", ["crossed", path]),
                  ("tower m2-pauli~conjugated", ["tower", "--seed", path, "--depth", "2"])]
+    commands.append(("tower dual-s3 --depth 2",
+                     ["tower", "--seed", _file("dual-s3"), "--depth", "2"]))
     return commands
 
 
