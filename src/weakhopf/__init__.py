@@ -11,7 +11,6 @@ from .algebra import (
     is_positive,
     make_star_algebra,
     multiply,
-    solve_linear,
     sqrt_positive,
 )
 from .hopf import (

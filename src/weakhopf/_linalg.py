@@ -146,14 +146,15 @@ def pseudo_inverse(a, tol=None):
     return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
-def _solve(a, b, tol, full_matrices=False):
-    """(minimum-norm least-squares solution of a x = b under the rank rule,
-    right singular vectors vh of a, rank of a), all from one SVD, the
-    solution accepted only when its residual is below tol.  With
-    full_matrices, vh is the full right singular basis.
+def affine_solutions(a, b, tol=None):
+    """Particular solution plus orthonormal null-space basis of a x = b,
+    both from one SVD.  The particular solution is the minimum-norm
+    least-squares solution under the rank rule, accepted only when its
+    residual is below tol; NoSolution otherwise.
 
     On a tall a the SVD is that of the factor R11 of [a | b] = Q [R11 R12],
-    and R12 = Q1^H b takes the place of u^H b."""
+    and R12 = Q1^H b takes the place of u^H b; on a wide a it is the full
+    SVD, whose vh is the full right singular basis."""
     a = _finite_matrix(a)
     b = np.asarray(b, dtype=complex)
     m, n = a.shape
@@ -165,28 +166,13 @@ def _solve(a, b, tol, full_matrices=False):
             u, s, vh = np.linalg.svd(rab[:n, :n])
             qb = rab[:n, n:].reshape((n,) + b.shape[1:])
         else:
-            u, s, vh = np.linalg.svd(a, full_matrices=full_matrices)
+            u, s, vh = np.linalg.svd(a, full_matrices=m < n)
             qb = b
         r = _count(s, tol)
         coef = u[:, :r].conj().T @ qb
         coef /= s[:r].reshape((r,) + (1,) * (b.ndim - 1))
         x = vh[:r].conj().T @ coef
     require(a @ x - b, tolerance(tol), NoSolution, "linear system has no solution")
-    return x, vh, r
-
-
-def solve(a, b, tol=None):
-    """Least-squares solve accepted only when the residual is below tol."""
-    return _solve(a, b, tol)[0]
-
-
-def affine_solutions(a, b, tol=None):
-    """Particular solution plus orthonormal null-space basis of a x = b,
-    both from one SVD; raises NoSolution like solve()."""
-    a = _as_matrix(a)
-    # the full right singular basis is needed: on wide systems vh of the
-    # full SVD, on tall ones vh of the square factor R11
-    x, vh, r = _solve(a, b, tol, full_matrices=a.shape[0] < a.shape[1])
     return x, vh[r:].conj().T.copy()
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "invert",
     "commutant",
     "center",
-    "solve_linear",
 ]
 
 
@@ -365,40 +364,18 @@ def is_invertible(a, tol=None):
 def commutant(S, A, tol=None):
     """Relative commutant {x in A : xs = sx for all s in span S}.
 
-    S may be a Subspace of A or a raw basis matrix.  The result is certified
-    (unital, and star-closed whenever S is star-closed).
+    S may be a Subspace of A or a raw basis matrix.
     """
     basis = S.basis if isinstance(S, Subspace) else np.asarray(S, dtype=complex)
     if basis.ndim == 1:
         basis = basis.reshape(-1, 1)
     rows = A.left_mult_matrix(basis.T) - A.right_mult_matrix(basis.T)
-    out = Subspace(A, la.null_space(rows.reshape(-1, A.dim), tol=tol),
-                   orthonormalize=False)
-    out.certify(tol=tol)
-    return out
+    return Subspace(A, la.null_space(rows.reshape(-1, A.dim), tol=tol),
+                    orthonormalize=False)
 
 
 def center(A, tol=None):
     return A.center(tol=tol)
-
-
-def solve_linear(constraints, rhs=None, tol=None):
-    """Single rank-revealing solver behind integrals, fixed points,
-    implementers and quasi-bases.
-
-    constraints: matrix (or list of row blocks) acting on a coordinate
-    space.  With rhs=None returns the orthonormal null-space basis;
-    otherwise returns (particular solution, null-space basis), raising
-    NoSolution when the residual exceeds the tolerance.
-    """
-    if isinstance(constraints, (list, tuple)):
-        constraints = np.vstack([np.atleast_2d(np.asarray(c, dtype=complex))
-                                 for c in constraints])
-    if rhs is None:
-        return la.null_space(constraints, tol=tol)
-    if isinstance(rhs, (list, tuple)):
-        rhs = np.concatenate([np.atleast_1d(np.asarray(r, dtype=complex)) for r in rhs])
-    return la.affine_solutions(constraints, rhs, tol=tol)
 
 
 def subalgebra_on_basis(A, basis, tol=None, labels=None):

@@ -181,9 +181,7 @@ class WeakHopfAlgebra:
         def build():
             if side not in ("L", "R"):
                 raise ValueError("side must be 'L' or 'R'")
-            S = Subspace(self.alg, self.counital("h" + side), tol=tol)
-            S.certify(tol=tol)
-            return S
+            return Subspace(self.alg, self.counital("h" + side), tol=tol)
 
         return memo(self, ("boundary", side, tolerance(tol)), build)
 
@@ -428,6 +426,8 @@ def boundary_subalgebra(W, side, tol=None):
     """Computed span of one leg of Delta(1); certified as a unital
     *-subalgebra and checked against the coproduct characterizations."""
     S = W.boundary(side, tol=tol)
+    if not all(S.certify(tol=tol).values()):
+        raise AxiomViolation("boundary is not a unital *-subalgebra", where=side)
     t = tolerance(tol)
     A, D1 = W.alg, W.delta_one()
     B = S.basis
@@ -519,7 +519,6 @@ def hypercenter(W, tol=None):
     if Zd.dim != Z.dim or la.rank(img, tol=tol) != Z.dim \
             or not Zd.contains_coords(img, tol=tol):
         raise AxiomViolation("hypercenter does not match its dual")
-    Z.certify(tol=tol)
     return Z
 
 

@@ -241,9 +241,8 @@ def fixed_points(MA, tol=None):
     N = Subspace(MA.target,
                  la.null_space(_counital_rows(MA, MA.hopf.counital("LS")), tol=tol),
                  orthonormalize=False)
-    N.certify(tol=tol)
     t = tolerance(tol)
-    if not (N.flags["subalgebra"] and N.flags["star_closed"] and N.flags["unital"]):
+    if not all(N.certify(tol=tol).values()):
         raise ActionAxiomViolation("fixed points fail to form a unital *-subalgebra")
     # coaction image of the fixed points lives in M (x) (dual left boundary)
     rho = MA.coaction()
@@ -302,7 +301,6 @@ def image_data(MA, tol=None):
     act1 = MA.act_on_unit()          # rows: e_i |> 1
     mu = act1.T                      # coords of a |> 1 from coords of a
     m_r = Subspace(M, mu, tol=tol)
-    m_r.certify(tol=tol)
     AL = W.boundary("L", tol=tol)
 
     # mu restricted to the left boundary is a *-epimorphism onto M_R; the
@@ -449,81 +447,50 @@ def cond_expectation(MA, l, tol=None):
 
 
 class QuasiBasis:
-    def __init__(self, tensor, index, nullity):
-        self.tensor = tensor      # T[p, q] against basis (x) basis
+    def __init__(self, tensor, index):
+        self.tensor = tensor      # T[p, q] against e_p (x) e_q
         self.index = index        # Element: sum of u_i v_i
-        self.nullity = nullity    # solution-space dimension of the system
 
 
-def _quasi_basis_system(M, table, basis):
+def _quasi_basis_system(M, table):
     """Both quasi-basis identities as linear equations in the coefficients
-    c[a, b] of T = sum c[a, b] basis_a (x) basis_b: rows (m, s) of
-    sum T[p, q] e_p E(e_q e_m) and of sum T[p, q] E(e_m e_p) e_q.
-
-    basis is contracted into the two multiplication factors first, so no
-    table larger than the (dim^2, k^2) system itself is built.
-
-    A row that the zeros of M.mult and table alone make 0 = 0, whatever
-    the basis, is left out of each identity's block, in order: every term
-    of its coefficients holds an exact zero factor, so the solutions, the
-    singular values and the largest residual stay those of the full system.
-    Rows that are zero with right-hand side 1 stay, and so does every row
-    the basis makes small or zero, so the rows kept do not depend on the
-    rounding of the basis."""
-    dm, k = basis.shape
-    left = (basis.T @ M.mult.reshape(dm, dm * dm)).reshape(k, dm, dm)   # b_a e_t
-    right = np.matmul(basis.T, M.mult)                                 # e_t b_a
-    delta = np.eye(dm)
-    paths = (table != 0).T.astype(float)
-    nonzero = M.mult != 0
-
-    def equations(block, factor):                                      # [m, s, a, b]
-        # factor[t, u] counts the e_r with e_r e_t or e_t e_r reaching e_u,
-        # so the path count is 0 only on rows no basis can make nonzero
-        keep = (factor @ paths @ factor != 0) | (delta != 0)
-        if keep.all():
-            return block.reshape(dm * dm, k * k), delta.reshape(dm * dm)
-        return block[keep].reshape(-1, k * k), delta[keep]
-
-    # one identity at a time, so one (dim^2, k^2) block is held whole
-    a1, b1 = equations(np.tensordot(left @ table.T, left, axes=([2], [1]))    # [b, m, a, s]
-                       .transpose(1, 3, 2, 0), nonzero.sum(axis=0, dtype=float))
-    a2, b2 = equations(np.tensordot(right @ table.T, right, axes=([2], [0]))  # [m, a, b, s]
-                       .transpose(0, 3, 1, 2), nonzero.sum(axis=1, dtype=float))
-    return np.vstack([a1, a2]), np.concatenate([b1, b2])
+    T[p, q] of T = sum T[p, q] e_p (x) e_q: rows (m, s) of
+    sum T[p, q] e_p E(e_q e_m) and of sum T[p, q] E(e_m e_p) e_q, two
+    (dim^2, dim^2) blocks that share G[x, y, u], the coordinates of
+    E(e_x e_y)."""
+    dm = M.dim
+    g = M.mult @ table.T
+    a1 = np.tensordot(g, M.mult, axes=([2], [1])).transpose(1, 3, 2, 0)  # [q, m, p, s]
+    a2 = np.tensordot(g, M.mult, axes=([2], [0])).transpose(0, 3, 1, 2)  # [m, p, q, s]
+    rhs = np.eye(dm).reshape(-1)
+    return (np.vstack([a1.reshape(dm * dm, -1), a2.reshape(dm * dm, -1)]),
+            np.concatenate([rhs, rhs]))
 
 
-def quasi_basis(E, tol=None, subspace=None):
+def quasi_basis(E, tol=None):
     """Solve for a tensor T = sum u_i (x) v_i with
     sum u_i E(v_i m) = m = sum E(m u_i) v_i, and the index sum u_i v_i.
-
-    With `subspace` (a Subspace of the algebra) the tensor is constrained
-    to subspace (x) subspace.  Raises NotIndexFinite when no solution fits.
+    Raises NotIndexFinite when no solution fits, when the index depends on
+    the solution chosen, or when it is not central.
     """
     M = E.algebra
     dm = M.dim
-    basis = subspace.basis if subspace is not None else np.eye(dm, dtype=complex)
-    k = basis.shape[1]
-    sys, rhs = _quasi_basis_system(M, E.table, basis)
+    sys, rhs = _quasi_basis_system(M, E.table)
     try:
         vec, ns = la.affine_solutions(sys, rhs, tol=tol)
     except NoSolution as exc:
         raise NotIndexFinite("no quasi-basis exists",
                              residual=exc.residual) from exc
 
-    def tensor_and_index(coeffs):
-        tensor = basis @ coeffs.reshape(k, k) @ basis.T
-        return tensor, tensor.reshape(-1) @ M.mult.reshape(dm * dm, dm)
-
-    tensor, index = tensor_and_index(vec)
+    products = M.mult.reshape(dm * dm, dm)           # e_p e_q at row (p, q)
+    index = vec @ products
     # the index is independent of the choice of solution
     if ns.shape[1]:
-        alt_index = tensor_and_index(vec + ns[:, 0])[1]
-        require(alt_index - index, SLACK_SOLVED * tolerance(tol), NotIndexFinite,
-                "index depends on the quasi-basis choice")
+        require((vec + ns[:, 0]) @ products - index, SLACK_SOLVED * tolerance(tol),
+                NotIndexFinite, "index depends on the quasi-basis choice")
     if not M.center(tol=tol).contains_coords(index.reshape(-1, 1), tol=tol):
         raise NotIndexFinite("index is not central")
-    return QuasiBasis(tensor, Element(M, index), ns.shape[1])
+    return QuasiBasis(vec.reshape(dm, dm), Element(M, index))
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,7 @@ def test_svd_helpers_refuse_non_finite_input(bad, monkeypatch):
         a[1, 2] = bad
         b = np.ones(shape[0])
         helpers = [la.rank, la.null_space, la.orth, la.orth_split, la.pseudo_inverse,
-                   lambda m: la.solve(m, b), lambda m: la.affine_solutions(m, b)]
+                   lambda m: la.affine_solutions(m, b)]
         if shape[0] == shape[1]:
             helpers.append(la.invertible)
         for helper in helpers:
@@ -404,10 +404,9 @@ def test_solve_with_a_non_finite_right_hand_side_fails_its_residual(shape):
     a = np.eye(*shape, dtype=complex)
     b = np.ones(shape[0])
     b[1] = np.nan
-    for solver in (la.solve, la.affine_solutions):
-        with pytest.raises(NoSolution, match="no solution") as exc:
-            solver(a, b)
-        assert np.isnan(exc.value.residual)
+    with pytest.raises(NoSolution, match="no solution") as exc:
+        la.affine_solutions(a, b)
+    assert np.isnan(exc.value.residual)
 
 
 def test_invertibility_rule():
@@ -725,15 +724,11 @@ def test_reduced_helpers_agree_with_a_direct_svd(shape, n, extra, deficit, log_s
     x0 = rng.standard_normal((n, cols) if cols else n)
     b = a @ x0
     ref = np.linalg.lstsq(a, b, rcond=cut / s[0])[0]   # minimum norm, same cutoff
-    x = la.solve(a, b)
-    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     y, ns = la.affine_solutions(a, b)
     assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
     assert ns.shape[1] == n - k and la.span_equal(ns, vh[k:].conj().T)
     if k < m:                                         # a right-hand side off the range
         off = u[:, k] if cols is None else np.outer(u[:, k], [1.0, -1.0])
-        with pytest.raises(NoSolution, match="no solution"):
-            la.solve(a, b + off)
         with pytest.raises(NoSolution, match="no solution"):
             la.affine_solutions(a, b + off)
 
@@ -741,7 +736,8 @@ def test_reduced_helpers_agree_with_a_direct_svd(shape, n, extra, deficit, log_s
 def test_pseudo_inverse_drops_what_the_rank_rule_drops():
     a = np.diag([2.0, 1e-12, 0.5])
     assert np.abs(la.pseudo_inverse(a) - np.diag([0.5, 0.0, 2.0])).max() < 1e-15
-    assert np.abs(la.solve(a, np.array([1.0, 0.0, 1.0])) - [0.5, 0.0, 2.0]).max() < 1e-15
+    assert np.abs(la.affine_solutions(a, np.array([1.0, 0.0, 1.0]))[0]
+                  - [0.5, 0.0, 2.0]).max() < 1e-15
     rng = np.random.default_rng(6)
     b = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     assert np.abs(la.pseudo_inverse(b) - np.linalg.pinv(b)).max() < 1e-12

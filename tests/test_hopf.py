@@ -7,7 +7,8 @@ import weakhopf._linalg as la
 from weakhopf import _checks, _contract
 from weakhopf import examples as ex
 from weakhopf import hopf
-from weakhopf.algebra import Element, StarAlgebra
+from weakhopf.algebra import Element, StarAlgebra, Subspace
+from weakhopf.config import tolerance
 from weakhopf.errors import AxiomViolation, ParentMismatch
 
 
@@ -353,6 +354,18 @@ def test_boundary_dims_and_checks(group_instances):
         assert AL.dim == AR.dim == nH, name
         Wd = W.dual()
         assert Wd.boundary("L").dim == Wd.boundary("R").dim == nH
+
+
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_a_boundary_that_is_not_a_subalgebra_is_refused(wz2z2, side, monkeypatch):
+    # the cached boundary replaced for this test by a span without the unit
+    W = wz2z2
+    off = Subspace(W.alg, np.eye(W.dim)[-1])
+    assert not off.contains_coords(W.alg.unit.reshape(-1, 1))
+    monkeypatch.setitem(W._cache, ("boundary", side, tolerance()), off)
+    with pytest.raises(AxiomViolation, match="not a unital") as exc:
+        hopf.boundary_subalgebra(W, side)
+    assert exc.value.where == side
 
 
 def test_boundary_explicit_spans(wz2z2):

@@ -256,13 +256,12 @@ def test_quasi_basis_examples(m2_action):
 
 
 def test_quasi_basis_of_the_zero_map_is_refused(m2_action):
-    # every coefficient row is zero; the rows m = s read 0 = 1 and stay, so
-    # the refusal and its residual are those of the full 2 dim^2 system
+    # every coefficient row is zero and the rows m = s read 0 = 1
     M = m2_action[1].target
     E = mo.ConditionalExpectation(M, np.zeros((M.dim, M.dim)))
-    sys, rhs = mo._quasi_basis_system(M, E.table, np.eye(M.dim))
-    assert sys.shape == (2 * M.dim, M.dim ** 2) and not sys.any()
-    assert np.array_equal(rhs, np.ones(2 * M.dim))
+    sys, rhs = mo._quasi_basis_system(M, E.table)
+    assert sys.shape == (2 * M.dim ** 2, M.dim ** 2) and not sys.any()
+    assert np.array_equal(rhs, np.concatenate([np.eye(M.dim).reshape(-1)] * 2))
     with pytest.raises(NotIndexFinite, match="no quasi-basis") as exc:
         mo.quasi_basis(E)
     assert exc.value.residual == 1.0

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakhopf._linalg as la
 from weakhopf import crossed as cr
@@ -9,24 +11,15 @@ from weakhopf import examples as ex
 from weakhopf import modules as mo
 from weakhopf import tower as tw
 from weakhopf._contract import evaluate
-from weakhopf.algebra import Subspace, commutant
+from weakhopf.algebra import StarAlgebra, Subspace, commutant
 from weakhopf.config import SLACK_COMPOSITE, SLACK_SOLVED, tolerance
 from weakhopf.errors import DimensionBudgetExceeded
+from weakhopf.hopf import WeakHopfAlgebra
 
 
 @pytest.fixture(scope="module")
 def pauli_tower(pauli):
     return tw.build_tower(pauli[1], 2)
-
-
-@pytest.fixture(scope="module")
-def pauli_top(pauli_tower):
-    """The dual expectation of the dim-64 level of the depth-2 m2-pauli
-    tower and the dim-16 relative commutant its quasi-basis lives in."""
-    T = pauli_tower
-    lv = T.levels[3]
-    rel = commutant(Subspace(lv.algebra, T.include_map(0, 2)), lv.algebra)
-    return mo.ConditionalExpectation(lv.algebra, lv.expectation), rel
 
 
 def test_canonical_seed_dims(cz2):
@@ -39,71 +32,6 @@ def test_m2_seed_dims(m2_action):
     T = tw.build_tower(m2_action[1], 2)
     assert T.dims() == [2, 4, 8, 16]
     assert tw.depth2_check(T)
-
-
-def test_quasi_basis_on_commutant_stays_below_one_n4_table(m2_action):
-    # the depth-2 system restricted to a dim-4 relative commutant of the
-    # dim-16 top level has 2 * 16^2 * 4^2 entries; building the full
-    # 2 * 16^4 system first would need two dm^4 tables
-    T = tw.build_tower(m2_action[1], 2)
-    lv = T.levels[3]
-    XA = lv.algebra
-    rel = commutant(Subspace(XA, T.include_map(0, 2)), XA)
-    assert (XA.dim, rel.dim) == (16, 4)
-    E = mo.ConditionalExpectation(XA, lv.expectation)
-    tracemalloc.start()
-    try:
-        mo.quasi_basis(E, subspace=rel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * XA.dim ** 4
-
-
-def test_quasi_basis_at_the_pauli_top_stays_below_64_mib(pauli_top):
-    # the 4096 x 256 system, the solve's [a | b] and its QR copy take 48 MiB;
-    # with the rows 0 = 0 kept they would take 96 MiB
-    E, rel = pauli_top
-    tracemalloc.start()
-    try:
-        mo.quasi_basis(E, subspace=rel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-
-
-def test_pauli_top_system_leaves_out_its_zero_equations(pauli_top):
-    E, rel = pauli_top
-    XA, b = E.algebra, rel.basis
-    n, k = XA.dim, rel.dim
-    assert (n, k) == (64, 16)
-    sys, rhs = mo._quasi_basis_system(XA, E.table, b)
-    assert sys.shape == (4096, k * k)
-    # the full 2 n^2 rows: test_kernel's formula, embedded in rel (x) rel
-    terms = ("qmr,tr,pts,pa,qb->msab", "mpr,tr,tqs,pa,qb->msab")
-    full = np.vstack([np.einsum(t, XA.mult, E.table, XA.mult, b, b, optimize=True)
-                      .reshape(n * n, k * k) for t in terms])
-    full_rhs = np.concatenate([np.eye(n).reshape(-1)] * 2)
-    # the rows 0 = 0 whatever the basis: the same formulas on |mult|, |table|
-    # and an all-ones basis
-    ones, mult, table = np.ones((n, k)), np.abs(XA.mult), np.abs(E.table)
-    bound = np.vstack([np.einsum(t, mult, table, mult, ones, ones, optimize=True)
-                       .reshape(n * n, k * k) for t in terms])
-    kept = bound.any(axis=1) | (full_rhs != 0)
-    assert not full[~kept].any() and not full_rhs[~kept].any()
-    # 2048 rows carry an entry above rounding level; 2048 more hold entries
-    # below 1e-13 that come out exactly zero or not with the BLAS thread
-    # count and the basis, and stay either way
-    above = (np.abs(full).max(axis=1) > 1e-13) | (full_rhs != 0)
-    assert above.sum() == 2048 and kept[above].all()
-    assert np.abs(sys - full[kept]).max() < 1e-12
-    assert np.array_equal(rhs, full_rhs[kept])
-    vec, ns = la.affine_solutions(full, full_rhs)
-    index = (b @ vec.reshape(k, k) @ b.T).reshape(-1) @ XA.mult.reshape(n * n, n)
-    qb = mo.quasi_basis(E, subspace=rel)
-    assert qb.nullity == ns.shape[1] == 192
-    assert np.abs(qb.index.coords - index).max() < SLACK_SOLVED * tolerance()
 
 
 # the depth-2 towers of the built-in seeds whose top level has at most 81
@@ -122,20 +50,6 @@ def towers(cz2, pauli_tower):
     out["m2-pauli"] = pauli_tower
     out["canonical-z2"] = tw.build_tower(ex.canonical_dual_module(cz2), 3)
     return out
-
-
-@pytest.fixture()
-def searches(monkeypatch):
-    """The dimension of the level of every quasi_basis search that
-    depth2_check runs, in order."""
-    seen, search = [], tw.quasi_basis
-
-    def spy(E, tol=None, subspace=None):
-        seen.append(E.algebra.dim)
-        return search(E, tol=tol, subspace=subspace)
-
-    monkeypatch.setattr(tw, "quasi_basis", spy)
-    return seen
 
 
 def _checked_levels(T):
@@ -163,18 +77,62 @@ def _quasi_basis_gaps(lv, tensor):
 
 @pytest.mark.parametrize("name", AGREEMENT_SEEDS)
 def test_witness_and_search_agree(towers, name):
+    # the index does not depend on the quasi-basis: the witness's index is
+    # that of a quasi-basis solved for over the whole level, at every level
+    # of at most 36 dimensions (the dim-64 Pauli level's index is checked
+    # against 1 (x) Ind by hat_expectation)
+    checked = 0
     for lv, rel in _checked_levels(towers[name]):
         assert tw._witness_holds(lv, rel)
-        qb = mo.quasi_basis(mo.ConditionalExpectation(lv.algebra, lv.expectation),
-                            subspace=rel)
+        if lv.algebra.dim > 36:
+            continue
+        qb = mo.quasi_basis(mo.ConditionalExpectation(lv.algebra, lv.expectation))
         gap = _index(lv, lv.canonical_tensor) - qb.index.coords
         assert np.abs(gap).max() < SLACK_SOLVED * tolerance()
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", WITNESS_SEEDS + ["canonical-z2"])
-def test_every_witness_is_accepted_without_a_search(towers, name, searches):
+def test_every_witness_is_accepted_without_a_search(towers, name):
     assert tw.depth2_check(towers[name])
-    assert searches == []
+
+
+def _haar_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _rebased(MA, rng):
+    """MA with A and M each on a Haar-random unitary basis f_a = sum_i
+    U[i, a] e_i."""
+    W, M = MA.hopf, MA.target
+    P, U = _haar_unitary(rng, W.dim), _haar_unitary(rng, M.dim)
+
+    def algebra(A, V):
+        Vi = V.conj().T
+        return StarAlgebra(np.einsum("ia,jb,ijk,ck->abc", V, V, A.mult, Vi, optimize=True),
+                           Vi @ A.unit,
+                           np.einsum("ia,ik,ck->ac", V.conj(), A.star, Vi, optimize=True))
+
+    Q = P.conj().T
+    Wp = WeakHopfAlgebra(algebra(W.alg, P),
+                         np.einsum("ia,iuv,bu,cv->abc", P, W.cop, Q, Q, optimize=True),
+                         P.T @ W.counit, Q @ W.antipode @ P)
+    act = np.einsum("ia,pb,ipq,cq->abc", P, U, MA.act, U.conj().T, optimize=True)
+    return mo.make_module_algebra(Wp, algebra(M, U), act)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(["m2-z2", "m2-collapsed", "dual-z3", "dual-z2/0,1"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_witness_is_accepted_in_random_bases(name, seed):
+    # the seeds' towers in fresh bases, as the benchmark's small family
+    # builds them: no witness is refused, so no verdict turns False
+    T = tw.build_tower(_rebased(ex.named_action(name), np.random.default_rng(seed)), 2)
+    assert len(T.levels) == 4
+    assert tw.depth2_check(T)
 
 
 def _m2_top(m2_action):
@@ -191,7 +149,7 @@ def _moves_off_one_leg(lv, rel):
     system: one whose columns stay in rel while its rows leave it, and one
     whose rows stay while its columns leave."""
     XA, n = lv.algebra, lv.algebra.dim
-    sys, rhs = mo._quasi_basis_system(XA, lv.expectation, np.eye(n))
+    sys, rhs = mo._quasi_basis_system(XA, lv.expectation)
     moves = la.affine_solutions(sys, rhs)[1].T.reshape(-1, n, n)
     off = np.eye(n) - rel.basis @ rel.basis.conj().T
     out = []
@@ -201,7 +159,7 @@ def _moves_off_one_leg(lv, rel):
     return out
 
 
-def test_a_witness_off_the_relative_commutant_is_refused(m2_action, searches):
+def test_a_witness_off_the_relative_commutant_is_refused(m2_action):
     T, lv, rel = _m2_top(m2_action)
     witness = lv.canonical_tensor
     # quasi-bases of the whole algebra that leave rel (x) rel on one leg
@@ -212,11 +170,10 @@ def test_a_witness_off_the_relative_commutant_is_refused(m2_action, searches):
         assert np.abs(move).max() > 1e-2
         lv.canonical_tensor = moved
         assert not tw._witness_holds(lv, rel)
-    assert tw.depth2_check(T)
-    assert searches == [16]
+        assert not tw.depth2_check(T)
 
 
-def test_a_witness_that_misses_an_identity_is_refused(m2_action, searches):
+def test_a_witness_that_misses_an_identity_is_refused(m2_action):
     T, lv, rel = _m2_top(m2_action)
     t, witness = tolerance(), lv.canonical_tensor
     # scaled by 1 + 1e-7 the witness stays in rel (x) rel with a central
@@ -234,19 +191,17 @@ def test_a_witness_that_misses_an_identity_is_refused(m2_action, searches):
     for moved in (scaled, nudged):
         lv.canonical_tensor = moved
         assert not tw._witness_holds(lv, rel)
-    assert tw.depth2_check(T)
-    assert searches == [16]
+        assert not tw.depth2_check(T)
 
 
-def test_a_witness_whose_index_leaves_the_center_is_refused(m2_action, searches,
-                                                           monkeypatch):
+def test_a_witness_whose_index_leaves_the_center_is_refused(m2_action, monkeypatch):
     T, lv, rel = _m2_top(m2_action)
     XA = lv.algebra
     assert XA.center().dim == 1 and _central(lv, lv.canonical_tensor)
     # the cached center (the crossed products, so the algebra, are shared
     # by every tower of this seed) replaced for this test by a space that
     # leaves the index out: the witness still passes its other two
-    # conditions, and both paths refuse
+    # conditions, and is refused
     monkeypatch.setitem(XA._cache, ("center", tolerance()),
                         Subspace(XA, np.zeros((XA.dim, 0))))
     witness = lv.canonical_tensor
@@ -254,22 +209,19 @@ def test_a_witness_whose_index_leaves_the_center_is_refused(m2_action, searches,
     assert max(_quasi_basis_gaps(lv, witness)) <= tolerance()
     assert not tw._witness_holds(lv, rel)
     assert not tw.depth2_check(T)
-    assert searches == [16]
 
 
-def test_a_broken_expectation_fails_on_both_paths(m2_action, searches, rng):
+def test_a_broken_expectation_fails_on_both_paths(m2_action, rng):
     T, lv, rel = _m2_top(m2_action)
     n = lv.algebra.dim
     lv.expectation = lv.expectation + 1e-3 * rng.standard_normal((n, n))
     assert not tw._witness_holds(lv, rel)
     assert not tw.depth2_check(T)
-    assert searches == [16]
 
 
 def test_depth2_check_on_the_pauli_tower_stays_below_8_mib(pauli_tower):
-    # the witness needs n^2 tables and the slices of its two identities; a
-    # search at the dim-64 level holds the 4096 x 256 system, the solve's
-    # [a | b] and its QR copy (about 49 MB).  The centers are derived first,
+    # the witness needs n^2 tables and the slices of its two identities.
+    # The centers are derived first,
     # as commutant_table derives them before depth2_check in `wha tower`.
     for lv in pauli_tower.levels:
         lv.algebra.center()
