@@ -13,10 +13,25 @@ vectors.  The choice depends only on the shape, and the results differ
 from those of a direct SVD only by rounding.  Non-finite input is refused
 with NoSolution before it reaches LAPACK.
 
+rank, null_space, orth and orth_split first split a by its exact zeros:
+the connected blocks of the bipartite graph of its rows and columns, joined
+where an entry is nonzero (the coarse step of Pothen and Fan's block
+triangular form).  Since a is block diagonal after permuting rows and
+columns, its singular values are the union of its blocks', so one cutoff,
+tol * max(largest singular value over all blocks, 1), is the same rule on
+the same spectrum.  Each block is factored as above, the blocks of one
+shape in one stacked LAPACK call; a column in no block is a null vector
+and a row in no block lies in the complement.  A matrix that is one block
+covering every row and column, as is any matrix without a zero entry, is
+factored whole, as it stands.  invertible, pseudo_inverse and
+affine_solutions take one SVD of the whole matrix.
+
 Picking columns rather than spans (pivoted_columns) is column-pivoted QR,
 written in numpy; it takes no rank decision, its caller says how many
 columns to pick.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -51,14 +66,122 @@ def _count(s, tol):
 
 def _tall_factor(a):
     """R of a = QR for a tall a, which has a's singular values and right
-    singular vectors; a itself otherwise."""
-    return np.linalg.qr(a, mode="r") if a.shape[0] > a.shape[1] else a
+    singular vectors; a itself otherwise.  a may be a stack of matrices."""
+    return np.linalg.qr(a, mode="r") if a.shape[-2] > a.shape[-1] else a
 
 
 def _wide_factor(a):
     """R^H where a^H = QR for a wide a, which has a's singular values and
-    left singular vectors; a itself otherwise."""
-    return _tall_factor(a.conj().T).conj().T if a.shape[1] > a.shape[0] else a
+    left singular vectors; a itself otherwise.  a may be a stack."""
+    if a.shape[-1] <= a.shape[-2]:
+        return a
+    return _tall_factor(a.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+
+
+def _blocks(a):
+    """The connected blocks of the bipartite row-column graph of a != 0, as
+    a list of (rows, cols) index stacks, (k, p) and (k, q), one pair per
+    block shape p x q.  Indices within a block ascend, and the blocks of a
+    stack are ordered by first row.  A row or column without a nonzero
+    entry belongs to no block.  None when a is one block that covers every
+    row and column, as is any matrix without a zero entry."""
+    m, n = a.shape
+    if a.size and a.all():
+        return None
+    nz = a != 0
+    r, c = np.divmod(np.flatnonzero(nz), n)
+    if not r.size:
+        return []
+    per_row, per_col = np.bincount(r, minlength=m), np.bincount(c, minlength=n)
+    rows, cols = np.flatnonzero(per_row), np.flatnonzero(per_col)
+    # when the columns of the fullest row meet every nonempty row, each row
+    # joins that row's block, and so does each column through its rows; so
+    # too with rows and columns exchanged
+    if (np.count_nonzero(nz[:, nz[per_row.argmax()]].any(axis=1)) < rows.size
+            and np.count_nonzero(nz[nz[:, per_col.argmax()]].any(axis=0)) < cols.size):
+        groups = _components(r, c, rows, cols, m, n)
+        if sum(index.shape[0] for index, _ in groups) > 1:
+            return groups
+    return None if rows.size == m and cols.size == n else [(rows[None], cols[None])]
+
+
+def _components(r, c, rows, cols, m, n):
+    """The blocks of _blocks from the entries (r, c) of an m x n pattern and
+    its nonempty rows and columns, by min-label propagation on rows
+    0..m-1 and columns m..m+n-1: hook the larger root of every edge to the
+    smaller, then jump pointers until each node points at its root, the
+    least node of its block; the first round hooks every column to its
+    first row."""
+    c = c + m
+    label = np.arange(m + n)
+    np.minimum.at(label, c, r)
+    while True:
+        up = label[label]
+        if (up == label).all():
+            lr, lc = label[r], label[c]
+            if (lr == lc).all():
+                break
+            np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        else:
+            label = up
+    # every block holds an edge, so its label, its least node, is its first
+    # row; sorting rows and columns by (block shape, label) lays out each
+    # shape group as consecutive blocks of equal size
+    rl, cl = label[rows], label[cols + m]
+    shape = np.bincount(rl, minlength=m) * (n + 1) + np.bincount(cl, minlength=m)
+    rows = rows[np.argsort(shape[rl] * m + rl, kind="stable")]
+    cols = cols[np.argsort(shape[cl] * m + cl, kind="stable")]
+    groups, i, j = [], 0, 0
+    for key, k in sorted(Counter(shape[np.flatnonzero(shape)].tolist()).items()):
+        p, q = divmod(key, n + 1)
+        groups.append((rows[i:i + k * p].reshape(k, p), cols[j:j + k * q].reshape(k, q)))
+        i, j = i + k * p, j + k * q
+    return groups
+
+
+def _block_svds(a, blocks, factor, tol):
+    """[(rows, cols, u, vh, count)]: factor, an SVD (u, s, vh) of a stack,
+    on each shape group of a's blocks, and how many singular values of each
+    block pass the cutoff of the whole spectrum, the union of the blocks'."""
+    parts = [(rows, cols, factor(a[rows[:, :, None], cols[:, None, :]]))
+             for rows, cols in blocks]
+    top = max((float(s[:, 0].max()) for _, _, (_, s, _) in parts), default=0.0)
+    cut = _cutoff((top,), tol)
+    return [(rows, cols, u, vh, (s > cut).sum(axis=1)) for rows, cols, (u, s, vh) in parts]
+
+
+def _first(count, width):
+    """Mask of the first count[j] of width vectors of each block j."""
+    return np.arange(width) < count[:, None]
+
+
+def _assemble(size, pieces):
+    """Columns of length size from pieces (index, vecs, keep): block j of a
+    piece puts the columns vecs[j][:, keep[j]] on the coordinates index[j].
+    Columns are ordered by the first coordinate of their block, then by
+    their position in it."""
+    picks = [np.nonzero(keep) for _, _, keep in pieces]
+    keys = np.concatenate([index[j, 0] * (size + 1) + t
+                           for (index, _, _), (j, t) in zip(pieces, picks)]
+                          + [np.zeros(0, dtype=np.intp)])
+    slot = np.empty(keys.size, dtype=np.intp)
+    slot[np.argsort(keys)] = np.arange(keys.size)
+    out = np.zeros((size, slot.size), dtype=complex)
+    done = 0
+    for (index, vecs, _), (j, t) in zip(pieces, picks):
+        out[index[j], slot[done:done + j.size, None]] = vecs[j, :, t]
+        done += j.size
+    return out
+
+
+def _unit_pieces(size, blocks):
+    """The coordinates in no block, each as a piece of one unit vector."""
+    free = np.ones(size, dtype=bool)
+    for index in blocks:
+        free[index] = False
+    index = np.flatnonzero(free)[:, None]
+    return [(index, np.ones((index.shape[0], 1, 1), dtype=complex),
+             np.ones((index.shape[0], 1), dtype=bool))] if index.size else []
 
 
 def pivoted_columns(a, k):
@@ -82,26 +205,37 @@ def pivoted_columns(a, k):
     return np.sort(np.array(picks, dtype=np.intp))
 
 
+def _spectrum(a):
+    """(None, singular values of a, None): the part of an SVD a rank needs."""
+    return None, np.linalg.svd(_wide_factor(_tall_factor(a)), compute_uv=False), None
+
+
 def rank(a, tol=None):
     a = _finite_matrix(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(_wide_factor(_tall_factor(a)), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return _count(s, tol)
+    blocks = _blocks(a)
+    if blocks is None:
+        return _count(_spectrum(a)[1], tol)
+    return sum(int(count.sum()) for *_, count in _block_svds(a, blocks, _spectrum, tol))
+
+
+def _right_svd(a):
+    # the full right singular basis is needed; on wide systems that is vh
+    # of the full SVD, on tall ones vh of the square factor R
+    return np.linalg.svd(_tall_factor(a), full_matrices=a.shape[-2] < a.shape[-1])
 
 
 def null_space(a, tol=None):
     """Orthonormal basis (columns) of {x : a x = 0}."""
     a = _finite_matrix(a)
+    blocks = _blocks(a)
+    if blocks is None:
+        u, s, vh = _right_svd(a)
+        return vh[_count(s, tol):].conj().T.copy()
     n = a.shape[1]
-    if a.size == 0 or not np.any(a):
-        return np.eye(n, dtype=complex)
-    # the full right singular basis is needed; on wide systems that is vh
-    # of the full SVD, on tall ones vh of the square factor R
-    u, s, vh = np.linalg.svd(_tall_factor(a), full_matrices=a.shape[0] < n)
-    return vh[_count(s, tol):].conj().T.copy()
+    parts = _block_svds(a, blocks, _right_svd, tol)
+    pieces = [(cols, vh.conj().swapaxes(-1, -2), ~_first(count, vh.shape[-1]))
+              for _, cols, _, vh, count in parts]
+    return _assemble(n, pieces + _unit_pieces(n, [cols for cols, _, _ in pieces]))
 
 
 def invertible(a, tol=None):
@@ -112,27 +246,42 @@ def invertible(a, tol=None):
     return bool(s.size and smallest > _cutoff(s, tol)), smallest
 
 
+def _reduced_left_svd(a):
+    return np.linalg.svd(_wide_factor(a), full_matrices=False)
+
+
+def _full_left_svd(a):
+    # the full left singular basis is needed; on tall systems that is u of
+    # the full SVD, on wide ones u of the square factor R^H
+    return np.linalg.svd(_wide_factor(a), full_matrices=a.shape[-1] < a.shape[-2])
+
+
 def orth(a, tol=None):
     """Orthonormal basis (columns) of the column space of a."""
     a = _finite_matrix(a)
-    if a.size == 0 or not np.any(a):
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, vh = np.linalg.svd(_wide_factor(a), full_matrices=False)
-    return u[:, :_count(s, tol)].copy()
+    blocks = _blocks(a)
+    if blocks is None:
+        u, s, vh = _reduced_left_svd(a)
+        return u[:, :_count(s, tol)].copy()
+    parts = _block_svds(a, blocks, _reduced_left_svd, tol)
+    return _assemble(a.shape[0], [(rows, u, _first(count, u.shape[-1]))
+                                  for rows, _, u, _, count in parts])
 
 
 def orth_split(a, tol=None):
     """(orthonormal basis of the column space of a, orthonormal basis of its
-    orthogonal complement), both from one SVD."""
+    orthogonal complement), both from one SVD of each block."""
     a = _finite_matrix(a)
     m = a.shape[0]
-    if a.size == 0 or not np.any(a):
-        return np.zeros((m, 0), dtype=complex), np.eye(m, dtype=complex)
-    # the full left singular basis is needed; on tall systems that is u of
-    # the full SVD, on wide ones u of the square factor R^H
-    u, s, vh = np.linalg.svd(_wide_factor(a), full_matrices=a.shape[1] < m)
-    r = _count(s, tol)
-    return u[:, :r].copy(), u[:, r:].copy()
+    blocks = _blocks(a)
+    if blocks is None:
+        u, s, vh = _full_left_svd(a)
+        r = _count(s, tol)
+        return u[:, :r].copy(), u[:, r:].copy()
+    parts = _block_svds(a, blocks, _full_left_svd, tol)
+    span = [(rows, u, _first(count, u.shape[-1])) for rows, _, u, _, count in parts]
+    rest = [(rows, u, ~keep) for rows, u, keep in span]
+    return _assemble(m, span), _assemble(m, rest + _unit_pieces(m, [r for r, _, _ in span]))
 
 
 def pseudo_inverse(a, tol=None):

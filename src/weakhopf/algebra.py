@@ -123,7 +123,8 @@ class StarAlgebra:
                     lambda: la.gram_sqrt(self.trace_gram(), tol=tol))
 
     def full_subspace(self, tol=None):
-        return Subspace(self, np.eye(self.dim, dtype=complex), tol=tol)
+        # the coordinate basis is orthonormal already
+        return Subspace(self, np.eye(self.dim, dtype=complex), orthonormalize=False)
 
     def center(self, tol=None):
         return memo(self, ("center", tolerance(tol)),
@@ -191,7 +192,7 @@ class Element:
 
 class Subspace:
     """A subspace of a StarAlgebra's coordinate space, stored as an
-    orthonormal column basis, with certification flags."""
+    orthonormal column basis."""
 
     def __init__(self, parent, basis, tol=None, orthonormalize=True):
         basis = np.asarray(basis, dtype=complex)
@@ -201,7 +202,6 @@ class Subspace:
             raise ValueError("basis rows must match parent dim")
         self.parent = parent
         self.basis = la.orth(basis, tol=tol) if orthonormalize else basis
-        self.flags = {}
 
     @property
     def dim(self):
@@ -227,13 +227,12 @@ class Subspace:
         return [Element(self.parent, self.basis[:, j]) for j in range(self.dim)]
 
     def certify(self, tol=None):
-        """Record whether the span is a unital/star-closed subalgebra."""
+        """Whether the span is a subalgebra, star-closed and unital."""
         A, B = self.parent, self.basis
         prods = pair_products(A.mult, B, B).reshape(-1, A.dim).T
-        self.flags["subalgebra"] = self.contains_coords(prods, tol=tol)
-        self.flags["star_closed"] = self.contains_coords(A.star_coords(B), tol=tol)
-        self.flags["unital"] = self.contains_coords(A.unit.reshape(-1, 1), tol=tol)
-        return self.flags
+        return {"subalgebra": self.contains_coords(prods, tol=tol),
+                "star_closed": self.contains_coords(A.star_coords(B), tol=tol),
+                "unital": self.contains_coords(A.unit.reshape(-1, 1), tol=tol)}
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.parent.dim})"

@@ -733,6 +733,91 @@ def test_reduced_helpers_agree_with_a_direct_svd(shape, n, extra, deficit, log_s
             la.affine_solutions(a, b + off)
 
 
+def _block_diagonal(rng, blocks, empty_rows, empty_cols):
+    """(a, u, s, v): a complex matrix a = u diag(s) v^H whose rows and
+    columns split, after a permutation, into the given (rows, cols, rank,
+    scale) blocks and the given numbers of empty rows and columns.  Each
+    block is dense, with singular values in [1, 10] * scale up to its rank
+    and 0 beyond; u and v hold the blocks' singular vectors."""
+    m = sum(b[0] for b in blocks) + empty_rows
+    n = sum(b[1] for b in blocks) + empty_cols
+    k = sum(b[2] for b in blocks)
+    u, v = np.zeros((m, k), dtype=complex), np.zeros((n, k), dtype=complex)
+    s = np.zeros(k)
+    i = j = t = 0
+    for p, q, r, scale in blocks:
+        u[i:i + p, t:t + r], v[j:j + q, t:t + r] = _isometry(rng, p, r), _isometry(rng, q, r)
+        s[t:t + r] = rng.uniform(1.0, 10.0, r) * scale
+        i, j, t = i + p, j + q, t + r
+    u, v = u[rng.permutation(m)], v[rng.permutation(n)]
+    return (u * s) @ v.conj().T, u, s, v
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3),
+                                 st.sampled_from([1e-7, 1.0, 1e4])),
+                       min_size=1, max_size=6),
+       repeats=st.integers(0, 3), empty_rows=st.integers(0, 3), empty_cols=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_blockwise_helpers_agree_with_a_dense_svd(shapes, repeats, empty_rows, empty_cols,
+                                                  seed):
+    # one cutoff over all blocks: a block at scale 1e-7 counts beside blocks
+    # at scale 1 and drops out beside one at scale 1e4
+    rng = np.random.default_rng(seed)
+    blocks = [(p, q, max(1, min(p, q) - d), scale)
+              for p, q, d, scale in shapes + shapes[:1] * repeats]
+    a, u, sv, v = _block_diagonal(rng, blocks, empty_rows, empty_cols)
+    m, n = a.shape
+    found = la._blocks(a)
+    assert (1 if found is None else sum(rows.shape[0] for rows, _ in found)) == len(blocks)
+    s = np.linalg.svd(a, compute_uv=False)
+    cut = la._cutoff(s, None)
+    k = int(np.sum(s > cut))
+    assert s[k - 1] > 10 * cut and (k == s.size or s[k] < cut / 10)   # a clear gap
+    # the spans the dense SVD finds, from the planted singular vectors: the
+    # dense u and vh of a kept value near 1e-7 beside one near 10 carry an
+    # error of about eps * 10 / 1e-7, which span_equal would refuse
+    assert np.sum(sv > cut) == k
+    u, v = u[:, sv > cut], v[:, sv > cut]
+
+    def orthonormal(b):
+        return np.abs(b.conj().T @ b - np.eye(b.shape[1])).max(initial=0.0) < 1e-12
+
+    def orthogonal(b, c):
+        return np.abs(b.conj().T @ c).max(initial=0.0) < 1e-12
+
+    assert la.rank(a) == k
+    ns = la.null_space(a)
+    assert ns.shape[1] == n - k and orthonormal(ns) and orthogonal(v, ns)
+    span = la.orth(a)
+    assert span.shape[1] == k and orthonormal(span) and la.span_equal(span, u)
+    span, complement = la.orth_split(a)
+    assert span.shape[1] == k and complement.shape[1] == m - k
+    assert orthonormal(span) and orthonormal(complement) and la.span_equal(span, u)
+    assert orthogonal(span, complement) and orthogonal(u, complement)
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
+def test_a_dense_input_is_factored_whole_and_once(shape, monkeypatch):
+    rng = np.random.default_rng(8)
+    a = _isometry(rng, shape[0], 3) @ _isometry(rng, shape[1], 3).conj().T   # rank 3
+    assert a.all() and la._blocks(a) is None
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        calls.append(x)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for helper in (la.rank, la.null_space, la.orth, la.orth_split):
+        calls.clear()
+        helper(a)
+        # one SVD, of a itself or of its square triangular factor
+        assert len(calls) == 1
+        assert calls[0] is a or calls[0].shape == (min(shape),) * 2
+
+
 def test_pseudo_inverse_drops_what_the_rank_rule_drops():
     a = np.diag([2.0, 1e-12, 0.5])
     assert np.abs(la.pseudo_inverse(a) - np.diag([0.5, 0.0, 2.0])).max() < 1e-15

@@ -5,7 +5,7 @@ import weakhopf._linalg as la
 from weakhopf import examples as ex
 from weakhopf import integrals as itg
 from weakhopf import modules as mo
-from weakhopf.algebra import Element, commutant, invert
+from weakhopf.algebra import Element, Subspace, commutant, invert
 from weakhopf.errors import (
     ActionAxiomViolation,
     ImplementerMismatch,
@@ -265,6 +265,43 @@ def test_quasi_basis_of_the_zero_map_is_refused(m2_action):
     with pytest.raises(NotIndexFinite, match="no quasi-basis") as exc:
         mo.quasi_basis(E)
     assert exc.value.residual == 1.0
+
+
+def test_quasi_basis_refuses_an_index_that_depends_on_the_solution(m2_action, monkeypatch):
+    # no table reaches this refusal: two exact solutions T = sum u_i (x) v_i
+    # and T' share their index, sum u_i v_i = sum u_i E(v_i u'_j) v'_j =
+    # sum u'_j v'_j; only a direction that the rank rule takes for null can
+    # move it, so the check is pinned on a solver answer carrying one
+    M = m2_action[1].target
+    E = mo.ConditionalExpectation(M, np.eye(M.dim))
+    x, _ = la.affine_solutions(*mo._quasi_basis_system(M, E.table))
+    for step, refused in ((1e-3, True), (1e-7, False)):   # the bound is 1e3 * tol
+        move = np.zeros((M.dim ** 2, 1))
+        move[0] = step                                    # T[E11, E11]: index += step E11
+        monkeypatch.setattr(la, "affine_solutions", lambda *a, _m=move, **k: (x, _m))
+        if refused:
+            with pytest.raises(NotIndexFinite, match="index depends on the quasi-basis choice"):
+                mo.quasi_basis(E)
+        else:
+            assert (mo.quasi_basis(E).index - M.one).norm() < 1e-9
+
+
+def test_fixed_points_that_form_no_subalgebra_are_refused(cz2):
+    # the generator of Z2 reflects M_2 through the line of E12 + E21: an
+    # involution of the coordinates but no automorphism, so the fixed points
+    # span E12 + E21 alone, whose square is the unit
+    M, toc, _ = ex.matrix_algebra(2)
+    v = toc([[0, 1], [1, 0]])
+    reflect = np.outer(v, v) - np.eye(M.dim)              # v @ v == 2
+    assert np.array_equal(cz2.alg.unit, [1, 0])           # e_0 is the identity of Z2
+    MA = mo.ModuleAlgebra(cz2, M, np.stack([np.eye(M.dim), reflect]))
+    N = la.null_space(mo._counital_rows(MA, cz2.counital("LS")))
+    assert la.span_equal(N, v.reshape(-1, 1))
+    assert Subspace(M, N).certify() == {"subalgebra": False, "star_closed": True,
+                                        "unital": False}
+    with pytest.raises(ActionAxiomViolation,
+                       match=r"fixed points fail to form a unital \*-subalgebra"):
+        mo.fixed_points(MA)
 
 
 def test_quasi_basis_closed_form_on_dual(wz2z2):

@@ -126,19 +126,20 @@ def test_relation_blocks_match_the_loop(name):
 
 def test_relation_data_is_factored_twice(monkeypatch):
     MA = ex.named_action("m2-pauli")
-    X = cr.crossed_product(MA)
-    pre = MA.target.dim * MA.hopf.dim
-    assert X.dim < pre and X.base.target.dim != pre and MA.hopf.dim != pre
-    shapes = []
-    svd = np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    cr.CrossedProduct(MA)
-    assert sum(pre in s for s in shapes) == 2
+    rels = cr._relations(MA)
+    seen = {"rank": [], "orth_split": []}
+    for name in seen:
+        def spy(a, *args, _f=getattr(la, name), _seen=seen[name], **kwargs):
+            _seen.append(np.array(a, copy=True))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(la, name, spy)
+    X = cr.CrossedProduct(MA)
+    for calls in seen.values():
+        assert sum(c.shape == rels.shape and np.array_equal(c, rels) for c in calls) == 1
+    s = np.linalg.svd(rels, compute_uv=False)
+    count = int(np.sum(s > la._cutoff(s, None)))
+    assert X.relation_rank == count
+    assert X.dim == rels.shape[0] - count and X._rel_basis.shape[1] == count
 
 
 # ---------------------------------------------------------------------------
