@@ -24,12 +24,14 @@ product laws, the unit-coproduct splitting and the coaction laws
 contract t1 = (Delta (x) id) Delta over (y, z) (weakhopf.hopf), and the
 covariance identity, the two canonical quasi-basis identities, the
 translation products, the translation exchange identity and the regular
-homomorphism products (weakhopf.crossed).  A chain is a table name or
+homomorphism products (weakhopf.crossed).  A chain is a leaf or
 (subscripts, chain, chain), one pairwise np.einsum step over two chains,
 and an identity is a pair of chains with the same output letters, whose
-difference is checked.  evaluate runs the identities of one call over
-named tables, each letter of the call at one size, in one of two ways,
-chosen per identity from its input:
+difference is checked.  A leaf is a table name, or conj(name), which reads
+that table conjugated: the values of its nonzero list, or each dense slice
+of it, so that no conjugated copy of the whole table is made.  evaluate
+runs the identities of one call over named tables, each letter of the call
+at one size, in one of two ways, chosen per identity from its input:
 
   * nonzero lists, when every table the identity reads is listed (finite,
     with at most as many nonzeros as the product of its first two
@@ -70,8 +72,7 @@ splitting share, the [q, i, b, k] factor of coaction multiplicativity
 (dim M^2 * dim A^2), the products (e_u)(f_p) [u, p, x] of covariance and
 their [u, c, x] factor (dim A * dim X^2), the exchange identity's products
 tau_l(f^u) ell(e_k) ((dim A)^4), and the regular homomorphism's
-[p, b, y, c, r] factor (dim X * dim M^2 * dim A^2).  Star
-antimultiplicativity reads conj(mult), one n^3 copy its caller makes.  Ia
+[p, b, y, c, r] factor (dim X * dim M^2 * dim A^2).  Ia
 costs n^6 flops there: every summed index of its ring joins two of the four
 tables, so every pairwise order builds an n^4 table and ends in one
 (n^2 x n^2)(n^2 x n^2) GEMM; associativity costs n^5, and every other
@@ -109,7 +110,7 @@ def evaluate(tables, *identities):
     sides, leaves, leads = _layout(identities)
     dims = {}
     for name, word in leaves:
-        for x, d in zip(word, tables[name].shape):
+        for x, d in zip(word, tables[_read(name)[0]].shape):
             if dims.setdefault(x, d) != d:
                 raise ValueError(f"letter {x} is read at sizes {dims[x]} and {d}")
     results, lists, once = [None] * len(sides), {}, {}
@@ -170,12 +171,24 @@ def _nodes(chain, word):
             yield from _nodes(*operand)
 
 
+def _read(leaf):
+    """(table name, whether the leaf reads it conjugated)."""
+    if leaf.startswith("conj(") and leaf.endswith(")"):
+        return leaf[5:-1], True
+    return leaf, False
+
+
 def _as_list(chain, tables, dims, memo):
     """The nonzero list of chain, each chain formed once per call; None when
     a table it reads is not listed or a join does not fit one slice."""
     if chain not in memo:
         if isinstance(chain, str):
-            memo[chain] = listed(tables[chain])
+            name, conj = _read(chain)
+            if conj:
+                a = _as_list(name, tables, dims, memo)
+                memo[chain] = None if a is None else (a[0], np.conj(a[1]))
+            else:
+                memo[chain] = listed(tables[chain])
         else:
             a = _as_list(chain[1], tables, dims, memo)
             memo[chain] = None if a is None else contract(
@@ -217,10 +230,11 @@ def _dense(chain, word, at):
     memo, the steps formed for these rows."""
     lead, rows, tables, once, memo, shared = at
     if isinstance(chain, str):
-        table = tables[chain]
-        if lead not in word:
-            return table
-        return table[(slice(None),) * word.index(lead) + (rows,)]
+        name, conj = _read(chain)
+        table = tables[name]
+        if lead in word:
+            table = table[(slice(None),) * word.index(lead) + (rows,)]
+        return np.conj(table) if conj else table
     cache = memo if lead in word else once
     if chain in cache:
         return cache[chain]

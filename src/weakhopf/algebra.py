@@ -122,13 +122,11 @@ class StarAlgebra:
         return memo(self, ("gramfac", tolerance(tol)),
                     lambda: la.gram_sqrt(self.trace_gram(), tol=tol))
 
-    def full_subspace(self, tol=None):
-        # the coordinate basis is orthonormal already
-        return Subspace(self, np.eye(self.dim, dtype=complex), orthonormalize=False)
-
     def center(self, tol=None):
+        # the commutant of the whole basis, from the one n^3 stack
+        # mult[i, j, k] - mult[j, i, k] (_commutators)
         return memo(self, ("center", tolerance(tol)),
-                    lambda: commutant(self.full_subspace(tol), self, tol=tol))
+                    lambda: _kernel(self, _commutators(self), tol))
 
 
 class Element:
@@ -245,7 +243,8 @@ class Subspace:
 # (e_i e_j) e_k against e_i (e_j e_k), both [i, j, k, q] (weakhopf._contract)
 ASSOCIATIVITY = (("ijp,pkq->ijkq", "mult", "mult"), ("jkp,ipq->ijkq", "mult", "mult"))
 # (e_i e_j)^* against e_j^* e_i^*, both [i, j, l]; e_a e_i^* is laid out
-# [a, i, l], so that mult is read in place
+# [a, i, l], so that mult is read in place, and conj(mult) conjugates it a
+# list or a slice at a time (weakhopf._contract)
 ANTIMULTIPLICATIVITY = (("ijk,kl->ijl", "conj(mult)", "star"),
                         ("ja,ail->ijl", "star", ("ib,abl->ail", "star", "mult")))
 
@@ -263,9 +262,9 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None):
     def triple(ix):
         return tuple(A.labels[i] for i in ix[:3])
 
-    # one call, so that mult is listed once; conj(mult) is one n^3 copy
-    gap, star_gap = evaluate({"mult": A.mult, "conj(mult)": np.conj(A.mult), "star": A.star},
-                             ASSOCIATIVITY, ANTIMULTIPLICATIVITY)
+    # one call, so that mult is listed once
+    gap, star_gap = evaluate({"mult": A.mult, "star": A.star}, ASSOCIATIVITY,
+                             ANTIMULTIPLICATIVITY)
     settle(gap, tol, AssociativityViolation, "associativity fails", where=triple)
 
     # left and right unit laws stacked as [side, i, :]; the failing row names e_i
@@ -360,17 +359,40 @@ def is_invertible(a, tol=None):
     return la.invertible(a.parent.left_mult_matrix(a.coords), tol=tol)[0]
 
 
+def _commutators(A, basis=None):
+    """[a, k, j]: coordinate k of s_a e_j - e_j s_a for the columns s_a of
+    basis, or for s_a = e_a when basis is None.  The products s_a e_j
+    [a, j, k] and e_j s_a [j, a, k] are subtracted straight into that
+    layout (C order, so that its rows are a view); for the whole basis both
+    are mult itself, so the stack is mult[i, j, k] - mult[j, i, k] and no
+    product is formed."""
+    n, mult = A.dim, A.mult
+    if basis is None:
+        left = right = mult
+    else:
+        left = (basis.T @ mult.reshape(n, n * n)).reshape(-1, n, n)
+        right = np.matmul(basis.T, mult)
+    return np.subtract(left.transpose(0, 2, 1), right.transpose(1, 2, 0), order="C")
+
+
+def _kernel(A, stack, tol):
+    """The elements x with row @ x = 0 for every row of the stack."""
+    return Subspace(A, la.null_space(stack.reshape(-1, A.dim), tol=tol),
+                    orthonormalize=False)
+
+
 def commutant(S, A, tol=None):
     """Relative commutant {x in A : xs = sx for all s in span S}.
 
-    S may be a Subspace of A or a raw basis matrix.
+    S may be a Subspace of A or a raw basis matrix.  At its peak it holds,
+    besides A's tables, the stack of rows s x - x s (dim S * n^2 entries)
+    and the two products it is subtracted from; A.center() holds the one
+    n^3 stack mult[i, j, k] - mult[j, i, k] and no product.
     """
     basis = S.basis if isinstance(S, Subspace) else np.asarray(S, dtype=complex)
     if basis.ndim == 1:
         basis = basis.reshape(-1, 1)
-    rows = A.left_mult_matrix(basis.T) - A.right_mult_matrix(basis.T)
-    return Subspace(A, la.null_space(rows.reshape(-1, A.dim), tol=tol),
-                    orthonormalize=False)
+    return _kernel(A, _commutators(A, basis), tol)
 
 
 def center(A, tol=None):

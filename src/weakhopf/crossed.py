@@ -40,71 +40,34 @@ class CrossedProduct:
     (C^H S)^-1 C^H taking coordinates on M (x) A to coordinates on the
     classes: proj @ lift = I, and proj kills the relations.  For group-type
     and Pauli actions every class of a pure tensor is a multiple of one
-    picked class, so proj, and the structure constants, are monomial."""
+    picked class, so proj, and the structure constants, are monomial.
+
+    At its peak a level holds the tables it keeps (mult, with n^3 entries,
+    and its n^2 tables) and one construction array beside them: the
+    [i, r, B, k] right factors (dim A^2 dim M n entries) while mult is
+    filled.  The relations, their complement, the products and the star
+    block live only in _structure, so they are freed before the algebra,
+    the embeddings and the dual action are certified, and the dual action
+    is checked on the relations one functional at a time."""
 
     def __init__(self, base, tol=None):
         MA = base
         W, M = MA.hopf, MA.target
         A = W.alg
-        dm, da = M.dim, A.dim
+        dm = M.dim
         self.base = MA
-        pre = dm * da
+        self.relation_rank, self._rel_basis, self.proj, self.lift, tables = \
+            _structure(MA, tol=tol)
+        self.algebra = make_star_algebra(*tables, tol=tol)
 
-        rels = _relations(MA, tol=tol)
-        # two independent rank decisions: the rank of the relations, and the
-        # split of M (x) A into their span and its complement
-        self.relation_rank = la.rank(rels, tol=tol)
-        self._rel_basis, comp = la.orth_split(rels, tol=tol)
-        dim = comp.shape[1]
-        if dim != pre - self.relation_rank:
-            raise AxiomViolation("quotient dimension mismatch")
-        classes = comp.conj().T                 # [:, (p, i)]: class of f_p (x) e_i
-        picks = la.pivoted_columns(classes, dim)
-        proj = np.linalg.solve(classes[:, picks], classes)
-        # the solve leaves rounding residue where a class has no component
-        proj[np.abs(proj) <= np.finfo(float).eps * pre * np.abs(proj).max()] = 0.0
-        proj[:, picks] = np.eye(dim)
-        self.proj = proj
-        self.lift = np.zeros((pre, dim), dtype=complex)
-        self.lift[picks, np.arange(dim)] = 1.0
-        ps, js = np.divmod(picks, da)           # class B is that of f_ps[B] (x) e_js[B]
-
-        cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
-        # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
-        # picked pure tensors A = (p, i) and B = (q, j)
-        tails = np.tensordot(cop, multa, 1)                            # [i, u, j, k]
-        right = np.matmul(act[:, ps].transpose(1, 2, 0),               # [B, r, u]
-                          tails[:, :, js].transpose(2, 1, 0, 3).reshape(dim, da, -1))
-        right = np.ascontiguousarray(
-            right.reshape(dim, dm, da, da).transpose(2, 1, 0, 3))      # [i, r, B, k]
-        mult = np.empty((dim, dim, dim), dtype=complex)
-        # the [A, s, B, k] products, one group of classes A with the same i
-        # at a time, contracted against proj over (s, k)
-        for i in np.unique(js):
-            rows = np.flatnonzero(js == i)
-            prods = np.matmul(multm[ps[rows]].transpose(0, 2, 1), right[i].reshape(dm, -1))
-            mult[rows] = np.tensordot(prods.reshape(rows.size, dm, dim, da),
-                                      proj.reshape(dim, dm, da), axes=([1, 3], [1, 2]))
-
-        dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
-        sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
-        sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
-        star_table = (proj @ sbig[:, picks]).T
-
-        unitv = np.outer(M.unit, A.unit).reshape(pre)
-        unit = proj @ unitv
-
-        labels = [f"{M.labels[p]}#{A.labels[j]}" for p, j in zip(ps, js)]
-        self.algebra = make_star_algebra(mult, unit, star_table, labels=labels, tol=tol)
-
-        blocks = proj.reshape(dim, dm, da)            # [:, p, i]: class of f_p (x) e_i
+        blocks = self.proj.reshape(-1, dm, A.dim)     # [:, p, i]: class of f_p (x) e_i
         self.embed_m = blocks @ A.unit
         self.embed_a = M.unit @ blocks
 
         # dual action phi |> (m x a) = m x (phi -> a) on the quotient
-        arrows = np.transpose(cop, (2, 1, 0))   # arrows[s][o,k] = cop[k,o,s]
+        arrows = np.transpose(W.cop, (2, 1, 0))   # arrows[s][o,k] = cop[k,o,s]
         dact = np.ascontiguousarray(
-            (proj @ _dual_moves(arrows, self.lift, dm)).transpose(0, 2, 1))
+            (self.proj @ _dual_moves(arrows, self.lift, dm)).transpose(0, 2, 1))
         self._verify(arrows, tol=tol)
         self.as_module = make_module_algebra(W.dual(), self.algebra, dact, tol=tol)
 
@@ -153,9 +116,9 @@ class CrossedProduct:
         require(gap, SLACK_COMPOSITE * t, AxiomViolation, "covariance identity fails")
 
         # the dual action preserves the relation span, functional by functional
-        for gap in self.proj @ _dual_moves(arrows, self._rel_basis, dm):
-            require(gap, SLACK_COMPOSITE * t, AxiomViolation,
-                    "dual action does not descend")
+        for s in range(len(arrows)):
+            require(self.proj @ _dual_moves(arrows[s:s + 1], self._rel_basis, dm)[0],
+                    SLACK_COMPOSITE * t, AxiomViolation, "dual action does not descend")
 
 
 # covariance (e_a |> f_p) x 1 = e_a(1) (f_p x 1) S(e_a(2)), as [a, p, k]:
@@ -167,27 +130,91 @@ COVARIANCE = (("apq,kq->apk", "act", "em"),
                ("auy,xyk->xauk", ("auv,yv->auy", "cop", ("yw,wv->yv", "ea", "S")), "mult")))
 
 
+def _structure(MA, tol=None):
+    """The quotient of M (x) A and its structure constants: (relation rank,
+    orthonormal basis of the relation span, proj, lift, (mult, unit, star,
+    labels)).  The construction arrays (the relations and their complement,
+    the [A, s, B, k] products, Delta(e_i^*) and the pre x pre star block)
+    live only here, so they are freed before the quotient is certified."""
+    W, M = MA.hopf, MA.target
+    A = W.alg
+    dm, da = M.dim, A.dim
+    pre = dm * da
+
+    rels = _relations(MA, tol=tol)
+    # two independent rank decisions: the rank of the relations, and the
+    # split of M (x) A into their span and its complement
+    relation_rank = la.rank(rels, tol=tol)
+    rel_basis, comp = la.orth_split(rels, tol=tol)
+    del rels
+    dim = comp.shape[1]
+    if dim != pre - relation_rank:
+        raise AxiomViolation("quotient dimension mismatch")
+    classes = comp.conj().T                 # [:, (p, i)]: class of f_p (x) e_i
+    picks = la.pivoted_columns(classes, dim)
+    proj = np.linalg.solve(classes[:, picks], classes)
+    # the solve leaves rounding residue where a class has no component
+    proj[np.abs(proj) <= np.finfo(float).eps * pre * np.abs(proj).max()] = 0.0
+    proj[:, picks] = np.eye(dim)
+    lift = np.zeros((pre, dim), dtype=complex)
+    lift[picks, np.arange(dim)] = 1.0
+    ps, js = np.divmod(picks, da)           # class B is that of f_ps[B] (x) e_js[B]
+
+    cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
+    # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
+    # picked pure tensors A = (p, i) and B = (q, j)
+    tails = np.tensordot(cop, multa, 1)                            # [i, u, j, k]
+    right = np.matmul(act[:, ps].transpose(1, 2, 0),               # [B, r, u]
+                      tails[:, :, js].transpose(2, 1, 0, 3).reshape(dim, da, -1))
+    del tails
+    right = np.ascontiguousarray(
+        right.reshape(dim, dm, da, da).transpose(2, 1, 0, 3))      # [i, r, B, k]
+    mult = np.empty((dim, dim, dim), dtype=complex)
+    # the [A, s, B, k] products, one group of classes A with the same i
+    # at a time, contracted against proj over (s, k)
+    for i in np.unique(js):
+        rows = np.flatnonzero(js == i)
+        prods = np.matmul(multm[ps[rows]].transpose(0, 2, 1), right[i].reshape(dm, -1))
+        mult[rows] = np.tensordot(prods.reshape(rows.size, dm, dim, da),
+                                  proj.reshape(dim, dm, da), axes=([1, 3], [1, 2]))
+    del right
+
+    dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
+    sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
+    sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
+    star_table = (proj @ sbig[:, picks]).T
+
+    unit = proj @ np.outer(M.unit, A.unit).reshape(pre)
+    labels = [f"{M.labels[p]}#{A.labels[j]}" for p, j in zip(ps, js)]
+    return relation_rank, rel_basis, proj, lift, (mult, unit, star_table, labels)
+
+
 def _relations(MA, tol=None):
     """Columns m (x) b a - m (b |> 1) (x) a spanning the relations of the
     crossed product, for f_p (x) e_i and b running over the left boundary
     basis: the block of b is kron(I_M, L_b) - kron(R_(b |> 1), I_A), and the
-    columns are ordered (b, p, i)."""
+    columns are ordered (b, p, i).  Both terms are written into the one
+    buffer of the result, laid out [(p, k), b, (q, i)]."""
     W, M = MA.hopf, MA.target
     basis = W.boundary("L", tol=tol).basis.T
     lb = W.alg.left_mult_matrix(basis)                               # columns: b e_i
     rb = M.right_mult_matrix(basis @ MA.image_data(tol=tol).mu.T)    # f_p (b |> 1)
-    blocks = np.kron(np.eye(M.dim)[None], lb)
-    blocks -= np.kron(rb, np.eye(W.dim)[None])
-    return blocks.transpose(1, 0, 2).reshape(M.dim * W.dim, -1)
+    dm, da = M.dim, W.dim
+    out = np.zeros((dm, da, len(basis), dm, da), dtype=complex)
+    diag_m, diag_a = np.arange(dm), np.arange(da)
+    out[diag_m, :, :, diag_m, :] = lb.transpose(1, 0, 2)            # [p, k, b, i]
+    out[:, diag_a, :, :, diag_a] -= rb.transpose(1, 0, 2)           # [k, p, b, q]
+    return out.reshape(dm * da, -1)
 
 
 def _dual_moves(arrows, vecs, dm):
-    """f^s |> v for every dual basis functional f^s and every column v of
-    vecs, coordinates on M (x) A: f^s |> (m (x) a) = m (x) (f^s -> a), laid
-    out [s, (p, o), column]; arrows[s, o, k] = cop[k, o, s]."""
-    da = arrows.shape[1]
-    moved = np.matmul(arrows[:, None], vecs.reshape(dm, da, -1))     # [s, p, o, c]
-    return moved.reshape(da, dm * da, -1)
+    """f^s |> v for the dual basis functionals f^s of arrows and every
+    column v of vecs, coordinates on M (x) A: f^s |> (m (x) a) =
+    m (x) (f^s -> a), laid out [s, (p, o), column]; arrows[s, o, k] =
+    cop[k, o, s], for all s or a run of them."""
+    s, o, k = arrows.shape
+    moved = np.matmul(arrows[:, None], vecs.reshape(dm, k, -1))      # [s, p, o, c]
+    return moved.reshape(s, dm * o, -1)
 
 
 def crossed_product(MA, tol=None):

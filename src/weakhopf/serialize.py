@@ -39,10 +39,16 @@ def array_to_pairs(a):
 
 
 def pairs_to_array(data, shape=None):
+    """The complex array of a nested list of [re, im] pairs.  Raises
+    FormatError unless numpy reads the list as numbers (integers or
+    floats; not strings, booleans alone or ragged lists), with every entry
+    a finite pair, and of the given shape."""
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.asarray(data)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"complex entries must be numeric [re, im] pairs: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise FormatError("complex entries must be numeric [re, im] pairs")
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise FormatError("complex entries must be [re, im] pairs")
     if not np.isfinite(arr).all():

@@ -99,6 +99,25 @@ def test_non_finite_entry_exits_2(tmp_path, capsys, cz2, field):
         ser.pairs_to_array([[0.0, float("inf")]])
 
 
+@pytest.mark.parametrize("leaves", ["strings", "booleans"])
+def test_non_numeric_table_exits_2(tmp_path, capsys, cz2, leaves):
+    # [re, im] pairs of strings or of booleans alone are not numbers, even
+    # where numpy could cast them to floats
+    rec = ser.weak_hopf_record(cz2)
+    if leaves == "strings":
+        rec["mult"] = np.asarray(rec["mult"]).astype(str).tolist()
+    else:
+        rec["counit"] = [[bool(x) for x in pair] for pair in rec["counit"]]
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps(rec))
+    rc, _ = run(["verify", str(path)], capsys)
+    assert rc == 2
+    with pytest.raises(FormatError, match="numeric"):
+        ser.pairs_to_array([["1.5", "0"], [True, False]])
+    with pytest.raises(FormatError, match="numeric"):
+        ser.pairs_to_array([[True, False]])
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

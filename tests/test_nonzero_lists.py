@@ -179,6 +179,64 @@ def test_broken_associativity_reports_as_the_dense_path(pauli_level, joins, forc
 
 
 # ---------------------------------------------------------------------------
+# star antimultiplicativity through the conjugating leaf conj(mult)
+
+
+# the star law reading an explicit conjugated copy of mult under a plain name
+STAR_BY_COPY = (("ijk,kl->ijl", "conjugated", "star"), al.ANTIMULTIPLICATIVITY[1])
+
+
+@pytest.fixture(scope="module")
+def complex_level(pauli_level):
+    """The tables of the dim-16 Pauli level in a monomial basis with
+    phases: still listed, and conjugation moves them."""
+    P = _monomial_unitary(np.random.default_rng(7), pauli_level.dim)
+    mult, _, star = _rebased_algebra(pauli_level, P)
+    assert np.abs(mult.imag).max() > 0.1
+    return mult, star
+
+
+def _star_laws(mult, star):
+    """(the star law through conj(mult), the star law through a copy)."""
+    (leaf,) = _contract.evaluate({"mult": mult, "star": star}, al.ANTIMULTIPLICATIVITY)
+    (copy,) = _contract.evaluate({"mult": mult, "conjugated": np.conj(mult), "star": star},
+                                 STAR_BY_COPY)
+    return leaf, copy
+
+
+@pytest.mark.parametrize("change", ["clean", "perturbed"])
+def test_conjugating_leaf_reads_as_a_conjugated_copy(complex_level, joins, force_dense,
+                                                     change):
+    mult, star = complex_level
+    mult = mult.copy()
+    if change == "perturbed":
+        mult[tuple(np.argwhere(mult != 0)[40])] += 0.25
+    listed, copy = _star_laws(mult, star)
+    assert joins and listed == copy
+    del joins[:]
+    force_dense()
+    dense, copy = _star_laws(mult, star)
+    assert not joins and dense == copy
+    if change == "clean":
+        assert max(listed[0], dense[0]) < 1e-12
+    else:
+        # both paths give the residual and location of the whole table
+        assert dense[0] > 0.2 and listed[1] == dense[1]
+        assert listed[0] == pytest.approx(dense[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_fails_the_conjugating_leaf(complex_level, joins, bad):
+    mult, star = complex_level
+    mult = mult.copy()
+    mult[tuple(np.argwhere(mult != 0)[40])] = bad
+    with np.errstate(invalid="ignore"):
+        leaf, copy = _star_laws(mult, star)
+    assert not joins                     # a non-finite table is not listed
+    assert np.isnan(leaf[0]) and leaf[1] == copy[1] and np.isnan(copy[0])
+
+
+# ---------------------------------------------------------------------------
 # the module composition and product laws and the unit-coproduct splitting
 
 
@@ -285,7 +343,7 @@ def _declared_cases(MA):
     A = X.algebra
     E = cr.hat_expectation(X, W.haar().hhat)
     reg = cr.regular_homomorphism(X)
-    star = {"mult": A.mult, "conj(mult)": np.conj(A.mult), "star": A.star}
+    star = {"mult": A.mult, "star": A.star}
     coaction = {"rho": MA.coaction(), "cop": Wd.cop, "mult": M.mult, "mult_hat": Wd.alg.mult}
     covariance = {"act": MA.act, "em": X.embed_m, "ea": X.embed_a, "S": W.antipode,
                   "cop": W.cop, "mult": A.mult}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from weakhopf import _linalg as la
+from weakhopf import algebra as al
 from weakhopf import crossed as cr
 from weakhopf import examples as ex
 from weakhopf import integrals as itg
@@ -95,6 +96,22 @@ def test_single_vector_unchanged(rng):
     assert np.array_equal(A.right_mult_matrix(x), (x @ A.mult).T)
 
 
+@pytest.mark.parametrize("name", ["pauli", "random"])
+def test_commutator_stacks_match_left_minus_right(rng, name):
+    # the rows s x - x s that center and commutant hand to null_space
+    if name == "pauli":
+        A = cr.crossed_product(ex.named_action("m2-pauli")).algebra
+    else:
+        A = StarAlgebra(_rand(rng, 6, 6, 6), _rand(rng, 6), _rand(rng, 6, 6))
+    n = A.dim
+    eye = np.eye(n, dtype=complex)
+    assert np.array_equal(al._commutators(A),
+                          A.left_mult_matrix(eye) - A.right_mult_matrix(eye))
+    basis = _rand(rng, n, 3)
+    assert np.array_equal(al._commutators(A, basis),
+                          A.left_mult_matrix(basis.T) - A.right_mult_matrix(basis.T))
+
+
 # ---------------------------------------------------------------------------
 # crossed products
 
@@ -118,10 +135,32 @@ def _reference_relations(MA):
     return np.array(rels).T
 
 
+def _kron_relations(MA):
+    """The relation columns of M x A as two kron blocks per boundary
+    vector b, kron(I_M, L_b) - kron(R_(b |> 1), I_A), moved to (b, p, i)
+    column order by a transposed copy."""
+    W, M = MA.hopf, MA.target
+    basis = W.boundary("L").basis.T
+    lb = W.alg.left_mult_matrix(basis)
+    rb = M.right_mult_matrix(basis @ MA.image_data().mu.T)
+    blocks = np.kron(np.eye(M.dim)[None], lb)
+    blocks -= np.kron(rb, np.eye(W.dim)[None])
+    return blocks.transpose(1, 0, 2).reshape(M.dim * W.dim, -1)
+
+
 @pytest.mark.parametrize("name", ["m2-z2", "m2-pauli", "m2-collapsed", "dual-z3"])
 def test_relation_blocks_match_the_loop(name):
     MA = ex.named_action(name)
     assert np.array_equal(cr._relations(MA), _reference_relations(MA))
+
+
+@pytest.mark.parametrize("name", ["m2-z2", "m2-pauli", "m2-collapsed", "dual-z3", "dual-s3"])
+def test_relation_buffer_matches_the_kron_blocks_bitwise(name):
+    MA = ex.named_action(name)
+    got, ref = cr._relations(MA), _kron_relations(MA)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    # bit for bit, signed zeros included
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_relation_data_is_factored_twice(monkeypatch):

@@ -21,13 +21,17 @@ Usage:
     python tools/equivalence.py run --src PATH/src --work DIR --out RUN.json
     python tools/equivalence.py compare PARENT.json CHANGE.json
 
-`run` writes the input records with the library under --src into --work,
-then runs every command there as `python -m weakhopf.cli` with that tree on
+`run` writes the input records with the library under --src into --work
+(in a child process, `inputs`, so that the runner stays small: a child's
+ru_maxrss counts the pages it shares with the runner until it execs), then
+runs every command there as `python -m weakhopf.cli` with that tree on
 PYTHONPATH and one BLAS thread, and writes each command's exit code,
-stdout, stderr and the floats of its JSON report to --out.  `compare`
-prints every difference that is not a float move (exit codes, stderr,
-report keys, strings, integers, booleans), the largest float move, and how
-many outputs of each command are byte-identical; it exits 1 when any
+stdout, stderr, the floats of its JSON report and its peak resident set
+size (ru_maxrss, from os.wait4) to --out.  `compare` prints every
+difference that is not a float move (exit codes, stderr, report keys,
+strings, integers, booleans), the largest float move, how many outputs of
+each command are byte-identical, and the five largest moves of peak
+memory, which are never counted as differences; it exits 1 when any
 non-float difference is found.
 """
 
@@ -37,6 +41,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 THREADS = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                             "MKL_NUM_THREADS")}
@@ -163,24 +168,49 @@ def parse(stdout):
         return None
 
 
+def execute(argv, cwd, env):
+    """(exit code, stdout, stderr, peak resident set size in MB) of one
+    command; the child is reaped by os.wait4, which reports its own
+    ru_maxrss (kilobytes on Linux)."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return code, out.read(), err.read(), usage.ru_maxrss / 1024.0
+
+
+def inputs(args):
+    """Write the input records with the library under --src into --work and
+    print the command list as JSON."""
+    sys.path.insert(0, os.path.abspath(args.src))
+    json.dump(write_inputs(os.path.abspath(args.work)), sys.stdout)
+    return 0
+
+
 def run(args):
     src = os.path.abspath(args.src)
     work = os.path.abspath(args.work)
     os.makedirs(work, exist_ok=True)
-    os.environ.update(THREADS)
-    sys.path.insert(0, src)
-    commands = write_inputs(work)
     env = dict(os.environ, PYTHONPATH=src, **THREADS)
     env.pop("WHA_TOL", None)
+    # a child writes the records, so that this process never loads numpy:
+    # a command's ru_maxrss counts the pages it shares with this process
+    # until it execs
+    listing = subprocess.run([sys.executable, os.path.abspath(__file__), "inputs",
+                              "--src", src, "--work", work],
+                             env=env, stdout=subprocess.PIPE, text=True, check=True)
+    commands = json.loads(listing.stdout)
     results = []
     for name, argv in commands:
-        proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv], cwd=work,
-                              env=env, capture_output=True, text=True)
-        report = parse(proc.stdout)
-        results.append({"name": name, "argv": argv, "exit": proc.returncode,
-                        "stdout": proc.stdout, "stderr": proc.stderr,
+        code, stdout, stderr, maxrss = execute([sys.executable, "-m", "weakhopf.cli", *argv],
+                                               work, env)
+        report = parse(stdout)
+        results.append({"name": name, "argv": argv, "exit": code,
+                        "stdout": stdout, "stderr": stderr, "maxrss_mb": maxrss,
                         "floats": floats(report) if report is not None else {}})
-        print(f"{proc.returncode} {name}", file=sys.stderr)
+        print(f"{code} {name}", file=sys.stderr)
     with open(args.out, "w") as fh:
         json.dump({"src": src, "commands": results}, fh, indent=1)
     return 0
@@ -199,10 +229,13 @@ def compare(args):
         change = {c["name"]: c for c in json.load(fh)["commands"]}
     problems = [f"only in one run: {name}" for name in sorted(set(parent) ^ set(change))]
     worst, where = 0.0, None
-    identical, total = {}, {}
+    identical, total, memory = {}, {}, []
     for name in (n for n in parent if n in change):
         a, b = parent[name], change[name]
         kind = name.split()[0]
+        if "maxrss_mb" in a and "maxrss_mb" in b:
+            memory.append((b["maxrss_mb"] - a["maxrss_mb"], name, a["maxrss_mb"],
+                           b["maxrss_mb"]))
         total[kind] = total.get(kind, 0) + 1
         identical[kind] = identical.get(kind, 0) + (a["stdout"] == b["stdout"])
         for field in ("exit", "stderr"):
@@ -228,6 +261,8 @@ def compare(args):
     print(f"largest float move: {worst!r}" + (f" ({where})" if where else ""))
     for kind in sorted(total):
         print(f"byte-identical stdout, {kind}: {identical[kind]} of {total[kind]}")
+    for delta, name, before, after in sorted(memory, key=lambda m: -abs(m[0]))[:5]:
+        print(f"peak memory, {name}: {before:.1f} -> {after:.1f} MB ({delta:+.1f})")
     return 1 if problems else 0
 
 
@@ -239,6 +274,10 @@ def main(argv=None):
     q.add_argument("--work", required=True, help="directory for the input records")
     q.add_argument("--out", required=True, help="JSON file for the results")
     q.set_defaults(func=run)
+    q = sub.add_parser("inputs", help="write the input records and list the commands")
+    q.add_argument("--src", required=True, help="the tree's src directory")
+    q.add_argument("--work", required=True, help="directory for the input records")
+    q.set_defaults(func=inputs)
     q = sub.add_parser("compare", help="compare two runs")
     q.add_argument("parent")
     q.add_argument("change")
