@@ -59,6 +59,25 @@ at one size, in one of two ways, chosen per identity from its input:
     two sides are subtracted in place, into a side no later identity
     reads.
 
+Built tables.  A chain can also build a table (build), on nonzero lists
+only: the product and star tables of a crossed product are the chains
+PRODUCT and STAR (weakhopf.crossed), over the tables of M, A and the action,
+the 0/1 selection of the picked pure tensors (selection, listed from its
+columns, never from a dense pass) and the projection onto the classes.
+Where a table the chain reads is not listed or a join does not fit one
+slice, build returns None and the caller runs its own dense assembly.  The
+built table keeps its list, with the exact-zero sums dropped, so that it is
+the list listed gives of the dense array it fills.
+
+The table form.  evaluate and build take, for each name, an array or a
+Table: a dense array and its nonzero list, formed at most once.  listed is
+the one gate of the list path, and a Table answers it with the list it
+holds.  StarAlgebra (mult, star), WeakHopfAlgebra (cop) and ModuleAlgebra
+(act) hand their tables out as Tables held through config.memo on the
+owner (owned), so each is listed once per owner and freed with it; a
+crossed product's algebra holds the lists its tables were built from.
+Arrays made per call stay plain.
+
 Every entry outside a list is an exact zero, and products of finite tables
 drop only exact 0 * finite terms, so both ways give the same residual up to
 rounding.  accumulate returns its keys in increasing, that is row-major,
@@ -86,6 +105,7 @@ from collections import Counter
 import numpy as np
 
 from ._checks import Worst, fits_slice, row_slices, worst_listed
+from .config import memo
 
 
 def pair_products(mult, xs, ys):
@@ -108,11 +128,7 @@ def evaluate(tables, *identities):
     weakhopf._checks.Worst gives them.  Raises ValueError when two tables
     give one letter of the call different sizes."""
     sides, leaves, leads = _layout(identities)
-    dims = {}
-    for name, word in leaves:
-        for x, d in zip(word, tables[_read(name)[0]].shape):
-            if dims.setdefault(x, d) != d:
-                raise ValueError(f"letter {x} is read at sizes {dims[x]} and {d}")
+    dims = _sizes(leaves, tables)
     results, lists, once = [None] * len(sides), {}, {}
     for k, ((lhs, word), (rhs, _)) in enumerate(sides):
         a = _as_list(lhs, tables, dims, lists)
@@ -125,6 +141,37 @@ def evaluate(tables, *identities):
             _dense_group(lead, group, words, shared, drops, sides, tables, dims, once,
                          results)
     return results
+
+
+def build(chain, tables):
+    """The Table that a declared chain forms from named tables over nonzero
+    lists: the dense array filled from the chain's list, which it keeps as
+    its own with the exact-zero sums dropped, so that it is the list that
+    listed gives of the array.  None when a table the chain reads is not
+    listed or a join does not fit one slice."""
+    word = chain[0].split("->")[1]
+    dims = _sizes([n for n in _nodes(chain, word) if isinstance(n[0], str)], tables)
+    got = _as_list(chain, tables, dims, {})
+    if got is None:
+        return None
+    shape = tuple(dims[x] for x in word)
+    kept = got[1] != 0
+    keys, values = got[0][kept], got[1][kept]
+    dense = np.zeros(math.prod(shape), values.dtype)
+    dense[keys] = values
+    return Table(dense.reshape(shape), _admitted(keys, values, shape))
+
+
+def _sizes(leaves, tables):
+    """The size of each letter of the (name, letters) leaves, read from the
+    shapes of the tables; ValueError when two give one letter different
+    sizes."""
+    dims = {}
+    for name, word in leaves:
+        for x, d in zip(word, tables[_read(name)[0]].shape):
+            if dims.setdefault(x, d) != d:
+                raise ValueError(f"letter {x} is read at sizes {dims[x]} and {d}")
+    return dims
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,7 +278,7 @@ def _dense(chain, word, at):
     lead, rows, tables, once, memo, shared = at
     if isinstance(chain, str):
         name, conj = _read(chain)
-        table = tables[name]
+        table = dense_of(tables[name])
         if lead in word:
             table = table[(slice(None),) * word.index(lead) + (rows,)]
         return np.conj(table) if conj else table
@@ -284,14 +331,73 @@ def dense_step(subscripts, x, y):
     return np.matmul(x.transpose(ox).reshape(sx), y.transpose(oy).reshape(sy)).reshape(out)
 
 
+_UNLISTED = object()
+
+
+class Table:
+    """A dense table and its nonzero list, formed at most once: the list of
+    the chain that built it (build), else listed(dense) on first use.
+    evaluate and listed take a Table wherever they take an array."""
+
+    __slots__ = ("dense", "_nonzeros")
+
+    def __init__(self, dense, nonzeros=_UNLISTED):
+        self.dense, self._nonzeros = dense, nonzeros
+
+    @property
+    def shape(self):
+        return self.dense.shape
+
+    def nonzeros(self):
+        if self._nonzeros is _UNLISTED:
+            self._nonzeros = listed(self.dense)
+        return self._nonzeros
+
+
+def dense_of(t):
+    """The dense array of t, a Table or an array."""
+    return t.dense if isinstance(t, Table) else t
+
+
+def owned(owner, name, given=None):
+    """The Table of owner's table attribute name, held through config.memo
+    so that it is listed at most once per owner: given, a Table of that
+    same array, when the first call passes it, else a new one (and a new
+    one again if the attribute was rebound)."""
+    array = getattr(owner, name)
+    got = memo(owner, ("table", name),
+               lambda: given if given is not None and given.dense is array else Table(array))
+    return got if got.dense is array else Table(array)
+
+
+def selection(dense, columns):
+    """The Table of a 0/1 table whose row r holds its one 1 at flat position
+    columns[r] of the row, listed from columns without a pass over dense."""
+    rows = dense.shape[0]
+    keys = np.arange(rows) * (dense.size // rows) + columns
+    return Table(dense, (keys, np.ones(rows, dense.dtype)))
+
+
 def listed(table):
     """The nonzero list of table, (row-major flat keys in increasing order,
     values); None when table has a non-finite entry or more nonzeros than
-    the product of its first two dimensions."""
-    if np.count_nonzero(table) > math.prod(table.shape[:2]) or not np.isfinite(table).all():
+    the product of its first two dimensions.  A Table gives the list it
+    holds."""
+    if isinstance(table, Table):
+        return table.nonzeros()
+    if np.count_nonzero(table) > math.prod(table.shape[:2]):
         return None
     keys = np.flatnonzero(table)
-    return keys, table.ravel()[keys]
+    return _admitted(keys, table.ravel()[keys], table.shape)
+
+
+def _admitted(keys, values, shape):
+    """(keys, values), the nonzero list of a table of the given shape, where
+    listed gives it (a non-finite entry is nonzero, so it is in the list);
+    else None."""
+    if keys.size > math.prod(shape[:2]) or not np.isfinite(values).all():
+        return None
+    return keys, values
 
 
 def contract(subscripts, a, b, dims):

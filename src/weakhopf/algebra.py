@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import require, residual, settle
-from ._contract import evaluate, pair_products
+from ._contract import Table, dense_of, evaluate, owned, pair_products
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, memo, tolerance
 from .errors import (
     AssociativityViolation,
@@ -52,9 +52,10 @@ class StarAlgebra:
     vector or for a whole stack of them."""
 
     def __init__(self, mult, unit, star, labels=None):
-        mult = np.ascontiguousarray(mult, dtype=complex)
+        given = {"mult": mult, "star": star}
+        mult = np.ascontiguousarray(dense_of(mult), dtype=complex)
         unit = np.asarray(unit, dtype=complex)
-        star = np.asarray(star, dtype=complex)
+        star = np.asarray(dense_of(star), dtype=complex)
         n = unit.shape[0]
         if mult.shape != (n, n, n) or star.shape != (n, n):
             raise ValueError("inconsistent table dimensions")
@@ -66,6 +67,9 @@ class StarAlgebra:
         if len(self.labels) != n:
             raise ValueError("label count must match dim")
         self._cache = {}
+        for name, t in given.items():
+            if isinstance(t, Table):
+                owned(self, name, t)
 
     def __repr__(self):
         return f"StarAlgebra(dim={self.dim})"
@@ -263,7 +267,8 @@ def make_star_algebra(mult, unit, star, labels=None, tol=None):
         return tuple(A.labels[i] for i in ix[:3])
 
     # one call, so that mult is listed once
-    gap, star_gap = evaluate({"mult": A.mult, "star": A.star}, ASSOCIATIVITY,
+    gap, star_gap = evaluate({"mult": owned(A, "mult"), "star": owned(A, "star")},
+                             ASSOCIATIVITY,
                              ANTIMULTIPLICATIVITY)
     settle(gap, tol, AssociativityViolation, "associativity fails", where=triple)
 

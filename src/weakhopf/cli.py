@@ -8,6 +8,7 @@ overrides both.
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -25,11 +26,19 @@ from .integrals import LeftIntegral, classify, haar, left_integral_space, \
 
 
 def _load_json(path):
+    # a parsed JSON tree holds no reference cycles, so the collector is
+    # paused while it is built (its passes over the growing lists cost a
+    # third of the parse) and left as the caller had it
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _emit(report, args):

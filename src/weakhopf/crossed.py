@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, residual
-from ._contract import evaluate, pair_products
+from ._contract import Table, build, evaluate, owned, pair_products, selection
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
 from .config import SLACK_COMPOSITE, SLACK_SOLVED, memo, tolerance
 from .errors import ActionAxiomViolation, AxiomViolation, ParentMismatch
@@ -42,13 +42,18 @@ class CrossedProduct:
     and Pauli actions every class of a pure tensor is a multiple of one
     picked class, so proj, and the structure constants, are monomial.
 
-    At its peak a level holds the tables it keeps (mult, with n^3 entries,
-    and its n^2 tables) and one construction array beside them: the
-    [i, r, B, k] right factors (dim A^2 dim M n entries) while mult is
-    filled.  The relations, their complement, the products and the star
-    block live only in _structure, so they are freed before the algebra,
-    the embeddings and the dual action are certified, and the dual action
-    is checked on the relations one functional at a time."""
+    Where the tables of M, A and the action and proj are nonzero lists (a
+    monomial basis), mult and the star table are built on lists by the
+    declared chains PRODUCT and STAR, and the algebra keeps those lists,
+    so that no later check lists them again; at its peak such a level holds
+    the tables it keeps (mult, with n^3 entries, and its n^2 tables) and
+    the lists of the chain.  Otherwise (a Haar-random basis, or a join over
+    one slice) the dense assembly (_assemble) fills mult with one
+    construction array beside it: the [i, r, B, k] right factors
+    (dim A^2 dim M n entries).  The relations, their complement and the
+    construction arrays live only in _structure, so they are freed before
+    the algebra, the embeddings and the dual action are certified, and the
+    dual action is checked on the relations one functional at a time."""
 
     def __init__(self, base, tol=None):
         MA = base
@@ -111,8 +116,8 @@ class CrossedProduct:
             raise AxiomViolation(
                 "kernel of the A-embedding is not the annihilating ideal")
 
-        (gap, _), = evaluate({"act": MA.act, "em": em, "ea": ea, "S": W.antipode,
-                              "cop": W.cop, "mult": XA.mult}, COVARIANCE)
+        (gap, _), = evaluate({"act": owned(MA, "act"), "em": em, "ea": ea, "S": W.antipode,
+                              "cop": owned(W, "cop"), "mult": owned(XA, "mult")}, COVARIANCE)
         require(gap, SLACK_COMPOSITE * t, AxiomViolation, "covariance identity fails")
 
         # the dual action preserves the relation span, functional by functional
@@ -130,12 +135,35 @@ COVARIANCE = (("apq,kq->apk", "act", "em"),
                ("auy,xyk->xauk", ("auv,yv->auy", "cop", ("yw,wv->yv", "ea", "S")), "mult")))
 
 
+# (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between picked
+# pure tensors A = (p, i) and B = (q, j), projected onto the classes C:
+# pick[A, p, i] is the 0/1 selection of the picked pure tensors and
+# proj[C, s, k] the projection (e_u |> f_q = act[u, q, r] f_r)
+PRODUCT = ("ABsk,Csk->ABC",
+           ("ABwjs,wjk->ABsk",
+            ("ABpwjr,prs->ABwjs",
+             ("Apuw,Bjur->ABpwjr", ("Api,iuw->Apuw", "pick", "cop"),
+              ("Bqj,uqr->Bjur", "pick", "act")),
+             "multm"),
+            "multa"),
+           "proj")
+# (f_p x e_i)^* = Delta(e_i^*)[u, w] (e_u |> f_p^*) x e_w, projected
+STAR = ("Awr,Crw->AC",
+        ("Apuw,upr->Awr", ("Apx,xuw->Apuw", ("Api,ix->Apx", "pick", "stara"), "cop"),
+         ("pq,uqr->upr", "starm", "act")),
+        "proj")
+
+
 def _structure(MA, tol=None):
     """The quotient of M (x) A and its structure constants: (relation rank,
     orthonormal basis of the relation span, proj, lift, (mult, unit, star,
-    labels)).  The construction arrays (the relations and their complement,
-    the [A, s, B, k] products, Delta(e_i^*) and the pre x pre star block)
-    live only here, so they are freed before the quotient is certified."""
+    labels)).  mult and star are built on nonzero lists by PRODUCT and STAR
+    (weakhopf._contract.build), as Tables that keep their lists, where every
+    table they read is listed and every join fits one slice; otherwise the
+    dense assembly gives them as arrays.  The construction arrays (the
+    relations and their complement, the chains' lists, or the dense
+    assembly's products) live only here, so they are freed before the
+    quotient is certified."""
     W, M = MA.hopf, MA.target
     A = W.alg
     dm, da = M.dim, A.dim
@@ -159,7 +187,31 @@ def _structure(MA, tol=None):
     lift = np.zeros((pre, dim), dtype=complex)
     lift[picks, np.arange(dim)] = 1.0
     ps, js = np.divmod(picks, da)           # class B is that of f_ps[B] (x) e_js[B]
+    unit = proj @ np.outer(M.unit, A.unit).reshape(pre)
+    labels = [f"{M.labels[p]}#{A.labels[j]}" for p, j in zip(ps, js)]
 
+    tables = {"pick": selection(lift.T.reshape(dim, dm, da), picks),
+              "cop": owned(W, "cop"), "act": owned(MA, "act"),
+              "multm": owned(M, "mult"), "multa": owned(A, "mult"),
+              "starm": owned(M, "star"), "stara": owned(A, "star"),
+              "proj": Table(proj.reshape(dim, dm, da))}
+    mult = build(PRODUCT, tables)
+    star_table = None if mult is None else build(STAR, tables)
+    if star_table is None:
+        mult, star_table = _assemble(MA, proj, picks)
+    return relation_rank, rel_basis, proj, lift, (mult, unit, star_table, labels)
+
+
+def _assemble(MA, proj, picks):
+    """mult and the star table of the quotient by dense contractions, where
+    PRODUCT and STAR do not run on nonzero lists; the reference the tests
+    hold the list-built tables to.  The [A, s, B, k] products, Delta(e_i^*)
+    and the pre x pre star block live only here."""
+    W, M = MA.hopf, MA.target
+    A = W.alg
+    dm, da = M.dim, A.dim
+    pre, dim = dm * da, len(picks)
+    ps, js = np.divmod(picks, da)
     cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
     # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
     # picked pure tensors A = (p, i) and B = (q, j)
@@ -171,8 +223,9 @@ def _structure(MA, tol=None):
         right.reshape(dim, dm, da, da).transpose(2, 1, 0, 3))      # [i, r, B, k]
     mult = np.empty((dim, dim, dim), dtype=complex)
     # the [A, s, B, k] products, one group of classes A with the same i
-    # at a time, contracted against proj over (s, k)
-    for i in np.unique(js):
+    # at a time, contracted against proj over (s, k); the groups come from
+    # a bincount, since np.unique would import numpy.ma
+    for i in np.flatnonzero(np.bincount(js, minlength=da)):
         rows = np.flatnonzero(js == i)
         prods = np.matmul(multm[ps[rows]].transpose(0, 2, 1), right[i].reshape(dm, -1))
         mult[rows] = np.tensordot(prods.reshape(rows.size, dm, dim, da),
@@ -182,11 +235,7 @@ def _structure(MA, tol=None):
     dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
     sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
     sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
-    star_table = (proj @ sbig[:, picks]).T
-
-    unit = proj @ np.outer(M.unit, A.unit).reshape(pre)
-    labels = [f"{M.labels[p]}#{A.labels[j]}" for p, j in zip(ps, js)]
-    return relation_rank, rel_basis, proj, lift, (mult, unit, star_table, labels)
+    return mult, (proj @ sbig[:, picks]).T
 
 
 def _relations(MA, tol=None):
@@ -287,7 +336,7 @@ def hat_expectation(X, lam, tol=None):
     sinv = W.antipode_inv()
     dl = W.delta_coords(l_dual.element.coords)
     tensor = X.embed_a @ dl.T @ (X.embed_a @ sinv).T
-    gaps = evaluate({"mult": XA.mult, "table": table, "tensor": tensor,
+    gaps = evaluate({"mult": owned(XA, "mult"), "table": table, "tensor": tensor,
                      "eye": np.eye(XA.dim)}, *QUASI_BASIS)
     require(residual(*(gap for gap, _ in gaps)), SLACK_COMPOSITE * t,
             ActionAxiomViolation, "canonical quasi-basis fails")
@@ -398,8 +447,9 @@ class RegularRep:
         # the translation products and tau(f^s)^dagger = tau(f^s*)
         tau_r, tau_l = self.tau_r, self.tau_l
         *products, (exchange, _) = evaluate(
-            {"tau_r": tau_r, "tau_l": tau_l, "ell": self.ell, "mult_hat": Wd.alg.mult,
-             "mult_A": W.alg.mult, "cop": W.cop}, *TRANSLATIONS, EXCHANGE)
+            {"tau_r": tau_r, "tau_l": tau_l, "ell": self.ell,
+             "mult_hat": owned(Wd.alg, "mult"), "mult_A": owned(W.alg, "mult"),
+             "cop": owned(W, "cop")}, *TRANSLATIONS, EXCHANGE)
         worst = residual(*(gap for gap, _ in products),
                          *(dagger(tau) - np.tensordot(Wd.alg.star, tau, 1)
                            for tau in (tau_r, tau_l)))
@@ -421,8 +471,8 @@ class RegularRep:
         XA = self.X.algebra
         dim = XA.dim
         images = self.images
-        (gap, _), = evaluate({"images": images, "mult": self.X.base.target.mult,
-                              "mult_X": XA.mult}, HOMOMORPHISM)
+        (gap, _), = evaluate({"images": images, "mult": owned(self.X.base.target, "mult"),
+                              "mult_X": owned(XA, "mult")}, HOMOMORPHISM)
         worst = residual(gap, self.block_star(images)
                          - (XA.star @ images.reshape(dim, -1)).reshape(images.shape))
         require(worst, SLACK_COMPOSITE * t, AxiomViolation, "regular homomorphism fails")

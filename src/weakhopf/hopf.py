@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, require_first, residual
-from ._contract import evaluate, pair_products
+from ._contract import evaluate, owned, pair_products
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, memo, tolerance
 from .errors import AxiomViolation, ParentMismatch
@@ -292,7 +292,7 @@ def verify_weak_hopf(W, tol=None):
     s_xy = np.tensordot(smat, mult, axes=([0], [0])).reshape(n * n, n)
     x_sy = np.matmul(smat.T, mult).reshape(n * n, n)
     D1 = (unit @ c2).reshape(n, n)
-    tables = {"mult": mult, "cop": cop, "D1": D1}
+    tables = {"mult": owned(A, "mult"), "cop": owned(W, "cop"), "D1": D1}
     identities = [IA, IC]
     if s_invertible:
         siy_x = np.matmul(sinv.T, mult.transpose(1, 0, 2)).reshape(n * n, n)

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, require_first, residual, settle
-from ._contract import evaluate, pair_products
+from ._contract import evaluate, owned, pair_products
 from .algebra import Element, Subspace, _homomorphism_gaps
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, memo, tolerance
 from .errors import (
@@ -113,14 +113,15 @@ def make_module_algebra(W, M, act, tol=None):
     act = MA.act
     dm = M.dim
 
-    gap, = evaluate({"mult_A": W.alg.mult, "act": act}, COMPOSITION)
+    gap, = evaluate({"mult_A": owned(W.alg, "mult"), "act": owned(MA, "act")}, COMPOSITION)
     settle(gap, t, ActionAxiomViolation, "composition law fails", where=tuple)
 
     require(np.tensordot(W.alg.unit, act, 1) - np.eye(dm), t, ActionAxiomViolation,
             "unit acts nontrivially", where=tuple)
 
     product_gap, splitting_gap = evaluate(
-        {"cop": W.cop, "act": act, "mult": M.mult, "D1": W.delta_one()},
+        {"cop": owned(W, "cop"), "act": owned(MA, "act"), "mult": owned(M, "mult"),
+         "D1": W.delta_one()},
         PRODUCT_LAW, SPLITTING)
     settle(product_gap, t, ActionAxiomViolation, "product law fails", where=tuple)
 
@@ -199,7 +200,8 @@ def to_coaction(MA, tol=None):
     multh = Wd.alg.mult
 
     coassociative, multiplicative = evaluate(
-        {"rho": rho, "cop": Wd.cop, "mult": M.mult, "mult_hat": multh},
+        {"rho": rho, "cop": owned(Wd, "cop"), "mult": owned(M, "mult"),
+         "mult_hat": owned(Wd.alg, "mult")},
         COASSOCIATIVITY, MULTIPLICATIVITY)
     settle(coassociative, t, ActionAxiomViolation, "coaction coassociativity fails")
 

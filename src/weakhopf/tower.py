@@ -7,7 +7,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, residual
-from ._contract import evaluate
+from ._contract import evaluate, owned
 from .algebra import (
     Element,
     Subspace,
@@ -333,7 +333,7 @@ def _witness_holds(lv, rel, tol=None):
     if not (rel.contains_coords(T, tol=tol) and rel.contains_coords(T.T, tol=tol)):
         return False
     XA = lv.algebra
-    gaps = evaluate({"mult": XA.mult, "table": lv.expectation, "tensor": T,
+    gaps = evaluate({"mult": owned(XA, "mult"), "table": lv.expectation, "tensor": T,
                      "eye": np.eye(XA.dim)}, *QUASI_BASIS)
     if outside(residual(*(gap for gap, _ in gaps)), tolerance(tol)):
         return False

@@ -1,14 +1,22 @@
 import argparse
+import gc
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import weakhopf
 from weakhopf import examples as ex
 from weakhopf import serialize as ser
 from weakhopf import cli
 from weakhopf.cli import main
+from weakhopf.algebra import StarAlgebra
 from weakhopf.errors import FormatError
+from weakhopf.hopf import WeakHopfAlgebra
+from weakhopf.modules import ModuleAlgebra
 
 
 def run(args, capsys):
@@ -256,3 +264,70 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         cli.build_parser.cache_clear()
     assert outs[0][0] == 0 and outs.count(outs[0]) == 3
     assert built == ["wha"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_records_are_parsed_with_the_collector_paused(tmp_path, capsys, monkeypatch, cz2,
+                                                     enabled):
+    # and the caller's collector state comes back, after a malformed file too
+    good, bad = tmp_path / "w.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(ser.weak_hopf_record(cz2)))
+    bad.write_text("{not json")
+    during, load = [], json.load
+
+    def spy(fh):
+        during.append(gc.isenabled())
+        return load(fh)
+
+    monkeypatch.setattr(json, "load", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(["verify", str(good)], capsys)[0] == 0
+        assert gc.isenabled() is enabled
+        assert run(["verify", str(bad)], capsys)[0] == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
+
+
+def _haar_module_record(MA, rng):
+    """The record of MA with A and M each on a Haar-random unitary basis."""
+    def unitary(n):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    def rebased(A, U):
+        V = U.conj().T
+        return StarAlgebra(np.einsum("ia,jb,ijk,ck->abc", U, U, A.mult, V, optimize=True),
+                           V @ A.unit,
+                           np.einsum("ia,ik,ck->ac", U.conj(), A.star, V, optimize=True))
+
+    W, M = MA.hopf, MA.target
+    P, U = unitary(W.dim), unitary(M.dim)
+    Q = P.conj().T
+    Wp = WeakHopfAlgebra(rebased(W.alg, P),
+                         np.einsum("ia,iuv,bu,cv->abc", P, W.cop, Q, Q, optimize=True),
+                         P.T @ W.counit, Q @ W.antipode @ P)
+    act = np.einsum("ub,pa,upq,cq->bac", P, U, MA.act, U.conj().T, optimize=True)
+    return ser.module_algebra_record(ModuleAlgebra(Wp, rebased(M, U), act))
+
+
+@pytest.mark.parametrize("basis", ["natural", "haar"])
+def test_crossed_and_tower_do_not_import_numpy_ma(tmp_path, basis):
+    # np.unique without optional outputs imports numpy.ma (tens of ms per
+    # process); a fresh process shows whether anything called it
+    MA = ex.named_action("m2-z2")
+    rec = (ser.module_algebra_record(MA) if basis == "natural"
+           else _haar_module_record(MA, np.random.default_rng(7)))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rec))
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    script = ("import sys\nfrom weakhopf.cli import main\n"
+              "rc = main(sys.argv[1:])\nprint(rc, 'numpy.ma' in sys.modules)\n")
+    for argv in (["crossed", str(path)], ["tower", "--seed", str(path), "--depth", "2"]):
+        done = subprocess.run([sys.executable, "-c", script, "--out", os.devnull, *argv],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.split() == ["0", "False"], (argv, done.stderr)

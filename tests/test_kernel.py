@@ -345,7 +345,8 @@ def _declared_subscripts():
 # composition law 2, the product law and the splitting 6, star
 # antimultiplicativity 3, the coaction laws 6, covariance 7, the quasi-basis
 # identities 6, the translation products 3, the exchange identity 4 and the
-# regular homomorphism 3
+# regular homomorphism 3; and the chains that build the crossed product's
+# product table 6 and its star table 5
 DECLARED = _declared_subscripts()
 
 
@@ -426,22 +427,26 @@ def test_nonzero_lists_agree_with_einsum(tables):
     over one slice gives None and None passes through contract and
     difference; over nonzero lists and on the dense path, each side of
     every declared identity is its einsum reference, and the residual of
-    the identity is that of the references."""
+    the identity is that of the references; and each chain that builds a
+    table is its einsum reference, with the list it keeps that of its
+    dense array."""
     a, b = tables
     n = a.shape[0]
-    dims = dict.fromkeys(string.ascii_lowercase, n)
+    dims = dict.fromkeys(string.ascii_letters, n)
 
     def close(got, ref, scale):
         # sums of products of large entries cancel to rounding of their size
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, scale))
 
     # each operand of a declared subscript is a table of its arity: b[0], a,
-    # the four-index contraction of a and b or the five-index one of a, b
-    # and a, and the same with a and b swapped; "ijp,jpq->ijq" keeps a
-    # letter that both operands carry
-    assert len(DECLARED) == 51
+    # the four-index contraction of a and b, the five-index one of a, b
+    # and a or the six-index one of a, b, a and b, and the same with a and
+    # b swapped; "ijp,jpq->ijq" keeps a letter that both operands carry
+    assert len(DECLARED) == 62
     pools = [{2: x[0], 3: y, 4: np.einsum("ijk,klm->ijlm", y, x),
-              5: np.einsum("ijk,klm,mpq->ijlpq", y, x, y)} for x, y in ((b, a), (a, b))]
+              5: np.einsum("ijk,klm,mpq->ijlpq", y, x, y),
+              6: np.einsum("ijk,klm,mpq,qrs->ijlprs", y, x, y, x)}
+             for x, y in ((b, a), (a, b))]
     for subscripts in DECLARED + ["ijp,jpq->ijq"]:
         inputs, out = subscripts.split("->")
         sx, sy = inputs.split(",")
@@ -462,6 +467,23 @@ def test_nonzero_lists_agree_with_einsum(tables):
     assert contract("ijp,pkq->ijkq", None, y, dims) is None
     assert contract("ijp,pkq->ijkq", x, None, dims) is None
     assert difference(None, y) is None and difference(x, None) is None
+
+    # the product through the products of all pairs of pure tensors
+    named = {"pick": a, "cop": b, "act": a, "multm": b, "multa": a, "proj": b,
+             "stara": b[0], "starm": a[0]}
+    pure = np.einsum("iuw,uqr,prs,wjk->piqjsk", b, a, b, a, optimize=True)
+    for chain, ref in ((cr.PRODUCT, np.einsum("Api,Bqj,piqjsk,Csk->ABC", a, a, pure, b,
+                                               optimize=True)),
+                       (cr.STAR, np.einsum("Api,ix,xuw,pq,uqr,Crw->AC", a, b[0], b, a[0],
+                                           a, b, optimize=True))):
+        got = _contract.build(chain, named)
+        scale = n ** 4 * max(float(np.abs(t).max()) for t in (a, b)) ** 6
+        close(got.dense, ref, scale)
+        kept = got.nonzeros()
+        assert (kept is None) == (np.count_nonzero(got.dense) > n * n)
+        if kept is not None:
+            want = _listed(got.dense)
+            assert np.array_equal(kept[0], want[0]) and np.array_equal(kept[1], want[1])
 
     # every table passes the list gate in the first pass (the einsum
     # references have up to n^4 nonzeros) and none in the second

@@ -7,7 +7,9 @@ monomial.
 A check on a monomial table must take the list path and report what the
 dense sliced path reports: the same exception, message and location, and
 the same residual up to rounding.  Haar-random, non-finite and over-slice
-tables must take the dense path."""
+tables must take the dense path.  The product and star tables that a
+crossed product builds on nonzero lists must be those of its dense
+assembly."""
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from weakhopf import algebra as al
 from weakhopf import modules as mo
 from weakhopf import crossed as cr
 from weakhopf import examples as ex
+from weakhopf import tower as tw
 from weakhopf.algebra import StarAlgebra, make_star_algebra
 from weakhopf.errors import ActionAxiomViolation, AssociativityViolation
 from weakhopf.hopf import WeakHopfAlgebra
@@ -413,3 +416,106 @@ def test_nan_entry_fails_the_declared_identity(declared_cases, case):
     with np.errstate(invalid="ignore"):
         (worst, _), = _contract.evaluate(_broken(tables, key, np.nan), identity)
     assert np.isnan(worst)
+
+
+# ---------------------------------------------------------------------------
+# the crossed product's tables built on nonzero lists
+
+# the depth-2 seeds of tests/test_tower.py, and dual-s3 (its level-3 crossed
+# product has 216 dimensions)
+TOWER_SEEDS = ["m2-z2", "m2-collapsed", "m2-pauli", "dual-z2", "dual-z3", "dual-z4",
+               "dual-z2xz2", "dual-z2/0,1", "dual-z3/0,1,2", "dual-s3"]
+
+
+def _built_and_assembled(MA):
+    """mult and the star table of MA's crossed product as _structure builds
+    them on nonzero lists, each as the list it keeps, and as the dense
+    assembly gives them when the list gate refuses every table."""
+    *_, (mult, _, star, _) = cr._structure(MA)
+    built = []
+    for t in (mult, star):
+        assert isinstance(t, _contract.Table)
+        keys, values = t.nonzeros()            # the list listed gives of the table
+        want = _any_count(t.dense)
+        assert np.array_equal(keys, want[0]) and np.array_equal(values, want[1])
+        built.append((keys, values))
+    del mult, star, t
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_contract, "listed", lambda table: None)
+        *_, (mult, _, star, _) = cr._structure(MA)
+    return built, (mult, star)
+
+
+def _assert_built_as_assembled(MA):
+    """The same exact-zero pattern, and values within 1e-13 relative."""
+    built, assembled = _built_and_assembled(MA)
+    for (keys, values), ref in zip(built, assembled):
+        flat = ref.ravel()
+        assert np.count_nonzero(flat) == keys.size and np.all(flat[keys] != 0)
+        assert np.abs(values - flat[keys]).max() <= 1e-13 * np.abs(flat[keys]).max()
+
+
+@pytest.mark.parametrize("name", TOWER_SEEDS)
+def test_list_built_tables_are_the_dense_assembly(name):
+    # both crossed products of the depth-2 tower
+    MA = ex.named_action(name)
+    _assert_built_as_assembled(MA)
+    _assert_built_as_assembled(cr.crossed_product(MA).as_module)
+
+
+def test_list_built_tables_of_pauli_depth_3_are_the_dense_assembly():
+    # levels of 16, 64 and 256 dimensions; the dense assembly of the last
+    # peaks near 540 MB
+    MA = ex.named_action("m2-pauli")
+    for _ in range(3):
+        _assert_built_as_assembled(MA)
+        MA = cr.crossed_product(MA).as_module
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_list_built_tables_in_a_monomial_basis_with_phases(scaled):
+    # on a unitary basis every star table is symmetric; scaled basis
+    # vectors make it not, so that a transposed star would show
+    rng = np.random.default_rng(11)
+    MA = ex.named_action("m2-pauli")
+
+    def draw(n):
+        return _monomial_unitary(rng, n) * (rng.uniform(0.5, 2.0, n) if scaled else 1.0)
+
+    MA = _rebased_module(MA, draw(MA.hopf.dim), draw(MA.target.dim))
+    assert not np.isreal(MA.act[np.nonzero(MA.act)]).all()
+    assert scaled != np.array_equal(MA.target.star, MA.target.star.T)
+    for _ in range(2):
+        _assert_built_as_assembled(MA)
+        MA = cr.crossed_product(MA).as_module
+
+
+@pytest.mark.parametrize("basis", ["monomial", "haar"])
+def test_only_a_table_off_the_lists_takes_the_dense_assembly(basis, monkeypatch):
+    rng = np.random.default_rng(12)
+    draw = _monomial_unitary if basis == "monomial" else _haar_unitary
+    MA = ex.named_action("m2-pauli")
+    MA = _rebased_module(MA, draw(rng, MA.hopf.dim), draw(rng, MA.target.dim))
+    calls, assemble = [], cr._assemble
+    monkeypatch.setattr(cr, "_assemble", lambda *args: calls.append(args) or assemble(*args))
+    X = cr.crossed_product(MA)
+    assert len(calls) == (basis == "haar") and X.dim == 16
+    assert (X.algebra.mult.flags.c_contiguous
+            and np.count_nonzero(X.algebra.mult) == (128 if basis == "monomial" else 16 ** 3))
+
+
+def test_the_dense_pauli_top_is_never_listed(monkeypatch):
+    # the dim-64 level keeps the list its mult was built from, and every
+    # later check reads that list
+    arrays, tables, listed = [], [], _contract.listed
+
+    def spy(t):
+        (tables if isinstance(t, _contract.Table) else arrays).append(t.shape)
+        return listed(t)
+
+    monkeypatch.setattr(_contract, "listed", spy)
+    T = tw.build_tower(ex.named_action("m2-pauli"), 2)
+    assert tw.depth2_check(T)
+    tw.commutant_table(T)
+    assert T.dims()[-1] == 64
+    assert (64, 64, 64) in tables and (64, 64, 64) not in arrays
