@@ -67,14 +67,17 @@ columns, never from a dense pass) and the projection onto the classes.
 Where a table the chain reads is not listed or a join does not fit one
 slice, build returns None and the caller runs its own dense assembly.  The
 built table keeps its list, with the exact-zero sums dropped, so that it is
-the list listed gives of the dense array it fills.
+the list listed gives of the dense array it fills.  chain_list gives the
+list of a chain alone, without a dense table: the crossed product's check
+that the dual action descends (DESCENT, weakhopf.crossed) reads it, and
+keeps its own dense loop where the list is None.
 
-The table form.  evaluate and build take, for each name, an array or a
-Table: a dense array and its nonzero list, formed at most once.  listed is
-the one gate of the list path, and a Table answers it with the list it
-holds.  StarAlgebra (mult, star), WeakHopfAlgebra (cop) and ModuleAlgebra
-(act) hand their tables out as Tables held through config.memo on the
-owner (owned), so each is listed once per owner and freed with it; a
+The table form.  evaluate, build and chain_list take, for each name, an
+array or a Table: a dense array and its nonzero list, formed at most once.
+listed is the one gate of the list path, and a Table answers it with the
+list it holds.  StarAlgebra (mult, star), WeakHopfAlgebra (cop) and
+ModuleAlgebra (act) hand their tables out as Tables held through
+config.memo on the owner (owned), so each is listed once per owner and freed with it; a
 crossed product's algebra holds the lists its tables were built from.
 Arrays made per call stay plain.
 
@@ -149,17 +152,23 @@ def build(chain, tables):
     its own with the exact-zero sums dropped, so that it is the list that
     listed gives of the array.  None when a table the chain reads is not
     listed or a join does not fit one slice."""
-    word = chain[0].split("->")[1]
-    dims = _sizes([n for n in _nodes(chain, word) if isinstance(n[0], str)], tables)
-    got = _as_list(chain, tables, dims, {})
+    got, shape = chain_list(chain, tables)
     if got is None:
         return None
-    shape = tuple(dims[x] for x in word)
     kept = got[1] != 0
     keys, values = got[0][kept], got[1][kept]
     dense = np.zeros(math.prod(shape), values.dtype)
     dense[keys] = values
     return Table(dense.reshape(shape), _admitted(keys, values, shape))
+
+
+def chain_list(chain, tables):
+    """(the nonzero list of a declared chain over named tables, the shape of
+    its output): the list is None when a table the chain reads is not
+    listed or a join does not fit one slice."""
+    word = chain[0].split("->")[1]
+    dims = _sizes([n for n in _nodes(chain, word) if isinstance(n[0], str)], tables)
+    return _as_list(chain, tables, dims, {}), tuple(dims[x] for x in word)
 
 
 def _sizes(leaves, tables):

@@ -28,7 +28,10 @@ affine_solutions take one SVD of the whole matrix.
 
 Picking columns rather than spans (pivoted_columns) is column-pivoted QR,
 written in numpy; it takes no rank decision, its caller says how many
-columns to pick.
+columns to pick.  Asked for as many columns as a has rows, it splits a
+into the same blocks and runs the loop on each block, the blocks of one
+shape in one stacked loop, each block taking as many columns as it has
+rows; its tie band is then read against each block's own largest norm.
 """
 
 from collections import Counter
@@ -190,19 +193,47 @@ def pivoted_columns(a, k):
     largest norm once the span of the columns picked so far is projected
     out.  Norms within a relative 1e-8 of the largest count as tied, and a
     tie goes to the lowest index, so that rounding does not decide between
-    columns of equal weight."""
+    columns of equal weight.  A column is picked at most once; NoSolution
+    when every column not yet picked has an exactly zero remainder.
+
+    When k is the number of rows and the blocks of a (_blocks) cover every
+    row, the loop runs on each block alone, the blocks of one shape in one
+    stacked loop (a 1 x q block is one argmax), and each block takes as
+    many columns as it has rows; the tie band is then read against the
+    block's own largest norm.  Blocks share no row, so a step in one block
+    leaves the others as they are: when every block has full row rank, as
+    when a has orthonormal rows, the whole loop takes as many columns from
+    each block, and the same ones unless a norm falls within one band and
+    not the other.  Any other call runs the loop on the whole matrix."""
     a = _finite_matrix(a)
-    if k == a.shape[1]:
+    m, n = a.shape
+    if k == n:
         return np.arange(k)
+    blocks = _blocks(a) if k == m else None
+    if blocks and sum(rows.size for rows, _ in blocks) == k:
+        picks = [np.take_along_axis(cols, _pivots(a[rows[:, :, None], cols[:, None, :]],
+                                                  rows.shape[1]), axis=1)
+                 for rows, cols in blocks]
+        return np.sort(np.concatenate([p.ravel() for p in picks]))
+    return np.sort(_pivots(a[None], k)[0])
+
+
+def _pivots(a, k):
+    """The k columns that the Businger-Golub loop of pivoted_columns picks
+    from each matrix of the stack a, in the order picked, as (stack, k)."""
     rest = a.copy()
-    picks = []
-    for _ in range(k):
-        norms = (rest.real ** 2 + rest.imag ** 2).sum(axis=0)
-        j = int(np.argmax(norms >= (1 - 1e-8) * norms.max()))
-        picks.append(j)
-        q = rest[:, j] / np.sqrt(norms[j])
-        rest -= np.outer(q, q.conj() @ rest)
-    return np.sort(np.array(picks, dtype=np.intp))
+    at = np.arange(a.shape[0])
+    picks = np.empty((a.shape[0], k), dtype=np.intp)
+    for step in range(k):
+        norms = (rest.real ** 2 + rest.imag ** 2).sum(axis=1)
+        norms[at[:, None], picks[:, :step]] = 0.0
+        top = norms.max(axis=1, initial=0.0)
+        if not (top > 0).all():
+            raise NoSolution("no independent column is left to pick")
+        picks[:, step] = j = np.argmax(norms >= (1 - 1e-8) * top[:, None], axis=1)
+        q = rest[at, :, j] / np.sqrt(norms[at, j])[:, None]
+        rest -= q[:, :, None] * np.matmul(q.conj()[:, None, :], rest)
+    return picks
 
 
 def _spectrum(a):

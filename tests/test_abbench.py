@@ -46,3 +46,27 @@ def test_one_tree_against_itself_shows_no_significant_move(tmp_path):
     assert all(r["failed"] == 0 and r["provenance"]["nproc"] for r in got["runs"])
     assert set(got["metrics"]) >= {"wall_s", "op_p50_s", "op_p90_s", "peak_rss_mb", "setup_s"}
     assert not any(m["significant"] or m["gain_claimed"] for m in got["metrics"].values())
+
+
+def test_a_probe_records_each_run_of_one_command(tmp_path):
+    # the cheapest probe: `wha crossed` on dual-s3, whose report builds
+    # crossed products of dimensions 36 and 216
+    out = tmp_path / "probe.json"
+    assert ab.main([str(ROOT), str(ROOT), "--probe", "crossed-dual-s3", "--pairs", "2",
+                    "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {}
+    got = report["probes"]["crossed-dual-s3"]
+    assert got["same_stdout"] and got["rlimit_as_gib"] is None
+    assert [(r["side"], r["first"]) for r in got["runs"]] == [
+        ("parent", True), ("change", False), ("parent", False), ("change", True)]
+    for r in got["runs"]:
+        assert r["exit"] == 0 and r["wall_s"] > 0 and r["maxrss_mb"] > 0
+        assert set(r["build_at_s"]) == {"36", "216"} and r["pivoted_columns_s"] > 0
+    assert set(got["metrics"]) == {"wall_s", "maxrss_mb", "pivoted_columns_s"}
+    assert got["metrics"]["wall_s"]["pairs"] == 2
+
+
+def test_a_run_needs_a_workload_or_a_probe(tmp_path):
+    with pytest.raises(SystemExit):
+        ab.main([str(ROOT), str(ROOT), "--out", str(tmp_path / "none.json")])

@@ -345,8 +345,8 @@ def _declared_subscripts():
 # composition law 2, the product law and the splitting 6, star
 # antimultiplicativity 3, the coaction laws 6, covariance 7, the quasi-basis
 # identities 6, the translation products 3, the exchange identity 4 and the
-# regular homomorphism 3; and the chains that build the crossed product's
-# product table 6 and its star table 5
+# regular homomorphism 3; the chains that build the crossed product's
+# product table 6 and its star table 5; and the dual action's descent 2
 DECLARED = _declared_subscripts()
 
 
@@ -442,7 +442,7 @@ def test_nonzero_lists_agree_with_einsum(tables):
     # the four-index contraction of a and b, the five-index one of a, b
     # and a or the six-index one of a, b, a and b, and the same with a and
     # b swapped; "ijp,jpq->ijq" keeps a letter that both operands carry
-    assert len(DECLARED) == 62
+    assert len(DECLARED) == 64
     pools = [{2: x[0], 3: y, 4: np.einsum("ijk,klm->ijlm", y, x),
               5: np.einsum("ijk,klm,mpq->ijlpq", y, x, y),
               6: np.einsum("ijk,klm,mpq,qrs->ijlprs", y, x, y, x)}
@@ -484,6 +484,11 @@ def test_nonzero_lists_agree_with_einsum(tables):
         if kept is not None:
             want = _listed(got.dense)
             assert np.array_equal(kept[0], want[0]) and np.array_equal(kept[1], want[1])
+    # the descent of the dual action, as a list alone
+    got, shape = _contract.chain_list(cr.DESCENT, {"proj": a, "cop": b, "rel": a})
+    assert shape == (n, n, n)
+    close(_dense_list(*got, shape), np.einsum("Cpo,kos,cpk->sCc", a, b, a, optimize=True),
+          n ** 3 * max(float(np.abs(t).max()) for t in (a, b)) ** 3)
 
     # every table passes the list gate in the first pass (the einsum
     # references have up to n^4 nonzeros) and none in the second

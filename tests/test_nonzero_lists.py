@@ -11,8 +11,12 @@ tables must take the dense path.  The product and star tables that a
 crossed product builds on nonzero lists must be those of its dense
 assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weakhopf import _checks, _contract
 from weakhopf import _linalg as la
@@ -22,7 +26,9 @@ from weakhopf import crossed as cr
 from weakhopf import examples as ex
 from weakhopf import tower as tw
 from weakhopf.algebra import StarAlgebra, make_star_algebra
-from weakhopf.errors import ActionAxiomViolation, AssociativityViolation
+from weakhopf.config import DEFAULT_TOL, SLACK_COMPOSITE
+from weakhopf.errors import (ActionAxiomViolation, AssociativityViolation, AxiomViolation,
+                             NoSolution)
 from weakhopf.hopf import WeakHopfAlgebra
 from weakhopf.modules import make_module_algebra
 
@@ -101,6 +107,70 @@ def test_pivoted_columns_take_the_largest_remaining_column():
     # tied columns go to the lowest index; picking every column takes all
     assert la.pivoted_columns(np.eye(3)[:, [2, 0, 1]], 1).tolist() == [0]
     assert la.pivoted_columns(np.eye(3)[:, [2, 0, 1]], 3).tolist() == [0, 1, 2]
+
+
+def _whole_loop(a, k):
+    """The picks of the Businger-Golub loop run on the whole matrix, one
+    column at a time, as pivoted_columns ran before it split by blocks."""
+    rest = np.array(a, dtype=complex)
+    picks = []
+    for _ in range(k):
+        norms = (rest.real ** 2 + rest.imag ** 2).sum(axis=0)
+        norms[picks] = 0.0
+        j = int(np.argmax(norms >= (1 - 1e-8) * norms.max()))
+        picks.append(j)
+        q = rest[:, j] / np.sqrt(norms[j])
+        rest -= np.outer(q, q.conj() @ rest)
+    return sorted(picks)
+
+
+def test_pivoted_columns_never_pick_a_column_twice():
+    # once column 0 is out, its rounding remainder outweighs the tiny
+    # column 1, which is the one independent column left
+    a = np.array([[0.7, 0.0, 0.0], [0.6, 0.0, 0.0], [0.5, 1e-20, 0.0]])
+    assert la.pivoted_columns(a, 2).tolist() == [0, 1]
+
+
+def test_pivoted_columns_refuse_more_columns_than_are_independent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoSolution, match="no independent column is left"):
+            la.pivoted_columns(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]), 2)
+        # blockwise: two blocks of rank 1 with four rows each, whose
+        # remainders vanish exactly
+        with pytest.raises(NoSolution, match="no independent column is left"):
+            la.pivoted_columns(np.kron(np.eye(2), np.ones((4, 5))), 8)
+
+
+# entries whose column norms tie exactly
+_ENTRIES = [0, 1, -1, 1j, -1j, 1 + 1j, 2]
+
+
+@st.composite
+def _block_diagonal(draw):
+    """A matrix made block diagonal from blocks of p rows and at least p
+    columns, with its rows and columns in random order."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)),
+                           min_size=1, max_size=5))
+    m, n = sum(p for p, _ in shapes), sum(p + e for p, e in shapes)
+    a = np.zeros((m, n), dtype=complex)
+    i = j = 0
+    for p, e in shapes:
+        size = p * (p + e)
+        entries = draw(st.lists(st.sampled_from(_ENTRIES), min_size=size, max_size=size))
+        a[i:i + p, j:j + p + e] = np.reshape(entries, (p, p + e))
+        i, j = i + p, j + p + e
+    rows = draw(st.permutations(range(m)))
+    cols = draw(st.permutations(range(n)))
+    return a[np.ix_(rows, cols)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_block_diagonal())
+def test_blockwise_picks_are_those_of_the_whole_loop(a):
+    m = a.shape[0]
+    assume(np.linalg.matrix_rank(a) == m)
+    assert la.pivoted_columns(a, m).tolist() == _whole_loop(a, m)
 
 
 @pytest.mark.parametrize("basis", ["natural", "monomial"])
@@ -425,6 +495,90 @@ def test_nan_entry_fails_the_declared_identity(declared_cases, case):
 # product has 216 dimensions)
 TOWER_SEEDS = ["m2-z2", "m2-collapsed", "m2-pauli", "dual-z2", "dual-z3", "dual-z4",
                "dual-z2xz2", "dual-z2/0,1", "dual-z3/0,1,2", "dual-s3"]
+
+
+def test_picks_are_those_of_the_whole_loop_on_every_seed(monkeypatch):
+    # both crossed products of each depth-2 tower, and the three levels of
+    # Pauli depth 3
+    same, pick = [], la.pivoted_columns
+    monkeypatch.setattr(la, "pivoted_columns",
+                        lambda a, k: same.append(pick(a, k).tolist() == _whole_loop(a, k))
+                        or pick(a, k))
+    for name, depth in [(name, 2) for name in TOWER_SEEDS] + [("m2-pauli", 3)]:
+        MA = ex.named_action(name)
+        for _ in range(depth):
+            MA = cr.crossed_product(MA).as_module
+    assert len(same) == 2 * len(TOWER_SEEDS) + 3 and all(same)
+
+
+def _reference_dual_action(X):
+    """proj times the moves of the picked pure tensors, as [s, B, C]."""
+    W = X.base.hopf
+    moved = cr._dual_moves(np.transpose(W.cop, (2, 1, 0)), X.lift, X.base.target.dim)
+    return (X.proj @ moved).transpose(0, 2, 1)
+
+
+def test_the_gathered_dual_action_is_the_product_with_the_moves():
+    MA = ex.named_action("m2-pauli")
+    for _ in range(2):
+        X = cr.crossed_product(MA)
+        assert np.array_equal(X.as_module.act, _reference_dual_action(X))
+        MA = X.as_module
+    rng = np.random.default_rng(13)
+    MA = ex.named_action("m2-pauli")
+    MA = _rebased_module(MA, _haar_unitary(rng, MA.hopf.dim), _haar_unitary(rng, MA.target.dim))
+    X = cr.crossed_product(MA)
+    ref = _reference_dual_action(X)
+    assert np.abs(X.as_module.act - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _first_failing_functional(X, arrows):
+    """(s, largest entry) of the first functional whose moves of the
+    relation basis proj does not kill, by the dense loop; else None."""
+    dm, da = X.base.target.dim, X.base.hopf.dim
+    rel = X._rel_basis.reshape(dm, da, -1)
+    for s in range(da):
+        moved = np.einsum("ok,pkR->poR", arrows[s], rel).reshape(dm * da, -1)
+        gap = float(np.abs(X.proj @ moved).max())
+        if not gap <= SLACK_COMPOSITE * DEFAULT_TOL:
+            return s, gap
+    return None
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_monomial_break_of_the_arrows_is_refused_on_the_lists(level, monkeypatch):
+    MA = ex.named_action("m2-pauli")
+    for _ in range(level - 1):
+        MA = cr.crossed_product(MA).as_module
+    X = cr.crossed_product(MA)
+    # one arrow of functional 5 and, by more, one of functional 9 are
+    # scaled: the zero pattern is kept, so every table stays listed
+    arrows = np.transpose(MA.hopf.cop, (2, 1, 0)).copy()
+    for s, scale in ((5, 1.001), (9, 1.1)):
+        o, k = np.argwhere(arrows[s])[0]
+        arrows[s, o, k] *= scale
+    s, ref = _first_failing_functional(X, arrows)
+    assert s == 5
+    moves = []
+    monkeypatch.setattr(cr, "_dual_moves", lambda *args: moves.append(args))
+    got = _outcome(lambda: X._verify(arrows))
+    assert not moves
+    assert got[:3] == (AxiomViolation, "dual action does not descend", None)
+    assert got[3] == pytest.approx(ref, rel=1e-12)
+
+
+def test_the_descent_at_each_pauli_level_takes_the_lists(monkeypatch):
+    moves, dual_moves = [], cr._dual_moves
+    monkeypatch.setattr(cr, "_dual_moves",
+                        lambda *args: moves.append(args) or dual_moves(*args))
+    T = tw.build_tower(ex.named_action("m2-pauli"), 2)
+    assert T.dims()[-1] == 64 and not moves
+    # in a Haar-random basis the dense loop runs, one functional at a time
+    rng = np.random.default_rng(14)
+    MA = ex.named_action("m2-pauli")
+    cr.crossed_product(_rebased_module(MA, _haar_unitary(rng, MA.hopf.dim),
+                                       _haar_unitary(rng, MA.target.dim)))
+    assert len(moves) == MA.hopf.dim
 
 
 def _built_and_assembled(MA):

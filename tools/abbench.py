@@ -2,7 +2,7 @@
 
 Usage:
 
-    python tools/abbench.py PARENT CHANGE --workload W [--workload W ...]
+    python tools/abbench.py PARENT CHANGE [--workload W ...] [--probe P ...]
         --pairs N --seconds S --out BENCH_<n>.json [--seed S0]
 
 PARENT and CHANGE are the roots of two checkouts.  For each workload, pair k
@@ -23,19 +23,76 @@ Each run keeps its exit code, its `correct`, `attempted` and `failed` fields
 and the host provenance of its `detail:` line.  A run without a result line
 is kept with its exit code and the end of its standard error, and its pair
 is left out of the statistics.
+
+A scale probe (--probe, one of PROBES) is one `wha` command on a built-in
+input too large for a bench workload's loop, such as the Pauli tower at
+depth 3.  The change's tree writes the input record once, and pair k runs
+the command once in each tree, in the same alternating order, in a fresh
+process with one BLAS thread, optionally under an address-space limit
+(RLIMIT_AS).  Each run records its exit code, its wall time, its peak
+resident set size (ru_maxrss from os.wait4), the SHA-256 of its standard
+output, the total time of its calls of `_linalg.pivoted_columns`, and the
+time after its start at which it first calls the crossed product's
+`build` at each level, keyed by that level's dimension.  The report gives
+the same comparison of wall time, peak resident set size and
+pivoted_columns time as for the workloads, and whether every run printed
+the same bytes.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 ALPHA = 0.05            # a sign-test p-value below this is a significant move
 CLAIM_PAIRS = 10        # a gain is claimed over at least this many pairs,
 CLAIM_SHARE = 0.9       # of which the change wins at least this share
+
+# name: (`wha example` arguments of the input record, the command with
+# "{input}" for the record's path, address-space limit in GiB or None)
+PROBES = {
+    "pauli-depth3": (["action", "--name", "m2-pauli"],
+                     ["tower", "--seed", "{input}", "--depth", "3"], None),
+    "pauli-depth4": (["action", "--name", "m2-pauli"],
+                     ["tower", "--seed", "{input}", "--depth", "4"], 4),
+    "dual-s3-depth2": (["action", "--name", "dual-s3"],
+                       ["tower", "--seed", "{input}", "--depth", "2"], None),
+    "crossed-dual-s3": (["action", "--name", "dual-s3"], ["crossed", "{input}"], None),
+}
+PROBE_METRICS = ("wall_s", "maxrss_mb", "pivoted_columns_s")
+THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+# the child of a probe: `wha` with pivoted_columns timed and the first call
+# of the crossed product's build at each level marked; the marks are the
+# last line of its standard error
+PROBE_MAIN = """
+import json, sys, time
+start = time.perf_counter()
+from weakhopf import _linalg, cli, crossed
+marks = {"pivoted_columns_s": 0.0, "build_at_s": {}}
+def pivoted_columns(*args, _inner=_linalg.pivoted_columns, **kwargs):
+    t = time.perf_counter()
+    try:
+        return _inner(*args, **kwargs)
+    finally:
+        marks["pivoted_columns_s"] += time.perf_counter() - t
+def build(chain, tables, _inner=crossed.build):
+    marks["build_at_s"].setdefault(str(tables["proj"].shape[0]), time.perf_counter() - start)
+    return _inner(chain, tables)
+_linalg.pivoted_columns, crossed.build = pivoted_columns, build
+try:
+    code = cli.main(sys.argv[1:])
+finally:
+    print("probe: " + json.dumps(marks), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def sign_test(wins, losses):
@@ -100,6 +157,88 @@ def run_bench(root, workload, seed, seconds):
     return record
 
 
+def probe_env(root):
+    return dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"), **THREADS)
+
+
+def write_probe_inputs(root, work, probes):
+    """{probe: path of its input record}, each record written once by the
+    `wha example` of the tree at root."""
+    paths = {}
+    for name in probes:
+        example = PROBES[name][0]
+        path = os.path.join(work, "-".join(example[1:]) + ".json")
+        if not os.path.exists(path):
+            subprocess.run([sys.executable, "-m", "weakhopf.cli", "--out", path, "example",
+                            *example], env=probe_env(root), check=True)
+        paths[name] = path
+    return paths
+
+
+def run_probe(root, name, path):
+    """One run of probe name on the input record at path, in the tree at
+    root: exit code, wall time, ru_maxrss, the hash of its output and its
+    marks (see PROBE_MAIN)."""
+    _, argv, cap_gib = PROBES[name]
+    argv = [path if x == "{input}" else x for x in argv]
+
+    def limit():
+        if cap_gib is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (cap_gib << 30, cap_gib << 30))
+
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", PROBE_MAIN, *argv], cwd=root,
+                                env=probe_env(root), stdout=out, stderr=err,
+                                preexec_fn=limit)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read().splitlines()
+    record = {"exit": code, "wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
+              "stdout_sha256": hashlib.sha256(stdout).hexdigest()}
+    if stderr and stderr[-1].startswith("probe: "):
+        record.update(json.loads(stderr.pop()[len("probe: "):]))
+    if code:
+        record["stderr_tail"] = "\n".join(stderr)[-2000:]
+    return record
+
+
+def paired_runs(parent, change, pairs, label, run, log):
+    """The runs run(root, k) of pairs k = 0 .. pairs - 1, as [parent,
+    change] of each pair, each with its side, pair and whether it ran
+    first: the parent runs first in even pairs and the change in odd ones."""
+    runs = []
+    for k in range(pairs):
+        sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {}
+        for side in sides:
+            pair[side] = got = dict(run(parent if side == "parent" else change, k),
+                                    side=side, pair=k, first=sides[0] == side)
+            wall = got.get("wall_s", got.get("metrics", {}).get("wall_s"))
+            print(f"{label} pair {k} {side}: exit {got['exit']}, {wall}", file=log)
+        runs += [pair["parent"], pair["change"]]
+    return runs
+
+
+def compare_probes(parent, change, probes, pairs, log=sys.stderr):
+    """Run the probes' pairs and return their part of the report."""
+    report = {}
+    with tempfile.TemporaryDirectory() as work:
+        paths = write_probe_inputs(change, work, probes)
+        for name in probes:
+            runs = paired_runs(parent, change, pairs, name,
+                               lambda root, k: run_probe(root, name, paths[name]), log)
+            metrics = {m: summarize([(runs[2 * k][m], runs[2 * k + 1][m]) for k in range(pairs)])
+                       for m in PROBE_METRICS if all(m in r for r in runs)}
+            report[name] = {"argv": PROBES[name][1], "rlimit_as_gib": PROBES[name][2],
+                            "same_stdout": len({r["stdout_sha256"] for r in runs}) == 1,
+                            "metrics": metrics, "runs": runs}
+    return report
+
+
 def directions(root):
     """metric -> "lower" or "higher" from root/BENCHMARK.json, if present."""
     try:
@@ -110,22 +249,16 @@ def directions(root):
     return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
 
 
-def compare(parent, change, workloads, pairs, seconds, seed=1, log=sys.stderr):
+def compare(parent, change, workloads, pairs, seconds, seed=1, probes=(), log=sys.stderr):
     """Run the pairs and return the report as a dict."""
     better = directions(change)
     report = {"pairs": pairs, "seconds": seconds, "first_seed": seed, "workloads": {}}
+    if probes:
+        report["probes"] = compare_probes(parent, change, probes, pairs, log=log)
     for workload in workloads:
-        runs = []
-        for k in range(pairs):
-            sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {}
-            for side in sides:
-                root = parent if side == "parent" else change
-                pair[side] = dict(run_bench(root, workload, seed + k, seconds),
-                                  side=side, pair=k, seed=seed + k, first=sides[0] == side)
-                print(f"{workload} pair {k} {side}: exit {pair[side]['exit']}, "
-                      f"{pair[side].get('metrics', {}).get('wall_s')}", file=log)
-            runs += [pair["parent"], pair["change"]]
+        runs = paired_runs(parent, change, pairs, workload,
+                           lambda root, k: dict(run_bench(root, workload, seed + k, seconds),
+                                                seed=seed + k), log)
         complete = [(runs[2 * k], runs[2 * k + 1]) for k in range(pairs)
                     if "metrics" in runs[2 * k] and "metrics" in runs[2 * k + 1]]
         names = sorted({m for p, c in complete for m in p["metrics"] if m in c["metrics"]})
@@ -142,15 +275,19 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", help="root of the parent checkout")
     p.add_argument("change", help="root of the changed checkout")
-    p.add_argument("--workload", action="append", required=True,
+    p.add_argument("--workload", action="append", default=[],
                    help="a workload of bench/run.py; repeat for several")
+    p.add_argument("--probe", action="append", default=[], choices=sorted(PROBES),
+                   help="a scale probe; repeat for several")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=12.0)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--out", required=True, help="JSON file for the report")
     args = p.parse_args(argv)
+    if not (args.workload or args.probe):
+        p.error("give at least one --workload or --probe")
     report = compare(args.parent, args.change, args.workload, args.pairs, args.seconds,
-                     seed=args.seed)
+                     seed=args.seed, probes=args.probe)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -162,6 +299,12 @@ def main(argv=None):
                   f"{'; gain' if m['gain_claimed'] else ''})")
         if not got["all_correct"]:
             print(f"{workload}: a run was not correct", file=sys.stderr)
+    for name, got in report.get("probes", {}).items():
+        for metric, m in got["metrics"].items():
+            print(f"{name} {metric}: {m['parent_median']:.6g} -> {m['change_median']:.6g} "
+                  f"(change wins {m['change_wins']}/{m['pairs']})")
+        print(f"{name}: exits {sorted({r['exit'] for r in got['runs']})}, "
+              f"same output {got['same_stdout']}")
     return 0 if all(w["all_correct"] for w in report["workloads"].values()) else 1
 
 
