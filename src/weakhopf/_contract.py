@@ -39,11 +39,20 @@ at one size, in one of two ways, chosen per identity from its input:
     algebra, its dual and the crossed products of the package's actions
     have in the natural basis and in any monomial basis) and every join
     fits one weakhopf._checks slice.  A nonzero list is one
-    format: the row-major flat keys of the entries of a table, in
-    increasing order, and their values; contract derives every key from the
-    subscripts and the letter sizes, and difference subtracts two lists.
-    A join's exact term count is known from the key histograms of the
-    shared letters (join_size) before anything is allocated;
+    format: the row-major flat keys of the entries of a table, distinct and
+    in increasing order, and their values; contract derives every key from
+    the subscripts and the letter sizes, unravelling each operand's keys
+    once, and difference subtracts two lists.  A join's exact term count is
+    known from the key histograms of the shared letters (join_size) before
+    anything is allocated.  Each list step is linear in its keys and pairs
+    and sorts only where its keys need it: a join reads the offsets of its
+    right keys from their histogram and sorts them only when they are not
+    increasing; a sum (accumulate) groups increasing keys by their runs,
+    and keys from a key space at most DENSE_KEYS (4) times their count on a
+    presence table of that space, and sorts other keys with np.unique; a
+    difference of two lists with equal keys is one elementwise pass.  Every
+    result is bit for bit what sorting every time gives: the same pairs in
+    the same order, and each sum np.bincount's in the order of its terms;
   * dense slices otherwise (a Haar-random basis, a non-finite entry, a join
     over one slice).  The output is formed one slice of its first letter
     at a time, with the slice sizes of weakhopf._checks.row_slices for the
@@ -421,21 +430,26 @@ def contract(subscripts, a, b, dims):
     inputs, output = subscripts.split("->")
     sa, sb = inputs.split(",")
     shared = [x for x in sa if x in sb]
-    ka, kb = _keys(a[0], sa, shared, dims), _keys(b[0], sb, shared, dims)
+    da, db = _digits(a[0], sa, dims), _digits(b[0], sb, dims)
+    ka, kb = _keys(da, shared, dims), _keys(db, shared, dims)
     if not fits_slice(join_size(ka, kb)):
         return None
     ia, ib = join(ka, kb)
     # a letter of both operands is read from a
-    keys = _keys(a[0], sa, output, dims)[ia] + _keys(b[0], sb, output, dims, skip=sa)[ib]
+    keys = _keys(da, output, dims)[ia] + _keys(db, output, dims, skip=sa)[ib]
     return accumulate(keys, a[1][ia] * b[1][ib])
 
 
-def _keys(keys, word, within, dims, skip=""):
+def _digits(keys, word, dims):
+    """{letter of word: its digit in each of the row-major keys over word}."""
+    digits = np.unravel_index(keys, [dims[x] for x in word])
+    return dict(zip(word, digits))
+
+
+def _keys(digits, within, dims, skip=""):
     """The share of row-major keys over the letters of within that the
-    letters of word, other than those in skip, contribute; read from keys
-    over the letters of word."""
-    digits = dict(zip(word, np.unravel_index(keys, [dims[x] for x in word])))
-    part, stride = np.zeros(keys.shape, np.intp), 1
+    letters of digits (see _digits), other than those in skip, contribute."""
+    part, stride = np.zeros(next(iter(digits.values())).shape, np.intp), 1
     for x in reversed(within):
         if x in digits and x not in skip:
             part += digits[x] * stride
@@ -452,22 +466,50 @@ def join_size(ka, kb):
     return int(np.bincount(ka, minlength=keys) @ np.bincount(kb, minlength=keys))
 
 
+def _increasing(keys):
+    """Is each key at least the one before it?"""
+    return not (keys[1:] < keys[:-1]).any()
+
+
 def join(ka, kb):
     """Every pair of positions (ia, ib) with ka[ia] == kb[ib]: the terms of a
-    contraction over the key.  The pairs come in order of ia."""
-    order = np.argsort(kb, kind="stable")
-    ordered = kb[order]
-    lo = np.searchsorted(ordered, ka, "left")
-    counts = np.searchsorted(ordered, ka, "right") - lo
+    contraction over the key.  The pairs come in order of ia, and the pairs
+    of one ia in order of ib.  The positions of each key in kb are read
+    from the histogram of kb; kb is sorted (stably) only when it is not
+    already increasing."""
+    counts = np.bincount(kb, minlength=int(ka.max(initial=-1)) + 1)
+    lo = (np.cumsum(counts) - counts)[ka]          # first place of ka's key in sorted kb
+    counts = counts[ka]
     ia = np.repeat(np.arange(ka.size), counts)
     first = np.cumsum(counts) - counts                # position of ia's first pair
-    return ia, order[np.repeat(lo - first, counts) + np.arange(ia.size)]
+    ib = np.repeat(lo - first, counts) + np.arange(ia.size)
+    return ia, ib if _increasing(kb) else np.argsort(kb, kind="stable")[ib]
+
+
+# A sum over keys that are not increasing is taken on a presence table of
+# the key space, without a sort, when that space has at most this many keys
+# per term (and the table fits one weakhopf._checks slice).
+DENSE_KEYS = 4
 
 
 def accumulate(keys, values):
     """(distinct keys in increasing order, sum of the values at each key),
-    each sum taken in the order of the values."""
-    keys, inverse = np.unique(keys, return_inverse=True)
+    each sum np.bincount's, taken in the order of the values.  Increasing
+    keys are grouped by their runs, keys from a small key space (DENSE_KEYS)
+    by a presence table of it, and any others by np.unique."""
+    if _increasing(keys):
+        runs = np.empty(keys.size, bool)
+        runs[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=runs[1:])
+        keys, inverse = keys[runs], np.cumsum(runs) - 1
+    else:
+        space = int(keys.max()) + 1
+        if space <= DENSE_KEYS * keys.size and fits_slice(space):
+            present = np.zeros(space, bool)
+            present[keys] = True
+            keys, inverse = np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+        else:
+            keys, inverse = np.unique(keys, return_inverse=True)
     if not np.iscomplexobj(values):
         return keys, np.bincount(inverse, values, keys.size)
     sums = np.empty(keys.size, values.dtype)
@@ -479,7 +521,11 @@ def accumulate(keys, values):
 def difference(a, b):
     """The nonzero list of a - b, from those of a and b (an entry of either
     list at a key the other lacks stands against an exact zero); None when
-    a or b is None."""
+    a or b is None.  On equal keys it is one elementwise pass, 0.0 + a plus
+    -b: the two additions accumulate makes at each key (two empty lists
+    take accumulate, whose empty sums np.bincount types as integers)."""
     if a is None or b is None:
         return None
+    if a[0].size and np.array_equal(a[0], b[0]):
+        return a[0], (0.0 + a[1]) + -b[1]
     return accumulate(np.concatenate([a[0], b[0]]), np.concatenate([a[1], -b[1]]))

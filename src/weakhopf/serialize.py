@@ -2,6 +2,7 @@
 Complex scalars are [re, im] pairs; no string-encoded numerics."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -40,15 +41,30 @@ def array_to_pairs(a):
 
 def pairs_to_array(data, shape=None):
     """The complex array of a nested list of [re, im] pairs.  Raises
-    FormatError unless numpy reads the list as numbers (integers or
-    floats; not strings, booleans alone or ragged lists), with every entry
-    a finite pair, and of the given shape."""
-    try:
-        arr = np.asarray(data)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"complex entries must be numeric [re, im] pairs: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
+    FormatError unless every leaf is a number (an integer or a float; not a
+    string, a boolean or None), every list of one level has the same
+    length, and every entry is a finite pair of the given shape.  The list
+    is read one level at a time, the lengths of each level's lists and then
+    the types of the leaves taken as sets: a number, boolean or None among
+    the lists of a level has no length, and a string there is flattened
+    into strings, so neither passes."""
+    level, dims = [data], []
+    while level and type(level[0]) is list:
+        try:
+            lengths = set(map(len, level))
+        except TypeError as exc:
+            raise FormatError(f"complex entries must be numeric [re, im] pairs: {exc}") from exc
+        if len(lengths) > 1:
+            raise FormatError(f"complex entries must be numeric [re, im] pairs: "
+                              f"a ragged list of lengths {sorted(lengths)}")
+        dims.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
         raise FormatError("complex entries must be numeric [re, im] pairs")
+    try:
+        arr = np.fromiter(level, float, len(level)).reshape(dims)
+    except OverflowError as exc:
+        raise FormatError(f"complex entries must be numeric [re, im] pairs: {exc}") from exc
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise FormatError("complex entries must be [re, im] pairs")
     if not np.isfinite(arr).all():

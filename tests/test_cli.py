@@ -107,15 +107,17 @@ def test_non_finite_entry_exits_2(tmp_path, capsys, cz2, field):
         ser.pairs_to_array([[0.0, float("inf")]])
 
 
-@pytest.mark.parametrize("leaves", ["strings", "booleans"])
+@pytest.mark.parametrize("leaves", ["strings", "booleans", "mixed"])
 def test_non_numeric_table_exits_2(tmp_path, capsys, cz2, leaves):
-    # [re, im] pairs of strings or of booleans alone are not numbers, even
-    # where numpy could cast them to floats
+    # [re, im] pairs of strings or of booleans, alone or among numbers, are
+    # not numbers, even where numpy could cast them to floats
     rec = ser.weak_hopf_record(cz2)
     if leaves == "strings":
         rec["mult"] = np.asarray(rec["mult"]).astype(str).tolist()
-    else:
+    elif leaves == "booleans":
         rec["counit"] = [[bool(x) for x in pair] for pair in rec["counit"]]
+    else:
+        rec["counit"][0] = [bool(x) for x in rec["counit"][0]]
     path = tmp_path / "text.json"
     path.write_text(json.dumps(rec))
     rc, _ = run(["verify", str(path)], capsys)
@@ -124,6 +126,8 @@ def test_non_numeric_table_exits_2(tmp_path, capsys, cz2, leaves):
         ser.pairs_to_array([["1.5", "0"], [True, False]])
     with pytest.raises(FormatError, match="numeric"):
         ser.pairs_to_array([[True, False]])
+    with pytest.raises(FormatError, match="numeric"):
+        ser.pairs_to_array([[1.5, 0], [True, False]])
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -31,12 +31,13 @@ the command once in each tree, in the same alternating order, in a fresh
 process with one BLAS thread, optionally under an address-space limit
 (RLIMIT_AS).  Each run records its exit code, its wall time, its peak
 resident set size (ru_maxrss from os.wait4), the SHA-256 of its standard
-output, the total time of its calls of `_linalg.pivoted_columns`, and the
-time after its start at which it first calls the crossed product's
-`build` at each level, keyed by that level's dimension.  The report gives
-the same comparison of wall time, peak resident set size and
-pivoted_columns time as for the workloads, and whether every run printed
-the same bytes.
+output, the total time of its calls of `_linalg.pivoted_columns`, the
+total time of its calls of the nonzero-list kernel (`_contract.contract`
+and `_contract.difference`), and the time after its start at which it
+first calls the crossed product's `build` at each level, keyed by that
+level's dimension.  The report gives the same comparison of wall time,
+peak resident set size, pivoted_columns time and list-kernel time as for
+the workloads, and whether every run printed the same bytes.
 """
 
 import argparse
@@ -66,27 +67,32 @@ PROBES = {
                        ["tower", "--seed", "{input}", "--depth", "2"], None),
     "crossed-dual-s3": (["action", "--name", "dual-s3"], ["crossed", "{input}"], None),
 }
-PROBE_METRICS = ("wall_s", "maxrss_mb", "pivoted_columns_s")
+PROBE_METRICS = ("wall_s", "maxrss_mb", "pivoted_columns_s", "list_kernel_s")
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
-# the child of a probe: `wha` with pivoted_columns timed and the first call
-# of the crossed product's build at each level marked; the marks are the
-# last line of its standard error
+# the child of a probe: `wha` with pivoted_columns and the list kernel
+# timed and the first call of the crossed product's build at each level
+# marked; the marks are the last line of its standard error
 PROBE_MAIN = """
 import json, sys, time
 start = time.perf_counter()
-from weakhopf import _linalg, cli, crossed
-marks = {"pivoted_columns_s": 0.0, "build_at_s": {}}
-def pivoted_columns(*args, _inner=_linalg.pivoted_columns, **kwargs):
-    t = time.perf_counter()
-    try:
-        return _inner(*args, **kwargs)
-    finally:
-        marks["pivoted_columns_s"] += time.perf_counter() - t
+from weakhopf import _contract, _linalg, cli, crossed
+marks = {"pivoted_columns_s": 0.0, "list_kernel_s": 0.0, "build_at_s": {}}
+def timed(inner, mark):
+    def call(*args, **kwargs):
+        t = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            marks[mark] += time.perf_counter() - t
+    return call
 def build(chain, tables, _inner=crossed.build):
     marks["build_at_s"].setdefault(str(tables["proj"].shape[0]), time.perf_counter() - start)
     return _inner(chain, tables)
-_linalg.pivoted_columns, crossed.build = pivoted_columns, build
+_linalg.pivoted_columns = timed(_linalg.pivoted_columns, "pivoted_columns_s")
+_contract.contract = timed(_contract.contract, "list_kernel_s")
+_contract.difference = timed(_contract.difference, "list_kernel_s")
+crossed.build = build
 try:
     code = cli.main(sys.argv[1:])
 finally:
