@@ -68,27 +68,24 @@ at one size, in one of two ways, chosen per identity from its input:
     two sides are subtracted in place, into a side no later identity
     reads.
 
-Built tables.  A chain can also build a table (build), on nonzero lists
-only: the product and star tables of a crossed product are the chains
-PRODUCT and STAR (weakhopf.crossed), over the tables of M, A and the action,
-the 0/1 selection of the picked pure tensors (selection, listed from its
-columns, never from a dense pass) and the projection onto the classes.
-Where a table the chain reads is not listed or a join does not fit one
-slice, build returns None and the caller runs its own dense assembly.  The
-built table keeps its list, with the exact-zero sums dropped, so that it is
-the list listed gives of the dense array it fills.  chain_list gives the
-list of a chain alone, without a dense table: the crossed product's check
-that the dual action descends (DESCENT, weakhopf.crossed) reads it, and
-keeps its own dense loop where the list is None.
+Built tables.  A chain also builds a table (build), the one way a crossed
+product's tables are formed: the chains PRODUCT, STAR and DESCENT
+(weakhopf.crossed) read the tables of M, A and the action gathered at the
+picked pure tensors (gathered, listed from their owners' lists) and the
+projection onto the classes.  build takes the two ways of evaluate, lists
+where every table is listed and every join fits one slice, else dense
+slices of the chain's lead letter.  A list-built table keeps its list, with
+the exact-zero sums dropped (the list listed gives of its dense array, which
+is filled only on request).
 
-The table form.  evaluate, build and chain_list take, for each name, an
-array or a Table: a dense array and its nonzero list, formed at most once.
+The table form.  evaluate and build take, for each name, an array or a
+Table: a dense array and its nonzero list, each formed at most once.
 listed is the one gate of the list path, and a Table answers it with the
 list it holds.  StarAlgebra (mult, star), WeakHopfAlgebra (cop) and
 ModuleAlgebra (act) hand their tables out as Tables held through
-config.memo on the owner (owned), so each is listed once per owner and freed with it; a
-crossed product's algebra holds the lists its tables were built from.
-Arrays made per call stay plain.
+config.memo on the owner (owned), so each is listed once per owner and
+freed with it; a crossed product's algebra holds the lists its tables were
+built from.  Arrays made per call stay plain.
 
 Every entry outside a list is an exact zero, and products of finite tables
 drop only exact 0 * finite terms, so both ways give the same residual up to
@@ -102,8 +99,9 @@ Held whole on the dense path, besides the tables: Ia's right half
 splitting share, the [q, i, b, k] factor of coaction multiplicativity
 (dim M^2 * dim A^2), the products (e_u)(f_p) [u, p, x] of covariance and
 their [u, c, x] factor (dim A * dim X^2), the exchange identity's products
-tau_l(f^u) ell(e_k) ((dim A)^4), and the regular homomorphism's
-[p, b, y, c, r] factor (dim X * dim M^2 * dim A^2).  Ia
+tau_l(f^u) ell(e_k) ((dim A)^4), the regular homomorphism's
+[p, b, y, c, r] factor (dim X * dim M^2 * dim A^2), and the operands a
+crossed product's tables are built from (multm[ps]: dim X * dim M^2).  Ia
 costs n^6 flops there: every summed index of its ring joins two of the four
 tables, so every pairwise order builds an n^4 table and ends in one
 (n^2 x n^2)(n^2 x n^2) GEMM; associativity costs n^5, and every other
@@ -156,28 +154,39 @@ def evaluate(tables, *identities):
 
 
 def build(chain, tables):
-    """The Table that a declared chain forms from named tables over nonzero
-    lists: the dense array filled from the chain's list, which it keeps as
-    its own with the exact-zero sums dropped, so that it is the list that
-    listed gives of the array.  None when a table the chain reads is not
-    listed or a join does not fit one slice."""
-    got, shape = chain_list(chain, tables)
-    if got is None:
-        return None
-    kept = got[1] != 0
-    keys, values = got[0][kept], got[1][kept]
-    dense = np.zeros(math.prod(shape), values.dtype)
-    dense[keys] = values
-    return Table(dense.reshape(shape), _admitted(keys, values, shape))
-
-
-def chain_list(chain, tables):
-    """(the nonzero list of a declared chain over named tables, the shape of
-    its output): the list is None when a table the chain reads is not
-    listed or a join does not fit one slice."""
+    """The Table that a declared chain forms from named tables, on nonzero
+    lists where every table it reads is listed and every join fits one
+    slice, else on dense slices of its lead letter (see the module
+    docstring)."""
     word = chain[0].split("->")[1]
     dims = _sizes([n for n in _nodes(chain, word) if isinstance(n[0], str)], tables)
-    return _as_list(chain, tables, dims, {}), tuple(dims[x] for x in word)
+    shape = tuple(dims[x] for x in word)
+    got = _as_list(chain, tables, dims, {})
+    if got is None:
+        return Table(_dense_table(chain, word, tables, dims))
+    kept = got[1] != 0
+    keys, values = got[0][kept], got[1][kept]
+
+    def fill():
+        dense = np.zeros(math.prod(shape), values.dtype)
+        dense[keys] = values
+        return dense.reshape(shape)
+
+    return Table(fill, _admitted(keys, values, shape), shape)
+
+
+def _dense_table(chain, word, tables, dims):
+    """The dense array of chain over the letters word, formed one slice of
+    its lead letter at a time (_dense), sized for the steps that carry it."""
+    lead, once, out = word[0], {}, None
+    row = max(math.prod(dims[x] for x in w.replace(lead, "", 1))
+              for c, w in _nodes(chain, word) if not isinstance(c, str) and lead in w)
+    for rows in row_slices(dims[lead], row):
+        got = _dense(chain, word, (lead, rows, tables, once, {}, ()))
+        if out is None:
+            out = np.empty(tuple(dims[x] for x in word), got.dtype)
+        out[rows] = got
+    return out
 
 
 def _sizes(leaves, tables):
@@ -353,18 +362,23 @@ _UNLISTED = object()
 
 
 class Table:
-    """A dense table and its nonzero list, formed at most once: the list of
-    the chain that built it (build), else listed(dense) on first use.
-    evaluate and listed take a Table wherever they take an array."""
+    """A dense table and its nonzero list, each formed at most once: the
+    list as build or gathered give it, else listed(dense) on first use; the
+    dense array as given, or by the function given for it (with the shape)
+    on first use.  evaluate and listed take a Table wherever they take an
+    array."""
 
-    __slots__ = ("dense", "_nonzeros")
+    __slots__ = ("_dense", "_nonzeros", "shape")
 
-    def __init__(self, dense, nonzeros=_UNLISTED):
-        self.dense, self._nonzeros = dense, nonzeros
+    def __init__(self, dense, nonzeros=_UNLISTED, shape=None):
+        self._dense, self._nonzeros = dense, nonzeros
+        self.shape = dense.shape if shape is None else shape
 
     @property
-    def shape(self):
-        return self.dense.shape
+    def dense(self):
+        if callable(self._dense):
+            self._dense = self._dense()
+        return self._dense
 
     def nonzeros(self):
         if self._nonzeros is _UNLISTED:
@@ -388,12 +402,35 @@ def owned(owner, name, given=None):
     return got if got.dense is array else Table(array)
 
 
-def selection(dense, columns):
-    """The Table of a 0/1 table whose row r holds its one 1 at flat position
-    columns[r] of the row, listed from columns without a pass over dense."""
-    rows = dense.shape[0]
-    keys = np.arange(rows) * (dense.size // rows) + columns
-    return Table(dense, (keys, np.ones(rows, dense.dtype)))
+def gathered(table, axis, index):
+    """The Table of np.moveaxis(table, axis, 0)[index], table an array or a
+    Table: its list is the join of index with the digits along axis of the
+    keys of table's list, in increasing order (None where table is not
+    listed or the join does not fit one slice), its dense array formed only
+    on request."""
+    shape = (len(index),) + table.shape[:axis] + table.shape[axis + 1:]
+    got, rows = listed(table), None
+    if got is not None:
+        keys, values = got
+        stride = math.prod(table.shape[axis + 1:])
+        digits = keys // stride % table.shape[axis]
+        if fits_slice(join_size(index, digits)):
+            rest = keys // (stride * table.shape[axis]) * stride + keys % stride
+            ia, ib = join(index, digits)
+            rows = _admitted(ia * math.prod(shape[1:]) + rest[ib], values[ib], shape)
+    return Table(lambda: np.moveaxis(dense_of(table), axis, 0)[index], rows, shape)
+
+
+def row_maxima(table):
+    """The largest |entry| of each row of a Table along its first axis (0
+    for an empty row, NaN for a row with a NaN), from its list where it
+    holds one, else from its dense array."""
+    got = table.nonzeros()
+    if got is None:
+        return np.abs(table.dense).reshape(table.shape[0], -1).max(axis=1, initial=0.0)
+    maxima = np.zeros(table.shape[0])
+    np.maximum.at(maxima, got[0] // max(1, math.prod(table.shape[1:])), np.abs(got[1]))
+    return maxima
 
 
 def listed(table):

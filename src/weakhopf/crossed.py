@@ -8,8 +8,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, residual
-from ._contract import (Table, build, chain_list, dense_of, evaluate, owned, pair_products,
-                        selection)
+from ._contract import Table, build, evaluate, gathered, owned, pair_products, row_maxima
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
 from .config import SLACK_COMPOSITE, SLACK_SOLVED, memo, tolerance
 from .errors import ActionAxiomViolation, AxiomViolation, ParentMismatch
@@ -43,27 +42,20 @@ class CrossedProduct:
     and Pauli actions every class of a pure tensor is a multiple of one
     picked class, so proj, and the structure constants, are monomial.
 
-    Where the tables of M, A and the action and proj are nonzero lists (a
-    monomial basis), mult and the star table are built on lists by the
-    declared chains PRODUCT and STAR, and the algebra keeps those lists,
-    so that no later check lists them again; at its peak such a level holds
-    the tables it keeps (mult, with n^3 entries, and its n^2 tables) and
-    the lists of the chain.  Otherwise (a Haar-random basis, or a join over
-    one slice) the dense assembly (_assemble) fills mult with one
-    construction array beside it: the [i, r, B, k] right factors
-    (dim A^2 dim M n entries).  The relations, their complement and the
-    construction arrays live only in _structure, so they are freed before
-    the algebra, the embeddings and the dual action are certified.
+    mult and the star table are built by the declared chains PRODUCT and
+    STAR (weakhopf._contract.build) over the tables of M, A and the action
+    gathered at the picks: on nonzero lists in a monomial basis, where the
+    algebra keeps the lists, so that no later check lists them again, and on
+    dense slices otherwise (a Haar-random basis, or a join over one slice).
+    The relations and the construction arrays live only in _structure, so
+    they are freed before the quotient is certified.
 
     The dual action is gathered: lift selects the pure tensors
     f_ps[B] (x) e_js[B], so the action of the functional f^s on the class B
     is sum_o proj[C, ps[B], o] cop[js[B], o, s], one batched product over
     B in every basis.  That it descends to the quotient, proj (f^s |> r) = 0
-    for every relation r, is the declared chain DESCENT over the lists of
-    proj, cop and the relation basis, with each functional's largest entry
-    read from the keys; where one of them is not listed, the check runs
-    one dense functional at a time.  Either way the first failing
-    functional is reported, with its largest entry."""
+    for every relation r, is built as the chain DESCENT, and the first
+    failing functional is reported, with its largest entry."""
 
     def __init__(self, base, tol=None):
         MA = base
@@ -136,18 +128,9 @@ class CrossedProduct:
 
         # the dual action preserves the relation span, functional by functional
         cop = owned(W, "cop") if arrows is None else np.transpose(arrows, (2, 1, 0))
-        rel = self._rel_basis
-        got, shape = chain_list(DESCENT, {"proj": self._proj, "cop": cop,
-                                          "rel": rel.T.reshape(-1, dm, A.dim)})
-        if got is not None:
-            keys, values = got
-            gaps = np.zeros(shape[0])          # the largest entry of each functional
-            np.maximum.at(gaps, keys // (shape[1] * shape[2]), np.abs(values))
-        else:
-            arrows = np.transpose(dense_of(cop), (2, 1, 0))
-            gaps = (self.proj @ _dual_moves(arrows[s:s + 1], rel, dm)[0]
-                    for s in range(len(arrows)))
-        for gap in gaps:
+        moved = build(DESCENT, {"proj": self._proj, "cop": cop,
+                                "rel": self._rel_basis.T.reshape(-1, dm, A.dim)})
+        for gap in row_maxima(moved):
             require(gap, SLACK_COMPOSITE * t, AxiomViolation, "dual action does not descend")
 
 
@@ -167,21 +150,18 @@ DESCENT = ("Cpks,cpk->sCc", ("Cpo,kos->Cpks", "proj", "cop"), "rel")
 
 
 # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between picked
-# pure tensors A = (p, i) and B = (q, j), projected onto the classes C:
-# pick[A, p, i] is the 0/1 selection of the picked pure tensors and
-# proj[C, s, k] the projection (e_u |> f_q = act[u, q, r] f_r)
+# pure tensors A = (p, i) and B = (q, j), projected onto the classes C by
+# proj[C, s, k], over tables gathered at the picks, that axis first:
+# cop[js][A, u, w] = cop[js[A], u, w], act[ps][B, u, r] = act[u, ps[B], r]
 PRODUCT = ("ABsk,Csk->ABC",
-           ("ABwjs,wjk->ABsk",
-            ("ABpwjr,prs->ABwjs",
-             ("Apuw,Bjur->ABpwjr", ("Api,iuw->Apuw", "pick", "cop"),
-              ("Bqj,uqr->Bjur", "pick", "act")),
-             "multm"),
-            "multa"),
+           ("ABws,Bwk->ABsk",
+            ("ABwr,Ars->ABws", ("Auw,Bur->ABwr", "cop[js]", "act[ps]"), "multm[ps]"),
+            "multa[js]"),
            "proj")
 # (f_p x e_i)^* = Delta(e_i^*)[u, w] (e_u |> f_p^*) x e_w, projected
 STAR = ("Awr,Crw->AC",
-        ("Apuw,upr->Awr", ("Apx,xuw->Apuw", ("Api,ix->Apx", "pick", "stara"), "cop"),
-         ("pq,uqr->upr", "starm", "act")),
+        ("Auw,Aur->Awr", ("Ax,xuw->Auw", "stara[js]", "cop"),
+         ("Aq,uqr->Aur", "starm[ps]", "act")),
         "proj")
 
 
@@ -189,13 +169,8 @@ def _structure(MA, tol=None):
     """The quotient of M (x) A and its structure constants: (relation rank,
     orthonormal basis of the relation span, the Table of proj laid out
     [C, p, i], lift, the picked pure tensors (p, i) as p * dim A + i,
-    (mult, unit, star, labels)).  mult and star are built on nonzero lists
-    by PRODUCT and STAR (weakhopf._contract.build), as Tables that keep
-    their lists, where every table they read is listed and every join fits
-    one slice; otherwise the dense assembly gives them as arrays.  The construction arrays (the
-    relations and their complement, the chains' lists, or the dense
-    assembly's products) live only here, so they are freed before the
-    quotient is certified."""
+    (mult, unit, star, labels)), mult and star the Tables that PRODUCT and
+    STAR build (weakhopf._contract.build)."""
     W, M = MA.hopf, MA.target
     A = W.alg
     dm, da = M.dim, A.dim
@@ -222,52 +197,15 @@ def _structure(MA, tol=None):
     unit = proj @ np.outer(M.unit, A.unit).reshape(pre)
     labels = [f"{M.labels[p]}#{A.labels[j]}" for p, j in zip(ps, js)]
 
-    tables = {"pick": selection(lift.T.reshape(dim, dm, da), picks),
-              "cop": owned(W, "cop"), "act": owned(MA, "act"),
-              "multm": owned(M, "mult"), "multa": owned(A, "mult"),
-              "starm": owned(M, "star"), "stara": owned(A, "star"),
-              "proj": Table(proj.reshape(dim, dm, da))}
-    mult = build(PRODUCT, tables)
-    star_table = None if mult is None else build(STAR, tables)
-    if star_table is None:
-        mult, star_table = _assemble(MA, proj, picks)
-    return relation_rank, rel_basis, tables["proj"], lift, picks, (mult, unit, star_table, labels)
-
-
-def _assemble(MA, proj, picks):
-    """mult and the star table of the quotient by dense contractions, where
-    PRODUCT and STAR do not run on nonzero lists; the reference the tests
-    hold the list-built tables to.  The [A, s, B, k] products, Delta(e_i^*)
-    and the pre x pre star block live only here."""
-    W, M = MA.hopf, MA.target
-    A = W.alg
-    dm, da = M.dim, A.dim
-    pre, dim = dm * da, len(picks)
-    ps, js = np.divmod(picks, da)
-    cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
-    # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
-    # picked pure tensors A = (p, i) and B = (q, j)
-    tails = np.tensordot(cop, multa, 1)                            # [i, u, j, k]
-    right = np.matmul(act[:, ps].transpose(1, 2, 0),               # [B, r, u]
-                      tails[:, :, js].transpose(2, 1, 0, 3).reshape(dim, da, -1))
-    del tails
-    right = np.ascontiguousarray(
-        right.reshape(dim, dm, da, da).transpose(2, 1, 0, 3))      # [i, r, B, k]
-    mult = np.empty((dim, dim, dim), dtype=complex)
-    # the [A, s, B, k] products, one group of classes A with the same i
-    # at a time, contracted against proj over (s, k); the groups come from
-    # a bincount, since np.unique would import numpy.ma
-    for i in np.flatnonzero(np.bincount(js, minlength=da)):
-        rows = np.flatnonzero(js == i)
-        prods = np.matmul(multm[ps[rows]].transpose(0, 2, 1), right[i].reshape(dm, -1))
-        mult[rows] = np.tensordot(prods.reshape(rows.size, dm, dim, da),
-                                  proj.reshape(dim, dm, da), axes=([1, 3], [1, 2]))
-    del right
-
-    dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
-    sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
-    sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
-    return mult, (proj @ sbig[:, picks]).T
+    cop, act = owned(W, "cop"), owned(MA, "act")
+    tables = {"cop": cop, "act": act, "proj": Table(proj.reshape(dim, dm, da)),
+              "cop[js]": gathered(cop, 0, js), "act[ps]": gathered(act, 1, ps),
+              "multm[ps]": gathered(owned(M, "mult"), 0, ps),
+              "multa[js]": gathered(owned(A, "mult"), 1, js),
+              "stara[js]": gathered(owned(A, "star"), 0, js),
+              "starm[ps]": gathered(owned(M, "star"), 0, ps)}
+    mult, star = build(PRODUCT, tables), build(STAR, tables)
+    return relation_rank, rel_basis, tables["proj"], lift, picks, (mult, unit, star, labels)
 
 
 def _relations(MA, tol=None):
@@ -286,16 +224,6 @@ def _relations(MA, tol=None):
     out[diag_m, :, :, diag_m, :] = lb.transpose(1, 0, 2)            # [p, k, b, i]
     out[:, diag_a, :, :, diag_a] -= rb.transpose(1, 0, 2)           # [k, p, b, q]
     return out.reshape(dm * da, -1)
-
-
-def _dual_moves(arrows, vecs, dm):
-    """f^s |> v for the dual basis functionals f^s of arrows and every
-    column v of vecs, coordinates on M (x) A: f^s |> (m (x) a) =
-    m (x) (f^s -> a), laid out [s, (p, o), column]; arrows[s, o, k] =
-    cop[k, o, s], for all s or a run of them."""
-    s, o, k = arrows.shape
-    moved = np.matmul(arrows[:, None], vecs.reshape(dm, k, -1))      # [s, p, o, c]
-    return moved.reshape(s, dm * o, -1)
 
 
 def crossed_product(MA, tol=None):

@@ -346,7 +346,7 @@ def _declared_subscripts():
 # antimultiplicativity 3, the coaction laws 6, covariance 7, the quasi-basis
 # identities 6, the translation products 3, the exchange identity 4 and the
 # regular homomorphism 3; the chains that build the crossed product's
-# product table 6 and its star table 5; and the dual action's descent 2
+# product table 4 and its star table 4; and the dual action's descent 2
 DECLARED = _declared_subscripts()
 
 
@@ -419,6 +419,19 @@ def _identities(a, b):
     return tables, refs
 
 
+def _chain_scale(chain, tables):
+    """The scale of the rounding of a chain that builds a table: the product
+    of the largest entry of each table it reads, times the size of each
+    letter it sums over, which bounds the sum of the magnitudes of the terms
+    of each entry."""
+    word = chain[0].split("->")[1]
+    nodes = list(_contract._nodes(chain, word))
+    scale = math.prod(float(np.abs(tables[c]).max(initial=0)) for c, _ in nodes
+                      if isinstance(c, str))
+    sizes = {x: d for c, w in nodes if isinstance(c, str) for x, d in zip(w, tables[c].shape)}
+    return scale * math.prod(d for x, d in sizes.items() if x not in word)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_monomial_tables())
 def test_nonzero_lists_agree_with_einsum(tables):
@@ -428,8 +441,10 @@ def test_nonzero_lists_agree_with_einsum(tables):
     difference; over nonzero lists and on the dense path, each side of
     every declared identity is its einsum reference, and the residual of
     the identity is that of the references; and each chain that builds a
-    table is its einsum reference, with the list it keeps that of its
-    dense array."""
+    table is its einsum reference, on the lists and on dense slices, within
+    the rounding of its own terms (_chain_scale), the list it keeps is that
+    of its dense array, and row_maxima reads each row's largest entry; and a
+    gathered table's list is that of its dense array."""
     a, b = tables
     n = a.shape[0]
     dims = dict.fromkeys(string.ascii_letters, n)
@@ -442,7 +457,7 @@ def test_nonzero_lists_agree_with_einsum(tables):
     # the four-index contraction of a and b, the five-index one of a, b
     # and a or the six-index one of a, b, a and b, and the same with a and
     # b swapped; "ijp,jpq->ijq" keeps a letter that both operands carry
-    assert len(DECLARED) == 64
+    assert len(DECLARED) == 61
     pools = [{2: x[0], 3: y, 4: np.einsum("ijk,klm->ijlm", y, x),
               5: np.einsum("ijk,klm,mpq->ijlpq", y, x, y),
               6: np.einsum("ijk,klm,mpq,qrs->ijlprs", y, x, y, x)}
@@ -468,27 +483,40 @@ def test_nonzero_lists_agree_with_einsum(tables):
     assert contract("ijp,pkq->ijkq", x, None, dims) is None
     assert difference(None, y) is None and difference(x, None) is None
 
-    # the product through the products of all pairs of pure tensors
-    named = {"pick": a, "cop": b, "act": a, "multm": b, "multa": a, "proj": b,
-             "stara": b[0], "starm": a[0]}
-    pure = np.einsum("iuw,uqr,prs,wjk->piqjsk", b, a, b, a, optimize=True)
-    for chain, ref in ((cr.PRODUCT, np.einsum("Api,Bqj,piqjsk,Csk->ABC", a, a, pure, b,
-                                               optimize=True)),
-                       (cr.STAR, np.einsum("Api,ix,xuw,pq,uqr,Crw->AC", a, b[0], b, a[0],
-                                           a, b, optimize=True))):
-        got = _contract.build(chain, named)
-        scale = n ** 4 * max(float(np.abs(t).max()) for t in (a, b)) ** 6
-        close(got.dense, ref, scale)
+    # a table gathered along each axis at repeated positions out of order,
+    # its list read from a's
+    index = np.arange(2 * n)[::-1] % n
+    for axis in range(3):
+        got, want = _contract.gathered(a, axis, index), np.moveaxis(a, axis, 0)[index]
+        assert got.shape == want.shape and np.array_equal(got.dense, want)
         kept = got.nonzeros()
-        assert (kept is None) == (np.count_nonzero(got.dense) > n * n)
+        assert (kept is None) == (np.count_nonzero(want) > 2 * n * n)
         if kept is not None:
-            want = _listed(got.dense)
-            assert np.array_equal(kept[0], want[0]) and np.array_equal(kept[1], want[1])
-    # the descent of the dual action, as a list alone
-    got, shape = _contract.chain_list(cr.DESCENT, {"proj": a, "cop": b, "rel": a})
-    assert shape == (n, n, n)
-    close(_dense_list(*got, shape), np.einsum("Cpo,kos,cpk->sCc", a, b, a, optimize=True),
-          n ** 3 * max(float(np.abs(t).max()) for t in (a, b)) ** 3)
+            assert np.array_equal(kept[0], _listed(want)[0])
+            assert np.array_equal(kept[1], _listed(want)[1])
+
+    # each chain that builds a table, on the lists and on dense slices, and
+    # the largest entry of each row of what it builds
+    named = {"cop[js]": b, "act[ps]": a, "multm[ps]": b, "multa[js]": a, "proj": b,
+             "stara[js]": b[0], "starm[ps]": a[0], "cop": b, "act": a, "rel": a}
+    builds = [(cr.PRODUCT, np.einsum("Auw,Bur,Ars,Bwk,Csk->ABC", b, a, b, a, b, optimize=True)),
+              (cr.STAR, np.einsum("Ax,xuw,Aq,uqr,Crw->AC", b[0], b, a[0], a, b, optimize=True)),
+              (cr.DESCENT, np.einsum("Cpo,kos,cpk->sCc", b, b, a, optimize=True))]
+    for gate in (_listed, lambda table: None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_contract, "listed", gate)
+            for chain, ref in builds:
+                got = _contract.build(chain, named)
+                close(got.dense, ref, _chain_scale(chain, named))
+                assert np.array_equal(_contract.row_maxima(got),
+                                      np.abs(got.dense).reshape(n, -1).max(axis=1, initial=0))
+                if gate is _listed:
+                    kept = got.nonzeros()
+                    assert (kept is None) == (np.count_nonzero(got.dense) > n * n)
+                    if kept is not None:
+                        want = _listed(got.dense)
+                        assert np.array_equal(kept[0], want[0])
+                        assert np.array_equal(kept[1], want[1])
 
     # every table passes the list gate in the first pass (the einsum
     # references have up to n^4 nonzeros) and none in the second

@@ -8,8 +8,8 @@ A check on a monomial table must take the list path and report what the
 dense sliced path reports: the same exception, message and location, and
 the same residual up to rounding.  Haar-random, non-finite and over-slice
 tables must take the dense path.  The product and star tables that a
-crossed product builds on nonzero lists must be those of its dense
-assembly."""
+crossed product builds, on nonzero lists or on dense slices, must be those
+of a dense assembly written out by hand (_assemble)."""
 
 import warnings
 
@@ -511,10 +511,18 @@ def test_picks_are_those_of_the_whole_loop_on_every_seed(monkeypatch):
     assert len(same) == 2 * len(TOWER_SEEDS) + 3 and all(same)
 
 
+def _dual_moves(X, arrows):
+    """f^s |> v for the functionals f^s of arrows[s, o, k] = cop[k, o, s] and
+    each representative v of X.lift, as [s, (p, o), B]: f^s |> (m (x) a) =
+    m (x) (f^s -> a)."""
+    dm = X.base.target.dim
+    moved = np.matmul(arrows[:, None], X.lift.reshape(dm, arrows.shape[2], -1))  # [s, p, o, B]
+    return moved.reshape(len(arrows), -1, X.dim)
+
+
 def _reference_dual_action(X):
     """proj times the moves of the picked pure tensors, as [s, B, C]."""
-    W = X.base.hopf
-    moved = cr._dual_moves(np.transpose(W.cop, (2, 1, 0)), X.lift, X.base.target.dim)
+    moved = _dual_moves(X, np.transpose(X.base.hopf.cop, (2, 1, 0)))
     return (X.proj @ moved).transpose(0, 2, 1)
 
 
@@ -532,9 +540,24 @@ def test_the_gathered_dual_action_is_the_product_with_the_moves():
     assert np.abs(X.as_module.act - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """(chain, dimension of the level) of each table build forms on dense
+    slices, the level's dimension read from the proj it is given."""
+    calls, dense_table = [], _contract._dense_table
+
+    def spy(chain, word, tables, dims):
+        calls.append((chain, tables["proj"].shape[0]))
+        return dense_table(chain, word, tables, dims)
+
+    monkeypatch.setattr(_contract, "_dense_table", spy)
+    return calls
+
+
 def _first_failing_functional(X, arrows):
     """(s, largest entry) of the first functional whose moves of the
-    relation basis proj does not kill, by the dense loop; else None."""
+    relation basis proj does not kill, one functional at a time; else
+    None."""
     dm, da = X.base.target.dim, X.base.hopf.dim
     rel = X._rel_basis.reshape(dm, da, -1)
     for s in range(da):
@@ -546,7 +569,7 @@ def _first_failing_functional(X, arrows):
 
 
 @pytest.mark.parametrize("level", [1, 2])
-def test_a_monomial_break_of_the_arrows_is_refused_on_the_lists(level, monkeypatch):
+def test_a_monomial_break_of_the_arrows_is_refused_on_the_lists(level, dense_builds):
     MA = ex.named_action("m2-pauli")
     for _ in range(level - 1):
         MA = cr.crossed_product(MA).as_module
@@ -559,67 +582,114 @@ def test_a_monomial_break_of_the_arrows_is_refused_on_the_lists(level, monkeypat
         arrows[s, o, k] *= scale
     s, ref = _first_failing_functional(X, arrows)
     assert s == 5
-    moves = []
-    monkeypatch.setattr(cr, "_dual_moves", lambda *args: moves.append(args))
     got = _outcome(lambda: X._verify(arrows))
-    assert not moves
+    assert not dense_builds
     assert got[:3] == (AxiomViolation, "dual action does not descend", None)
     assert got[3] == pytest.approx(ref, rel=1e-12)
 
 
-def test_the_descent_at_each_pauli_level_takes_the_lists(monkeypatch):
-    moves, dual_moves = [], cr._dual_moves
-    monkeypatch.setattr(cr, "_dual_moves",
-                        lambda *args: moves.append(args) or dual_moves(*args))
+def test_the_descent_at_each_pauli_level_takes_the_lists(dense_builds):
     T = tw.build_tower(ex.named_action("m2-pauli"), 2)
-    assert T.dims()[-1] == 64 and not moves
-    # in a Haar-random basis the dense loop runs, one functional at a time
+    assert T.dims()[-1] == 64 and not dense_builds
+    # in a Haar-random basis both levels build their tables, and the
+    # descent for every functional at once, on dense slices
     rng = np.random.default_rng(14)
     MA = ex.named_action("m2-pauli")
-    cr.crossed_product(_rebased_module(MA, _haar_unitary(rng, MA.hopf.dim),
-                                       _haar_unitary(rng, MA.target.dim)))
-    assert len(moves) == MA.hopf.dim
+    T = tw.build_tower(_rebased_module(MA, _haar_unitary(rng, MA.hopf.dim),
+                                       _haar_unitary(rng, MA.target.dim)), 2)
+    assert T.dims() == [1, 4, 16, 64]
+    assert dense_builds == [(chain, dim) for dim in (16, 64)
+                            for chain in (cr.PRODUCT, cr.STAR, cr.DESCENT)]
 
 
-def _built_and_assembled(MA):
-    """mult and the star table of MA's crossed product as _structure builds
-    them on nonzero lists, each as the list it keeps, and as the dense
-    assembly gives them when the list gate refuses every table."""
-    *_, (mult, _, star, _) = cr._structure(MA)
+def _assemble(MA, proj, picks):
+    """mult and the star table of the quotient by dense contractions written
+    out by hand, the reference of the built tables.  The [A, s, B, k]
+    products, Delta(e_i^*) and the pre x pre star block live only here."""
+    W, M = MA.hopf, MA.target
+    A = W.alg
+    dm, da = M.dim, A.dim
+    pre, dim = dm * da, len(picks)
+    ps, js = np.divmod(picks, da)
+    cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
+    # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
+    # picked pure tensors A = (p, i) and B = (q, j)
+    tails = np.tensordot(cop, multa, 1)                            # [i, u, j, k]
+    right = np.matmul(act[:, ps].transpose(1, 2, 0),               # [B, r, u]
+                      tails[:, :, js].transpose(2, 1, 0, 3).reshape(dim, da, -1))
+    del tails
+    right = np.ascontiguousarray(
+        right.reshape(dim, dm, da, da).transpose(2, 1, 0, 3))      # [i, r, B, k]
+    mult = np.empty((dim, dim, dim), dtype=complex)
+    # the [A, s, B, k] products, one group of classes A with the same i
+    # at a time, contracted against proj over (s, k)
+    for i in np.flatnonzero(np.bincount(js, minlength=da)):
+        rows = np.flatnonzero(js == i)
+        prods = np.matmul(multm[ps[rows]].transpose(0, 2, 1), right[i].reshape(dm, -1))
+        mult[rows] = np.tensordot(prods.reshape(rows.size, dm, dim, da),
+                                  proj.reshape(dim, dm, da), axes=([1, 3], [1, 2]))
+    del right
+
+    dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
+    sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
+    sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
+    return mult, (proj @ sbig[:, picks]).T
+
+
+def _assert_built_as_assembled(MA, on_lists=True):
+    """mult and the star table of MA's crossed product, as _structure builds
+    them (on nonzero lists where on_lists, each keeping the list listed
+    gives of its table; else on dense slices), as it builds them on dense
+    slices when the list gate refuses every table, and as the test-side
+    _assemble gives them: the same exact-zero pattern, and values within
+    1e-13 relative."""
+    dense, dense_table = [], _contract._dense_table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_contract, "_dense_table",
+                      lambda chain, *args: dense.append(chain) or dense_table(chain, *args))
+        _, _, proj, _, picks, (mult, _, star, _) = cr._structure(MA)
+    assert dense == ([] if on_lists else [cr.PRODUCT, cr.STAR])
     built = []
     for t in (mult, star):
-        assert isinstance(t, _contract.Table)
-        keys, values = t.nonzeros()            # the list listed gives of the table
-        want = _any_count(t.dense)
-        assert np.array_equal(keys, want[0]) and np.array_equal(values, want[1])
-        built.append((keys, values))
+        keys, values = got = _any_count(t.dense)
+        if on_lists:                           # the list listed gives of the table
+            assert np.array_equal(keys, t.nonzeros()[0])
+            assert np.array_equal(values, t.nonzeros()[1])
+        built.append(got)
     del mult, star, t
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_contract, "listed", lambda table: None)
-        *_, (mult, _, star, _) = cr._structure(MA)
-    return built, (mult, star)
 
+    def check(tables):
+        for (keys, values), ref in zip(built, tables):
+            flat = ref.ravel()
+            assert np.count_nonzero(flat) == keys.size and np.all(flat[keys] != 0)
+            assert np.abs(values - flat[keys]).max() <= 1e-13 * np.abs(flat[keys]).max()
 
-def _assert_built_as_assembled(MA):
-    """The same exact-zero pattern, and values within 1e-13 relative."""
-    built, assembled = _built_and_assembled(MA)
-    for (keys, values), ref in zip(built, assembled):
-        flat = ref.ravel()
-        assert np.count_nonzero(flat) == keys.size and np.all(flat[keys] != 0)
-        assert np.abs(values - flat[keys]).max() <= 1e-13 * np.abs(flat[keys]).max()
+    if on_lists:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_contract, "listed", lambda table: None)
+            *_, (mult, _, star, _) = cr._structure(MA)
+        check((mult.dense, star.dense))
+        del mult, star
+    check(_assemble(MA, proj.dense.reshape(len(picks), -1), picks))
 
 
 @pytest.mark.parametrize("name", TOWER_SEEDS)
 def test_list_built_tables_are_the_dense_assembly(name):
-    # both crossed products of the depth-2 tower
-    MA = ex.named_action(name)
-    _assert_built_as_assembled(MA)
-    _assert_built_as_assembled(cr.crossed_product(MA).as_module)
+    # both crossed products of the depth-2 tower, in the natural basis and
+    # a monomial basis with phases (on the lists) and in a Haar-random
+    # basis (on dense slices)
+    rng = np.random.default_rng(16)
+    for draw in (None, _monomial_unitary, _haar_unitary):
+        MA = ex.named_action(name)
+        if draw is not None:
+            MA = _rebased_module(MA, draw(rng, MA.hopf.dim), draw(rng, MA.target.dim))
+        _assert_built_as_assembled(MA, draw is not _haar_unitary)
+        _assert_built_as_assembled(cr.crossed_product(MA).as_module, draw is not _haar_unitary)
 
 
 def test_list_built_tables_of_pauli_depth_3_are_the_dense_assembly():
-    # levels of 16, 64 and 256 dimensions; the dense assembly of the last
-    # peaks near 540 MB
+    # levels of 16, 64 and 256 dimensions, each built on the lists; the
+    # test peaks near 570 MB, in the dense build and assembly of the last
     MA = ex.named_action("m2-pauli")
     for _ in range(3):
         _assert_built_as_assembled(MA)
@@ -645,15 +715,15 @@ def test_list_built_tables_in_a_monomial_basis_with_phases(scaled):
 
 
 @pytest.mark.parametrize("basis", ["monomial", "haar"])
-def test_only_a_table_off_the_lists_takes_the_dense_assembly(basis, monkeypatch):
+def test_only_a_table_off_the_lists_takes_the_dense_assembly(basis, dense_builds):
     rng = np.random.default_rng(12)
     draw = _monomial_unitary if basis == "monomial" else _haar_unitary
     MA = ex.named_action("m2-pauli")
     MA = _rebased_module(MA, draw(rng, MA.hopf.dim), draw(rng, MA.target.dim))
-    calls, assemble = [], cr._assemble
-    monkeypatch.setattr(cr, "_assemble", lambda *args: calls.append(args) or assemble(*args))
     X = cr.crossed_product(MA)
-    assert len(calls) == (basis == "haar") and X.dim == 16
+    assert dense_builds == ([] if basis == "monomial"
+                            else [(cr.PRODUCT, 16), (cr.STAR, 16), (cr.DESCENT, 16)])
+    assert X.dim == 16
     assert (X.algebra.mult.flags.c_contiguous
             and np.count_nonzero(X.algebra.mult) == (128 if basis == "monomial" else 16 ** 3))
 

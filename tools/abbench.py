@@ -26,7 +26,9 @@ is left out of the statistics.
 
 A scale probe (--probe, one of PROBES) is one `wha` command on a built-in
 input too large for a bench workload's loop, such as the Pauli tower at
-depth 3.  The change's tree writes the input record once, and pair k runs
+depth 3.  The change's tree writes the input record once (re-expressed in
+a seeded Haar-random basis for the probes of HAAR_SEEDS, with
+`bench/workloads.py`'s basis change), and pair k runs
 the command once in each tree, in the same alternating order, in a fresh
 process with one BLAS thread, optionally under an address-space limit
 (RLIMIT_AS).  Each run records its exit code, its wall time, its peak
@@ -66,7 +68,11 @@ PROBES = {
     "dual-s3-depth2": (["action", "--name", "dual-s3"],
                        ["tower", "--seed", "{input}", "--depth", "2"], None),
     "crossed-dual-s3": (["action", "--name", "dual-s3"], ["crossed", "{input}"], None),
+    "pauli-haar-depth2": (["action", "--name", "m2-pauli"],
+                          ["tower", "--seed", "{input}", "--depth", "2"], None),
 }
+# probe: seed of the Haar-random basis its input record is re-expressed in
+HAAR_SEEDS = {"pauli-haar-depth2": 0}
 PROBE_METRICS = ("wall_s", "maxrss_mb", "pivoted_columns_s", "list_kernel_s")
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -98,6 +104,24 @@ try:
 finally:
     print("probe: " + json.dumps(marks), file=sys.stderr)
 sys.exit(code)
+"""
+
+
+# the child that re-expresses a module record (argv: natural record, output
+# path, seed) in a Haar-random basis, run in a tree with that tree's bench/
+REBASE_MAIN = """
+import json, sys
+import numpy as np
+sys.path.insert(0, "bench")
+import workloads
+from weakhopf import serialize
+natural, out, seed = sys.argv[1:]
+with open(natural) as fh:
+    MA = serialize.module_algebra_from_record(json.load(fh))
+rng = np.random.default_rng(int(seed))
+workloads.write_record(out, workloads.change_module(
+    workloads.module_tables(MA), workloads.haar_unitary(rng, MA.hopf.dim),
+    workloads.haar_unitary(rng, MA.target.dim)))
 """
 
 
@@ -169,14 +193,22 @@ def probe_env(root):
 
 def write_probe_inputs(root, work, probes):
     """{probe: path of its input record}, each record written once by the
-    `wha example` of the tree at root."""
+    `wha example` of the tree at root, and re-expressed by REBASE_MAIN in
+    that tree for a probe of HAAR_SEEDS."""
     paths = {}
     for name in probes:
         example = PROBES[name][0]
-        path = os.path.join(work, "-".join(example[1:]) + ".json")
+        stem = os.path.join(work, "-".join(example[1:]))
+        path = stem + ".json"
         if not os.path.exists(path):
             subprocess.run([sys.executable, "-m", "weakhopf.cli", "--out", path, "example",
                             *example], env=probe_env(root), check=True)
+        if name in HAAR_SEEDS:
+            natural, path = path, f"{stem}-haar{HAAR_SEEDS[name]}.json"
+            if not os.path.exists(path):
+                subprocess.run([sys.executable, "-c", REBASE_MAIN, natural, path,
+                                str(HAAR_SEEDS[name])], cwd=root, env=probe_env(root),
+                               check=True)
         paths[name] = path
     return paths
 
