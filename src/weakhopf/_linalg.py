@@ -23,8 +23,8 @@ the same spectrum.  Each block is factored as above, the blocks of one
 shape in one stacked LAPACK call; a column in no block is a null vector
 and a row in no block lies in the complement.  A matrix that is one block
 covering every row and column, as is any matrix without a zero entry, is
-factored whole, as it stands.  invertible, pseudo_inverse and
-affine_solutions take one SVD of the whole matrix.
+factored whole, as it stands.  invertible and affine_solutions take one
+SVD of the whole matrix.
 
 Picking columns rather than spans (pivoted_columns) is column-pivoted QR,
 written in numpy; it takes no rank decision, its caller says how many
@@ -313,17 +313,6 @@ def orth_split(a, tol=None):
     span = [(rows, u, _first(count, u.shape[-1])) for rows, _, u, _, count in parts]
     rest = [(rows, u, ~keep) for rows, u, keep in span]
     return _assemble(m, span), _assemble(m, rest + _unit_pieces(m, [r for r, _, _ in span]))
-
-
-def pseudo_inverse(a, tol=None):
-    """Moore-Penrose pseudo-inverse of a under the rank rule: singular
-    values at or below the cutoff are dropped, not inverted."""
-    a = _finite_matrix(a)
-    if a.size == 0 or not np.any(a):
-        return np.zeros(a.shape[::-1], dtype=complex)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _count(s, tol)
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
 def affine_solutions(a, b, tol=None):

@@ -34,13 +34,13 @@ class CrossedProduct:
 
     Its basis is a set of classes of pure tensors f_p (x) e_i, picked by
     column-pivoted QR of C^H for an orthonormal basis C of the complement
-    of the relations, and labelled "f_p#e_i" by the labels of M and A.
-    lift is the 0/1 selection S of the picked pure tensors (columns:
-    representatives on M (x) A), proj the oblique projection
-    (C^H S)^-1 C^H taking coordinates on M (x) A to coordinates on the
-    classes: proj @ lift = I, and proj kills the relations.  For group-type
-    and Pauli actions every class of a pure tensor is a multiple of one
-    picked class, so proj, and the structure constants, are monomial.
+    of the relations, and labelled "f_p#e_i" by the labels of M and A:
+    class B is that of f_ps[B] (x) e_js[B].  proj, the oblique projection
+    (C^H[:, picks])^-1 C^H, takes coordinates on M (x) A to coordinates on
+    the classes: proj[:, ps * dim A + js] = I, and proj kills the
+    relations.  For group-type and Pauli actions every class of a pure
+    tensor is a multiple of one picked class, so proj, and the structure
+    constants, are monomial.
 
     mult and the star table are built by the declared chains PRODUCT and
     STAR (weakhopf._contract.build) over the tables of M, A and the action
@@ -48,24 +48,25 @@ class CrossedProduct:
     algebra keeps the lists, so that no later check lists them again, and on
     dense slices otherwise (a Haar-random basis, or a join over one slice).
     The relations and the construction arrays live only in _structure, so
-    they are freed before the quotient is certified.
+    they are freed before the quotient is certified; the orthonormal basis
+    of the relation span is handed to _verify, and freed after it.
 
-    The dual action is gathered: lift selects the pure tensors
-    f_ps[B] (x) e_js[B], so the action of the functional f^s on the class B
-    is sum_o proj[C, ps[B], o] cop[js[B], o, s], one batched product over
-    B in every basis.  That it descends to the quotient, proj (f^s |> r) = 0
-    for every relation r, is built as the chain DESCENT, and the first
-    failing functional is reported, with its largest entry."""
+    The dual action is gathered at the picks: the action of the functional
+    f^s on the class B is sum_o proj[C, ps[B], o] cop[js[B], o, s], one
+    batched product over B in every basis.  That it descends to the
+    quotient, proj (f^s |> r) = 0 for every relation r, is built as the
+    chain DESCENT, and the first failing functional is reported, with its
+    largest entry."""
 
     def __init__(self, base, tol=None):
         MA = base
         W, M = MA.hopf, MA.target
         A = W.alg
         self.base = MA
-        self.relation_rank, self._rel_basis, self._proj, self.lift, picks, tables = \
-            _structure(MA, tol=tol)
+        self.relation_rank, rel_basis, self._proj, (ps, js), tables = _structure(MA, tol=tol)
+        self.ps, self.js = ps, js                     # class B is that of f_ps[B] (x) e_js[B]
         blocks = self._proj.dense                     # [:, p, i]: class of f_p (x) e_i
-        self.proj = blocks.reshape(len(picks), -1)
+        self.proj = blocks.reshape(len(ps), -1)
         self.algebra = make_star_algebra(*tables, tol=tol)
 
         self.embed_m = blocks @ A.unit
@@ -73,10 +74,10 @@ class CrossedProduct:
 
         # dual action phi |> (m x a) = m x (phi -> a) on the quotient, as
         # [s, B, C]: f^s |> class B = sum_o proj[C, ps[B], o] cop[js[B], o, s]
-        ps, js = np.divmod(picks, A.dim)
         dact = np.ascontiguousarray(np.matmul(W.cop[js].transpose(0, 2, 1),
                                               blocks[:, ps].transpose(1, 2, 0)).swapaxes(0, 1))
-        self._verify(tol=tol)
+        self._verify(rel_basis, tol=tol)
+        del rel_basis
         self.as_module = make_module_algebra(W.dual(), self.algebra, dact, tol=tol)
 
     @property
@@ -90,14 +91,18 @@ class CrossedProduct:
 
     def lift_coords(self, x):
         """A representative on M (x) A, laid out [p, i], of the element with
-        coordinates x: the combination of the picked pure tensors f_p (x) e_i
-        (the 0/1 selection lift), so that project(lift_coords(x)) = x."""
-        dm = self.base.target.dim
-        return (self.lift @ np.asarray(x, dtype=complex)).reshape(dm, -1)
+        coordinates x: the combination of the picked pure tensors, x[B] at
+        (ps[B], js[B]), so that project(lift_coords(x)) = x.  Stacked over
+        the leading axes of x."""
+        x = np.asarray(x, dtype=complex)
+        out = np.zeros(x.shape[:-1] + (self.base.target.dim, self.base.hopf.dim), dtype=complex)
+        out[..., self.ps, self.js] = x
+        return out
 
-    def _verify(self, arrows=None, tol=None):
+    def _verify(self, rel_basis, arrows=None, tol=None):
         """Certify the quotient: the embeddings, the A-kernel, covariance,
-        and that the dual action descends.  arrows[s, o, k] = cop[k, o, s]
+        and that the dual action descends, for the orthonormal basis
+        rel_basis of the relation span.  arrows[s, o, k] = cop[k, o, s]
         are the dual action's arrows, W's own unless given."""
         t = tolerance(tol)
         MA = self.base
@@ -129,7 +134,7 @@ class CrossedProduct:
         # the dual action preserves the relation span, functional by functional
         cop = owned(W, "cop") if arrows is None else np.transpose(arrows, (2, 1, 0))
         moved = build(DESCENT, {"proj": self._proj, "cop": cop,
-                                "rel": self._rel_basis.T.reshape(-1, dm, A.dim)})
+                                "rel": rel_basis.T.reshape(-1, dm, A.dim)})
         for gap in row_maxima(moved):
             require(gap, SLACK_COMPOSITE * t, AxiomViolation, "dual action does not descend")
 
@@ -168,7 +173,7 @@ STAR = ("Awr,Crw->AC",
 def _structure(MA, tol=None):
     """The quotient of M (x) A and its structure constants: (relation rank,
     orthonormal basis of the relation span, the Table of proj laid out
-    [C, p, i], lift, the picked pure tensors (p, i) as p * dim A + i,
+    [C, p, i], the picks (ps, js), class B being that of f_ps[B] (x) e_js[B],
     (mult, unit, star, labels)), mult and star the Tables that PRODUCT and
     STAR build (weakhopf._contract.build)."""
     W, M = MA.hopf, MA.target
@@ -191,8 +196,6 @@ def _structure(MA, tol=None):
     # the solve leaves rounding residue where a class has no component
     proj[np.abs(proj) <= np.finfo(float).eps * pre * np.abs(proj).max()] = 0.0
     proj[:, picks] = np.eye(dim)
-    lift = np.zeros((pre, dim), dtype=complex)
-    lift[picks, np.arange(dim)] = 1.0
     ps, js = np.divmod(picks, da)           # class B is that of f_ps[B] (x) e_js[B]
     unit = proj @ np.outer(M.unit, A.unit).reshape(pre)
     labels = [f"{M.labels[p]}#{A.labels[j]}" for p, j in zip(ps, js)]
@@ -205,7 +208,7 @@ def _structure(MA, tol=None):
               "stara[js]": gathered(owned(A, "star"), 0, js),
               "starm[ps]": gathered(owned(M, "star"), 0, ps)}
     mult, star = build(PRODUCT, tables), build(STAR, tables)
-    return relation_rank, rel_basis, tables["proj"], lift, picks, (mult, unit, star, labels)
+    return relation_rank, rel_basis, tables["proj"], (ps, js), (mult, unit, star, labels)
 
 
 def _relations(MA, tol=None):
@@ -261,7 +264,9 @@ QUASI_BASIS = (
 def hat_expectation(X, lam, tol=None):
     """E(m x a) = m ((lam -> a) |> 1): the M-M bimodule expectation induced
     by a left integral of the dual, with canonical quasi-basis
-    (1 x l(2)) (x) (1 x S^{-1} l(1)) for the paired integral l."""
+    (1 x l(2)) (x) (1 x S^{-1} l(1)) for the paired integral l.  Its values
+    in M are kept as m_table, column B the M-coordinates of E(class B), so
+    that table = embed_m @ m_table."""
     from .integrals import LeftIntegral, dual_integral
 
     t = tolerance(tol)
@@ -277,12 +282,11 @@ def hat_expectation(X, lam, tol=None):
     mu = MA.image_data(tol=tol).mu
     arrow = np.einsum("ios,s->oi", W.cop, lam_el.coords)   # columns: lam -> e_i
     mulam = mu @ arrow                                     # (lam -> e_i) |> 1
-    # E(f_p (x) e_i) = f_p ((lam -> e_i) |> 1) for every lifted basis class
-    lifted = np.tensordot(mulam, X.lift.reshape(M.dim, W.dim, X.dim),
-                          axes=([1], [1]))                  # [r, p, alpha]
-    mcoords = np.tensordot(lifted, M.mult, axes=([0, 1], [1, 0]))
-    table = X.embed_m @ mcoords.T
+    # E(f_p (x) e_i) = f_p ((lam -> e_i) |> 1), gathered at the picks
+    m_table = M.right_mult_matrix(mulam.T)[X.js, :, X.ps].T
+    table = X.embed_m @ m_table
     E = ConditionalExpectation(XA, table, integral=lam_el, source=X)
+    E.m_table = m_table
 
     l_dual = dual_integral(lam_int, tol=tol)               # lives in A
     require(table @ (X.embed_a @ l_dual.element.coords) - XA.unit, SLACK_COMPOSITE * t,
@@ -339,10 +343,10 @@ class RegularRep:
     def __init__(self, X, tol=None):
         t = tolerance(tol)
         MA = X.base
-        W, M = MA.hopf, MA.target
+        W = MA.hopf
         A = W.alg
         Wd = W.dual()
-        da, dm = A.dim, M.dim
+        da = A.dim
         hd = W.haar(tol=tol)
         hhat = hd.hhat.coords
 
@@ -362,13 +366,9 @@ class RegularRep:
 
         self._check_translations(W, Wd, tol=tol)
 
-        rho = MA.coaction()
-        dim = X.dim
-        reps = X.lift.reshape(dm, da, dim)
-        translated = np.tensordot(rho, self.tau_l, 1)                  # [p, q, a, b]
-        multiplied = np.tensordot(reps, self.ell, axes=([1], [0]))     # [p, C, b, c]
-        self.images = np.tensordot(translated, multiplied,
-                                   axes=([0, 3], [0, 2])).transpose(2, 0, 1, 3)
+        # pi(class C)[q] = sum_b rho(f_ps[C])[q] tau_l ell(e_js[C]), as [C, q, a, c]
+        translated = np.tensordot(MA.coaction(), self.tau_l, 1)        # [p, q, a, b]
+        self.images = np.matmul(translated[X.ps], self.ell[X.js][:, None])
         self.X = X
         self.p_block = np.einsum("C,Cqab->qab", X.algebra.unit, self.images)
 
@@ -526,10 +526,8 @@ class GnsCross:
         """|m'> -> |m (a |> m')> computed straight from the action, for
         x = sum m (x) a; stacked like pi_cros."""
         X = self.X
-        MA = X.base
-        x = np.asarray(x, dtype=complex)
-        v = (x @ X.lift.T).reshape(x.shape[:-1] + (MA.target.dim, -1))   # [..., p, i]
-        moved = np.tensordot(v, MA.act, 1)                                # [..., p, m', t]
+        v = X.lift_coords(x)                                              # [..., p, i]
+        moved = np.tensordot(v, X.base.act, 1)                            # [..., p, m', t]
         out = np.tensordot(moved, self._ell_m, axes=([-3, -1], [0, 2]))  # [..., m', s]
         return out.swapaxes(-1, -2)
 
@@ -553,8 +551,7 @@ class GnsCross:
         orbit = (ops @ self.omega_cros).T
         # the state of e_k against the M part of E(e_k), column k
         states = np.conj(self.omega_cros) @ self.gram_big @ orbit
-        mparts = la.pseudo_inverse(X.embed_m, tol=tol) @ Ehat.table
-        r["state_through_expectation"] = residual(states - self.base_gns.omega @ mparts)
+        r["state_through_expectation"] = residual(states - self.base_gns.omega @ Ehat.m_table)
 
         norm_a = np.sqrt(self.inner_big(self.omega_a, self.omega_a).real)
         norm_c = np.sqrt(self.inner_big(self.omega_cros, self.omega_cros).real)

@@ -453,8 +453,8 @@ def boundary_subalgebra(W, side, tol=None):
     # Delta(1) lives in A_R (x) A_L
     AR = W.boundary("R", tol=tol)
     AL = W.boundary("L", tol=tol)
-    if not (AR.contains_coords(la.orth(D1), tol=tol)
-            and AL.contains_coords(la.orth(D1.T), tol=tol)):
+    if not (AR.contains_coords(la.orth(D1, tol=tol), tol=tol)
+            and AL.contains_coords(la.orth(D1.T, tol=tol), tol=tol)):
         raise AxiomViolation("coproduct of the unit leaves the boundary span")
     return S
 

@@ -231,7 +231,7 @@ class HaarData:
         r["antipode_of_gl"] = residual((W.s_apply(self.g_l) - self.g_r).coords,
                                        (W.s_inv_apply(self.g_l) - self.g_r).coords)
         # S^2 = conjugation by g
-        ginv = invert(self.g)
+        ginv = invert(self.g, tol=tol)
         lhs = W.antipode @ W.antipode
         rhs = A.left_mult_matrix(self.g.coords) @ A.right_mult_matrix(ginv.coords)
         r["antipode_squared"] = residual(lhs - rhs)
@@ -248,7 +248,7 @@ class HaarData:
         r["flipped_coproduct_of_h"] = residual(dh.T - mid)
         # dual integral closed form
         lam = Element(Wd.alg, self.lambda_h.coords)
-        alt = self.hhat * invert(self.ghat_l * self.ghat_l)
+        alt = self.hhat * invert(self.ghat_l * self.ghat_l, tol=tol)
         r["dual_integral_form"] = (alt - lam).norm()
         return r
 

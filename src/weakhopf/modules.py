@@ -251,7 +251,7 @@ def fixed_points(MA, tol=None):
     AhatL = MA.hopf.dual().boundary("L", tol=tol)
     for j in range(N.dim):
         img = np.einsum("p,pqi->qi", N.basis[:, j], rho)
-        if not AhatL.contains_coords(la.orth(img.T), tol=tol):
+        if not AhatL.contains_coords(la.orth(img.T, tol=tol), tol=tol):
             raise ActionAxiomViolation(
                 "coaction of a fixed point leaves the dual boundary", where=j)
     return N

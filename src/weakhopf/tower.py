@@ -111,14 +111,11 @@ def build_tower(MA, depth, omega0=None, tol=None, budget=DEFAULT_DIM_BUDGET):
         X = crossed_product(current, tol=tol)
         hd = current.hopf.haar(tol=tol)
         Ehat = hat_expectation(X, hd.hhat, tol=tol)
-        prev_omega = levels[-1].state
-        em_pinv = la.pseudo_inverse(X.embed_m, tol=tol)
-        omega_next = prev_omega @ em_pinv @ Ehat.table
         levels.append(TowerLevel(
             X.algebra, X.embed_m, module=X.as_module, crossed=X,
             jones=X.embed_a @ hd.h.coords,
             expectation=Ehat.table, canonical_tensor=Ehat.canonical_tensor,
-            state=omega_next))
+            state=levels[-1].state @ Ehat.m_table))
         current = X.as_module
     T = Tower(levels, MA)
     _verify_jones_relations(T, tol=tol)
@@ -183,15 +180,14 @@ def basic_construction_check(MA, omega0=None, l=None, tol=None):
     lam = p_dual(l, tol=tol)
     Ehat = hat_expectation(X, lam, tol=tol)
     XA = X.algebra
-    em_pinv = la.pseudo_inverse(X.embed_m, tol=tol)
 
     # dual expectation sends the Jones projection to the unit
     pe = XA.product_coords(p.coords, e_x)
     require(Ehat.apply_coords(pe) - XA.unit, SLACK_COMPOSITE * t, AxiomViolation,
             "dual expectation misses the Jones projection")
 
-    ind_e = em_pinv @ Ehat.apply_coords(p.coords)          # Ind E_l in M
-    bound = em_pinv @ Ehat.apply_coords(XA.unit)           # transferred index
+    ind_e = Ehat.m_table @ p.coords                        # Ind E_l in M
+    bound = Ehat.m_table @ XA.unit                         # transferred index
     gap = Element(M, bound - ind_e)
     if not is_positive(gap + 1e-12 * M.one, tol=tol):
         raise AxiomViolation("index bound fails")

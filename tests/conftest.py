@@ -75,6 +75,17 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+@pytest.fixture(scope="session")
+def selection():
+    """Call it on a crossed product X for the 0/1 selection of its picked
+    pure tensors, as [p, i, B]: 1 where class B is that of f_p (x) e_i."""
+    def select(X):
+        out = np.zeros((X.base.target.dim, X.base.hopf.dim, X.dim))
+        out[X.ps, X.js, np.arange(X.dim)] = 1.0
+        return out
+    return select
+
+
 # ---------------------------------------------------------------------------
 # the two paths of weakhopf._contract.evaluate
 

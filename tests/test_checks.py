@@ -389,7 +389,7 @@ def test_svd_helpers_refuse_non_finite_input(bad, monkeypatch):
         a = np.eye(*shape, dtype=complex)
         a[1, 2] = bad
         b = np.ones(shape[0])
-        helpers = [la.rank, la.null_space, la.orth, la.orth_split, la.pseudo_inverse,
+        helpers = [la.rank, la.null_space, la.orth, la.orth_split,
                    lambda m: la.affine_solutions(m, b)]
         if shape[0] == shape[1]:
             helpers.append(la.invertible)
@@ -650,7 +650,7 @@ def test_rank_guard_recognizes_pinv_and_lstsq():
     source = """
 p = np.linalg.pinv(a)
 x, *_ = np.linalg.lstsq(a, b, rcond=None)
-q = la.pseudo_inverse(a)
+q = la.affine_solutions(a, b)
 """
     assert _rank_calls(source) == [(2, "pinv"), (3, "lstsq")]
 
@@ -664,7 +664,67 @@ def test_rank_rule_lives_in_linalg():
 
 
 # ---------------------------------------------------------------------------
-# solves and pseudo-inverses under the rank rule
+# source guard: a function that is given tol passes it on
+
+
+def _takes_tol(node):
+    if not isinstance(node, ast.FunctionDef):
+        return False
+    args = node.args
+    return any(a.arg == "tol" for a in args.posonlyargs + args.args + args.kwonlyargs)
+
+
+def _tol_helpers(sources):
+    """Names of the functions and methods that take a tol parameter."""
+    return {node.name for source in sources for node in ast.walk(ast.parse(source))
+            if _takes_tol(node)}
+
+
+def _dropped_tol(source, helpers):
+    """(line, name) for every call of one of the helpers, inside a function
+    that takes tol, that passes tol neither by keyword nor by position."""
+    found = set()
+    for fn in filter(_takes_tol, ast.walk(ast.parse(source))):
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            passed = any(k.arg in ("tol", None) for k in node.keywords) or any(
+                isinstance(a, ast.Name) and a.id == "tol" for a in node.args)
+            if name in helpers and not passed:
+                found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_tol_guard_recognizes_a_dropped_tol():
+    source = """
+def orth(a, tol=None):
+    return a
+
+def f(a, tol=None):
+    b = la.orth(a)
+    c = orth(a, tol=tol)
+    d = orth(a, tol)
+    e = la.orth(a, **options)
+    return np.linalg.svd(a)
+
+def g(a):
+    return orth(a)
+"""
+    assert _dropped_tol(source, _tol_helpers([source])) == [(6, "orth")]
+
+
+def test_every_function_given_tol_passes_it_on():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    helpers = _tol_helpers(sources.values())
+    assert {"orth", "invert", "rank", "crossed_product"} <= helpers
+    found = {name: _dropped_tol(src, helpers) for name, src in sources.items()}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# ---------------------------------------------------------------------------
+# solves under the rank rule
 
 
 def test_affine_solutions_take_one_svd(monkeypatch):
@@ -818,12 +878,7 @@ def test_a_dense_input_is_factored_whole_and_once(shape, monkeypatch):
         assert calls[0] is a or calls[0].shape == (min(shape),) * 2
 
 
-def test_pseudo_inverse_drops_what_the_rank_rule_drops():
+def test_affine_solutions_drop_what_the_rank_rule_drops():
     a = np.diag([2.0, 1e-12, 0.5])
-    assert np.abs(la.pseudo_inverse(a) - np.diag([0.5, 0.0, 2.0])).max() < 1e-15
     assert np.abs(la.affine_solutions(a, np.array([1.0, 0.0, 1.0]))[0]
                   - [0.5, 0.0, 2.0]).max() < 1e-15
-    rng = np.random.default_rng(6)
-    b = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    assert np.abs(la.pseudo_inverse(b) - np.linalg.pinv(b)).max() < 1e-12
-    assert la.pseudo_inverse(np.zeros((3, 2))).shape == (2, 3)

@@ -230,6 +230,34 @@ def test_tolerance_flag_and_env(tmp_path, capsys, cz2, monkeypatch):
     assert json.loads(out)["tolerance"] == 1e-5
 
 
+def _haar_rebased(W, rng):
+    """W on the basis f_a = sum_i P[i, a] e_i for a Haar-random unitary P."""
+    n = W.dim
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    P = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    Q, A = P.conj().T, W.alg
+    alg = StarAlgebra(np.einsum("ia,jb,ijk,ck->abc", P, P, A.mult, Q, optimize=True),
+                      Q @ A.unit, np.einsum("ia,ik,ck->ac", P.conj(), A.star, Q, optimize=True))
+    return WeakHopfAlgebra(alg, np.einsum("ia,iuv,bu,cv->abc", P, W.cop, Q, Q, optimize=True),
+                           P.T @ W.counit, Q @ W.antipode @ P)
+
+
+@pytest.mark.parametrize("command", ["integrals", "report"])
+def test_the_tol_flag_overrides_the_environment_in_every_check(command, tmp_path, capsys,
+                                                               monkeypatch):
+    # C[Z3] x S3 in a Haar-random basis: its modular elements invert with
+    # residuals near 2e-15, which a tolerance of 1e-20 would refuse
+    W = _haar_rebased(ex.group_weak_hopf(ex.named_group("s3"), [0, 1, 2]),
+                      np.random.default_rng(1))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(ser.weak_hopf_record(W)))
+    rc, ref = run(["--tol", "1e-9", command, str(path)], capsys)
+    assert rc == 0
+    monkeypatch.setenv("WHA_TOL", "1e-20")
+    assert run(["--tol", "1e-9", command, str(path)], capsys) == (0, ref)
+
+
 def test_action_example_emission(capsys):
     rc, out = run(["example", "action", "--name", "m2-collapsed"], capsys)
     assert rc == 0

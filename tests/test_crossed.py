@@ -13,7 +13,7 @@ from weakhopf.algebra import Subspace
 from weakhopf.cli import main
 
 
-def test_dims_and_identification_with_group_crossed_product(m2_action):
+def test_dims_and_identification_with_group_crossed_product(m2_action, selection):
     """M_2 x (C[Z2] x_Ad Z2) is the ordinary crossed product M_2 x_alpha Z2
     through m x (h,g) -> m u(h) x_alpha g."""
     W, MA = m2_action
@@ -31,10 +31,10 @@ def test_dims_and_identification_with_group_crossed_product(m2_action):
     assert XG.dim == 8
 
     # the identification on pre-tensors: m (x) (h,g) -> m u(h) (x) g, applied
-    # to the representatives X.lift of the basis classes of X
+    # to the picked representatives of the basis classes of X
     u = {0: M.unit, 1: toc(sz)}
     idx = W.group_data["index"]
-    reps = X.lift.reshape(4, 4, 8)
+    reps = selection(X)
     phi = np.zeros((8, 8), dtype=complex)
     for p in range(4):
         for (hi, g), k in idx.items():
@@ -73,7 +73,7 @@ def test_trivial_hopf_crossed_product():
             assert np.abs(lhs - X.embed_m @ M.mult[p, q]).max() < 1e-12
 
 
-def test_quotient_well_defined(m2_action, rng):
+def test_quotient_well_defined(m2_action, rng, selection):
     """Products of representatives are independent of the representative."""
     W, MA = m2_action
     X = cr.crossed_product(MA)
@@ -82,6 +82,7 @@ def test_quotient_well_defined(m2_action, rng):
     assert rel_basis.shape[1] == X.relation_rank
     cop, act = W.cop, MA.act
     multm, multa = MA.target.mult, W.alg.mult
+    lift = selection(X).reshape(dm * da, X.dim)
 
     def pre_product(xv, yv):
         xm = xv.reshape(dm, da)
@@ -90,8 +91,8 @@ def test_quotient_well_defined(m2_action, rng):
                          multm, multa, optimize=True).reshape(-1)
 
     for _ in range(5):
-        x = X.lift @ (rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim))
-        y = X.lift @ (rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim))
+        x = lift @ (rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim))
+        y = lift @ (rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim))
         r = rel_basis @ rng.standard_normal(rel_basis.shape[1])
         base = X.proj @ pre_product(x, y)
         assert np.abs(X.proj @ pre_product(x + r, y) - base).max() < 1e-9

@@ -186,14 +186,15 @@ def test_pauli_tower_levels_are_monomial(basis):
     assert (X1.dim, X2.dim) == (16, 64)
 
 
-def test_quotient_basis_is_a_pure_tensor_selection(pauli_seed):
+def test_quotient_basis_is_a_pure_tensor_selection(pauli_seed, selection):
     X = cr.crossed_product(pauli_seed)
     M, A = pauli_seed.target, pauli_seed.hopf.alg
-    picked = np.argwhere(X.lift.reshape(M.dim, A.dim, X.dim) == 1)   # [p, i, B]
+    reps = selection(X)
+    picked = np.argwhere(reps == 1)                                    # [p, i, B]
     assert sorted(picked[:, 2].tolist()) == list(range(X.dim))
     assert X.algebra.labels == [f"{M.labels[p]}#{A.labels[i]}" for p, i, _ in picked]
-    assert np.array_equal(X.proj @ X.lift, np.eye(X.dim))
-    assert np.abs(X.proj @ X._rel_basis).max() < 1e-12
+    assert np.array_equal(X.proj @ reps.reshape(-1, X.dim), np.eye(X.dim))
+    assert np.abs(X.proj @ cr._structure(pauli_seed)[1]).max() < 1e-12
     # every class of a pure tensor is a multiple of one picked class
     assert (np.count_nonzero(X.proj, axis=0) <= 1).all()
 
@@ -511,32 +512,31 @@ def test_picks_are_those_of_the_whole_loop_on_every_seed(monkeypatch):
     assert len(same) == 2 * len(TOWER_SEEDS) + 3 and all(same)
 
 
-def _dual_moves(X, arrows):
+def _dual_moves(reps, arrows):
     """f^s |> v for the functionals f^s of arrows[s, o, k] = cop[k, o, s] and
-    each representative v of X.lift, as [s, (p, o), B]: f^s |> (m (x) a) =
-    m (x) (f^s -> a)."""
-    dm = X.base.target.dim
-    moved = np.matmul(arrows[:, None], X.lift.reshape(dm, arrows.shape[2], -1))  # [s, p, o, B]
-    return moved.reshape(len(arrows), -1, X.dim)
+    each representative v of the selection reps[p, i, B], as [s, (p, o), B]:
+    f^s |> (m (x) a) = m (x) (f^s -> a)."""
+    moved = np.matmul(arrows[:, None], reps)                             # [s, p, o, B]
+    return moved.reshape(len(arrows), -1, reps.shape[2])
 
 
-def _reference_dual_action(X):
-    """proj times the moves of the picked pure tensors, as [s, B, C]."""
-    moved = _dual_moves(X, np.transpose(X.base.hopf.cop, (2, 1, 0)))
+def _reference_dual_action(X, reps):
+    """proj times the moves of the picked pure tensors reps, as [s, B, C]."""
+    moved = _dual_moves(reps, np.transpose(X.base.hopf.cop, (2, 1, 0)))
     return (X.proj @ moved).transpose(0, 2, 1)
 
 
-def test_the_gathered_dual_action_is_the_product_with_the_moves():
+def test_the_gathered_dual_action_is_the_product_with_the_moves(selection):
     MA = ex.named_action("m2-pauli")
     for _ in range(2):
         X = cr.crossed_product(MA)
-        assert np.array_equal(X.as_module.act, _reference_dual_action(X))
+        assert np.array_equal(X.as_module.act, _reference_dual_action(X, selection(X)))
         MA = X.as_module
     rng = np.random.default_rng(13)
     MA = ex.named_action("m2-pauli")
     MA = _rebased_module(MA, _haar_unitary(rng, MA.hopf.dim), _haar_unitary(rng, MA.target.dim))
     X = cr.crossed_product(MA)
-    ref = _reference_dual_action(X)
+    ref = _reference_dual_action(X, selection(X))
     assert np.abs(X.as_module.act - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -554,12 +554,12 @@ def dense_builds(monkeypatch):
     return calls
 
 
-def _first_failing_functional(X, arrows):
+def _first_failing_functional(X, rel_basis, arrows):
     """(s, largest entry) of the first functional whose moves of the
     relation basis proj does not kill, one functional at a time; else
     None."""
     dm, da = X.base.target.dim, X.base.hopf.dim
-    rel = X._rel_basis.reshape(dm, da, -1)
+    rel = rel_basis.reshape(dm, da, -1)
     for s in range(da):
         moved = np.einsum("ok,pkR->poR", arrows[s], rel).reshape(dm * da, -1)
         gap = float(np.abs(X.proj @ moved).max())
@@ -580,9 +580,10 @@ def test_a_monomial_break_of_the_arrows_is_refused_on_the_lists(level, dense_bui
     for s, scale in ((5, 1.001), (9, 1.1)):
         o, k = np.argwhere(arrows[s])[0]
         arrows[s, o, k] *= scale
-    s, ref = _first_failing_functional(X, arrows)
+    rel_basis = cr._structure(MA)[1]
+    s, ref = _first_failing_functional(X, rel_basis, arrows)
     assert s == 5
-    got = _outcome(lambda: X._verify(arrows))
+    got = _outcome(lambda: X._verify(rel_basis, arrows))
     assert not dense_builds
     assert got[:3] == (AxiomViolation, "dual action does not descend", None)
     assert got[3] == pytest.approx(ref, rel=1e-12)
@@ -602,15 +603,14 @@ def test_the_descent_at_each_pauli_level_takes_the_lists(dense_builds):
                             for chain in (cr.PRODUCT, cr.STAR, cr.DESCENT)]
 
 
-def _assemble(MA, proj, picks):
+def _assemble(MA, proj, ps, js):
     """mult and the star table of the quotient by dense contractions written
     out by hand, the reference of the built tables.  The [A, s, B, k]
     products, Delta(e_i^*) and the pre x pre star block live only here."""
     W, M = MA.hopf, MA.target
     A = W.alg
     dm, da = M.dim, A.dim
-    pre, dim = dm * da, len(picks)
-    ps, js = np.divmod(picks, da)
+    pre, dim = dm * da, len(ps)
     cop, act, multm, multa = W.cop, MA.act, M.mult, A.mult
     # (f_p x e_i)(f_q x e_j) = f_p (e_i(1) |> f_q) x e_i(2) e_j, between
     # picked pure tensors A = (p, i) and B = (q, j)
@@ -633,7 +633,7 @@ def _assemble(MA, proj, picks):
     dstar = np.tensordot(A.star, cop, 1)                           # Delta(e_i^*)
     sbig = np.tensordot(dstar, np.matmul(M.star, act), axes=([1], [0]))
     sbig = sbig.transpose(2, 0, 3, 1).reshape(pre, pre).T   # columns: (f_p e_i)^*
-    return mult, (proj @ sbig[:, picks]).T
+    return mult, (proj @ sbig[:, ps * da + js]).T
 
 
 def _assert_built_as_assembled(MA, on_lists=True):
@@ -647,7 +647,7 @@ def _assert_built_as_assembled(MA, on_lists=True):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_contract, "_dense_table",
                       lambda chain, *args: dense.append(chain) or dense_table(chain, *args))
-        _, _, proj, _, picks, (mult, _, star, _) = cr._structure(MA)
+        _, _, proj, (ps, js), (mult, _, star, _) = cr._structure(MA)
     assert dense == ([] if on_lists else [cr.PRODUCT, cr.STAR])
     built = []
     for t in (mult, star):
@@ -670,7 +670,7 @@ def _assert_built_as_assembled(MA, on_lists=True):
             *_, (mult, _, star, _) = cr._structure(MA)
         check((mult.dense, star.dense))
         del mult, star
-    check(_assemble(MA, proj.dense.reshape(len(picks), -1), picks))
+    check(_assemble(MA, proj.dense.reshape(len(ps), -1), ps, js))
 
 
 @pytest.mark.parametrize("name", TOWER_SEEDS)
@@ -685,6 +685,28 @@ def test_list_built_tables_are_the_dense_assembly(name):
             MA = _rebased_module(MA, draw(rng, MA.hopf.dim), draw(rng, MA.target.dim))
         _assert_built_as_assembled(MA, draw is not _haar_unitary)
         _assert_built_as_assembled(cr.crossed_product(MA).as_module, draw is not _haar_unitary)
+
+
+@pytest.mark.parametrize("name", TOWER_SEEDS)
+def test_the_dual_expectation_keeps_its_values_in_m(name):
+    # both levels of the depth-2 tower, in the natural basis, a monomial
+    # basis with phases and a Haar-random basis: m_table is the table read
+    # back through the pseudo-inverse of the embedding of M, and the table
+    # is formed from it.  The dim-216 level of dual-s3 in a Haar-random
+    # basis is left out: certifying its dense tables takes two minutes.
+    rng = np.random.default_rng(17)
+    for draw in (None, _monomial_unitary, _haar_unitary):
+        MA = ex.named_action(name)
+        if draw is not None:
+            MA = _rebased_module(MA, draw(rng, MA.hopf.dim), draw(rng, MA.target.dim))
+        for _ in range(1 if (name, draw) == ("dual-s3", _haar_unitary) else 2):
+            X = cr.crossed_product(MA)
+            E = cr.hat_expectation(X, MA.hopf.haar().hhat)
+            ref = np.linalg.pinv(X.embed_m) @ E.table
+            assert E.m_table.shape == (MA.target.dim, X.dim)
+            assert np.abs(E.m_table - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(X.embed_m @ E.m_table, E.table)
+            MA = X.as_module
 
 
 def test_list_built_tables_of_pauli_depth_3_are_the_dense_assembly():

@@ -178,7 +178,7 @@ def test_relation_data_is_factored_twice(monkeypatch):
     s = np.linalg.svd(rels, compute_uv=False)
     count = int(np.sum(s > la._cutoff(s, None)))
     assert X.relation_rank == count
-    assert X.dim == rels.shape[0] - count and X._rel_basis.shape[1] == count
+    assert X.dim == rels.shape[0] - count and cr._structure(MA)[1].shape[1] == count
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +286,19 @@ def test_kernel_projection_gap_matches_the_loop(rng):
     assert got[2] == pytest.approx(worst, rel=1e-12)
 
 
-def test_dual_action_matches_the_loops(rng):
+def test_dual_action_matches_the_loops(rng, selection):
     MA = ex.named_action("m2-pauli")
     X = cr.crossed_product(MA)
     W, dm, da = MA.hopf, MA.target.dim, MA.hopf.dim
     arrows = np.transpose(W.cop, (2, 1, 0))
-    reps = X.lift.reshape(dm, da, X.dim)
+    reps = selection(X)
     for s in range(da):
         moved = np.einsum("ok,pkA->poA", arrows[s], reps)
         _close(X.as_module.act[s], (X.proj @ moved.reshape(dm * da, X.dim)).T)
     # the descent check on skewed arrows: the first failing functional
     arrows = arrows + 1e-3 * _rand(rng, *arrows.shape)
-    rel = X._rel_basis.reshape(dm, da, -1)
+    rel_basis = cr._structure(MA)[1]
+    rel = rel_basis.reshape(dm, da, -1)
     ref = None
     for s in range(da):
         moved = np.einsum("ok,pkR->poR", arrows[s], rel)
@@ -305,7 +306,7 @@ def test_dual_action_matches_the_loops(rng):
         if ref is None and not gap <= 1e4 * T:
             ref = gap
     assert ref is not None
-    got = _raised(lambda: X._verify(arrows), AxiomViolation)
+    got = _raised(lambda: X._verify(rel_basis, arrows), AxiomViolation)
     assert got[0] == "dual action does not descend"
     assert got[2] == pytest.approx(ref, rel=1e-12)
 
@@ -452,15 +453,17 @@ def _reference_pi_cros(gc, x):
     return sum(np.kron(M.mult[r].T, blocks[r]) for r in range(M.dim))
 
 
-def _reference_direct_pi_omega(gc, x):
+def _reference_direct_pi_omega(gc, x, reps):
+    """reps: the selection of the picked pure tensors, as [p, i, B]."""
     MA = gc.X.base
     M = MA.target
-    v = gc.X.lift_coords(x)
+    v = reps @ x
     return sum(M.mult[p].T @ MA.act_op(v[p]) for p in range(M.dim))
 
 
-def _reference_report(gc):
-    """The four loop-built entries of GnsCross.report."""
+def _reference_report(gc, reps):
+    """The four loop-built entries of GnsCross.report, for the selection
+    reps of the picked pure tensors."""
     X = gc.X
     MA = X.base
     W, M, A = MA.hopf, MA.target, MA.hopf.alg
@@ -475,7 +478,7 @@ def _reference_report(gc):
     r["state_through_expectation"] = _mx(np.array(gaps))
     r["compressed_representation"] = max(
         _mx(gc.v_dagger @ _reference_pi_cros(gc, x) @ gc.v_iso
-            - _reference_direct_pi_omega(gc, x)) for x in basis)
+            - _reference_direct_pi_omega(gc, x, reps)) for x in basis)
     gl0 = (hd.g_l * (hd.h * invert(hd.g_l))).coords
     mu = MA.image_data().mu
     blocks = X.proj.reshape(X.dim, M.dim, A.dim)
@@ -502,24 +505,24 @@ def pauli_gns_cross():
     return cr.gns_cross(cr.crossed_product(MA), gns)
 
 
-def test_gns_cross_representations_match_the_loops(rng, pauli_gns_cross):
+def test_gns_cross_representations_match_the_loops(rng, pauli_gns_cross, selection):
     gc = pauli_gns_cross
     xs = _rand(rng, 3, gc.X.dim)
     pis, directs = gc.pi_cros(xs), gc.direct_pi_omega(xs)
     for x, pi, direct in zip(xs, pis, directs):
         _close(pi, _reference_pi_cros(gc, x))
         _close(gc.pi_cros(x), pi)
-        _close(direct, _reference_direct_pi_omega(gc, x))
+        _close(direct, _reference_direct_pi_omega(gc, x, selection(gc.X)))
         _close(gc.direct_pi_omega(x), direct)
         _close(gc.pi_omega(x), gc.v_dagger @ pi @ gc.v_iso)
 
 
-def test_gns_cross_report_matches_the_loops(rng, pauli_gns_cross):
+def test_gns_cross_report_matches_the_loops(rng, pauli_gns_cross, selection):
     # perturbed compression and state vectors make every entry of order 1e-3
     gc = copy.copy(pauli_gns_cross)
     gc.v_dagger = gc.v_dagger + 1e-3 * _rand(rng, *gc.v_dagger.shape)
     gc.omega_cros = gc.omega_cros + 1e-3 * _rand(rng, *gc.omega_cros.shape)
     got = gc.report()
-    for key, value in _reference_report(gc).items():
+    for key, value in _reference_report(gc, selection(gc.X)).items():
         assert value > 1e-5
         assert got[key] == pytest.approx(value, rel=1e-10), key
