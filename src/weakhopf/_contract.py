@@ -38,13 +38,13 @@ at one size, in one of two ways, chosen per identity from its input:
     dimensions, n^2 for an (n, n, n) table, as the tables of every built-in
     algebra, its dual and the crossed products of the package's actions
     have in the natural basis and in any monomial basis) and every join
-    fits one weakhopf._checks slice.  A nonzero list is one
-    format: the row-major flat keys of the entries of a table, distinct and
-    in increasing order, and their values; contract derives every key from
-    the subscripts and the letter sizes, unravelling each operand's keys
-    once, and difference subtracts two lists.  A join's exact term count is
-    known from the key histograms of the shared letters (join_size) before
-    anything is allocated.  Each list step is linear in its keys and pairs
+    fits the list gate, weakhopf._checks.SLICE_BYTES (16 MiB, fits_slice).
+    A nonzero list is one format: the row-major flat keys of the entries of
+    a table, distinct and in increasing order, and their values; contract
+    derives every key from the subscripts and the letter sizes, unravelling
+    each operand's keys once, and difference subtracts two lists.  A join's
+    exact term count is known from the key histograms of the shared letters
+    (join_size) before anything is allocated.  Each list step is linear in its keys and pairs
     and sorts only where its keys need it: a join reads the offsets of its
     right keys from their histogram and sorts them only when they are not
     increasing; a sum (accumulate) groups increasing keys by their runs,
@@ -54,10 +54,11 @@ at one size, in one of two ways, chosen per identity from its input:
     result is bit for bit what sorting every time gives: the same pairs in
     the same order, and each sum np.bincount's in the order of its terms;
   * dense slices otherwise (a Haar-random basis, a non-finite entry, a join
-    over one slice).  The output is formed one slice of its first letter
+    over the gate).  The output is formed one slice of its first letter
     at a time, with the slice sizes of weakhopf._checks.row_slices for the
-    largest row of any step of these identities that carries that letter
-    (no other module slices a table), and each slice is
+    largest row of any step of these identities that carries that letter:
+    at most DENSE_SLICE_BYTES (2 MiB, a level-2 cache) each, but never less
+    than one row (no other module slices a table), and each slice is
     reduced at once (weakhopf._checks.Worst), so the verdict, residual and
     location are those of the whole table.  A subtree without the lead
     letter is formed once per call and held whole, and a step that several
@@ -73,7 +74,7 @@ product's tables are formed: the chains PRODUCT, STAR and DESCENT
 (weakhopf.crossed) read the tables of M, A and the action gathered at the
 picked pure tensors (gathered, listed from their owners' lists) and the
 projection onto the classes.  build takes the two ways of evaluate, lists
-where every table is listed and every join fits one slice, else dense
+where every table is listed and every join fits the gate, else dense
 slices of the chain's lead letter.  A list-built table keeps its list, with
 the exact-zero sums dropped (the list listed gives of its dense array, which
 is filled only on request).
@@ -155,8 +156,8 @@ def evaluate(tables, *identities):
 
 def build(chain, tables):
     """The Table that a declared chain forms from named tables, on nonzero
-    lists where every table it reads is listed and every join fits one
-    slice, else on dense slices of its lead letter (see the module
+    lists where every table it reads is listed and every join fits the
+    gate, else on dense slices of its lead letter (see the module
     docstring)."""
     word = chain[0].split("->")[1]
     dims = _sizes([n for n in _nodes(chain, word) if isinstance(n[0], str)], tables)
@@ -254,7 +255,7 @@ def _read(leaf):
 
 def _as_list(chain, tables, dims, memo):
     """The nonzero list of chain, each chain formed once per call; None when
-    a table it reads is not listed or a join does not fit one slice."""
+    a table it reads is not listed or a join does not fit the gate."""
     if chain not in memo:
         if isinstance(chain, str):
             name, conj = _read(chain)
@@ -406,7 +407,7 @@ def gathered(table, axis, index):
     """The Table of np.moveaxis(table, axis, 0)[index], table an array or a
     Table: its list is the join of index with the digits along axis of the
     keys of table's list, in increasing order (None where table is not
-    listed or the join does not fit one slice), its dense array formed only
+    listed or the join does not fit the gate), its dense array formed only
     on request."""
     shape = (len(index),) + table.shape[:axis] + table.shape[axis + 1:]
     got, rows = listed(table), None
@@ -461,7 +462,7 @@ def contract(subscripts, a, b, dims):
     that agree on the letters both operands carry is multiplied, and the
     products are summed at the key of the output letters.  dims maps each
     letter to its size.  None when a or b is None, or when the pairs do not
-    fit one slice."""
+    fit the gate."""
     if a is None or b is None:
         return None
     inputs, output = subscripts.split("->")
@@ -525,7 +526,7 @@ def join(ka, kb):
 
 # A sum over keys that are not increasing is taken on a presence table of
 # the key space, without a sort, when that space has at most this many keys
-# per term (and the table fits one weakhopf._checks slice).
+# per term (and the table fits the weakhopf._checks gate).
 DENSE_KEYS = 4
 
 

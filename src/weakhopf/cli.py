@@ -26,19 +26,11 @@ from .integrals import LeftIntegral, classify, haar, left_integral_space, \
 
 
 def _load_json(path):
-    # a parsed JSON tree holds no reference cycles, so the collector is
-    # paused while it is built (its passes over the growing lists cost a
-    # third of the parse) and left as the caller had it
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _emit(report, args):
@@ -291,8 +283,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # the collector is paused for the whole command: its passes over the
+    # parsed records and the tables find nothing to free there.  The few
+    # cycles a command leaves (an algebra's links to its dual and its
+    # memos) are all in the youngest generation, and one pass over it at
+    # the end frees them, if the caller had the collector on.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return globals()[f"cmd_{args.command}"](args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -303,6 +302,10 @@ def main(argv=None):
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect(0)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ class CrossedProduct:
     STAR (weakhopf._contract.build) over the tables of M, A and the action
     gathered at the picks: on nonzero lists in a monomial basis, where the
     algebra keeps the lists, so that no later check lists them again, and on
-    dense slices otherwise (a Haar-random basis, or a join over one slice).
+    dense slices otherwise (a Haar-random basis, or a join over the gate).
     The relations and the construction arrays live only in _structure, so
     they are freed before the quotient is certified; the orthonormal basis
     of the relation span is handed to _verify, and freed after it.

@@ -64,7 +64,9 @@ def test_a_probe_records_each_run_of_one_command(tmp_path):
         assert r["exit"] == 0 and r["wall_s"] > 0 and r["maxrss_mb"] > 0
         assert set(r["build_at_s"]) == {"36", "216"} and r["pivoted_columns_s"] > 0
         assert 0 < r["list_kernel_s"] < r["wall_s"]
-    assert set(got["metrics"]) == {"wall_s", "maxrss_mb", "pivoted_columns_s", "list_kernel_s"}
+        assert 0 <= r["dense_slices_s"] < r["wall_s"]
+    assert set(got["metrics"]) == {"wall_s", "maxrss_mb", "pivoted_columns_s", "list_kernel_s",
+                                   "dense_slices_s"}
     assert got["metrics"]["wall_s"]["pairs"] == 2
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -301,27 +302,72 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_records_are_parsed_with_the_collector_paused(tmp_path, capsys, monkeypatch, cz2,
                                                      enabled):
-    # and the caller's collector state comes back, after a malformed file too
+    # and the whole command runs with it paused; the caller's collector
+    # state comes back, after a malformed file too, and a caller that had
+    # it on gets one pass over the youngest generation at the end
     good, bad = tmp_path / "w.json", tmp_path / "bad.json"
     good.write_text(json.dumps(ser.weak_hopf_record(cz2)))
     bad.write_text("{not json")
-    during, load = [], json.load
+    during, passes, load, verify = [], [], json.load, cli.verify_weak_hopf
 
     def spy(fh):
         during.append(gc.isenabled())
         return load(fh)
 
+    def spy_verify(*args, **kwargs):
+        during.append(gc.isenabled())
+        return verify(*args, **kwargs)
+
+    def on_pass(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
     monkeypatch.setattr(json, "load", spy)
+    monkeypatch.setattr(cli, "verify_weak_hopf", spy_verify)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(on_pass)
     try:
         assert run(["verify", str(good)], capsys)[0] == 0
         assert gc.isenabled() is enabled
         assert run(["verify", str(bad)], capsys)[0] == 2
         assert gc.isenabled() is enabled
     finally:
+        gc.callbacks.remove(on_pass)
         (gc.enable if was else gc.disable)()
-    assert during == [False, False]
+    assert during == [False, False, False]
+    assert passes == ([0, 0] if enabled else [])
+
+
+@pytest.mark.parametrize("command", ["report", "crossed"])
+def test_a_commands_algebras_are_freed_when_it_returns(tmp_path, capsys, monkeypatch, cz2,
+                                                       command):
+    # an algebra and its dual link to each other, and a crossed product
+    # to its module algebra, so they are freed by the collector: the pass
+    # at the end of the command frees them before main returns
+    if command == "report":
+        record, reader = ser.weak_hopf_record(cz2), "weak_hopf_from_record"
+    else:
+        record, reader = ser.module_algebra_record(ex.named_action("dual-z3")), \
+            "module_algebra_from_record"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(record))
+    read, refs = getattr(ser, reader), []
+
+    def spy(*args, **kwargs):
+        got = read(*args, **kwargs)
+        refs.append(weakref.ref(got))
+        return got
+
+    monkeypatch.setattr(ser, reader, spy)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert run([command, str(path)], capsys)[0] == 0
+        alive = [r() is not None for r in refs]
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert alive == [False]
 
 
 def _haar_module_record(MA, rng):

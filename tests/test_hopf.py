@@ -68,6 +68,7 @@ def test_verify_memory(wz3s3, monkeypatch):
     # only the right half of axiom Ia is held whole, so the peak stays
     # within two complex n^4 tables
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", 1)
     n = wz3s3.dim
     tracemalloc.start()
     try:
@@ -157,6 +158,7 @@ def test_joins_beyond_one_slice_take_the_dense_path(wz3s3, monkeypatch, joins, d
     listed = hopf.verify_weak_hopf(wz3s3)
     del joins[:]
     monkeypatch.setattr(_checks, "SLICE_BYTES", 16 * 100)
+    monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", 16 * 100)
     dense = hopf.verify_weak_hopf(wz3s3)
     assert not joins and dense.passed()
     assert dense_steps.count(hopf.T1[0]) == wz3s3.dim

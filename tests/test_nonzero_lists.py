@@ -11,6 +11,7 @@ tables must take the dense path.  The product and star tables that a
 crossed product builds, on nonzero lists or on dense slices, must be those
 of a dense assembly written out by hand (_assemble)."""
 
+import json
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from weakhopf import _checks, _contract
 from weakhopf import _linalg as la
 from weakhopf import algebra as al
+from weakhopf import cli
+from weakhopf import serialize as ser
 from weakhopf import modules as mo
 from weakhopf import crossed as cr
 from weakhopf import examples as ex
@@ -186,6 +189,34 @@ def test_pauli_tower_levels_are_monomial(basis):
     assert (X1.dim, X2.dim) == (16, 64)
 
 
+@pytest.mark.parametrize("basis", ["natural", "monomial"])
+def test_the_pauli_tower_takes_no_dense_slice(tmp_path, capsys, basis, dense_steps):
+    # every check and table of the depth-2 tower, with its depth-2 check
+    # and report, stays within the list gate: no step runs dense
+    MA = ex.named_action("m2-pauli")
+    if basis == "monomial":
+        rng = np.random.default_rng(3)
+        MA = _rebased_module(MA, _monomial_unitary(rng, MA.hopf.dim),
+                             _monomial_unitary(rng, MA.target.dim))
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(ser.module_algebra_record(MA)))
+    assert cli.main(["tower", "--seed", str(path), "--depth", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 4, 16, 64]
+    assert dense_steps == []
+
+
+def test_s3_all_takes_no_dense_slice(tmp_path, capsys, dense_steps):
+    # verify, report and integrals of C[S3] x_Ad S3 (dim 36) and of its dual
+    W = ex.group_weak_hopf(ex.symmetric_group_3(), list(range(6)))
+    for V in (W, W.dual()):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(ser.weak_hopf_record(V)))
+        for command in ("verify", "report", "integrals"):
+            assert cli.main([command, str(path)]) == 0, command
+    capsys.readouterr()
+    assert dense_steps == []
+
+
 def test_quotient_basis_is_a_pure_tensor_selection(pauli_seed, selection):
     X = cr.crossed_product(pauli_seed)
     M, A = pauli_seed.target, pauli_seed.hopf.alg
@@ -338,6 +369,7 @@ def test_monomial_module_laws_take_nonzero_lists(pauli_seed, rng, joins, dense_s
 def test_module_laws_beyond_one_slice_take_the_dense_path(pauli_seed, monkeypatch, joins,
                                                           dense_steps):
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", 1)
     make_module_algebra(pauli_seed.hopf, pauli_seed.target, pauli_seed.act)
     # one row per slice: the act-mult products are still formed once
     assert not joins and dense_steps.count(ACT_MULT) == 1

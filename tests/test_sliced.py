@@ -5,7 +5,8 @@ Every sliced check must report what the whole-table check reports (the
 verdict, exception type, message, residual and location) whatever the
 slice size, and the constructors must stay within O(n^3) bytes beyond the
 tables they share between checks.  The slice size is varied through the
-one byte target, _checks.SLICE_BYTES.
+dense target, _checks.DENSE_SLICE_BYTES; the list gate, _checks.SLICE_BYTES,
+is set to 1 where a test needs the dense path on listed tables.
 """
 
 import tracemalloc
@@ -13,9 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weakhopf import _checks
+from weakhopf import _checks, _contract
 from weakhopf import crossed as cr
 from weakhopf import examples as ex
+from weakhopf import tower as tw
 from weakhopf.algebra import StarAlgebra, make_star_algebra
 from weakhopf.errors import ActionAxiomViolation, AssociativityViolation, AxiomViolation
 from weakhopf.hopf import WeakHopfAlgebra, verify_weak_hopf
@@ -23,7 +25,7 @@ from weakhopf.modules import ModuleAlgebra, make_module_algebra, to_coaction
 
 # one row per slice, a few rows per slice, and the default target, under
 # which the tables of these small instances are one slice
-TARGETS = [1, 10_000, 100_000, _checks.SLICE_BYTES]
+TARGETS = [1, 10_000, 100_000, _checks.DENSE_SLICE_BYTES]
 
 
 @pytest.fixture
@@ -48,7 +50,7 @@ def _outcome(fn):
 def _same_for_every_target(monkeypatch, fn):
     outcomes = []
     for target in TARGETS:
-        monkeypatch.setattr(_checks, "SLICE_BYTES", target)
+        monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", target)
         outcomes.append(_outcome(fn))
     assert outcomes[1:] == outcomes[:-1]
     return outcomes[0]
@@ -64,10 +66,10 @@ def _peak(fn):
 
 
 def test_row_slices_cover_the_rows_in_order(monkeypatch):
-    monkeypatch.setattr(_checks, "SLICE_BYTES", 16 * 10 * 3)
+    monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", 16 * 10 * 3)
     got = _checks.row_slices(7, 10)
     assert [(s.start, s.stop) for s in got] == [(0, 3), (3, 6), (6, 7)]
-    monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", 1)
     assert len(_checks.row_slices(5, 10 ** 6)) == 5          # never below one row
     assert _checks.row_slices(0, 10) == []
 
@@ -143,7 +145,7 @@ def test_axiom_suite(monkeypatch, rng):
     W = WeakHopfAlgebra(alg, cop, _rand(rng, n), _rand(rng, n, n))
     reports = []
     for target in TARGETS:
-        monkeypatch.setattr(_checks, "SLICE_BYTES", target)
+        monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", target)
         reports.append({k: repr(v) for k, v in verify_weak_hopf(W).residuals.items()})
     assert reports[1:] == reports[:-1]
     assert reports[0]["Ia"] == reports[0]["Ic"] == "nan"
@@ -168,6 +170,63 @@ def test_regular_rep_checks(monkeypatch, rng, pauli_crossed, table):
     assert ("homomorphism" if table == "images" else "translation") in message
 
 
+def _haar_rebased(MA, rng):
+    """MA with A and M each on a Haar-random unitary basis."""
+    def unitary(n):
+        q, r = np.linalg.qr(_rand(rng, n, n))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    def rebased(A, U):
+        V = U.conj().T
+        return StarAlgebra(np.einsum("ia,jb,ijk,ck->abc", U, U, A.mult, V, optimize=True),
+                           V @ A.unit,
+                           np.einsum("ia,ik,ck->ac", U.conj(), A.star, V, optimize=True))
+
+    W, M = MA.hopf, MA.target
+    P, U = unitary(W.dim), unitary(M.dim)
+    Q = P.conj().T
+    Wp = WeakHopfAlgebra(rebased(W.alg, P),
+                         np.einsum("ia,iuv,bu,cv->abc", P, W.cop, Q, Q, optimize=True),
+                         P.T @ W.counit, Q @ W.antipode @ P)
+    act = np.einsum("ia,pb,ipq,cq->abc", P, U, MA.act, U.conj().T, optimize=True)
+    return make_module_algebra(Wp, rebased(M, U), act)
+
+
+def test_dense_slices_keep_to_the_dense_target(monkeypatch, rng):
+    # dual-z3's depth-2 tower in a Haar-random basis runs the dense path;
+    # at its dim-27 level a whole n^4 table (8.5 MB) is over the target, and
+    # every step that carries the lead letter holds at most the target, or
+    # one row of it (the steps without the lead are formed whole, once)
+    MA = _haar_rebased(ex.named_action("dual-z3"), rng)
+    leads, seen = [], []
+    group, table, step = _contract._dense_group, _contract._dense_table, _contract.dense_step
+
+    def on_lead(inner, lead_of):
+        def spy(*args):
+            leads.append(lead_of(args))
+            try:
+                return inner(*args)
+            finally:
+                leads.pop()
+        return spy
+
+    def spy_step(subscripts, x, y):
+        out, word = step(subscripts, x, y), subscripts.split("->")[1]
+        if leads and leads[-1] in word:
+            seen.append((out.nbytes, out.shape[word.index(leads[-1])], out.ndim))
+        return out
+
+    monkeypatch.setattr(_contract, "_dense_group", on_lead(group, lambda a: a[0]))
+    monkeypatch.setattr(_contract, "_dense_table", on_lead(table, lambda a: a[1][0]))
+    monkeypatch.setattr(_contract, "dense_step", spy_step)
+    assert tw.build_tower(MA, 2).dims() == [1, 3, 9, 27]
+    target = _checks.DENSE_SLICE_BYTES
+    assert all(nbytes <= target or rows == 1 for nbytes, rows, _ in seen)
+    # the n^4 steps of the dim-27 level are cut into slices of several rows
+    cut = {rows for nbytes, rows, ndim in seen if ndim == 4 and nbytes > 16 * 27 ** 3}
+    assert cut and max(cut) < 27
+
+
 # ---------------------------------------------------------------------------
 # the constructors hold O(n^3) bytes beyond their shared tables
 
@@ -177,6 +236,7 @@ def test_star_algebra_memory(monkeypatch, pauli_crossed):
     n = A.dim
     assert n == 16
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", 1)
     peak = _peak(lambda: make_star_algebra(A.mult, A.unit, A.star))
     # a whole associativity table alone takes 16 n^4 bytes
     assert peak <= 6 * 16 * n ** 3
@@ -187,6 +247,7 @@ def test_module_algebra_memory(monkeypatch, pauli_crossed):
     # product law, one GEMM per slice against the shared act-mult table
     seed = ex.m2_pauli_action()[1]
     monkeypatch.setattr(_checks, "SLICE_BYTES", 1)
+    monkeypatch.setattr(_checks, "DENSE_SLICE_BYTES", 1)
     for MA, dims in ((pauli_crossed.as_module, (16, 16)), (seed, (16, 4))):
         da, dm = MA.hopf.dim, MA.target.dim
         assert (da, dm) == dims

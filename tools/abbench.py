@@ -35,11 +35,13 @@ process with one BLAS thread, optionally under an address-space limit
 resident set size (ru_maxrss from os.wait4), the SHA-256 of its standard
 output, the total time of its calls of `_linalg.pivoted_columns`, the
 total time of its calls of the nonzero-list kernel (`_contract.contract`
-and `_contract.difference`), and the time after its start at which it
-first calls the crossed product's `build` at each level, keyed by that
-level's dimension.  The report gives the same comparison of wall time,
-peak resident set size, pivoted_columns time and list-kernel time as for
-the workloads, and whether every run printed the same bytes.
+and `_contract.difference`), the total time of its dense slices
+(`_contract._dense_group` and `_contract._dense_table`), and the time
+after its start at which it first calls the crossed product's `build` at
+each level, keyed by that level's dimension.  The report gives the same
+comparison of wall time, peak resident set size, pivoted_columns time,
+list-kernel time and dense-slice time as for the workloads, and whether
+every run printed the same bytes.
 """
 
 import argparse
@@ -73,17 +75,19 @@ PROBES = {
 }
 # probe: seed of the Haar-random basis its input record is re-expressed in
 HAAR_SEEDS = {"pauli-haar-depth2": 0}
-PROBE_METRICS = ("wall_s", "maxrss_mb", "pivoted_columns_s", "list_kernel_s")
+PROBE_METRICS = ("wall_s", "maxrss_mb", "pivoted_columns_s", "list_kernel_s",
+                 "dense_slices_s")
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
-# the child of a probe: `wha` with pivoted_columns and the list kernel
-# timed and the first call of the crossed product's build at each level
+# the child of a probe: `wha` with pivoted_columns, the list kernel and the
+# dense slices timed and the first call of the crossed product's build at each level
 # marked; the marks are the last line of its standard error
 PROBE_MAIN = """
 import json, sys, time
 start = time.perf_counter()
 from weakhopf import _contract, _linalg, cli, crossed
-marks = {"pivoted_columns_s": 0.0, "list_kernel_s": 0.0, "build_at_s": {}}
+marks = {"pivoted_columns_s": 0.0, "list_kernel_s": 0.0, "dense_slices_s": 0.0,
+         "build_at_s": {}}
 def timed(inner, mark):
     def call(*args, **kwargs):
         t = time.perf_counter()
@@ -98,6 +102,8 @@ def build(chain, tables, _inner=crossed.build):
 _linalg.pivoted_columns = timed(_linalg.pivoted_columns, "pivoted_columns_s")
 _contract.contract = timed(_contract.contract, "list_kernel_s")
 _contract.difference = timed(_contract.difference, "list_kernel_s")
+_contract._dense_group = timed(_contract._dense_group, "dense_slices_s")
+_contract._dense_table = timed(_contract._dense_table, "dense_slices_s")
 crossed.build = build
 try:
     code = cli.main(sys.argv[1:])
