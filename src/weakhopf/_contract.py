@@ -75,18 +75,35 @@ product's tables are formed: the chains PRODUCT, STAR and DESCENT
 picked pure tensors (gathered, listed from their owners' lists) and the
 projection onto the classes.  build takes the two ways of evaluate, lists
 where every table is listed and every join fits the gate, else dense
-slices of the chain's lead letter.  A list-built table keeps its list, with
-the exact-zero sums dropped (the list listed gives of its dense array, which
-is filled only on request).
+slices of the chain's lead letter.  A list-built table keeps its entries,
+with the exact-zero sums dropped, whether or not listed would admit them
+(row_maxima reads the descent's from them), and fills its dense array only
+on request.
 
 The table form.  evaluate and build take, for each name, an array or a
-Table: a dense array and its nonzero list, each formed at most once.
+Table.  A Table holds a dense array, the entries that build or gathered
+formed on lists, or both, each formed at most once; its nonzero list is
+the entries where listed admits them, else listed(dense) on first use.
 listed is the one gate of the list path, and a Table answers it with the
-list it holds.  StarAlgebra (mult, star), WeakHopfAlgebra (cop) and
-ModuleAlgebra (act) hand their tables out as Tables held through
+list it holds.  WeakHopfAlgebra (cop), ModuleAlgebra (act) and a
+StarAlgebra built from arrays hand their tables out as Tables held through
 config.memo on the owner (owned), so each is listed once per owner and
-freed with it; a crossed product's algebra holds the lists its tables were
-built from.  Arrays made per call stay plain.
+freed with it.  A crossed product's algebra built on lists is a
+weakhopf.algebra.ListedAlgebra: it holds the Table of its mult alone, which
+owned hands out as it is, and its dense array is formed only when a reader
+asks for it; every such formation is counted in FORMED.  Its readers are
+list steps: times, the list-times-dense step (Gustavson's sparse-times-
+dense product: gather the dense operand at the list's digits, scale by the
+values, sum with np.bincount into the output keys), for the left and right
+regular representations, products of two vectors, the products of the
+basis mapped through a matrix, index sums and the trace form;
+listed_pair_products for the products of two stacks of vectors, one
+matrix product per output coordinate; and commutators for the entries of
+the commutator stacks of center and commutant, whose null space is taken
+block by block from those entries (weakhopf._linalg.sparse_null_space).
+The list-or-dense choice is made once per algebra, when it is built, so an
+algebra built from arrays (any Haar-random basis) reads its dense arrays
+as before, with no work added per read.  Arrays made per call stay plain.
 
 Every entry outside a list is an exact zero, and products of finite tables
 drop only exact 0 * finite terms, so both ways give the same residual up to
@@ -132,6 +149,70 @@ def pair_products(mult, xs, ys):
     return np.matmul(ys.T, left)
 
 
+def listed_pair_products(nonzeros, xs, ys):
+    """pair_products from the nonzero list (keys, values) of an (n, n, n)
+    table, n the length of the columns: each entry (i, j, k) scales the
+    row i of xs by its value and pairs it with the row j of ys, and the
+    pairs of one output coordinate k are summed by one matrix product.
+    Besides the (a, b, n) result it holds the two gathered stacks of rows,
+    (entries, a) and (entries, b)."""
+    keys, values = nonzeros
+    n = xs.shape[0]
+    order = np.argsort(keys % n, kind="stable")
+    keys, values = keys[order], values[order]
+    k = keys % n
+    bounds = np.searchsorted(k, np.arange(n + 1))
+    left = xs[keys // (n * n)] * values[:, None]            # [entry, a]
+    right = ys[keys // n % n]                               # [entry, b]
+    out = np.zeros((n, xs.shape[1], ys.shape[1]), np.result_type(left, right))
+    for c in np.flatnonzero(np.diff(bounds)):
+        rows = slice(bounds[c], bounds[c + 1])
+        out[c] = left[rows].T @ right[rows]
+    return out.transpose(1, 2, 0)
+
+
+def commutators(nonzeros, n, basis):
+    """(rows, columns, values): the entries of the stack of rows
+    s_a x - x s_a, the matrix [(a, k), j] of weakhopf.algebra._commutators,
+    for the columns s_a of basis (the unit matrix when basis is None), from
+    the nonzero list of an (n, n, n) mult: the joins of basis's list with
+    it, and their difference.  For the whole basis each entry is an entry
+    of mult or a difference of two, so the entries are the stack's bit for
+    bit.  None when a join does not fit the gate."""
+    if basis is None:
+        cols, s = n, (np.arange(n) * (n + 1), np.ones(n, complex))
+    else:
+        cols, s = basis.shape[1], listed(basis)
+    dims = {"i": n, "j": n, "k": n, "a": cols}
+    got = difference(contract("ia,ijk->akj", s, nonzeros, dims),      # s_a e_j
+                     contract("ia,jik->akj", s, nonzeros, dims))      # e_j s_a
+    return None if got is None else (got[0] // n, got[0] % n, got[1])
+
+
+def times(nonzeros, shape, axis, dense):
+    """The contraction of a table over one axis with the rows of the dense
+    matrix dense, laid out with dense's columns first:
+    np.moveaxis(np.tensordot(table, dense, ([axis], [0])), -1, 0), from the
+    nonzero list (keys, values) of the table, of the given shape.  Each
+    entry gathers the row of dense at its digit along axis, scaled by its
+    value, and np.bincount sums the terms at the keys of the other digits,
+    column by column (Gustavson's sparse-times-dense product).  Its terms
+    take (entries x columns) keys and values."""
+    keys, values = nonzeros
+    digits, rest = _split_keys(keys, shape, axis)
+    size, cols = math.prod(shape) // shape[axis], dense.shape[1]
+    at = (np.arange(cols)[:, None] * size + rest).ravel()
+    terms = (dense[digits].T * values).ravel()
+    return _sums(at, terms, cols * size).reshape((cols,) + shape[:axis] + shape[axis + 1:])
+
+
+def _split_keys(keys, shape, axis):
+    """(the digits along axis, the row-major keys over the other axes) of
+    row-major keys over shape."""
+    stride = math.prod(shape[axis + 1:])
+    return keys // stride % shape[axis], keys // (stride * shape[axis]) * stride + keys % stride
+
+
 def evaluate(tables, *identities):
     """The declared identities over tables, a dict of name: table, each by
     nonzero lists or by dense slices (see the module docstring): for each,
@@ -166,14 +247,7 @@ def build(chain, tables):
     if got is None:
         return Table(_dense_table(chain, word, tables, dims))
     kept = got[1] != 0
-    keys, values = got[0][kept], got[1][kept]
-
-    def fill():
-        dense = np.zeros(math.prod(shape), values.dtype)
-        dense[keys] = values
-        return dense.reshape(shape)
-
-    return Table(fill, _admitted(keys, values, shape), shape)
+    return Table(None, shape=shape, entries=(got[0][kept], got[1][kept]))
 
 
 def _dense_table(chain, word, tables, dims):
@@ -361,30 +435,52 @@ def dense_step(subscripts, x, y):
 
 _UNLISTED = object()
 
+# How many dense arrays Tables formed on request, by shape.  A listed
+# level reads its mult through the list (weakhopf.algebra.ListedAlgebra),
+# so no (n, n, n) entry appears here for it unless a reader that stays
+# dense asks for the array.
+FORMED = Counter()
+
 
 class Table:
-    """A dense table and its nonzero list, each formed at most once: the
-    list as build or gathered give it, else listed(dense) on first use; the
-    dense array as given, or by the function given for it (with the shape)
-    on first use.  evaluate and listed take a Table wherever they take an
-    array."""
+    """A table held as a dense array, as the list of its nonzero entries, or
+    both, each formed at most once.  Table(array) holds the array and lists
+    it (listed) on first use.  Table(None, shape=shape, entries=(keys,
+    values)) holds every nonzero entry of a table that build or gathered
+    formed on lists, keys row-major in increasing order: its nonzero list
+    is those entries where listed would admit them (_admitted), and its
+    dense array is filled from them only on request.  Table(function, None,
+    shape) forms its dense array by function on request and has no list.
+    Each dense array formed on request is counted in FORMED.  evaluate and
+    listed take a Table wherever they take an array."""
 
-    __slots__ = ("_dense", "_nonzeros", "shape")
+    __slots__ = ("_dense", "_nonzeros", "entries", "shape")
 
-    def __init__(self, dense, nonzeros=_UNLISTED, shape=None):
-        self._dense, self._nonzeros = dense, nonzeros
+    def __init__(self, dense, nonzeros=_UNLISTED, shape=None, entries=None):
+        self._dense, self.entries = dense, entries
         self.shape = dense.shape if shape is None else shape
+        self._nonzeros = nonzeros if entries is None else _admitted(*entries, self.shape)
 
     @property
     def dense(self):
-        if callable(self._dense):
-            self._dense = self._dense()
+        if not isinstance(self._dense, np.ndarray):
+            FORMED[self.shape] += 1
+            self._dense = _filled(self.entries, self.shape) if self._dense is None \
+                else self._dense()
         return self._dense
 
     def nonzeros(self):
         if self._nonzeros is _UNLISTED:
             self._nonzeros = listed(self.dense)
         return self._nonzeros
+
+
+def _filled(entries, shape):
+    """The dense array of the given shape with the entries (keys, values)."""
+    keys, values = entries
+    dense = np.zeros(math.prod(shape), values.dtype)
+    dense[keys] = values
+    return dense.reshape(shape)
 
 
 def dense_of(t):
@@ -396,7 +492,12 @@ def owned(owner, name, given=None):
     """The Table of owner's table attribute name, held through config.memo
     so that it is listed at most once per owner: given, a Table of that
     same array, when the first call passes it, else a new one (and a new
-    one again if the attribute was rebound)."""
+    one again if the attribute was rebound).  An owner that holds the table
+    as a Table in place of an array, under that name in its instance dict
+    (weakhopf.algebra.ListedAlgebra's mult), gives that Table."""
+    held = vars(owner).get(name)
+    if isinstance(held, Table):
+        return held
     array = getattr(owner, name)
     got = memo(owner, ("table", name),
                lambda: given if given is not None and given.dense is array else Table(array))
@@ -405,32 +506,31 @@ def owned(owner, name, given=None):
 
 def gathered(table, axis, index):
     """The Table of np.moveaxis(table, axis, 0)[index], table an array or a
-    Table: its list is the join of index with the digits along axis of the
-    keys of table's list, in increasing order (None where table is not
-    listed or the join does not fit the gate), its dense array formed only
-    on request."""
+    Table: where table is listed and the join fits the gate, its entries
+    are the join of index with the digits along axis of the keys of
+    table's list, in increasing order; else its dense array is formed from
+    table's only on request, and it has no list."""
     shape = (len(index),) + table.shape[:axis] + table.shape[axis + 1:]
-    got, rows = listed(table), None
+    got = listed(table)
     if got is not None:
         keys, values = got
-        stride = math.prod(table.shape[axis + 1:])
-        digits = keys // stride % table.shape[axis]
+        digits, rest = _split_keys(keys, table.shape, axis)
         if fits_slice(join_size(index, digits)):
-            rest = keys // (stride * table.shape[axis]) * stride + keys % stride
             ia, ib = join(index, digits)
-            rows = _admitted(ia * math.prod(shape[1:]) + rest[ib], values[ib], shape)
-    return Table(lambda: np.moveaxis(dense_of(table), axis, 0)[index], rows, shape)
+            return Table(None, shape=shape,
+                         entries=(ia * math.prod(shape[1:]) + rest[ib], values[ib]))
+    return Table(lambda: np.moveaxis(dense_of(table), axis, 0)[index], None, shape)
 
 
 def row_maxima(table):
     """The largest |entry| of each row of a Table along its first axis (0
-    for an empty row, NaN for a row with a NaN), from its list where it
-    holds one, else from its dense array."""
-    got = table.nonzeros()
-    if got is None:
+    for an empty row, NaN for a row with a NaN), from its entries where it
+    holds them, listed or not, else from its dense array."""
+    if table.entries is None:
         return np.abs(table.dense).reshape(table.shape[0], -1).max(axis=1, initial=0.0)
+    keys, values = table.entries
     maxima = np.zeros(table.shape[0])
-    np.maximum.at(maxima, got[0] // max(1, math.prod(table.shape[1:])), np.abs(got[1]))
+    np.maximum.at(maxima, keys // max(1, math.prod(table.shape[1:])), np.abs(values))
     return maxima
 
 
@@ -548,12 +648,18 @@ def accumulate(keys, values):
             keys, inverse = np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
         else:
             keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, _sums(inverse, values, keys.size)
+
+
+def _sums(keys, values, size):
+    """np.bincount(keys, values, size) for real or complex values: the sum
+    of the values at each key below size, in the order of the values."""
     if not np.iscomplexobj(values):
-        return keys, np.bincount(inverse, values, keys.size)
-    sums = np.empty(keys.size, values.dtype)
-    sums.real = np.bincount(inverse, values.real, keys.size)
-    sums.imag = np.bincount(inverse, values.imag, keys.size)
-    return keys, sums
+        return np.bincount(keys, values, size)
+    sums = np.empty(size, values.dtype)
+    sums.real = np.bincount(keys, values.real, size)
+    sums.imag = np.bincount(keys, values.imag, size)
+    return sums
 
 
 def difference(a, b):

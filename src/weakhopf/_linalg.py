@@ -93,6 +93,14 @@ def _blocks(a):
         return None
     nz = a != 0
     r, c = np.divmod(np.flatnonzero(nz), n)
+    return _pattern_blocks(r, c, m, n, nz)
+
+
+def _pattern_blocks(r, c, m, n, nz=None):
+    """_blocks of an m x n matrix whose nonzero entries are at (r, c).
+    Given the matrix's nonzero pattern nz, a pattern that is plainly one
+    block is told without labelling it; the blocks are the same either
+    way."""
     if not r.size:
         return []
     per_row, per_col = np.bincount(r, minlength=m), np.bincount(c, minlength=n)
@@ -100,7 +108,8 @@ def _blocks(a):
     # when the columns of the fullest row meet every nonempty row, each row
     # joins that row's block, and so does each column through its rows; so
     # too with rows and columns exchanged
-    if (np.count_nonzero(nz[:, nz[per_row.argmax()]].any(axis=1)) < rows.size
+    if nz is None or (
+            np.count_nonzero(nz[:, nz[per_row.argmax()]].any(axis=1)) < rows.size
             and np.count_nonzero(nz[nz[:, per_col.argmax()]].any(axis=0)) < cols.size):
         groups = _components(r, c, rows, cols, m, n)
         if sum(index.shape[0] for index, _ in groups) > 1:
@@ -142,12 +151,17 @@ def _components(r, c, rows, cols, m, n):
     return groups
 
 
-def _block_svds(a, blocks, factor, tol):
+def _block_stacks(a, blocks):
+    """The blocks of a, each shape group as one (k, p, q) stack."""
+    return [a[rows[:, :, None], cols[:, None, :]] for rows, cols in blocks]
+
+
+def _block_svds(stacks, blocks, factor, tol):
     """[(rows, cols, u, vh, count)]: factor, an SVD (u, s, vh) of a stack,
-    on each shape group of a's blocks, and how many singular values of each
-    block pass the cutoff of the whole spectrum, the union of the blocks'."""
-    parts = [(rows, cols, factor(a[rows[:, :, None], cols[:, None, :]]))
-             for rows, cols in blocks]
+    on the stack of each shape group of a matrix's blocks, and how many
+    singular values of each block pass the cutoff of the whole spectrum,
+    the union of the blocks'."""
+    parts = [(rows, cols, factor(stack)) for (rows, cols), stack in zip(blocks, stacks)]
     top = max((float(s[:, 0].max()) for _, _, (_, s, _) in parts), default=0.0)
     cut = _cutoff((top,), tol)
     return [(rows, cols, u, vh, (s > cut).sum(axis=1)) for rows, cols, (u, s, vh) in parts]
@@ -246,7 +260,8 @@ def rank(a, tol=None):
     blocks = _blocks(a)
     if blocks is None:
         return _count(_spectrum(a)[1], tol)
-    return sum(int(count.sum()) for *_, count in _block_svds(a, blocks, _spectrum, tol))
+    return sum(int(count.sum())
+               for *_, count in _block_svds(_block_stacks(a, blocks), blocks, _spectrum, tol))
 
 
 def _right_svd(a):
@@ -262,8 +277,45 @@ def null_space(a, tol=None):
     if blocks is None:
         u, s, vh = _right_svd(a)
         return vh[_count(s, tol):].conj().T.copy()
-    n = a.shape[1]
-    parts = _block_svds(a, blocks, _right_svd, tol)
+    return _block_null_space(a.shape[1], _block_stacks(a, blocks), blocks, tol)
+
+
+def sparse_null_space(r, c, values, shape, tol=None):
+    """null_space of the matrix of the given shape whose entries are values
+    at the distinct places (r, c) and zero elsewhere, without forming it
+    unless it is one block that covers every row and column: the blocks
+    are read from the places of the nonzero values, and each is filled
+    from them, so that the blocks, their SVDs and the cutoff are those of
+    null_space on the whole matrix."""
+    if not np.isfinite(values).all():
+        raise NoSolution("matrix has non-finite entries")
+    kept = values != 0
+    r, c, values = r[kept], c[kept], values[kept]
+    m, n = shape
+    blocks = _pattern_blocks(r, c, m, n)
+    if blocks is None:
+        a = np.zeros(shape, dtype=complex)
+        a[r, c] = values
+        return null_space(a, tol=tol)
+    # the group, the block in it and the place in that block of each row,
+    # and the place of each column in its block
+    group, block, place = np.empty((3, m), dtype=np.intp)
+    column = np.empty(n, dtype=np.intp)
+    for g, (rows, cols) in enumerate(blocks):
+        group[rows], block[rows] = g, np.arange(rows.shape[0])[:, None]
+        place[rows], column[cols] = np.arange(rows.shape[1]), np.arange(cols.shape[1])
+    stacks = []
+    for g, (rows, cols) in enumerate(blocks):
+        at = group[r] == g
+        stack = np.zeros(rows.shape + cols.shape[1:], dtype=complex)
+        stack[block[r[at]], place[r[at]], column[c[at]]] = values[at]
+        stacks.append(stack)
+    return _block_null_space(n, stacks, blocks, tol)
+
+
+def _block_null_space(n, stacks, blocks, tol):
+    """null_space of a matrix of n columns from the stacks of its blocks."""
+    parts = _block_svds(stacks, blocks, _right_svd, tol)
     pieces = [(cols, vh.conj().swapaxes(-1, -2), ~_first(count, vh.shape[-1]))
               for _, cols, _, vh, count in parts]
     return _assemble(n, pieces + _unit_pieces(n, [cols for cols, _, _ in pieces]))
@@ -294,7 +346,7 @@ def orth(a, tol=None):
     if blocks is None:
         u, s, vh = _reduced_left_svd(a)
         return u[:, :_count(s, tol)].copy()
-    parts = _block_svds(a, blocks, _reduced_left_svd, tol)
+    parts = _block_svds(_block_stacks(a, blocks), blocks, _reduced_left_svd, tol)
     return _assemble(a.shape[0], [(rows, u, _first(count, u.shape[-1]))
                                   for rows, _, u, _, count in parts])
 
@@ -309,7 +361,7 @@ def orth_split(a, tol=None):
         u, s, vh = _full_left_svd(a)
         r = _count(s, tol)
         return u[:, :r].copy(), u[:, r:].copy()
-    parts = _block_svds(a, blocks, _full_left_svd, tol)
+    parts = _block_svds(_block_stacks(a, blocks), blocks, _full_left_svd, tol)
     span = [(rows, u, _first(count, u.shape[-1])) for rows, _, u, _, count in parts]
     rest = [(rows, u, ~keep) for rows, u, keep in span]
     return _assemble(m, span), _assemble(m, rest + _unit_pieces(m, [r for r, _, _ in span]))

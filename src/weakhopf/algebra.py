@@ -15,7 +15,16 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import require, residual, settle
-from ._contract import Table, dense_of, evaluate, owned, pair_products
+from ._contract import (
+    Table,
+    commutators,
+    dense_of,
+    evaluate,
+    listed_pair_products,
+    owned,
+    pair_products,
+    times,
+)
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, memo, tolerance
 from .errors import (
     AssociativityViolation,
@@ -30,6 +39,7 @@ from .errors import (
 
 __all__ = [
     "StarAlgebra",
+    "ListedAlgebra",
     "Element",
     "Subspace",
     "make_star_algebra",
@@ -49,27 +59,42 @@ class StarAlgebra:
     mult is stored C-contiguous, so mult.reshape(n, n * n) is a view whose
     row i is L_{e_i} transposed and flattened: products and regular
     representations are single matmuls against it, for one coordinate
-    vector or for a whole stack of them."""
+    vector or for a whole stack of them.
+
+    The list-or-dense choice is made here, once per algebra: given a Table
+    that holds an admitted nonzero list (one that build formed on lists),
+    StarAlgebra(...) makes a ListedAlgebra, which keeps that Table alone
+    and reads through its list."""
+
+    def __new__(cls, mult, *args, **kwargs):
+        if cls is StarAlgebra and isinstance(mult, Table) and mult.entries is not None \
+                and mult.nonzeros() is not None:
+            cls = ListedAlgebra
+        return super().__new__(cls)
 
     def __init__(self, mult, unit, star, labels=None):
-        given = {"mult": mult, "star": star}
-        mult = np.ascontiguousarray(dense_of(mult), dtype=complex)
+        self._cache = {}
+        shape = self._hold(mult).shape
         unit = np.asarray(unit, dtype=complex)
-        star = np.asarray(dense_of(star), dtype=complex)
         n = unit.shape[0]
-        if mult.shape != (n, n, n) or star.shape != (n, n):
-            raise ValueError("inconsistent table dimensions")
         self.dim = n
-        self.mult = mult
         self.unit = unit
-        self.star = star
+        self.star = np.asarray(dense_of(star), dtype=complex)
+        if shape != (n, n, n) or self.star.shape != (n, n):
+            raise ValueError("inconsistent table dimensions")
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("label count must match dim")
-        self._cache = {}
-        for name, t in given.items():
-            if isinstance(t, Table):
-                owned(self, name, t)
+        if isinstance(star, Table):
+            owned(self, "star", star)
+
+    def _hold(self, mult):
+        """Keep mult as a C-contiguous complex array (and a Table given for
+        it through owned); returns it."""
+        self.mult = np.ascontiguousarray(dense_of(mult), dtype=complex)
+        if isinstance(mult, Table):
+            owned(self, "mult", mult)
+        return self.mult
 
     def __repr__(self):
         return f"StarAlgebra(dim={self.dim})"
@@ -126,11 +151,97 @@ class StarAlgebra:
         return memo(self, ("gramfac", tolerance(tol)),
                     lambda: la.gram_sqrt(self.trace_gram(), tol=tol))
 
+    def pair_products(self, xs, ys):
+        """Products of every pair of columns of xs and ys, as [a, b, :]
+        (weakhopf._contract.pair_products)."""
+        return pair_products(self.mult, xs, ys)
+
+    def mapped_products(self, f):
+        """f @ (e_i e_j) for every pair of basis elements, as [i, j, :]."""
+        return self.mult @ f.T
+
+    def pair_sum(self, tensor):
+        """sum tensor[i, j] e_i e_j."""
+        return tensor.reshape(-1) @ self.mult.reshape(-1, self.dim)
+
+    def commutant(self, basis, tol=None):
+        """{x : s x = x s for every column s of basis}, or of the whole basis
+        when basis is None, from the stack of _commutators."""
+        return _kernel(self, _commutators(self, basis), tol)
+
     def center(self, tol=None):
         # the commutant of the whole basis, from the one n^3 stack
         # mult[i, j, k] - mult[j, i, k] (_commutators)
-        return memo(self, ("center", tolerance(tol)),
-                    lambda: _kernel(self, _commutators(self), tol))
+        return memo(self, ("center", tolerance(tol)), lambda: self.commutant(None, tol))
+
+
+class ListedAlgebra(StarAlgebra):
+    """A StarAlgebra whose mult is held as a Table with a nonzero list, the
+    Table that a crossed product built on lists: a listed level of a Jones
+    tower.  The Table sits in the instance dict under the name mult, where
+    owned finds it, and the attribute mult forms the dense array only when
+    a reader asks for it (counted in weakhopf._contract.FORMED).
+
+    Every reader that a tower level reaches reads the list instead:
+    left_mult_matrix, right_mult_matrix and product_coords, pair_products,
+    mapped_products and pair_sum, trace_vector and trace_gram through
+    weakhopf._contract.times (listed_pair_products for the pairs), and
+    center and commutant through the entries of the commutator stack
+    (weakhopf._contract.commutators) and the null space of those entries
+    (weakhopf._linalg.sparse_null_space)."""
+
+    mult = property(lambda self: vars(self)["mult"].dense,
+                    doc="The dense mult, formed on first request.")
+
+    def _hold(self, mult):
+        vars(self)["mult"] = mult
+        return mult
+
+    def _nonzeros(self):
+        return vars(self)["mult"].nonzeros()
+
+    def _times(self, axis, x):
+        """times over the given axis of mult with the coordinate vectors x
+        (leading axes a stack), as [stack, remaining two letters]."""
+        n, x = self.dim, np.asarray(x)
+        got = times(self._nonzeros(), (n, n, n), axis, x.reshape(-1, n).T)
+        return got.reshape(x.shape[:-1] + (n, n))
+
+    def left_mult_matrix(self, x):
+        return self._times(0, x).swapaxes(-1, -2)
+
+    def right_mult_matrix(self, x):
+        return self._times(1, x).swapaxes(-1, -2)
+
+    def trace_vector(self):
+        # sum_j mult[k, j, j]: mult read as [k, (j, l)] against the flat unit matrix
+        n = self.dim
+        return memo(self, "trvec", lambda: times(self._nonzeros(), (n, n * n), 1,
+                                                 np.eye(n).reshape(-1, 1))[0])
+
+    def trace_gram(self):
+        return memo(self, "gram", lambda: self.star @ self.mapped_products(
+            self.trace_vector()[None])[..., 0])
+
+    def pair_products(self, xs, ys):
+        return listed_pair_products(self._nonzeros(), xs, ys)
+
+    def mapped_products(self, f):
+        n = self.dim
+        return np.moveaxis(times(self._nonzeros(), (n, n, n), 2, f.T), 0, -1)
+
+    def pair_sum(self, tensor):
+        n = self.dim
+        return times(self._nonzeros(), (n * n, n), 0, tensor.reshape(-1, 1))[0]
+
+    def commutant(self, basis, tol=None):
+        n = self.dim
+        got = commutators(self._nonzeros(), n, basis)
+        if got is None:                       # a join over the gate
+            return super().commutant(basis, tol)
+        rows = n * (n if basis is None else basis.shape[1])
+        return Subspace(self, la.sparse_null_space(*got, (rows, n), tol=tol),
+                        orthonormalize=False)
 
 
 class Element:
@@ -231,7 +342,7 @@ class Subspace:
     def certify(self, tol=None):
         """Whether the span is a subalgebra, star-closed and unital."""
         A, B = self.parent, self.basis
-        prods = pair_products(A.mult, B, B).reshape(-1, A.dim).T
+        prods = A.pair_products(B, B).reshape(-1, A.dim).T
         return {"subalgebra": self.contains_coords(prods, tol=tol),
                 "star_closed": self.contains_coords(A.star_coords(B), tol=tol),
                 "unital": self.contains_coords(A.unit.reshape(-1, 1), tol=tol)}
@@ -389,15 +500,17 @@ def _kernel(A, stack, tol):
 def commutant(S, A, tol=None):
     """Relative commutant {x in A : xs = sx for all s in span S}.
 
-    S may be a Subspace of A or a raw basis matrix.  At its peak it holds,
-    besides A's tables, the stack of rows s x - x s (dim S * n^2 entries)
-    and the two products it is subtracted from; A.center() holds the one
-    n^3 stack mult[i, j, k] - mult[j, i, k] and no product.
+    S may be a Subspace of A or a raw basis matrix.  On dense tables it
+    holds at its peak, besides A's tables, the stack of rows s x - x s
+    (dim S * n^2 entries) and the two products it is subtracted from;
+    A.center() holds the one n^3 stack mult[i, j, k] - mult[j, i, k] and
+    no product.  A ListedAlgebra holds the nonzero list of that stack
+    instead, and the blocks of its null space.
     """
     basis = S.basis if isinstance(S, Subspace) else np.asarray(S, dtype=complex)
     if basis.ndim == 1:
         basis = basis.reshape(-1, 1)
-    return _kernel(A, _commutators(A, basis), tol)
+    return A.commutant(basis, tol)
 
 
 def center(A, tol=None):
@@ -410,7 +523,7 @@ def subalgebra_on_basis(A, basis, tol=None, labels=None):
     B = la.orth(np.asarray(basis, dtype=complex), tol=tol)
     k = B.shape[1]
     pinv = B.conj().T  # orthonormal columns
-    prods = pair_products(A.mult, B, B).reshape(k * k, A.dim).T
+    prods = A.pair_products(B, B).reshape(k * k, A.dim).T
     bad = la.first_outside(B, prods, tol=tol)
     if bad is not None:
         raise AssociativityViolation("span is not closed under products",
@@ -433,7 +546,7 @@ def _homomorphism_gaps(A, B, f, basis):
     basis: the largest entry of f(x_i x_j) - f(x_i) f(x_j) at [i, j], and of
     f(x_i^*) - f(x_i)^* at [i]."""
     img = f @ basis
-    prods = pair_products(A.mult, basis, basis) @ f.T
-    mgaps = np.abs(prods - pair_products(B.mult, img, img)).max(axis=2)
+    prods = A.pair_products(basis, basis) @ f.T
+    mgaps = np.abs(prods - B.pair_products(img, img)).max(axis=2)
     sgaps = np.abs(f @ A.star_coords(basis) - B.star_coords(img)).max(axis=0)
     return mgaps, sgaps

@@ -20,7 +20,7 @@ from . import serialize as ser
 from ._checks import outside
 from .config import DEFAULT_DIM_BUDGET, SLACK_COMPOSITE, tolerance
 from .errors import FormatError, WeakHopfError
-from .hopf import AXIOM_NAMES, is_pure, verify_weak_hopf
+from .hopf import AXIOM_NAMES, WeakHopfAlgebra, is_pure, verify_weak_hopf
 from .integrals import LeftIntegral, classify, haar, left_integral_space, \
     right_integral_space
 
@@ -31,6 +31,22 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_record(path, reader):
+    """(reader(record, check=False), the content hash of the record) for
+    the JSON record at path.  The parsed record is hashed and read into
+    arrays here, so that its nested lists are freed when this returns,
+    before any check runs on the tables read from it."""
+    rec = _load_json(path)
+    return reader(rec, check=False), ser.content_hash(rec)
+
+
+def _read_algebra(rec, check):
+    """A weak Hopf algebra record, or else a bare star-algebra record."""
+    if "coproduct" in rec:
+        return ser.weak_hopf_from_record(rec, check=check)
+    return ser.star_algebra_from_record(rec, check=check)
 
 
 def _emit(report, args):
@@ -72,15 +88,14 @@ def _coords_json(vec):
 
 
 def cmd_verify(args):
-    rec = _load_json(args.input)
+    read, digest = _load_record(args.input, _read_algebra)
     tol = tolerance(args.tol)
-    if "coproduct" in rec:
-        W = ser.weak_hopf_from_record(rec, tol=tol, check=False)
-        rep = verify_weak_hopf(W, tol=tol)
+    if isinstance(read, WeakHopfAlgebra):
+        rep = verify_weak_hopf(read, tol=tol)
         report = {
             "kind": "weak_hopf",
             "tolerance": tol,
-            "input_hash": ser.content_hash(rec),
+            "input_hash": digest,
             "residuals": {k: float(v) for k, v in rep.residuals.items()},
             "antipode_invertible": rep.antipode_invertible,
             "relaxed_system_passed": rep.relaxed_passed(tol=tol),
@@ -91,16 +106,13 @@ def cmd_verify(args):
         return 0 if report["passed"] else 1
     # bare star algebra
     try:
-        ser.star_algebra_from_record(rec, tol=tol, check=True)
-    except FormatError:
-        raise
+        ser.checked(read, tol=tol)
     except WeakHopfError as exc:
-        _emit({"kind": "star_algebra", "tolerance": tol,
-               "input_hash": ser.content_hash(rec),
+        _emit({"kind": "star_algebra", "tolerance": tol, "input_hash": digest,
                "passed": False, "error": str(exc)}, args)
         return 1
-    _emit({"kind": "star_algebra", "tolerance": tol,
-           "input_hash": ser.content_hash(rec), "passed": True}, args)
+    _emit({"kind": "star_algebra", "tolerance": tol, "input_hash": digest, "passed": True},
+          args)
     return 0
 
 
@@ -125,13 +137,13 @@ def cmd_example(args):
 
 
 def cmd_integrals(args):
-    rec = _load_json(args.input)
+    W, digest = _load_record(args.input, ser.weak_hopf_from_record)
     tol = tolerance(args.tol)
-    W = ser.weak_hopf_from_record(rec, tol=tol)
+    W = ser.checked(W, tol=tol)
     hd = haar(W, tol=tol)
     report = {
         "tolerance": tol,
-        "input_hash": ser.content_hash(rec),
+        "input_hash": digest,
         "left_space_dim": left_integral_space(W, tol=tol).dim,
         "right_space_dim": right_integral_space(W, tol=tol).dim,
         "haar": _coords_json(hd.h.coords),
@@ -154,13 +166,13 @@ def cmd_crossed(args):
     from .crossed import commutant_suite, crossed_product, tlj_elements
     from .integrals import random_positive_integral
 
-    rec = _load_json(args.input)
+    MA, digest = _load_record(args.input, ser.module_algebra_from_record)
     tol = tolerance(args.tol)
-    MA = ser.module_algebra_from_record(rec, tol=tol)
+    MA = ser.checked(MA, tol=tol)
     X = crossed_product(MA, tol=tol)
     report = {
         "tolerance": tol,
-        "input_hash": ser.content_hash(rec),
+        "input_hash": digest,
         "pre_dim": MA.target.dim * MA.hopf.dim,
         "dim": X.dim,
         "relation_rank": X.relation_rank,
@@ -182,14 +194,14 @@ def cmd_crossed(args):
 def cmd_tower(args):
     from .tower import build_tower, commutant_table, depth2_check
 
-    rec = _load_json(args.seed)
+    MA, digest = _load_record(args.seed, ser.module_algebra_from_record)
     tol = tolerance(args.tol)
-    MA = ser.module_algebra_from_record(rec, tol=tol)
+    MA = ser.checked(MA, tol=tol)
     T = build_tower(MA, args.depth, tol=tol, budget=args.budget)
     table = commutant_table(T, tol=tol)
     report = {
         "tolerance": tol,
-        "input_hash": ser.content_hash(rec),
+        "input_hash": digest,
         "depth": args.depth,
         "dims": table["dims"],
         "n_commutant_dims": table["n_commutant_dims"],
@@ -209,13 +221,12 @@ def cmd_tower(args):
 
 
 def cmd_report(args):
-    rec = _load_json(args.input)
+    W, digest = _load_record(args.input, ser.weak_hopf_from_record)
     tol = tolerance(args.tol)
-    W = ser.weak_hopf_from_record(rec, tol=tol, check=False)
     rep = verify_weak_hopf(W, tol=tol)
     report = {
         "tolerance": tol,
-        "input_hash": ser.content_hash(rec),
+        "input_hash": digest,
         "axioms": {k: float(rep.residuals[k]) for k in AXIOM_NAMES},
         "derived": {k: float(v) for k, v in rep.residuals.items()
                     if k not in AXIOM_NAMES},

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, residual
-from ._contract import Table, build, evaluate, gathered, owned, pair_products, row_maxima
+from ._contract import Table, build, evaluate, gathered, owned, row_maxima
 from .algebra import Element, Subspace, commutant, invert, make_star_algebra
 from .config import SLACK_COMPOSITE, SLACK_SOLVED, memo, tolerance
 from .errors import ActionAxiomViolation, AxiomViolation, ParentMismatch
@@ -114,10 +114,13 @@ class CrossedProduct:
 
         if la.rank(em, tol=tol) != dm:
             raise AxiomViolation("M does not embed faithfully")
-        worst = residual(pair_products(XA.mult, em, em) - M.mult @ em.T,
-                         XA.star_coords(em) - em @ M.star.T,
-                         pair_products(XA.mult, ea, ea) - A.mult @ ea.T,
-                         XA.star_coords(ea) - ea @ A.star.T)
+        worst = residual(XA.star_coords(em) - em @ M.star.T, XA.star_coords(ea) - ea @ A.star.T)
+        for B, f in ((M, em), (A, ea)):
+            # f(e_a) f(e_b) - f(e_a e_b), one (dim B, dim B, dim X) table at a time
+            gap = XA.pair_products(f, f)
+            gap -= B.mapped_products(f)
+            worst = residual(worst, gap)
+            del gap
         require(worst, SLACK_COMPOSITE * t, AxiomViolation,
                 "embeddings are not *-homomorphisms")
 
@@ -304,7 +307,7 @@ def hat_expectation(X, lam, tol=None):
                      "eye": np.eye(XA.dim)}, *QUASI_BASIS)
     require(residual(*(gap for gap, _ in gaps)), SLACK_COMPOSITE * t,
             ActionAxiomViolation, "canonical quasi-basis fails")
-    ind = tensor.reshape(-1) @ XA.mult.reshape(-1, XA.dim)
+    ind = XA.pair_sum(tensor)
     ind_ref = X.embed_a @ l_dual.n_r.coords
     require(ind - ind_ref, SLACK_COMPOSITE * t, ActionAxiomViolation,
             "index of the expectation is not 1 x Ind")
@@ -655,7 +658,7 @@ def commutant_suite(X, tol=None):
     AR = W.boundary("R", tol=tol)
     za = A.center(tol=tol)
     pred_m_comm, pred_n_comm = (
-        la.orth(pair_products(XA.mult, xs, ys).reshape(-1, XA.dim).T, tol=tol)
+        la.orth(XA.pair_products(xs, ys).reshape(-1, XA.dim).T, tol=tol)
         for xs, ys in ((em @ zc.basis, ea @ AR.basis), (em @ n_comm_m.basis, ea)))
     arza = AR.intersect(za, tol=tol)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, require_first, residual
-from ._contract import evaluate, owned, pair_products
+from ._contract import evaluate, owned
 from .algebra import Element, StarAlgebra, Subspace, _homomorphism_gaps
 from .config import SLACK_DERIVED, memo, tolerance
 from .errors import AxiomViolation, ParentMismatch
@@ -434,20 +434,20 @@ def boundary_subalgebra(W, side, tol=None):
     da = np.tensordot(B, W.cop, axes=([0], [0]))               # [j, u, v]
     if side == "L":
         # Delta(a) = a 1(1) (x) 1(2) = 1(1) a (x) 1(2), at [j, u, q]
-        t1 = pair_products(A.mult, B, D1).transpose(0, 2, 1)
-        t2 = pair_products(A.mult, D1, B).transpose(1, 2, 0)
+        t1 = A.pair_products(B, D1).transpose(0, 2, 1)
+        t2 = A.pair_products(D1, B).transpose(1, 2, 0)
     else:
         # Delta(a) = 1(1) (x) a 1(2) = 1(1) (x) 1(2) a, at [j, p, v]
-        t1 = pair_products(A.mult, B, D1.T)
-        t2 = pair_products(A.mult, D1.T, B).transpose(1, 0, 2)
+        t1 = A.pair_products(B, D1.T)
+        t2 = A.pair_products(D1.T, B).transpose(1, 0, 2)
     gaps = np.maximum(np.abs(da - t1).max(axis=(1, 2)),
                       np.abs(da - t2).max(axis=(1, 2)))
     require_first([(gaps, "boundary characterization fails", lambda ix: (side,) + ix)],
                   t, AxiomViolation)
     # the two sides commute elementwise
     other = W.boundary("R" if side == "L" else "L", tol=tol).basis
-    gaps = np.abs(pair_products(A.mult, B, other)
-                  - pair_products(A.mult, other, B).transpose(1, 0, 2)).max(axis=2)
+    gaps = np.abs(A.pair_products(B, other)
+                  - A.pair_products(other, B).transpose(1, 0, 2)).max(axis=2)
     require_first([(gaps, "boundary subalgebras do not commute", tuple)], t,
                   AxiomViolation)
     # Delta(1) lives in A_R (x) A_L

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._checks import outside, require, require_first, residual, settle
-from ._contract import evaluate, owned, pair_products
+from ._contract import evaluate, owned
 from .algebra import Element, Subspace, _homomorphism_gaps
 from .config import SLACK_COMPOSITE, SLACK_DERIVED, SLACK_SOLVED, memo, tolerance
 from .errors import (
@@ -556,7 +556,7 @@ def is_minimal(MA, tol=None):
     rel = commutant(N, M, tol=tol)
     zc = M.center(tol=tol)
     mr = MA.image_data(tol=tol).m_r
-    prods = pair_products(M.mult, zc.basis, mr.basis).reshape(-1, M.dim)
+    prods = M.pair_products(zc.basis, mr.basis).reshape(-1, M.dim)
     cmr = la.orth(prods.T, tol=tol)
     return la.span_equal(rel.basis, cmr, tol=tol)
 
@@ -657,7 +657,7 @@ def modular_check(MA, gns, times=(1.0, 0.5), tol=None):
     hd = W.haar(tol=tol)
     lower, bar = star_conjugations(W, tol=tol)
     AL, AR = W.boundary("L", tol=tol), W.boundary("R", tol=tol)
-    prods = pair_products(W.alg.mult, AL.basis, AR.basis).reshape(-1, W.dim)
+    prods = W.alg.pair_products(AL.basis, AR.basis).reshape(-1, W.dim)
     basis = la.orth(prods.T, tol=tol)
 
     report = {}
@@ -697,8 +697,7 @@ def galois_test(MA, tol=None):
     XA = X.algebra
 
     # sandwiches m_u eh m_v for every pair, laid out [u, v, :]
-    sandwiches = pair_products(XA.mult, XA.right_mult_matrix(eh) @ X.embed_m,
-                               X.embed_m)
+    sandwiches = XA.pair_products(XA.right_mult_matrix(eh) @ X.embed_m, X.embed_m)
     p = np.tensordot(qb.tensor, sandwiches, 2)
     p_el = Element(XA, p)
     require(residual(XA.product_coords(p, p) - p, XA.star_coords(p) - p),

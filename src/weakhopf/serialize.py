@@ -10,7 +10,7 @@ import numpy as np
 from .algebra import StarAlgebra, make_star_algebra
 from .errors import FormatError
 from .hopf import WeakHopfAlgebra, make_weak_hopf
-from .modules import make_module_algebra
+from .modules import ModuleAlgebra, make_module_algebra
 
 __all__ = [
     "complex_to_pair",
@@ -22,6 +22,7 @@ __all__ = [
     "weak_hopf_from_record",
     "module_algebra_record",
     "module_algebra_from_record",
+    "checked",
     "content_hash",
     "dump_canonical",
 ]
@@ -94,9 +95,8 @@ def star_algebra_from_record(rec, tol=None, check=True):
         labels = rec.get("labels")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad star-algebra record: {exc}") from exc
-    if check:
-        return make_star_algebra(mult, unit, star, labels=labels, tol=tol)
-    return StarAlgebra(mult, unit, star, labels=labels)
+    A = StarAlgebra(mult, unit, star, labels=labels)
+    return checked(A, tol=tol) if check else A
 
 
 def weak_hopf_record(W):
@@ -109,7 +109,7 @@ def weak_hopf_record(W):
 
 
 def weak_hopf_from_record(rec, tol=None, check=True):
-    alg = star_algebra_from_record(rec, tol=tol, check=check)
+    alg = star_algebra_from_record(rec, tol=tol, check=False)
     n = alg.dim
     try:
         cop = pairs_to_array(rec["coproduct"], (n, n * n)).reshape(n, n, n)
@@ -117,9 +117,8 @@ def weak_hopf_from_record(rec, tol=None, check=True):
         antipode = pairs_to_array(rec["antipode"], (n, n))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad weak-Hopf record: {exc}") from exc
-    if check:
-        return make_weak_hopf(alg, cop, counit, antipode, tol=tol)
-    return WeakHopfAlgebra(alg, cop, counit, antipode)
+    W = WeakHopfAlgebra(alg, cop, counit, antipode)
+    return checked(W, tol=tol) if check else W
 
 
 def module_algebra_record(MA):
@@ -132,15 +131,28 @@ def module_algebra_record(MA):
 
 def module_algebra_from_record(rec, tol=None, check=True):
     try:
-        W = weak_hopf_from_record(rec["hopf"], tol=tol, check=check)
-        M = star_algebra_from_record(rec["target"], tol=tol, check=check)
+        W = weak_hopf_from_record(rec["hopf"], tol=tol, check=False)
+        M = star_algebra_from_record(rec["target"], tol=tol, check=False)
         act = pairs_to_array(rec["action"], (W.dim, M.dim, M.dim))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad module-algebra record: {exc}") from exc
-    if check:
-        return make_module_algebra(W, M, act, tol=tol)
-    from .modules import ModuleAlgebra
-    return ModuleAlgebra(W, M, act)
+    MA = ModuleAlgebra(W, M, act)
+    return checked(MA, tol=tol) if check else MA
+
+
+def checked(obj, tol=None):
+    """A star algebra, weak Hopf algebra or module algebra that a record
+    reader gave with check=False, built again from its tables through the
+    checks that check=True runs, in the same order: the algebra, then the
+    weak Hopf axioms, then the target and the action.  A reader with
+    check=True reads the whole record before the first check."""
+    if isinstance(obj, ModuleAlgebra):
+        return make_module_algebra(checked(obj.hopf, tol=tol), checked(obj.target, tol=tol),
+                                   obj.act, tol=tol)
+    if isinstance(obj, WeakHopfAlgebra):
+        return make_weak_hopf(checked(obj.alg, tol=tol), obj.cop, obj.counit, obj.antipode,
+                              tol=tol)
+    return make_star_algebra(obj.mult, obj.unit, obj.star, labels=obj.labels, tol=tol)
 
 
 def dump_canonical(obj):

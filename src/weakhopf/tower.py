@@ -333,5 +333,5 @@ def _witness_holds(lv, rel, tol=None):
                      "eye": np.eye(XA.dim)}, *QUASI_BASIS)
     if outside(residual(*(gap for gap, _ in gaps)), tolerance(tol)):
         return False
-    index = T.reshape(-1) @ XA.mult.reshape(-1, XA.dim)
+    index = XA.pair_sum(T)
     return XA.center(tol=tol).contains_coords(index.reshape(-1, 1), tol=tol)

@@ -370,6 +370,45 @@ def test_a_commands_algebras_are_freed_when_it_returns(tmp_path, capsys, monkeyp
     assert alive == [False]
 
 
+class _Record(dict):
+    """A parsed record that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("command, record", [
+    ("verify", "weak_hopf"), ("verify", "star_algebra"), ("report", "weak_hopf"),
+    ("integrals", "weak_hopf"), ("crossed", "module"), ("tower", "module")])
+def test_the_parsed_record_is_freed_before_the_checks(tmp_path, capsys, monkeypatch, cz2,
+                                                      command, record):
+    # each command hashes its record and reads it into arrays at load, so
+    # the nested lists are gone when the first check runs
+    rec = {"weak_hopf": lambda: ser.weak_hopf_record(cz2),
+           "star_algebra": lambda: ser.star_algebra_record(cz2.alg),
+           "module": lambda: ser.module_algebra_record(ex.named_action("m2-z2"))}[record]()
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(rec))
+    parsed, alive, load = [], [], json.load
+
+    def spy_load(fh):
+        got = _Record(load(fh))
+        parsed.append(weakref.ref(got))
+        return got
+
+    def watch(fn):
+        def call(*args, **kwargs):
+            alive.append(parsed[0]() is not None)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(json, "load", spy_load)
+    monkeypatch.setattr(ser, "checked", watch(ser.checked))
+    monkeypatch.setattr(cli, "verify_weak_hopf", watch(cli.verify_weak_hopf))
+    argv = [command, str(path)] if command != "tower" else \
+        ["tower", "--seed", str(path), "--depth", "1"]
+    rc, out = run(argv, capsys)
+    assert rc == 0 and json.loads(out)["input_hash"] == ser.content_hash(rec)
+    assert alive and not any(alive)
+
+
 def _haar_module_record(MA, rng):
     """The record of MA with A and M each on a Haar-random unitary basis."""
     def unitary(n):

@@ -9,10 +9,14 @@ dense sliced path reports: the same exception, message and location, and
 the same residual up to rounding.  Haar-random, non-finite and over-slice
 tables must take the dense path.  The product and star tables that a
 crossed product builds, on nonzero lists or on dense slices, must be those
-of a dense assembly written out by hand (_assemble)."""
+of a dense assembly written out by hand (_assemble).  The readers of a
+level built on lists (weakhopf.algebra.ListedAlgebra) must give what the
+same readers give on its dense tables, and no dense table may be formed
+for them."""
 
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -797,3 +801,149 @@ def test_the_dense_pauli_top_is_never_listed(monkeypatch):
     tw.commutant_table(T)
     assert T.dims()[-1] == 64
     assert (64, 64, 64) in tables and (64, 64, 64) not in arrays
+
+
+# ---------------------------------------------------------------------------
+# the readers of a listed level (weakhopf.algebra.ListedAlgebra)
+
+
+def _crossed_levels(name, draw=None, depth=2):
+    """The crossed products of the depth-`depth` tower of the named seed, in
+    the natural basis or on the bases that draw gives."""
+    MA = ex.named_action(name)
+    if draw is not None:
+        rng = np.random.default_rng(18)
+        MA = _rebased_module(MA, draw(rng, MA.hopf.dim), draw(rng, MA.target.dim))
+    levels = []
+    for _ in range(depth):
+        levels.append(cr.crossed_product(MA))
+        MA = levels[-1].as_module
+    return levels
+
+
+def _close(got, ref):
+    """The same terms summed in another order: within rounding of the
+    largest entry."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
+
+
+def _rand_c(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("basis", ["natural", "monomial"])
+@pytest.mark.parametrize("name", TOWER_SEEDS)
+def test_listed_readers_are_the_dense_readers(name, basis):
+    # each reader of both crossed products of the depth-2 tower on its list,
+    # against the same reader on the dense tables: bit for bit where each
+    # entry is one term (basis vectors in, and the center, whose commutator
+    # entries are those of mult), else within rounding
+    rng = np.random.default_rng(19)
+    for X in _crossed_levels(name, None if basis == "natural" else _monomial_unitary):
+        L = X.algebra
+        assert type(L) is al.ListedAlgebra
+        D = StarAlgebra(L.mult, L.unit, L.star)
+        n, eye = L.dim, np.eye(L.dim)
+        x, y, stack = _rand_c(rng, n), _rand_c(rng, n), _rand_c(rng, 3, n)
+        for read in ("left_mult_matrix", "right_mult_matrix"):
+            assert np.array_equal(getattr(L, read)(eye), getattr(D, read)(eye))
+            _close(getattr(L, read)(x), getattr(D, read)(x))
+            _close(getattr(L, read)(stack), getattr(D, read)(stack))
+        _close(L.product_coords(x, y), D.product_coords(x, y))
+        for xs, ys in ((X.embed_m, X.embed_m), (X.embed_a, X.embed_a),
+                       (_rand_c(rng, n, 4), _rand_c(rng, n, 3))):
+            _close(L.pair_products(xs, ys), D.pair_products(xs, ys))
+        assert np.array_equal(L.mapped_products(eye), D.mapped_products(eye))
+        f = _rand_c(rng, 5, n)
+        _close(L.mapped_products(f), D.mapped_products(f))
+        tensor = _rand_c(rng, n, n)
+        _close(L.pair_sum(tensor), D.pair_sum(tensor))
+        _close(L.trace_vector(), D.trace_vector())
+        _close(L.trace_gram(), D.trace_gram())
+        assert np.array_equal(L.center().basis, D.center().basis)
+        for basis_of in (X.embed_m, X.embed_a, _rand_c(rng, n, 2)):
+            got, ref = al.commutant(basis_of, L), al.commutant(basis_of, D)
+            assert got.dim == ref.dim and la.span_equal(got.basis, ref.basis)
+
+
+def test_the_pauli_tower_forms_no_dense_table_at_a_listed_level(tmp_path, monkeypatch):
+    # depth 3 through the command line: the levels of 16, 64 and 256
+    # dimensions read their lists, so no Table forms an (n, n, n) array (the
+    # n x n star tables are formed), no commutator stack is formed for them,
+    # and no null space is taken of an (n^2, n) matrix at the two levels
+    # whose dims no dense algebra of the tower shares (the acting algebras
+    # have 16)
+    listed = (16, 64, 256)
+    formed, stacks, shapes = Counter(), [], []
+    commutators, null_space = al._commutators, la.null_space
+    monkeypatch.setattr(_contract, "FORMED", formed)
+    monkeypatch.setattr(al, "_commutators",
+                        lambda A, basis=None: stacks.append(type(A)) or commutators(A, basis))
+    monkeypatch.setattr(la, "null_space",
+                        lambda a, tol=None: shapes.append(np.shape(a)) or null_space(a, tol=tol))
+    path, out = tmp_path / "pauli.json", tmp_path / "report.json"
+    path.write_text(json.dumps(ser.module_algebra_record(ex.named_action("m2-pauli"))))
+    assert cli.main(["--out", str(out), "tower", "--seed", str(path), "--depth", "3"]) == 0
+    assert json.loads(out.read_text())["dims"] == [1, 4] + list(listed)
+    assert formed and all(len(shape) == 2 for shape in formed)
+    assert stacks and al.ListedAlgebra not in stacks
+    assert not [s for s in shapes for n in listed[1:] if s[0] >= n * n and s[1:] == (n,)]
+
+
+def test_the_descent_takes_its_row_maxima_from_its_list(monkeypatch):
+    # at the dim-64 Pauli level the descent's list holds more entries than
+    # listed admits (16 * 64); its row maxima still come from that list
+    MA = cr.crossed_product(ex.named_action("m2-pauli")).as_module
+    X = cr.crossed_product(MA)
+    rel_basis = cr._structure(MA)[1]
+    built, build, formed = [], cr.build, Counter()
+    monkeypatch.setattr(cr, "build", lambda chain, tables: built.append(build(chain, tables))
+                        or built[-1])
+    monkeypatch.setattr(_contract, "FORMED", formed)
+    X._verify(rel_basis)
+    moved, = built
+    assert moved.entries[0].size > 16 * 64 and moved.nonzeros() is None
+    assert not formed
+    assert np.array_equal(_contract.row_maxima(moved),
+                          np.abs(moved.dense).reshape(16, -1).max(axis=1))
+    assert formed == {moved.shape: 1}
+
+
+def test_a_haar_basis_algebra_reads_its_dense_tables(monkeypatch):
+    # a crossed product built on dense slices is a plain StarAlgebra, and
+    # its readers run on the dense mult: no list is looked up and no
+    # nonzero counted per read
+    rng = np.random.default_rng(20)
+    MA = ex.named_action("m2-pauli")
+    MA = _rebased_module(MA, _haar_unitary(rng, MA.hopf.dim), _haar_unitary(rng, MA.target.dim))
+    X = cr.crossed_product(MA)
+    assert type(X.algebra) is StarAlgebra
+    A = StarAlgebra(X.algebra.mult, X.algebra.unit, X.algebra.star)
+    n = A.dim
+    calls = []
+    for owner, name in ((_contract, "listed"), (np, "count_nonzero")):
+        monkeypatch.setattr(owner, name, lambda *args, _fn=getattr(owner, name), _name=name,
+                            **kwargs: calls.append(_name) or _fn(*args, **kwargs))
+    x, basis = _rand_c(rng, n), _rand_c(rng, n, 3)
+    A.left_mult_matrix(x), A.right_mult_matrix(basis.T), A.product_coords(x, x)
+    A.pair_products(basis, basis), A.mapped_products(basis.T), A.pair_sum(_rand_c(rng, n, n))
+    A.trace_vector(), A.trace_gram()
+    assert calls == []
+    A.center(), al.commutant(basis, A)
+    assert "listed" not in calls
+
+
+def test_a_commutant_over_the_gate_takes_the_dense_stack(monkeypatch):
+    # when a join of the commutator entries does not fit the list gate, a
+    # listed level forms the dense stack: the same center, bit for bit,
+    # and the same commutant
+    L = _crossed_levels("m2-pauli")[1].algebra
+    basis = _rand_c(np.random.default_rng(21), L.dim, 3)
+    listed_center, listed_comm = L.commutant(None), al.commutant(basis, L)
+    monkeypatch.setattr(_checks, "SLICE_BYTES", 16)
+    assert _contract.commutators(L._nonzeros(), L.dim, None) is None
+    dense_center, dense_comm = L.commutant(None), al.commutant(basis, L)
+    assert np.array_equal(dense_center.basis, listed_center.basis)
+    assert dense_comm.dim == listed_comm.dim
+    assert la.span_equal(dense_comm.basis, listed_comm.basis)
