@@ -25,21 +25,23 @@ from .integrals import LeftIntegral, classify, haar, left_integral_space, \
     right_integral_space
 
 
-def _load_json(path):
+def _load_json(path, parse=json.loads):
+    """parse of the UTF-8 text of the file at path; FormatError if the
+    file cannot be read or decoded, or is not JSON."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_record(path, reader):
     """(reader(record, check=False), the content hash of the record) for
-    the JSON record at path.  The parsed record is hashed and read into
-    arrays here, so that its nested lists are freed when this returns,
-    before any check runs on the tables read from it."""
-    rec = _load_json(path)
-    return reader(rec, check=False), ser.content_hash(rec)
+    the JSON record at path, read in one pass by `serialize.read_record`.
+    The record is read into arrays here, so that what was parsed is freed
+    when this returns, before any check runs on the tables read from it."""
+    rec, digest = _load_json(path, ser.read_record)
+    return reader(rec, check=False), digest
 
 
 def _read_algebra(rec, check):

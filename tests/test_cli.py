@@ -142,6 +142,19 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("which", ["record", "integral"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, cz2, which):
+    good, bad = tmp_path / "w.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(ser.weak_hopf_record(cz2)))
+    bad.write_bytes(b'\xff\xfe{"dim":1}')
+    argv = ["verify", str(bad)] if which == "record" else \
+        ["integrals", str(good), "--integral", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read {bad}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, entry", [
     ("verify", 5),                        # a scalar for a whole table
     ("integrals", 5),                     # a scalar for the integral
@@ -308,11 +321,11 @@ def test_records_are_parsed_with_the_collector_paused(tmp_path, capsys, monkeypa
     good, bad = tmp_path / "w.json", tmp_path / "bad.json"
     good.write_text(json.dumps(ser.weak_hopf_record(cz2)))
     bad.write_text("{not json")
-    during, passes, load, verify = [], [], json.load, cli.verify_weak_hopf
+    during, passes, read, verify = [], [], ser.read_record, cli.verify_weak_hopf
 
-    def spy(fh):
+    def spy(text):
         during.append(gc.isenabled())
-        return load(fh)
+        return read(text)
 
     def spy_verify(*args, **kwargs):
         during.append(gc.isenabled())
@@ -322,7 +335,7 @@ def test_records_are_parsed_with_the_collector_paused(tmp_path, capsys, monkeypa
         if phase == "start":
             passes.append(info["generation"])
 
-    monkeypatch.setattr(json, "load", spy)
+    monkeypatch.setattr(ser, "read_record", spy)
     monkeypatch.setattr(cli, "verify_weak_hopf", spy_verify)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -386,12 +399,13 @@ def test_the_parsed_record_is_freed_before_the_checks(tmp_path, capsys, monkeypa
            "module": lambda: ser.module_algebra_record(ex.named_action("m2-z2"))}[record]()
     path = tmp_path / "in.json"
     path.write_text(json.dumps(rec))
-    parsed, alive, load = [], [], json.load
+    parsed, alive, read = [], [], ser.read_record
 
-    def spy_load(fh):
-        got = _Record(load(fh))
+    def spy_read(text):
+        got, digest = read(text)
+        got = _Record(got)
         parsed.append(weakref.ref(got))
-        return got
+        return got, digest
 
     def watch(fn):
         def call(*args, **kwargs):
@@ -399,7 +413,7 @@ def test_the_parsed_record_is_freed_before_the_checks(tmp_path, capsys, monkeypa
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(json, "load", spy_load)
+    monkeypatch.setattr(ser, "read_record", spy_read)
     monkeypatch.setattr(ser, "checked", watch(ser.checked))
     monkeypatch.setattr(cli, "verify_weak_hopf", watch(cli.verify_weak_hopf))
     argv = [command, str(path)] if command != "tower" else \

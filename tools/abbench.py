@@ -26,7 +26,8 @@ is left out of the statistics.
 
 A scale probe (--probe, one of PROBES) is one `wha` command on a built-in
 input too large for a bench workload's loop, such as the Pauli tower at
-depth 3.  The change's tree writes the input record once (re-expressed in
+depth 3, or one that a workload only runs in-process, such as `wha verify`
+of the dim-36 `s3` record in a fresh process (`verify-s3-all`).  The change's tree writes the input record once (re-expressed in
 a seeded Haar-random basis for the probes of HAAR_SEEDS, with
 `bench/workloads.py`'s basis change), and pair k runs
 the command once in each tree, in the same alternating order, in a fresh
@@ -72,6 +73,8 @@ PROBES = {
     "crossed-dual-s3": (["action", "--name", "dual-s3"], ["crossed", "{input}"], None),
     "pauli-haar-depth2": (["action", "--name", "m2-pauli"],
                           ["tower", "--seed", "{input}", "--depth", "2"], None),
+    "verify-s3-all": (["group", "--group", "s3", "--subgroup", "0,1,2,3,4,5"],
+                      ["verify", "{input}"], None),
 }
 # probe: seed of the Haar-random basis its input record is re-expressed in
 HAAR_SEEDS = {"pauli-haar-depth2": 0}
