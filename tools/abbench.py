@@ -27,8 +27,9 @@ is left out of the statistics.
 A scale probe (--probe, one of PROBES) is one `wha` command on a built-in
 input too large for a bench workload's loop, such as the Pauli tower at
 depth 3, or one that a workload only runs in-process, such as `wha verify`
-of the dim-36 `s3` record in a fresh process (`verify-s3-all`).  The change's tree writes the input record once (re-expressed in
-a seeded Haar-random basis for the probes of HAAR_SEEDS, with
+of the dim-36 `s3` record in a fresh process (`verify-s3-all`).  The
+change's tree writes the input record once (re-expressed in a seeded
+Haar-random basis for the probes of HAAR_SEEDS, with
 `bench/workloads.py`'s basis change), and pair k runs
 the command once in each tree, in the same alternating order, in a fresh
 process with one BLAS thread, optionally under an address-space limit
